@@ -86,9 +86,10 @@ func (o Op) String() string {
 // constructors; the zero value is not a valid expression. Every Expr is
 // hash-consed (see intern.go): structurally equal expressions returned by
 // the constructors are pointer-identical, each node carries a precomputed
-// structural fingerprint, and the canonical Key and String renderings are
-// computed at most once per node (atomically, since interned nodes are
-// shared across the pipeline's lift workers).
+// structural fingerprint, and the canonical Key and String renderings and
+// the linear form (ToLinear) are computed at most once per node
+// (atomically, since interned nodes are shared across the pipeline's lift
+// workers).
 type Expr struct {
 	kind Kind
 	word uint64
@@ -100,6 +101,7 @@ type Expr struct {
 
 	key atomic.Pointer[string] // canonical key, built at most once
 	str atomic.Pointer[string] // String rendering, built at most once
+	lin atomic.Pointer[Linear] // linear form, built at most once
 }
 
 // Word returns the expression denoting the 64-bit constant w.

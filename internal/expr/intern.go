@@ -51,9 +51,10 @@ func init() {
 	}
 }
 
-// debugEqual enables the structural cross-check in Equal: interning makes
-// structural equality coincide with pointer identity, and under
-// EXPRDEBUG=1 every Equal verifies that invariant and panics on mismatch.
+// debugEqual enables the debug cross-checks of the per-node caches:
+// interning makes structural equality coincide with pointer identity, and
+// under EXPRDEBUG=1 every Equal verifies that invariant and every cached
+// ToLinear recomputes its form, each panicking on a mismatch.
 var debugEqual = os.Getenv("EXPRDEBUG") != ""
 
 // mix64 is the splitmix64 finalizer: a full-avalanche bijection on 64-bit

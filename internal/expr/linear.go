@@ -1,6 +1,10 @@
 package expr
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"strings"
+)
 
 // Linear is the linear normal form of an expression:
 //
@@ -9,36 +13,42 @@ import "sort"
 // where the tᵢ are non-linear atoms (variables, region reads or opaque
 // operator applications) and arithmetic is modulo 2⁶⁴. The solver decides
 // pointer relations by subtracting linear forms; the simplifier uses it to
-// canonicalise sums. Atoms are interned expressions, so the term map keys
-// directly on the canonical pointer — merging coefficients never builds or
-// hashes a key string.
+// canonicalise sums. Atoms are interned expressions, so terms match on the
+// canonical pointer — merging coefficients never builds or hashes a key
+// string. The terms are kept in canonical atom order, so iterating them
+// needs no sort.
+//
+// The form ToLinear returns is cached on its expression and shared by every
+// caller: it is read-only.
 type Linear struct {
 	K     uint64
-	terms map[*Expr]uint64 // atom → coefficient, modulo 2^64
+	terms []term // non-zero coefficients, atoms in canonical order
+}
+
+// term is one atom of a linear form with its coefficient, modulo 2⁶⁴.
+type term struct {
+	atom  *Expr
+	coeff uint64
 }
 
 // NumTerms returns the number of distinct non-constant terms.
 func (l *Linear) NumTerms() int { return len(l.terms) }
 
 // Coeff returns the coefficient of atom t (0 if absent).
-func (l *Linear) Coeff(t *Expr) uint64 { return l.terms[t] }
+func (l *Linear) Coeff(t *Expr) uint64 {
+	for _, tm := range l.terms {
+		if tm.atom == t {
+			return tm.coeff
+		}
+	}
+	return 0
+}
 
 // Terms calls f for each (atom, coefficient) pair in canonical key order.
 func (l *Linear) Terms(f func(atom *Expr, coeff uint64)) {
-	for _, e := range l.sortedAtoms() {
-		f(e, l.terms[e])
+	for _, tm := range l.terms {
+		f(tm.atom, tm.coeff)
 	}
-}
-
-// sortedAtoms returns the atoms ordered by canonical key — the same order
-// the string-keyed map produced, so rendered sums are byte-identical.
-func (l *Linear) sortedAtoms() []*Expr {
-	atoms := make([]*Expr, 0, len(l.terms))
-	for e := range l.terms {
-		atoms = append(atoms, e)
-	}
-	sort.Slice(atoms, func(i, j int) bool { return atoms[i].Key() < atoms[j].Key() })
-	return atoms
 }
 
 // SingleTerm returns the unique (atom, coefficient) pair if the linear form
@@ -47,44 +57,65 @@ func (l *Linear) SingleTerm() (atom *Expr, coeff uint64, ok bool) {
 	if len(l.terms) != 1 {
 		return nil, 0, false
 	}
-	for e, c := range l.terms {
-		return e, c, true
-	}
-	return nil, 0, false
+	return l.terms[0].atom, l.terms[0].coeff, true
 }
 
+// add accumulates c·e into a form under construction. The terms stay
+// unordered until canon; sums have a handful of atoms, so a linear scan
+// beats hashing.
 func (l *Linear) add(e *Expr, c uint64) {
 	if c == 0 {
 		return
 	}
-	if old, ok := l.terms[e]; ok {
-		if old+c == 0 {
-			delete(l.terms, e)
-		} else {
-			l.terms[e] = old + c
+	for i := range l.terms {
+		if l.terms[i].atom == e {
+			if l.terms[i].coeff += c; l.terms[i].coeff == 0 {
+				l.terms = slices.Delete(l.terms, i, i+1)
+			}
+			return
 		}
-		return
 	}
-	if l.terms == nil {
-		l.terms = map[*Expr]uint64{}
-	}
-	l.terms[e] = c
+	l.terms = append(l.terms, term{e, c})
 }
 
-// AddLinear accumulates scale·m into l.
-func (l *Linear) AddLinear(m *Linear, scale uint64) {
-	l.K += m.K * scale
-	for e, c := range m.terms {
-		l.add(e, c*scale)
-	}
+// canon puts the terms of a form under construction into canonical order:
+// by canonical key — the order the rendered sums have always used — with
+// the fingerprint breaking the tie of two atoms that render alike.
+func (l *Linear) canon() *Linear {
+	slices.SortFunc(l.terms, func(a, b term) int {
+		if c := strings.Compare(a.atom.Key(), b.atom.Key()); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.atom.fp, b.atom.fp)
+	})
+	return l
 }
 
 // ToLinear decomposes e into linear normal form, flattening nested sums,
-// differences, negations and multiplications by constants.
+// differences, negations and multiplications by constants. The form is
+// built at most once per interned node and shared: callers must not
+// modify it.
 func ToLinear(e *Expr) *Linear {
+	if l := e.lin.Load(); l != nil {
+		if debugEqual {
+			if f := buildLinear(e); f.K != l.K || !slices.Equal(f.terms, l.terms) {
+				panic("expr: cached linear form disagrees with a fresh decomposition of " + e.Key())
+			}
+		}
+		return l
+	}
+	l := buildLinear(e)
+	if e.lin.CompareAndSwap(nil, l) {
+		return l
+	}
+	// Another goroutine published its form first; both built the same one.
+	return e.lin.Load()
+}
+
+func buildLinear(e *Expr) *Linear {
 	l := &Linear{}
 	linearInto(l, e, 1)
-	return l
+	return l.canon()
 }
 
 func linearInto(l *Linear, e *Expr, scale uint64) {
@@ -105,20 +136,22 @@ func linearInto(l *Linear, e *Expr, scale uint64) {
 			// Fold the constant factors; if at most one non-constant
 			// factor remains the product is linear in it.
 			k := uint64(1)
-			var rest []*Expr
+			var rest *Expr
+			nrest := 0
 			for _, a := range e.args {
 				if w, ok := a.AsWord(); ok {
 					k *= w
 				} else {
-					rest = append(rest, a)
+					rest = a
+					nrest++
 				}
 			}
-			switch len(rest) {
+			switch nrest {
 			case 0:
 				l.K += k * scale
 				return
 			case 1:
-				linearInto(l, rest[0], k*scale)
+				linearInto(l, rest, k*scale)
 				return
 			}
 		}
@@ -135,13 +168,12 @@ func (l *Linear) Expr() *Expr {
 	if len(l.terms) == 0 {
 		return Word(l.K)
 	}
-	atoms := l.sortedAtoms()
-	args := make([]*Expr, 0, len(atoms)+1)
-	for _, e := range atoms {
-		if c := l.terms[e]; c == 1 {
-			args = append(args, e)
+	args := make([]*Expr, 0, len(l.terms)+1)
+	for _, tm := range l.terms {
+		if tm.coeff == 1 {
+			args = append(args, tm.atom)
 		} else {
-			args = append(args, newOp(OpMul, Word(c), e))
+			args = append(args, newOp(OpMul, Word(tm.coeff), tm.atom))
 		}
 	}
 	if l.K != 0 {
@@ -155,14 +187,14 @@ func (l *Linear) Expr() *Expr {
 
 // Sub returns l - m as a fresh linear form.
 func (l *Linear) Sub(m *Linear) *Linear {
-	d := &Linear{K: l.K - m.K}
-	for e, c := range l.terms {
-		d.add(e, c)
+	d := &Linear{K: l.K - m.K, terms: make([]term, 0, len(l.terms)+len(m.terms))}
+	for _, tm := range l.terms {
+		d.add(tm.atom, tm.coeff)
 	}
-	for e, c := range m.terms {
-		d.add(e, -c)
+	for _, tm := range m.terms {
+		d.add(tm.atom, -tm.coeff)
 	}
-	return d
+	return d.canon()
 }
 
 // Const returns the constant value of the linear form and whether it has no

@@ -1,0 +1,97 @@
+package expr
+
+import (
+	"sync"
+	"testing"
+)
+
+// TestToLinearCached checks that a node's linear form is built once and
+// then shared: a second ToLinear returns the same form without allocating.
+func TestToLinearCached(t *testing.T) {
+	if debugEqual {
+		t.Skip("EXPRDEBUG=1 recomputes every cached form")
+	}
+	e := Add(V("lin_x"), Mul(Word(3), V("lin_y")), Word(5))
+	l := ToLinear(e)
+	if ToLinear(e) != l {
+		t.Fatal("second ToLinear built a new form")
+	}
+	if n := testing.AllocsPerRun(100, func() { ToLinear(e) }); n != 0 {
+		t.Fatalf("ToLinear on a linearised node: %v allocs, want 0", n)
+	}
+}
+
+// TestToLinearCanonicalOrder checks that a cached form lists its atoms in
+// canonical key order, whatever order the sum was built in.
+func TestToLinearCanonicalOrder(t *testing.T) {
+	a, b, c := V("ord_a"), V("ord_b"), V("ord_c")
+	var got []*Expr
+	ToLinear(Add(c, Mul(Word(2), a), b)).Terms(func(atom *Expr, _ uint64) {
+		got = append(got, atom)
+	})
+	if len(got) != 3 || got[0] != a || got[1] != b || got[2] != c {
+		t.Fatalf("term order: %v", got)
+	}
+}
+
+// TestSubLeavesOperandForm checks that Sub builds its difference in a form
+// of its own: the shared linear form of the minuend is unchanged.
+func TestSubLeavesOperandForm(t *testing.T) {
+	x, y := V("sub_x"), V("sub_y")
+	a := Add(x, Word(8))
+	l := ToLinear(a)
+	if d := Sub(a, Add(x, y)); d != Sub(Word(8), y) {
+		t.Fatalf("(x+8) - (x+y) = %v", d)
+	}
+	if ToLinear(a) != l || l.K != 8 || l.NumTerms() != 1 || l.Coeff(x) != 1 || l.Coeff(y) != 0 {
+		t.Fatalf("Sub changed the minuend's linear form: K=%d terms=%d", l.K, l.NumTerms())
+	}
+	if l.Expr() != a {
+		t.Fatalf("minuend's form re-emits %v, want %v", l.Expr(), a)
+	}
+}
+
+// TestToLinearConcurrent linearises one fresh node from many goroutines;
+// under -race this exercises the compare-and-swap publication of the form.
+func TestToLinearConcurrent(t *testing.T) {
+	e := Add(V("conc_x"), Mul(Word(4), V("conc_y")), Word(1))
+	const workers = 8
+	forms := make([]*Linear, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			l := ToLinear(e)
+			l.Terms(func(*Expr, uint64) {})
+			forms[w] = l
+		}(w)
+	}
+	wg.Wait()
+	for w, l := range forms {
+		if l != forms[0] {
+			t.Fatalf("worker %d got a different form", w)
+		}
+	}
+	if forms[0].Expr() != e {
+		t.Fatalf("round trip: %v", forms[0].Expr())
+	}
+}
+
+// TestDebugCrossCheckCatchesStaleForm corrupts a cached form and checks
+// that the EXPRDEBUG cross-check panics on the next ToLinear.
+func TestDebugCrossCheckCatchesStaleForm(t *testing.T) {
+	defer func(old bool) { debugEqual = old }(debugEqual)
+	debugEqual = true
+	e := Add(V("stale_x"), Word(2))
+	ToLinear(e)
+	stale := &Linear{K: 3, terms: ToLinear(e).terms}
+	good := e.lin.Swap(stale)
+	defer e.lin.Store(good)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a stale cached form went unnoticed")
+		}
+	}()
+	ToLinear(e)
+}

@@ -13,21 +13,22 @@ func Add(args ...*Expr) *Expr {
 	for _, a := range args {
 		linearInto(l, a, 1)
 	}
-	return l.Expr()
+	return l.canon().Expr()
 }
 
 // Sub returns a - b.
 func Sub(a, b *Expr) *Expr {
-	l := ToLinear(a)
+	l := &Linear{}
+	linearInto(l, a, 1)
 	linearInto(l, b, ^uint64(0)) // scale -1
-	return l.Expr()
+	return l.canon().Expr()
 }
 
 // Neg returns two's complement negation of a.
 func Neg(a *Expr) *Expr {
 	l := &Linear{}
 	linearInto(l, a, ^uint64(0))
-	return l.Expr()
+	return l.canon().Expr()
 }
 
 // Mul returns the canonical product of the operands.
@@ -62,7 +63,7 @@ func Mul(args ...*Expr) *Expr {
 		// k·(linear) distributes.
 		l := &Linear{}
 		linearInto(l, rest[0], k)
-		return l.Expr()
+		return l.canon().Expr()
 	}
 	rest = sortArgs(rest)
 	if k != 1 {

@@ -1,6 +1,8 @@
 package memmodel
 
 import (
+	"slices"
+
 	"repro/internal/solver"
 )
 
@@ -200,9 +202,10 @@ func compareTrees(t0, t1 *Tree, o Oracle) treeRel {
 
 // insTree is the recursive ins of Definition 3.7 extended with relation
 // recording. t0 is the tree being inserted; f the current (sub-)model.
+// Produced models share every tree the insertion leaves unchanged.
 func insTree(t0 *Tree, f Forest, o Oracle, cfg Config) []InsResult {
 	if len(f) == 0 {
-		return []InsResult{{Forest: Forest{t0.Clone()}, Rel: map[RegionID]RelKind{}}}
+		return []InsResult{{Forest: Forest{t0}, Rel: map[RegionID]RelKind{}}}
 	}
 	t1, rest := f[0], f[1:]
 	rel := compareTrees(t0, t1, o)
@@ -258,11 +261,11 @@ func insAlias(t0, t1 *Tree, rest Forest) InsResult {
 	for _, r := range t1.Regions {
 		rel[IDOf(r)] = RelAlias
 	}
-	merged.Kids = append(t0.Kids.Clone(), t1.Kids.Clone()...)
+	merged.Kids = slices.Concat(t0.Kids, t1.Kids)
 	for _, kid := range t1.Kids.AllRegions(nil) {
 		rel[IDOf(kid)] = RelEncloses
 	}
-	out := append(Forest{merged}, rest.Clone()...)
+	out := append(Forest{merged}, rest...)
 	for _, r := range rest.AllRegions(nil) {
 		rel[IDOf(r)] = RelSeparate
 	}
@@ -285,7 +288,7 @@ func insSep(t0, t1 *Tree, rest Forest, o Oracle, cfg Config) []InsResult {
 			rel[IDOf(r)] = RelSeparate
 		}
 		out = append(out, InsResult{
-			Forest: append(Forest{t1.Clone()}, sub.Forest...),
+			Forest: append(Forest{t1}, sub.Forest...),
 			Rel:    rel,
 		})
 	}
@@ -306,18 +309,18 @@ func insEnc(t0, t1 *Tree, rest Forest, o Oracle, cfg Config) InsResult {
 	for _, r := range t1.Regions {
 		rel[IDOf(r)] = RelEnclosedIn
 	}
-	nt := &Tree{Regions: append([]solver.Region(nil), t1.Regions...), Kids: sub.Forest}
+	nt := &Tree{Regions: t1.Regions, Kids: sub.Forest}
 	for _, r := range rest.AllRegions(nil) {
 		rel[IDOf(r)] = RelSeparate
 	}
-	return InsResult{Forest: append(Forest{nt}, rest.Clone()...), Rel: rel}
+	return InsResult{Forest: append(Forest{nt}, rest...), Rel: rel}
 }
 
 // insCon makes t1 a child of t0 and recursively inserts the grown t0 into
-// the rest of the model.
+// the rest of the model. t0's Kids may be shared, so the grown tree gets a
+// copy with t1 appended.
 func insCon(t0, t1 *Tree, rest Forest, o Oracle, cfg Config) []InsResult {
-	grown := t0.Clone()
-	grown.Kids = append(grown.Kids, t1.Clone())
+	grown := &Tree{Regions: t0.Regions, Kids: slices.Concat(t0.Kids, Forest{t1})}
 	inner := map[RegionID]RelKind{}
 	for _, r := range t1.Regions {
 		inner[IDOf(r)] = RelEncloses
@@ -350,7 +353,7 @@ func destroy(t0 *Tree, f Forest, o Oracle) InsResult {
 	for _, t := range f {
 		r := compareTrees(t0, t, o)
 		if r.separate == solver.Yes {
-			kept = append(kept, t.Clone())
+			kept = append(kept, t)
 			for _, reg := range t.Regions {
 				rel[IDOf(reg)] = RelSeparate
 			}
@@ -366,5 +369,5 @@ func destroy(t0 *Tree, f Forest, o Oracle) InsResult {
 			rel[IDOf(reg)] = RelDestroyed
 		}
 	}
-	return InsResult{Forest: append(kept, t0.Clone()), Rel: rel}
+	return InsResult{Forest: append(kept, t0), Rel: rel}
 }

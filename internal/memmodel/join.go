@@ -14,7 +14,16 @@ import (
 // proof relies on — so are classes represented in only one of the two
 // operands: a relation survives the join only if both disjuncts established
 // it.
+//
+// The output order is deterministic: classes in the order their first tree
+// appears in m0 ++ m1, node regions in the order of the class's first tree.
+// Two models with the same trees in the same order join to m1 itself, the
+// common case at the exploration's fixed point; trees are immutable, so the
+// result shares them.
 func Join(m0, m1 Forest) Forest {
+	if sameOrdered(m0, m1) {
+		return m1
+	}
 	trees := append(append([]*Tree{}, m0...), m1...)
 	if len(trees) == 0 {
 		return nil
@@ -47,35 +56,44 @@ func Join(m0, m1 Forest) Forest {
 		}
 	}
 
-	classes := map[int][]*Tree{}
-	fromBoth := map[int][2]bool{}
+	// Classes in first-appearance order, each remembering which operands
+	// back it.
+	type class struct {
+		trees []*Tree
+		sides [2]bool
+	}
+	var classes []class
+	index := make([]int, len(trees)) // union-find root → 1 + class index
 	for i, t := range trees {
 		root := find(i)
-		classes[root] = append(classes[root], t)
-		sides := fromBoth[root]
-		if i < len(m0) {
-			sides[0] = true
-		} else {
-			sides[1] = true
+		if index[root] == 0 {
+			classes = append(classes, class{})
+			index[root] = len(classes)
 		}
-		fromBoth[root] = sides
+		c := &classes[index[root]-1]
+		c.trees = append(c.trees, t)
+		if i < len(m0) {
+			c.sides[0] = true
+		} else {
+			c.sides[1] = true
+		}
 	}
 
 	var out Forest
 	var oneSided []*Tree
-	for root, class := range classes {
-		if sides := fromBoth[root]; !sides[0] || !sides[1] {
+	for _, c := range classes {
+		if !c.sides[0] || !c.sides[1] {
 			// A class backed by only one operand encodes contingent
 			// relations the other disjunct need not satisfy — unless the
 			// relations are geometric tautologies (Example 3.13's two
 			// same-base children), in which case they hold in every
 			// state and may be kept.
-			if t := joinClass(class); t != nil && treeNecessary(t) {
+			if t := joinClass(c.trees); t != nil && treeNecessary(t) {
 				oneSided = append(oneSided, t)
 			}
 			continue
 		}
-		if t := joinClass(class); t != nil {
+		if t := joinClass(c.trees); t != nil {
 			out = append(out, t)
 		}
 	}
@@ -149,34 +167,46 @@ func necessarilySeparate(t, u *Tree) bool {
 }
 
 // joinClass implements joint(T): intersect the region sets, join the child
-// models pairwise.
+// models pairwise. The node keeps the first tree's region order; a class of
+// one tree joins to that tree itself.
 func joinClass(class []*Tree) *Tree {
-	// Intersection of the region sets.
-	counts := map[RegionID]int{}
-	repr := map[RegionID]solver.Region{}
-	for _, t := range class {
-		seen := map[RegionID]bool{}
-		for _, r := range t.Regions {
-			id := IDOf(r)
-			if !seen[id] {
-				seen[id] = true
-				counts[id]++
-				repr[id] = r
+	first := class[0]
+	var node []solver.Region
+	for i, r := range first.Regions {
+		id := IDOf(r)
+		if hasID(first.Regions[:i], id) {
+			continue
+		}
+		inAll := true
+		for _, t := range class[1:] {
+			if !hasID(t.Regions, id) {
+				inAll = false
+				break
 			}
 		}
-	}
-	var node []solver.Region
-	for id, c := range counts {
-		if c == len(class) {
-			node = append(node, repr[id])
+		if inAll {
+			node = append(node, r)
 		}
 	}
 	if len(node) == 0 {
 		return nil
 	}
-	kids := class[0].Kids.Clone()
+	if len(class) == 1 && len(node) == len(first.Regions) {
+		return first
+	}
+	kids := first.Kids
 	for _, t := range class[1:] {
 		kids = Join(kids, t.Kids)
 	}
 	return &Tree{Regions: node, Kids: kids}
+}
+
+// hasID reports whether some region of rs has the identity id.
+func hasID(rs []solver.Region, id RegionID) bool {
+	for _, r := range rs {
+		if IDOf(r) == id {
+			return true
+		}
+	}
+	return false
 }

@@ -237,8 +237,9 @@ func TestRelationsOf(t *testing.T) {
 }
 
 func TestJoinIdentical(t *testing.T) {
-	f := Forest{Leaf(reg(rsp(-8), 8)), Leaf(reg(rsp(-16), 8))}
-	j := Join(f, f.Clone())
+	build := func() Forest { return Forest{Leaf(reg(rsp(-8), 8)), Leaf(reg(rsp(-16), 8))} }
+	f := build()
+	j := Join(f, build())
 	if j.Key() != f.Key() {
 		t.Fatalf("join of identical models: %v vs %v", j, f)
 	}
@@ -451,5 +452,76 @@ func TestInsCountedFallback(t *testing.T) {
 	_, fellBack4 := InsCounted(reg(expr.V("a0"), 8), small, o, cfg)
 	if fellBack4 {
 		t.Fatal("present-region insert must not fall back")
+	}
+}
+
+// TestJoinSameOrderedAllocatesNothing: two independently built models with
+// the same trees in the same order join to the second operand itself.
+func TestJoinSameOrderedAllocatesNothing(t *testing.T) {
+	build := func() Forest {
+		return Forest{
+			{Regions: []solver.Region{reg(rsp(-16), 16)}, Kids: Forest{Leaf(reg(rsp(-16), 8))}},
+			Leaf(reg(expr.V("rdi0"), 8)),
+		}
+	}
+	f, g := build(), build()
+	if j := Join(f, g); len(j) != len(g) || &j[0] != &g[0] {
+		t.Fatalf("join of same-ordered models must return the second operand: %v", j)
+	}
+	if n := testing.AllocsPerRun(100, func() { Join(f, g) }); n != 0 {
+		t.Fatalf("join of same-ordered models: %v allocs, want 0", n)
+	}
+}
+
+// TestQuickJoinOfSameModels: whenever two models built by Ins encode the
+// same model, in any tree order, their join encodes it too. Inserting one
+// region set in two orders produces such pairs; undecided bases make Ins
+// fork, and each fork is kept. The test also checks that Ins leaves the
+// (shared, immutable) input model unchanged.
+func TestQuickJoinOfSameModels(t *testing.T) {
+	rng := rand.New(rand.NewSource(1312))
+	o := topOracle()
+	cfg := DefaultConfig()
+	bases := []*expr.Expr{expr.V("rsp0"), expr.V("rdi0"), expr.V("rsi0")}
+	build := func(regions []solver.Region, pick int) Forest {
+		var f Forest
+		for _, r := range regions {
+			before := f.Key()
+			res := Ins(r, f, o, cfg)
+			if f.Key() != before {
+				t.Fatalf("Ins of %v changed its input model to %v", r, f)
+			}
+			f = res[pick%len(res)].Forest
+		}
+		return f
+	}
+	same, reordered := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		regions := make([]solver.Region, 2+rng.Intn(4))
+		for i := range regions {
+			base := bases[rng.Intn(1+trial%len(bases))]
+			off := uint64(-8 * int64(rng.Intn(4)))
+			regions[i] = reg(expr.Add(base, expr.Word(off)), uint64(4)<<uint(rng.Intn(2)))
+		}
+		shuffled := append([]solver.Region(nil), regions...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		pick := rng.Intn(3)
+		f, g := build(regions, pick), build(shuffled, pick)
+		for _, pair := range [][2]Forest{{f, g}, {g, f}, {f, build(regions, pick)}} {
+			a, b := pair[0], pair[1]
+			if !a.Same(b) {
+				continue
+			}
+			same++
+			if !sameOrdered(a, b) {
+				reordered++
+			}
+			if j := Join(a, b); j.Key() != b.Key() {
+				t.Fatalf("trial %d: join of the same model changed it:\n a=%v\n b=%v\n j=%v", trial, a, b, j)
+			}
+		}
+	}
+	if same < 500 || reordered < 100 {
+		t.Fatalf("too few same-model pairs to mean anything: %d, %d of them reordered", same, reordered)
 	}
 }

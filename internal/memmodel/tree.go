@@ -22,7 +22,9 @@ import (
 )
 
 // Tree is one memory tree: a node of mutually aliasing regions plus a
-// sub-forest of enclosed children.
+// sub-forest of enclosed children. A tree is immutable once built, and so
+// are its Regions and Kids slices: forests, states and joins share subtrees
+// freely, and an operation that changes a tree builds a new one.
 type Tree struct {
 	Regions []solver.Region
 	Kids    Forest
@@ -63,25 +65,6 @@ func (id RegionID) String() string {
 // Leaf returns a single-region tree with no children.
 func Leaf(r solver.Region) *Tree { return &Tree{Regions: []solver.Region{r}} }
 
-// Clone returns a deep copy of the tree.
-func (t *Tree) Clone() *Tree {
-	nt := &Tree{Regions: append([]solver.Region(nil), t.Regions...)}
-	nt.Kids = t.Kids.Clone()
-	return nt
-}
-
-// Clone returns a deep copy of the forest.
-func (f Forest) Clone() Forest {
-	if f == nil {
-		return nil
-	}
-	nf := make(Forest, len(f))
-	for i, t := range f {
-		nf[i] = t.Clone()
-	}
-	return nf
-}
-
 // Key returns a canonical fingerprint of the forest (order-independent).
 func (f Forest) Key() string {
 	keys := make([]string, len(f))
@@ -110,9 +93,9 @@ func (f Forest) String() string { return f.Key() }
 
 // Same reports whether two forests encode the same model. Structurally
 // identical forests (same trees in the same order, regions pointer-equal —
-// the common case at the exploration's fixed point, since cloning preserves
-// order) are detected without rendering anything; otherwise it falls back to
-// the order-independent canonical Key.
+// the common case at the exploration's fixed point, since states share
+// their trees and joins preserve order) are detected without rendering
+// anything; otherwise it falls back to the order-independent canonical Key.
 func (f Forest) Same(g Forest) bool {
 	if sameOrdered(f, g) {
 		return true
@@ -120,12 +103,17 @@ func (f Forest) Same(g Forest) bool {
 	return f.Key() == g.Key()
 }
 
+// sameOrdered reports whether two forests hold the same trees in the same
+// order; a shared subtree compares by pointer.
 func sameOrdered(f, g Forest) bool {
 	if len(f) != len(g) {
 		return false
 	}
 	for i, t := range f {
 		u := g[i]
+		if t == u {
+			continue
+		}
 		if len(t.Regions) != len(u.Regions) {
 			return false
 		}

@@ -27,12 +27,16 @@ func Join(p, q *Pred, vid string) *Pred {
 	if q.bot {
 		return p.Clone()
 	}
-	out := New()
+	// Sized for the common outcome, a join that keeps every clause the
+	// stored state q has: map growth would cost more than the slack.
+	out := &Pred{
+		mem:    make(map[memKey]MemEntry, min(len(p.mem), len(q.mem))),
+		ranges: make(map[*expr.Expr]rangeInfo, len(q.ranges)),
+	}
 
 	// Registers.
 	for i := range p.regs {
-		r := x86.Reg(i)
-		jname := joinVarName(vid, r.String())
+		jname := func() expr.Var { return joinVarName(vid, x86.Reg(i).String()) }
 		e, ri, ok := joinValue(p, q, p.regs[i], q.regs[i], jname)
 		if !ok {
 			continue
@@ -59,7 +63,7 @@ func Join(p, q *Pred, vid string) *Pred {
 		}
 		// The join-variable name embeds the human-readable region key, as it
 		// always has — names are part of the canonical output.
-		jname := joinVarName(vid, "m"+sanitize(regionKey(pe.Addr, pe.Size)))
+		jname := func() expr.Var { return joinVarName(vid, "m"+sanitize(regionKey(pe.Addr, pe.Size))) }
 		e, ri, ok := joinValue(p, q, pe.Val, qe.Val, jname)
 		if !ok {
 			continue
@@ -127,17 +131,17 @@ func joinCmp(p, q, out *Pred) *Cmp {
 
 // joinValue merges the two equality clauses part = pe and part = qe.
 // It returns the joined value, an optional interval on it, and whether any
-// clause survives.
-func joinValue(p, q *Pred, pe, qe *expr.Expr, jname expr.Var) (*expr.Expr, *rangeInfo, bool) {
+// clause survives. jname names the part's join variable; it is called only
+// when the part is abstracted, so a part both sides agree on costs no name.
+func joinValue(p, q *Pred, pe, qe *expr.Expr, jname func() expr.Var) (*expr.Expr, *rangeInfo, bool) {
 	if pe == nil && qe == nil {
 		return nil, nil, false
 	}
-	jv := expr.V(jname)
 	if pe == nil || qe == nil {
 		// One side is unconstrained: the join variable with no interval
 		// stands for "some value" — keeping the state part named lets
 		// later branch refinements re-bound it.
-		return jv, nil, true
+		return expr.V(jname()), nil, true
 	}
 	if pe.Equal(qe) {
 		// Identical values are kept as-is — unless they are interval
@@ -150,6 +154,7 @@ func joinValue(p, q *Pred, pe, qe *expr.Expr, jname expr.Var) (*expr.Expr, *rang
 			return pe, nil, true
 		}
 	}
+	jv := expr.V(jname())
 	// Abstract each side to an interval: a word is a point interval; any
 	// value with a derivable interval abstracts to it (Definition 3.3's
 	// range abstraction). Sides with no derivable interval, and hulls

@@ -250,6 +250,14 @@ func (p *Pred) MemEntries(f func(MemEntry)) {
 	for _, e := range p.mem {
 		entries = append(entries, e)
 	}
+	sortEntries(entries)
+	for _, e := range entries {
+		f(e)
+	}
+}
+
+// sortEntries puts memory clauses into MemEntries' canonical order.
+func sortEntries(entries []MemEntry) {
 	sort.Slice(entries, func(i, j int) bool {
 		ki, kj := entries[i].Addr.Key(), entries[j].Addr.Key()
 		if ki != kj {
@@ -257,9 +265,6 @@ func (p *Pred) MemEntries(f func(MemEntry)) {
 		}
 		return entries[i].Size < entries[j].Size
 	})
-	for _, e := range entries {
-		f(e)
-	}
 }
 
 // FilterMem keeps only the memory clauses for which keep returns true.
@@ -468,40 +473,28 @@ func (p *Pred) Eval(e *expr.Expr) *expr.Expr {
 // and memory clauses alike. The lifter's compatibility extension refuses
 // to join states whose signatures differ: immediate pointers into the
 // text section will highly likely influence future control flow
-// (Section 4).
+// (Section 4). Registers come in register order, memory clauses in
+// MemEntries order; only the code-pointer clauses are sorted.
 func (p *Pred) CodePointerParts(lo, hi uint64) []string {
+	isCodePointer := func(e *expr.Expr) bool {
+		w, ok := e.AsWord()
+		return ok && w >= lo && w < hi
+	}
 	var out []string
 	for i, e := range p.regs {
-		if e == nil {
-			continue
-		}
-		if w, ok := e.AsWord(); ok && w >= lo && w < hi {
-			out = append(out, fmt.Sprintf("%s=%x", x86.Reg(i), w))
+		if e != nil && isCodePointer(e) {
+			out = append(out, fmt.Sprintf("%s=%x", x86.Reg(i), e.WordVal()))
 		}
 	}
-	p.MemEntries(func(m MemEntry) {
-		if w, ok := m.Val.AsWord(); ok && w >= lo && w < hi {
-			out = append(out, fmt.Sprintf("m%s=%x", m.Addr.Key(), w))
+	var mem []MemEntry
+	for _, m := range p.mem {
+		if isCodePointer(m.Val) {
+			mem = append(mem, m)
 		}
-	})
-	return out
-}
-
-// RegsHoldingWordsIn returns the registers whose equality clause is an
-// immediate word within [lo, hi) — used by the lifter's compatibility
-// extension to refuse joining states that disagree on code pointers.
-func (p *Pred) RegsHoldingWordsIn(lo, hi uint64) map[x86.Reg]uint64 {
-	var out map[x86.Reg]uint64
-	for i, e := range p.regs {
-		if e == nil {
-			continue
-		}
-		if w, ok := e.AsWord(); ok && w >= lo && w < hi {
-			if out == nil {
-				out = map[x86.Reg]uint64{}
-			}
-			out[x86.Reg(i)] = w
-		}
+	}
+	sortEntries(mem)
+	for _, m := range mem {
+		out = append(out, fmt.Sprintf("m%s=%x", m.Addr.Key(), m.Val.WordVal()))
 	}
 	return out
 }

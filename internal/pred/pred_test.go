@@ -259,17 +259,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestRegsHoldingWordsIn(t *testing.T) {
-	p := New()
-	p.SetReg(x86.RAX, expr.Word(0x401000))
-	p.SetReg(x86.RBX, expr.Word(0x10))
-	p.SetReg(x86.RCX, expr.V("x"))
-	m := p.RegsHoldingWordsIn(0x400000, 0x500000)
-	if len(m) != 1 || m[x86.RAX] != 0x401000 {
-		t.Fatalf("code pointers: %v", m)
-	}
-}
-
 func TestClausesRendering(t *testing.T) {
 	p := New()
 	if p.String() != "⊤" {

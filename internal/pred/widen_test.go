@@ -1,6 +1,7 @@
 package pred
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -66,11 +67,16 @@ func TestRangesIterator(t *testing.T) {
 func TestCodePointerParts(t *testing.T) {
 	p := New()
 	p.SetReg(x86.RAX, expr.Word(0x401000))
+	p.SetReg(x86.RBX, expr.Word(0x10)) // not a code pointer
+	p.SetReg(x86.RCX, expr.V("x"))     // not a word
+	p.WriteMem(expr.V("rsi0"), 8, expr.Word(0x401030))
 	p.WriteMem(expr.V("rdi0"), 8, expr.Word(0x401020))
-	p.WriteMem(expr.V("rsi0"), 8, expr.Word(0x99)) // not a code pointer
-	parts := p.CodePointerParts(0x400000, 0x500000)
-	if len(parts) != 2 {
-		t.Fatalf("parts: %v", parts)
+	p.WriteMem(expr.V("rdi0"), 4, expr.Word(0x401010))
+	p.WriteMem(expr.V("rdx0"), 8, expr.Word(0x99)) // not a code pointer
+	got := strings.Join(p.CodePointerParts(0x400000, 0x500000), " ")
+	want := "rax=401000 mrdi0=401010 mrdi0=401020 mrsi0=401030"
+	if got != want {
+		t.Fatalf("parts: %s, want %s", got, want)
 	}
 }
 

@@ -42,9 +42,11 @@ func InitialState(retSym expr.Var) *State {
 	return st
 }
 
-// Clone returns a deep copy of the state.
+// Clone returns a copy of the state whose predicate may be modified
+// independently. The memory model is shared: forests are immutable, and
+// every memory operation installs a new one.
 func (s *State) Clone() *State {
-	return &State{Pred: s.Pred.Clone(), Mem: s.Mem.Clone()}
+	return &State{Pred: s.Pred.Clone(), Mem: s.Mem}
 }
 
 // Key returns the canonical fingerprint of the state (predicate and
