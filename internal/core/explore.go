@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/hoare"
@@ -16,10 +17,12 @@ import (
 )
 
 // workItem is one entry of Algorithm 1's bag: a symbolic state to explore
-// at an instruction address.
+// at an instruction address, with the vertex it belongs to (computed once,
+// when the item is made).
 type workItem struct {
 	rip uint64
 	st  *sem.State
+	vid hoare.VertexID
 }
 
 // explorer holds the per-function exploration state.
@@ -30,7 +33,8 @@ type explorer struct {
 	g      *hoare.Graph
 	res    *FuncResult
 	bag    []workItem
-	seen   map[string]bool // NoJoin ablation: vertexID+stateKey dedup
+	seen   map[string]bool                  // NoJoin ablation: vertexID+stateKey dedup
+	vars   map[*hoare.Vertex]*pred.JoinVars // made on a vertex's first join
 	fatal  bool
 	t0     time.Time
 	before map[string]bool // machine assumptions snapshot
@@ -67,7 +71,7 @@ func (l *Lifter) explore(ctx context.Context, addr uint64, name string) *FuncRes
 	g.EntryID = l.vertexID(addr, init)
 	g.Vertices[hoare.ExitID] = &hoare.Vertex{ID: hoare.ExitID}
 	g.Vertices[hoare.HaltID] = &hoare.Vertex{ID: hoare.HaltID}
-	e.bag = []workItem{{rip: addr, st: init}}
+	e.bag = []workItem{{rip: addr, st: init, vid: g.EntryID}}
 
 	for len(e.bag) > 0 && !e.fatal {
 		if err := e.ctxErr(); err != nil {
@@ -131,7 +135,7 @@ func (e *explorer) fail(st Status, reason string) {
 // holding different immediate pointers into the text section are
 // incompatible and kept apart; Section 4).
 func (l *Lifter) vertexID(rip uint64, st *sem.State) hoare.VertexID {
-	id := fmt.Sprintf("%x", rip)
+	id := strconv.FormatUint(rip, 16)
 	if l.Cfg.JoinCodePointers {
 		return hoare.VertexID(id)
 	}
@@ -151,18 +155,17 @@ func (l *Lifter) vertexID(rip uint64, st *sem.State) hoare.VertexID {
 // compatible state if one exists, stop at the fixed point, otherwise step
 // and enqueue the successors.
 func (e *explorer) exploreOne(item workItem) {
-	vid := e.l.vertexID(item.rip, item.st)
+	vid := item.vid
 	v, exists := e.g.Vertices[vid]
 	var cur *sem.State
 	switch {
 	case exists && !e.l.Cfg.NoJoin:
-		joined := &sem.State{
-			Pred: pred.Join(item.st.Pred, v.State.Pred, string(vid)),
-			Mem:  memmodel.Join(item.st.Mem, v.State.Mem),
-		}
-		if joined.Same(v.State) {
+		p := pred.Join(item.st.Pred, v.State.Pred, e.joinVars(v))
+		m := memmodel.Join(item.st.Mem, v.State.Mem)
+		if p.Same(v.State.Pred) && m.Same(v.State.Mem) {
 			return // σ ⊑ σc: no further exploration necessary
 		}
+		joined := &sem.State{Pred: p, Mem: m}
 		v.State = joined
 		v.Joins++
 		e.tr.Join(item.rip, string(vid))
@@ -204,6 +207,20 @@ func (e *explorer) exploreOne(item workItem) {
 	}
 }
 
+// joinVars returns the join-variable table of vertex v, made on the
+// vertex's first join: most vertices are never joined.
+func (e *explorer) joinVars(v *hoare.Vertex) *pred.JoinVars {
+	jv := e.vars[v]
+	if jv == nil {
+		if e.vars == nil {
+			e.vars = map[*hoare.Vertex]*pred.JoinVars{}
+		}
+		jv = pred.NewJoinVars(string(v.ID))
+		e.vars[v] = jv
+	}
+	return jv
+}
+
 // isIndirect reports whether the instruction computes its target
 // dynamically (r/m operand rather than an immediate).
 func isIndirect(inst x86.Inst) bool {
@@ -235,7 +252,7 @@ func (e *explorer) handleOutcome(v *hoare.Vertex, inst x86.Inst, o sem.Outcome) 
 		}
 		tid := e.l.vertexID(tgt, o.State)
 		e.g.AddEdge(hoare.Edge{From: v.ID, To: tid, Inst: inst, Kind: o.Kind})
-		e.bag = append(e.bag, workItem{rip: tgt, st: o.State})
+		e.bag = append(e.bag, workItem{rip: tgt, st: o.State, vid: tid})
 
 	case sem.KRet:
 		chk := sem.CheckReturn(o, e.g.RetSym)
@@ -330,5 +347,5 @@ func (e *explorer) continueAfterCall(v *hoare.Vertex, inst x86.Inst, o sem.Outco
 	next := inst.Next()
 	tid := e.l.vertexID(next, cont)
 	e.g.AddEdge(hoare.Edge{From: v.ID, To: tid, Inst: inst, Kind: o.Kind, Callee: callee})
-	e.bag = append(e.bag, workItem{rip: next, st: cont})
+	e.bag = append(e.bag, workItem{rip: next, st: cont, vid: tid})
 }

@@ -168,7 +168,11 @@ func (e *Expr) Fingerprint() uint64 { return e.fp }
 // a map key. Structurally equal expressions have equal keys. The key is
 // built on first use and cached on the node; subterm keys are reused, so a
 // deep term costs only its top layer once its children have been rendered.
+// A variable's key is its name, which costs nothing to build or keep.
 func (e *Expr) Key() string {
+	if e.kind == KindVar {
+		return string(e.v)
+	}
 	if k := e.key.Load(); k != nil {
 		return *k
 	}

@@ -335,7 +335,11 @@ func decodeState(d *wire.Decoder, st *sem.State, node func(string) *expr.Expr) {
 		st.Pred.SetCmp(c)
 		restoreFlags(st, flags)
 	}
+	// Clause lists are installed as decoded, in one pass: a list out of
+	// canonical order, repeating a clause, or holding an interval clause
+	// AddRange would not store as given is corrupt.
 	nMems := d.Len("memory clause")
+	mems := make([]pred.MemEntry, 0, nMems)
 	for i := 0; i < nMems && d.Err() == nil; i++ {
 		addr := node("memory address")
 		size := d.Uvarint("memory size")
@@ -343,9 +347,14 @@ func decodeState(d *wire.Decoder, st *sem.State, node func(string) *expr.Expr) {
 		if d.Err() != nil {
 			return
 		}
-		st.Pred.WriteMem(addr, int(size), val)
+		mems = append(mems, pred.MemEntry{Addr: addr, Size: int(size), Val: val})
+	}
+	if err := st.Pred.SetMemClauses(mems); err != nil {
+		d.Failf("%v", err)
+		return
 	}
 	nRanges := d.Len("range clause")
+	ranges := make([]pred.RangeClause, 0, nRanges)
 	for i := 0; i < nRanges && d.Err() == nil; i++ {
 		e := node("range expression")
 		lo := d.Uint64("range lo")
@@ -353,7 +362,11 @@ func decodeState(d *wire.Decoder, st *sem.State, node func(string) *expr.Expr) {
 		if d.Err() != nil {
 			return
 		}
-		st.Pred.AddRange(e, pred.Range{Lo: lo, Hi: hi})
+		ranges = append(ranges, pred.RangeClause{E: e, R: pred.Range{Lo: lo, Hi: hi}})
+	}
+	if err := st.Pred.SetRangeClauses(ranges); err != nil {
+		d.Failf("%v", err)
+		return
 	}
 	st.Mem = decodeForest(d, node)
 }

@@ -2,6 +2,7 @@ package hoare
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/expr"
@@ -149,5 +150,71 @@ func TestDecodeWireRejectsUnmappedInstruction(t *testing.T) {
 	}
 	if _, err := DecodeWire(d, nodes, im); err == nil {
 		t.Fatal("edge at unmapped address accepted")
+	}
+}
+
+// TestDecodeWireRejectsNonCanonicalClauses edits a record's memory and
+// interval clause lists out of canonical order: swapping two clauses or
+// repeating one must fail the decode, since a decoded predicate installs
+// each list as read.
+func TestDecodeWireRejectsNonCanonicalClauses(t *testing.T) {
+	im := buildTestImage(t)
+	g := sampleGraph()
+	p := g.Vertices["401000"].State.Pred
+	p.WriteMem(expr.Sub(expr.V("rsp0"), expr.Word(8)), 8, expr.V("rbx0"))
+	p.AddRange(expr.V("i"), pred.Range{Lo: 0, Hi: 3})
+	p.AddRange(expr.V("j"), pred.Range{Lo: 1, Hi: 4})
+	tab := expr.NewTable()
+	CollectWireExprs(tab, g)
+	table, record := expr.AppendTable(nil, tab), AppendWire(nil, tab, g)
+	idx := func(e *expr.Expr) uint64 { return uint64(tab.Index(e)) }
+
+	// The encoded clauses, in record order.
+	var mems, ranges [][]byte
+	p.MemEntries(func(e pred.MemEntry) {
+		b := wire.AppendUvarint(nil, idx(e.Addr))
+		b = wire.AppendUvarint(b, uint64(e.Size))
+		mems = append(mems, wire.AppendUvarint(b, idx(e.Val)))
+	})
+	p.Ranges(func(e *expr.Expr, r pred.Range) {
+		b := wire.AppendUvarint(nil, idx(e))
+		b = wire.AppendUint64(b, r.Lo)
+		ranges = append(ranges, wire.AppendUint64(b, r.Hi))
+	})
+	if len(mems) != 2 || len(ranges) != 2 {
+		t.Fatalf("fixture has %d memory and %d interval clauses, want 2 each", len(mems), len(ranges))
+	}
+
+	decode := func(rec []byte) error {
+		d := wire.NewDecoder(append(append([]byte(nil), table...), rec...))
+		nodes, err := expr.DecodeTable(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodeWire(d, nodes, im)
+		return err
+	}
+	if err := decode(record); err != nil {
+		t.Fatalf("pristine record: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		list   [][]byte
+		edited []byte
+	}{
+		{"memory swapped", mems, slices.Concat(mems[1], mems[0])},
+		{"memory repeated", mems, slices.Concat(mems[0], mems[0])},
+		{"interval swapped", ranges, slices.Concat(ranges[1], ranges[0])},
+		{"interval repeated", ranges, slices.Concat(ranges[0], ranges[0])},
+	} {
+		list := slices.Concat(wire.AppendUvarint(nil, 2), tc.list[0], tc.list[1])
+		if n := bytes.Count(record, list); n != 1 {
+			t.Fatalf("%s: clause list found %d times in the record", tc.name, n)
+		}
+		at := bytes.Index(record, list)
+		edited := slices.Concat(record[:at], wire.AppendUvarint(nil, 2), tc.edited, record[at+len(list):])
+		if err := decode(edited); err == nil {
+			t.Errorf("%s: record decoded without error", tc.name)
+		}
 	}
 }

@@ -2,11 +2,62 @@ package pred
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/expr"
 	"repro/internal/x86"
 )
+
+// JoinVars holds the join variables of one Hoare-graph vertex. A state
+// part's variable, "j<vid>_<register>" or "j<vid>_m<region key>", is named
+// and interned the first time a join at the vertex abstracts the part, and
+// reused by every later join there. A JoinVars belongs to one exploration:
+// it is not safe for concurrent use.
+type JoinVars struct {
+	vid  string
+	regs [17]*expr.Expr
+	mem  map[memKey]*expr.Expr // allocated on the first memory variable
+}
+
+// memKey identifies a memory region exactly: addresses are interned
+// expressions, so the pair (address pointer, size) is a comparable map key.
+type memKey struct {
+	addr *expr.Expr
+	size int
+}
+
+// regionKey renders the human-readable key of a region that memory join
+// variables embed in their names.
+func regionKey(addr *expr.Expr, size int) string {
+	return fmt.Sprintf("%s#%d", addr.Key(), size)
+}
+
+// NewJoinVars returns the (still empty) join-variable table of the vertex
+// identified by vid.
+func NewJoinVars(vid string) *JoinVars { return &JoinVars{vid: vid} }
+
+func (j *JoinVars) reg(i int) *expr.Expr {
+	if j.regs[i] == nil {
+		j.regs[i] = expr.V(joinVarName(j.vid, x86.Reg(i).String()))
+	}
+	return j.regs[i]
+}
+
+func (j *JoinVars) memVar(addr *expr.Expr, size int) *expr.Expr {
+	k := memKey{addr, size}
+	if v, ok := j.mem[k]; ok {
+		return v
+	}
+	if j.mem == nil {
+		j.mem = map[memKey]*expr.Expr{}
+	}
+	// The name embeds the human-readable region key: names are part of
+	// the canonical output.
+	v := expr.V(joinVarName(j.vid, "m"+sanitize(regionKey(addr, size))))
+	j.mem[k] = v
+	return v
+}
 
 // Join computes P ⊔ Q per Definition 3.3: clauses present in both operands
 // are kept; pairs of equality clauses on the same state part with different
@@ -15,83 +66,135 @@ import (
 // satisfies s ⊢ P ∨ Q ⟹ s ⊢ P ⊔ Q.
 //
 // Range abstraction introduces a deterministic join variable per state part,
-// scoped by vid (the Hoare-graph vertex identity). Determinism makes the
-// join idempotent up to predicate keys, so the exploration's fixed point
-// (σ ⊑ σc ⟺ σ ⊔ σc = σc) is detectable by comparing keys. Intervals that
+// taken from vars, the table of the Hoare-graph vertex q belongs to.
+// Determinism makes the join idempotent, so the exploration's fixed point
+// (σ ⊑ σc ⟺ σ ⊔ σc = σc) is detectable by comparing clauses. Intervals that
 // keep growing across joins are widened away after a bounded number of
 // growth steps, so there is no infinitely ascending chain.
-func Join(p, q *Pred, vid string) *Pred {
+//
+// Join never modifies p or q, and the result may share clause lists with
+// either. When the join reproduces q, clause for clause, it returns q
+// itself and allocates nothing: that is the fixed-point case.
+func Join(p, q *Pred, vars *JoinVars) *Pred {
 	if p.bot {
-		return q.Clone()
+		return q
 	}
 	if q.bot {
-		return p.Clone()
+		return p
 	}
-	// Sized for the common outcome, a join that keeps every clause the
-	// stored state q has: map growth would cost more than the slack.
-	out := &Pred{
-		mem:    make(map[memKey]MemEntry, min(len(p.mem), len(q.mem))),
-		ranges: make(map[*expr.Expr]rangeInfo, len(q.ranges)),
-	}
+	// Interval clauses on join variables; rarely more than a few, so the
+	// buffer keeps them off the heap.
+	var jbuf [8]RangeClause
+	jranges := jbuf[:0]
 
 	// Registers.
+	var regs [len(p.regs)]*expr.Expr
 	for i := range p.regs {
-		jname := func() expr.Var { return joinVarName(vid, x86.Reg(i).String()) }
-		e, ri, ok := joinValue(p, q, p.regs[i], q.regs[i], jname)
+		e, c, ok := joinValue(p, q, p.regs[i], q.regs[i], func() *expr.Expr { return vars.reg(i) })
 		if !ok {
 			continue
 		}
-		out.regs[i] = e
-		if ri != nil {
-			out.ranges[e] = *ri
+		regs[i] = e
+		if c.E != nil {
+			jranges = addJoinRange(jranges, c)
 		}
 	}
 
 	// Flags: kept only when equal on both sides.
+	var flags [x86.NumFlags]*expr.Expr
 	for f := range p.flags {
-		if p.flags[f] != nil && q.flags[f] != nil && p.flags[f].Equal(q.flags[f]) {
-			out.flags[f] = p.flags[f]
+		if p.flags[f] != nil && p.flags[f] == q.flags[f] {
+			flags[f] = p.flags[f]
 		}
 	}
-	out.cmp = joinCmp(p, q, out)
+	cmp := joinCmp(p, q, &regs)
 
 	// Memory clauses: a region survives only if both operands constrain it.
-	for k, pe := range p.mem {
-		qe, ok := q.mem[k]
+	// Both lists are in canonical order, so one merge walk pairs them.
+	mem := lazyList[MemEntry]{base: q.mem}
+	i := 0
+	for _, qe := range q.mem {
+		for i < len(p.mem) && cmpMem(p.mem[i], qe) < 0 {
+			i++
+		}
+		if i == len(p.mem) {
+			break
+		}
+		pe := p.mem[i]
+		if pe.Addr != qe.Addr || pe.Size != qe.Size {
+			continue
+		}
+		e, c, ok := joinValue(p, q, pe.Val, qe.Val, func() *expr.Expr { return vars.memVar(pe.Addr, pe.Size) })
 		if !ok {
 			continue
 		}
-		// The join-variable name embeds the human-readable region key, as it
-		// always has — names are part of the canonical output.
-		jname := func() expr.Var { return joinVarName(vid, "m"+sanitize(regionKey(pe.Addr, pe.Size))) }
-		e, ri, ok := joinValue(p, q, pe.Val, qe.Val, jname)
-		if !ok {
-			continue
-		}
-		out.mem[k] = MemEntry{Addr: pe.Addr, Size: pe.Size, Val: e}
-		if ri != nil {
-			out.ranges[e] = *ri
+		mem.add(MemEntry{Addr: pe.Addr, Size: pe.Size, Val: e})
+		if c.E != nil {
+			jranges = addJoinRange(jranges, c)
 		}
 	}
 
-	// Interval clauses present in both sides: take the hull; widen away
-	// intervals that keep growing.
-	for k, pri := range p.ranges {
-		qri, ok := q.ranges[k]
-		if !ok {
+	// Interval clauses: the join variables' intervals, merged in canonical
+	// order with the hulls of the clauses present on both sides. Hulls that
+	// keep growing are widened away.
+	slices.SortFunc(jranges, cmpRange)
+	ranges := lazyList[RangeClause]{base: q.ranges}
+	i, k := 0, 0
+	for _, qc := range q.ranges {
+		for k < len(jranges) && cmpRange(jranges[k], qc) < 0 {
+			ranges.add(jranges[k])
+			k++
+		}
+		if k < len(jranges) && jranges[k].E == qc.E {
+			ranges.add(jranges[k]) // the join variable's interval wins
+			k++
 			continue
 		}
-		if _, taken := out.ranges[k]; taken {
-			continue // already produced by a join variable above
+		for i < len(p.ranges) && cmpRange(p.ranges[i], qc) < 0 {
+			i++
 		}
-		hull := Range{Lo: min(pri.r.Lo, qri.r.Lo), Hi: max(pri.r.Hi, qri.r.Hi)}
-		widened, grows, ok := growHull(hull, qri.r, max(pri.grows, qri.grows))
-		if !ok || widened.Lo == 0 && widened.Hi == ^uint64(0) {
+		if i == len(p.ranges) || p.ranges[i].E != qc.E {
+			continue
+		}
+		pc := p.ranges[i]
+		hull := Range{Lo: min(pc.R.Lo, qc.R.Lo), Hi: max(pc.R.Hi, qc.R.Hi)}
+		widened, grows, ok := growHull(hull, qc.R, max(pc.grows, qc.grows))
+		if !ok || vacuous(widened) {
 			continue // dropped or vacuous
 		}
-		out.ranges[k] = rangeInfo{e: pri.e, r: widened, grows: grows}
+		ranges.add(RangeClause{E: qc.E, R: widened, grows: grows})
 	}
-	return out
+	for ; k < len(jranges); k++ {
+		ranges.add(jranges[k])
+	}
+
+	memList, memSame := mem.result()
+	rangeList, rangesSame := ranges.result()
+	if regs == q.regs && flags == q.flags && sameCmp(cmp, q.cmp) && memSame && rangesSame {
+		return q
+	}
+	return &Pred{regs: regs, flags: flags, cmp: cmp, mem: memList, ranges: rangeList}
+}
+
+// addJoinRange records a join variable's interval clause. Distinct state
+// parts have distinct variables unless their names collide; then the
+// later part's clause wins.
+func addJoinRange(list []RangeClause, c RangeClause) []RangeClause {
+	for i := range list {
+		if list[i].E == c.E {
+			list[i] = c
+			return list
+		}
+	}
+	return append(list, c)
+}
+
+// sameCmp reports whether two comparison descriptors are equal.
+func sameCmp(a, b *Cmp) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Kind == b.Kind && a.Size == b.Size && a.Lhs == b.Lhs && a.Rhs == b.Rhs
 }
 
 // joinCmp joins the flag-defining comparison descriptors. Identical
@@ -99,7 +202,7 @@ func Join(p, q *Pred, vid string) *Pred {
 // (width-masked) value of the same register, the descriptor is re-expressed
 // over the joined register value — this is what lets a loop's bounds check
 // keep refining the joined loop counter.
-func joinCmp(p, q, out *Pred) *Cmp {
+func joinCmp(p, q *Pred, regs *[17]*expr.Expr) *Cmp {
 	pc, qc := p.cmp, q.cmp
 	if pc == nil || qc == nil || pc.Kind != qc.Kind || pc.Size != qc.Size || !pc.Rhs.Equal(qc.Rhs) {
 		return nil
@@ -114,63 +217,61 @@ func joinCmp(p, q, out *Pred) *Cmp {
 		return lhs.Equal(regVal) || lhs.Equal(expr.ZExt(regVal, pc.Size))
 	}
 	for i := range p.regs {
-		if out.regs[i] == nil {
+		if regs[i] == nil {
 			continue
 		}
 		if matches(pc.Lhs, p.regs[i]) && matches(qc.Lhs, q.regs[i]) {
-			return &Cmp{
-				Kind: pc.Kind,
-				Lhs:  expr.ZExt(out.regs[i], pc.Size),
-				Rhs:  pc.Rhs,
-				Size: pc.Size,
+			lhs := expr.ZExt(regs[i], pc.Size)
+			if lhs == qc.Lhs {
+				return qc
 			}
+			return &Cmp{Kind: pc.Kind, Lhs: lhs, Rhs: pc.Rhs, Size: pc.Size}
 		}
 	}
 	return nil
 }
 
 // joinValue merges the two equality clauses part = pe and part = qe.
-// It returns the joined value, an optional interval on it, and whether any
-// clause survives. jname names the part's join variable; it is called only
-// when the part is abstracted, so a part both sides agree on costs no name.
-func joinValue(p, q *Pred, pe, qe *expr.Expr, jname func() expr.Var) (*expr.Expr, *rangeInfo, bool) {
+// It returns the joined value, the interval clause on it (E nil when there
+// is none), and whether any clause survives. jv returns the part's join
+// variable; it is called only when the part is abstracted, so a part both
+// sides agree on needs no variable.
+func joinValue(p, q *Pred, pe, qe *expr.Expr, jv func() *expr.Expr) (*expr.Expr, RangeClause, bool) {
 	if pe == nil && qe == nil {
-		return nil, nil, false
+		return nil, RangeClause{}, false
 	}
 	if pe == nil || qe == nil {
 		// One side is unconstrained: the join variable with no interval
 		// stands for "some value" — keeping the state part named lets
 		// later branch refinements re-bound it.
-		return expr.V(jname()), nil, true
+		return jv(), RangeClause{}, true
 	}
-	if pe.Equal(qe) {
+	if pe == qe {
 		// Identical values are kept as-is — unless they are interval
 		// abstractions (a stored clause constrains them), in which case
 		// they are re-abstracted to this vertex's join variable so the
 		// surviving value can never outlive its interval clause.
-		_, pstored := p.ranges[pe]
-		_, qstored := q.ranges[pe]
-		if !pstored && !qstored {
-			return pe, nil, true
+		if p.rangeIndex(pe) < 0 && q.rangeIndex(pe) < 0 {
+			return pe, RangeClause{}, true
 		}
 	}
-	jv := expr.V(jname())
+	v := jv()
 	// Abstract each side to an interval: a word is a point interval; any
 	// value with a derivable interval abstracts to it (Definition 3.3's
 	// range abstraction). Sides with no derivable interval, and hulls
 	// that keep growing past the widening stages, abstract to the
 	// unconstrained join variable.
-	pr, pok := sideRange(p, pe, jv)
-	qr, qok := sideRange(q, qe, jv)
+	pr, pok := sideRange(p, pe, v)
+	qr, qok := sideRange(q, qe, v)
 	if !pok || !qok {
-		return jv, nil, true
+		return v, RangeClause{}, true
 	}
-	hull := Range{Lo: min(pr.r.Lo, qr.r.Lo), Hi: max(pr.r.Hi, qr.r.Hi)}
-	widened, grows, ok := growHull(hull, qr.r, max(pr.grows, qr.grows))
-	if !ok || widened.Lo == 0 && widened.Hi == ^uint64(0) {
-		return jv, nil, true
+	hull := Range{Lo: min(pr.R.Lo, qr.R.Lo), Hi: max(pr.R.Hi, qr.R.Hi)}
+	widened, grows, ok := growHull(hull, qr.R, max(pr.grows, qr.grows))
+	if !ok || vacuous(widened) {
+		return v, RangeClause{}, true
 	}
-	return jv, &rangeInfo{e: jv, r: widened, grows: grows}, true
+	return v, RangeClause{E: v, R: widened, grows: grows}, true
 }
 
 // sideRange abstracts one operand's value to an interval: a word is a
@@ -178,9 +279,9 @@ func joinValue(p, q *Pred, pe, qe *expr.Expr, jname func() expr.Var) (*expr.Expr
 // state part's own join variable, another vertex's join variable, a masked
 // expression) abstracts to that interval — the range abstraction of
 // Definition 3.3.
-func sideRange(p *Pred, e, jv *expr.Expr) (rangeInfo, bool) {
+func sideRange(p *Pred, e, jv *expr.Expr) (RangeClause, bool) {
 	if w, ok := e.AsWord(); ok {
-		return rangeInfo{e: jv, r: Range{w, w}}, true
+		return RangeClause{E: jv, R: Range{w, w}}, true
 	}
 	if r, ok := p.RangeOf(e); ok {
 		// The widening counter is per state part per vertex: it carries
@@ -188,14 +289,14 @@ func sideRange(p *Pred, e, jv *expr.Expr) (rangeInfo, bool) {
 		// value's ladder position (e.g. a loop counter joined at another
 		// vertex) must not escalate this vertex's widening.
 		grows := 0
-		if e.Equal(jv) {
-			if ri, stored := p.ranges[e]; stored {
-				grows = ri.grows
+		if e == jv {
+			if c, stored := p.rangeOf(e); stored {
+				grows = c.grows
 			}
 		}
-		return rangeInfo{e: jv, r: r, grows: grows}, true
+		return RangeClause{E: jv, R: r, grows: grows}, true
 	}
-	return rangeInfo{}, false
+	return RangeClause{}, false
 }
 
 func joinVarName(vid, part string) expr.Var {
@@ -214,12 +315,4 @@ func sanitize(k string) string {
 		}
 	}
 	return b.String()
-}
-
-// Leq reports p ⊑ q, i.e. q is equally or more abstract: joining p into q
-// at the same vertex changes nothing. Same compares the clause sets directly
-// (pointer compares on interned clauses) instead of rendering both
-// predicates to key strings.
-func Leq(p, q *Pred, vid string) bool {
-	return Join(p, q, vid).Same(q)
 }

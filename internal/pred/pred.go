@@ -19,7 +19,7 @@ package pred
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/expr"
@@ -62,42 +62,28 @@ type MemEntry struct {
 	Val  *expr.Expr
 }
 
-// regionKey renders the canonical clause key of a region. It survives only
-// for human-facing output (join-variable names embed it); the clause maps
-// themselves key on interned pointers.
-func regionKey(addr *expr.Expr, size int) string {
-	return fmt.Sprintf("%s#%d", addr.Key(), size)
-}
-
-// memKey identifies a memory region exactly: addresses are interned
-// expressions, so the pair (address pointer, size) is a comparable map key
-// with the same equality as the old "addrKey#size" string — built for free.
-type memKey struct {
-	addr *expr.Expr
-	size int
-}
-
 // Pred is a predicate over concrete states.
+//
+// The memory and interval clause lists are shared, never written in place
+// (see clauses.go): Clone copies the struct, and a mutation of either
+// predicate builds a new list for itself.
 type Pred struct {
 	bot    bool
 	regs   [17]*expr.Expr // indexed by x86.Reg; nil = unconstrained
 	flags  [x86.NumFlags]*expr.Expr
 	cmp    *Cmp
-	mem    map[memKey]MemEntry
-	ranges map[*expr.Expr]rangeInfo
+	mem    []MemEntry    // in MemEntries order
+	ranges []RangeClause // in Ranges order
 
-	// rkey/rfp cache RangesKey and RangesFingerprint; invalidated whenever
-	// the interval clause set mutates (AddRange). Both are immutable values,
-	// so Clone may share them.
-	rkey   string
-	rkeyOK bool
-	rfp    uint64
-	rfpOK  bool
+	// rfp caches RangesFingerprint until the interval clause list changes.
+	rfp   uint64
+	rfpOK bool
 }
 
-type rangeInfo struct {
-	e     *expr.Expr
-	r     Range
+// RangeClause is one interval clause R.Lo ≤ E ≤ R.Hi.
+type RangeClause struct {
+	E     *expr.Expr
+	R     Range
 	grows int // widening counter: how many times the interval grew in joins
 }
 
@@ -143,44 +129,20 @@ func growHull(hull, prev Range, grows int) (Range, int, bool) {
 }
 
 // New returns the predicate ⊤.
-func New() *Pred {
-	return &Pred{
-		mem:    map[memKey]MemEntry{},
-		ranges: map[*expr.Expr]rangeInfo{},
-	}
-}
+func New() *Pred { return &Pred{} }
 
 // Bot returns the predicate ⊥.
-func Bot() *Pred {
-	p := New()
-	p.bot = true
-	return p
-}
+func Bot() *Pred { return &Pred{bot: true} }
 
 // IsBot reports whether the predicate is ⊥.
 func (p *Pred) IsBot() bool { return p.bot }
 
-// Clone returns a deep copy.
+// Clone returns a copy that may be modified independently. It allocates
+// only the copy itself: the clause lists are shared until either side
+// changes them.
 func (p *Pred) Clone() *Pred {
-	q := &Pred{
-		bot:    p.bot,
-		regs:   p.regs,
-		flags:  p.flags,
-		cmp:    p.cmp,
-		mem:    make(map[memKey]MemEntry, len(p.mem)),
-		ranges: make(map[*expr.Expr]rangeInfo, len(p.ranges)),
-		rkey:   p.rkey,
-		rkeyOK: p.rkeyOK,
-		rfp:    p.rfp,
-		rfpOK:  p.rfpOK,
-	}
-	for k, v := range p.mem {
-		q.mem[k] = v
-	}
-	for k, v := range p.ranges {
-		q.ranges[k] = v
-	}
-	return q
+	q := *p
+	return &q
 }
 
 // Reg returns the constant expression the predicate assigns to the full
@@ -225,55 +187,75 @@ func (p *Pred) LastCmp() *Cmp { return p.cmp }
 
 // ReadMem returns the value clause for region [addr, size], if present.
 func (p *Pred) ReadMem(addr *expr.Expr, size int) (*expr.Expr, bool) {
-	e, ok := p.mem[memKey{addr, size}]
-	if !ok {
+	i := p.memIndex(addr, size)
+	if i < 0 {
 		return nil, false
 	}
-	return e.Val, true
+	return p.mem[i].Val, true
 }
 
 // WriteMem installs the clause ∗[addr, size] = val.
 func (p *Pred) WriteMem(addr *expr.Expr, size int, val *expr.Expr) {
-	p.mem[memKey{addr, size}] = MemEntry{Addr: addr, Size: size, Val: val}
+	w := MemEntry{Addr: addr, Size: size, Val: val}
+	switch i := p.memIndex(addr, size); {
+	case i < 0:
+		i, _ = slices.BinarySearchFunc(p.mem, w, cmpMem)
+		p.mem = withEntry(p.mem, i, w, false)
+	case p.mem[i].Val != val:
+		p.mem = withEntry(p.mem, i, w, true)
+	}
+}
+
+// WriteMemWith rewrites every memory clause through other, which returns
+// the clause's new value or nil to drop it, and then installs the clause
+// ∗[addr, size] = val, which replaces whatever other made of that region's
+// own clause. It builds at most one new clause list.
+func (p *Pred) WriteMemWith(addr *expr.Expr, size int, val *expr.Expr, other func(MemEntry) *expr.Expr) {
+	w := MemEntry{Addr: addr, Size: size, Val: val}
+	out := lazyList[MemEntry]{base: p.mem}
+	written := false
+	for _, e := range p.mem {
+		v := other(e)
+		c := cmpMem(e, w)
+		if c >= 0 && !written {
+			out.add(w)
+			written = true
+		}
+		if c != 0 && v != nil {
+			out.add(MemEntry{Addr: e.Addr, Size: e.Size, Val: v})
+		}
+	}
+	if !written {
+		out.add(w)
+	}
+	p.mem, _ = out.result()
 }
 
 // DropMem removes the value clause for the exact region, if present.
 func (p *Pred) DropMem(addr *expr.Expr, size int) {
-	delete(p.mem, memKey{addr, size})
+	if i := p.memIndex(addr, size); i >= 0 {
+		p.mem = without(p.mem, i)
+	}
 }
 
-// MemEntries calls f for every memory clause in canonical order: sorted by
-// (address key, size), which coincides with the old "addrKey#size" string
-// order because '#' sorts below every character a key can contain.
+// MemEntries calls f for every memory clause in canonical order: by
+// address key, then size; the fingerprint orders two addresses that render
+// alike.
 func (p *Pred) MemEntries(f func(MemEntry)) {
-	entries := make([]MemEntry, 0, len(p.mem))
 	for _, e := range p.mem {
-		entries = append(entries, e)
-	}
-	sortEntries(entries)
-	for _, e := range entries {
 		f(e)
 	}
 }
 
-// sortEntries puts memory clauses into MemEntries' canonical order.
-func sortEntries(entries []MemEntry) {
-	sort.Slice(entries, func(i, j int) bool {
-		ki, kj := entries[i].Addr.Key(), entries[j].Addr.Key()
-		if ki != kj {
-			return ki < kj
-		}
-		return entries[i].Size < entries[j].Size
-	})
-}
-
 // FilterMem keeps only the memory clauses for which keep returns true.
 func (p *Pred) FilterMem(keep func(MemEntry) bool) {
-	for k, e := range p.mem {
-		if !keep(e) {
-			delete(p.mem, k)
+	out := lazyList[MemEntry]{base: p.mem}
+	for _, e := range p.mem {
+		if keep(e) {
+			out.add(e)
 		}
 	}
+	p.mem, _ = out.result()
 }
 
 // NumMem returns the number of memory clauses.
@@ -284,39 +266,78 @@ func (p *Pred) NumMem() int { return len(p.mem) }
 // an offset expression atom + k is normalised to a clause on the atom when
 // the shift cannot wrap.
 func (p *Pred) AddRange(e *expr.Expr, r Range) {
-	if r.Lo == 0 && r.Hi == ^uint64(0) {
-		return // vacuous
+	if vacuous(r) {
+		return
 	}
-	p.rkeyOK = false
-	p.rfpOK = false
 	if w, ok := e.AsWord(); ok {
 		if !r.Contains(w) {
 			p.bot = true
 		}
 		return
 	}
-	if l := expr.ToLinear(e); l.K != 0 && l.K < r.Lo && r.Lo <= r.Hi {
-		if atom, coeff, ok := l.SingleTerm(); ok && coeff == 1 {
-			p.AddRange(atom, Range{Lo: r.Lo - l.K, Hi: r.Hi - l.K})
-			return
-		}
-	}
-	if old, ok := p.ranges[e]; ok {
-		// Intersect.
-		if r.Lo > old.r.Lo {
-			old.r.Lo = r.Lo
-		}
-		if r.Hi < old.r.Hi {
-			old.r.Hi = r.Hi
-		}
-		if old.r.Lo > old.r.Hi {
-			p.bot = true
-			return
-		}
-		p.ranges[e] = old
+	if atom, ar, ok := shiftedClause(e, r); ok {
+		p.AddRange(atom, ar)
 		return
 	}
-	p.ranges[e] = rangeInfo{e: e, r: r}
+	i := p.rangeIndex(e)
+	if i < 0 {
+		i, _ = slices.BinarySearchFunc(p.ranges, RangeClause{E: e}, cmpRange)
+		p.setRanges(withEntry(p.ranges, i, RangeClause{E: e, R: r}, false))
+		return
+	}
+	// Intersect.
+	c := p.ranges[i]
+	c.R.Lo = max(c.R.Lo, r.Lo)
+	c.R.Hi = min(c.R.Hi, r.Hi)
+	if c.R.Lo > c.R.Hi {
+		p.bot = true
+		return
+	}
+	if c != p.ranges[i] {
+		p.setRanges(withEntry(p.ranges, i, c, true))
+	}
+}
+
+// setRanges installs a new interval clause list.
+func (p *Pred) setRanges(list []RangeClause) {
+	p.ranges = list
+	p.rfpOK = false
+}
+
+// vacuous reports whether an interval admits every word.
+func vacuous(r Range) bool { return r.Lo == 0 && r.Hi == ^uint64(0) }
+
+// shiftedClause returns the clause on atom that AddRange stores in place of
+// e ∈ r when e is atom + k and the shift cannot wrap.
+func shiftedClause(e *expr.Expr, r Range) (*expr.Expr, Range, bool) {
+	l := expr.ToLinear(e)
+	if l.K == 0 || l.K >= r.Lo || r.Lo > r.Hi {
+		return nil, Range{}, false
+	}
+	atom, coeff, ok := l.SingleTerm()
+	if !ok || coeff != 1 {
+		return nil, Range{}, false
+	}
+	return atom, Range{Lo: r.Lo - l.K, Hi: r.Hi - l.K}, true
+}
+
+// storedAsGiven reports whether AddRange(e, r), on a predicate without a
+// clause on e, stores exactly the clause e ∈ r.
+func storedAsGiven(e *expr.Expr, r Range) bool {
+	if _, word := e.AsWord(); word || vacuous(r) {
+		return false
+	}
+	_, _, shifts := shiftedClause(e, r)
+	return !shifts
+}
+
+// rangeOf returns the stored interval clause on e.
+func (p *Pred) rangeOf(e *expr.Expr) (RangeClause, bool) {
+	i := p.rangeIndex(e)
+	if i < 0 {
+		return RangeClause{}, false
+	}
+	return p.ranges[i], true
 }
 
 // RangeOf computes an unsigned interval for e under the predicate's
@@ -328,8 +349,8 @@ func (p *Pred) RangeOf(e *expr.Expr) (Range, bool) {
 	if w, ok := e.AsWord(); ok {
 		return Range{w, w}, true
 	}
-	if ri, ok := p.ranges[e]; ok {
-		return ri.r, true
+	if c, ok := p.rangeOf(e); ok {
+		return c.R, true
 	}
 	if r, ok := intrinsicRange(e); ok {
 		return r, true
@@ -346,10 +367,10 @@ func (p *Pred) RangeOf(e *expr.Expr) (Range, bool) {
 		if !ok {
 			return
 		}
-		ri, found := p.ranges[atom]
+		c, found := p.rangeOf(atom)
 		if !found {
 			if ir, irOK := intrinsicRange(atom); irOK {
-				ri = rangeInfo{e: atom, r: ir}
+				c = RangeClause{E: atom, R: ir}
 			} else {
 				ok = false
 				return
@@ -361,8 +382,8 @@ func (p *Pred) RangeOf(e *expr.Expr) (Range, bool) {
 			ok = false
 			return
 		}
-		nlo := lo + coeff*ri.r.Lo
-		nhi := hi + coeff*ri.r.Hi
+		nlo := lo + coeff*c.R.Lo
+		nhi := hi + coeff*c.R.Hi
 		if nlo < lo || nhi < hi || nlo > nhi {
 			ok = false // wrapped
 			return
@@ -374,16 +395,17 @@ func (p *Pred) RangeOf(e *expr.Expr) (Range, bool) {
 	}
 	// Composite clause match: a stored interval on a compound expression
 	// (e.g. rdi0 + rsi0, from a branch refinement) bounds any constant
-	// multiple of it: e = scale·ek + K.
-	for _, ri := range p.ranges {
-		lk := expr.ToLinear(ri.e)
+	// multiple of it: e = scale·ek + K. The first match in canonical key
+	// order wins.
+	for _, c := range p.ranges {
+		lk := expr.ToLinear(c.E)
 		scale, matches := linearRatio(l, lk)
-		if !matches || scale == 0 || scale > 1<<23 || ri.r.Hi > 1<<40 {
+		if !matches || scale == 0 || scale > 1<<23 || c.R.Hi > 1<<40 {
 			continue
 		}
 		base := l.K - scale*lk.K
-		nlo := base + scale*ri.r.Lo
-		nhi := base + scale*ri.r.Hi
+		nlo := base + scale*c.R.Lo
+		nhi := base + scale*c.R.Hi
 		if nlo <= nhi && nhi >= base {
 			return Range{nlo, nhi}, true
 		}
@@ -436,36 +458,12 @@ func intrinsicRange(e *expr.Expr) (Range, bool) {
 	return Range{}, false
 }
 
-// sortedRanges returns the interval clauses in canonical key order.
-func (p *Pred) sortedRanges() []rangeInfo {
-	out := make([]rangeInfo, 0, len(p.ranges))
-	for _, ri := range p.ranges {
-		out = append(out, ri)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].e.Key() < out[j].e.Key() })
-	return out
-}
-
-// Ranges calls f for every interval clause in canonical key order.
+// Ranges calls f for every interval clause in canonical order: by key, the
+// fingerprint ordering two expressions that render alike.
 func (p *Pred) Ranges(f func(e *expr.Expr, r Range)) {
-	for _, ri := range p.sortedRanges() {
-		f(ri.e, ri.r)
+	for _, c := range p.ranges {
+		f(c.E, c.R)
 	}
-}
-
-// Eval is the expression evaluation function of Definition 4.1: it maps a
-// state part to the constant expression the predicate assigns to it, or
-// nil (⊥ in the paper) when the predicate has no equality clause for it.
-// Registers evaluate through Reg; this form evaluates whole expressions
-// that may mention registers by substituting their clauses.
-func (p *Pred) Eval(e *expr.Expr) *expr.Expr {
-	if e == nil {
-		return nil
-	}
-	if e.IsConstExpr() {
-		return e
-	}
-	return nil
 }
 
 // CodePointerParts returns a deterministic signature of every state part
@@ -474,7 +472,7 @@ func (p *Pred) Eval(e *expr.Expr) *expr.Expr {
 // to join states whose signatures differ: immediate pointers into the
 // text section will highly likely influence future control flow
 // (Section 4). Registers come in register order, memory clauses in
-// MemEntries order; only the code-pointer clauses are sorted.
+// MemEntries order.
 func (p *Pred) CodePointerParts(lo, hi uint64) []string {
 	isCodePointer := func(e *expr.Expr) bool {
 		w, ok := e.AsWord()
@@ -486,15 +484,10 @@ func (p *Pred) CodePointerParts(lo, hi uint64) []string {
 			out = append(out, fmt.Sprintf("%s=%x", x86.Reg(i), e.WordVal()))
 		}
 	}
-	var mem []MemEntry
 	for _, m := range p.mem {
 		if isCodePointer(m.Val) {
-			mem = append(mem, m)
+			out = append(out, fmt.Sprintf("m%s=%x", m.Addr.Key(), m.Val.WordVal()))
 		}
-	}
-	sortEntries(mem)
-	for _, m := range mem {
-		out = append(out, fmt.Sprintf("m%s=%x", m.Addr.Key(), m.Val.WordVal()))
 	}
 	return out
 }
@@ -526,9 +519,9 @@ func (p *Pred) Clauses() []string {
 	p.MemEntries(func(m MemEntry) {
 		out = append(out, fmt.Sprintf("*[%s,%d] == %s", m.Addr, m.Size, m.Val))
 	})
-	for _, ri := range p.sortedRanges() {
-		out = append(out, fmt.Sprintf("%s >= 0x%x", ri.e, ri.r.Lo))
-		out = append(out, fmt.Sprintf("%s <= 0x%x", ri.e, ri.r.Hi))
+	for _, c := range p.ranges {
+		out = append(out, fmt.Sprintf("%s >= 0x%x", c.E, c.R.Lo))
+		out = append(out, fmt.Sprintf("%s <= 0x%x", c.E, c.R.Hi))
 	}
 	return out
 }
@@ -539,36 +532,18 @@ func (p *Pred) Key() string {
 	return strings.Join(p.Clauses(), ";")
 }
 
-// RangesKey returns a canonical fingerprint of the interval clause set
-// alone. The solver's verdicts depend on the predicate only through RangeOf
-// — i.e. through the interval clauses — so this key is sound for memoizing
-// Compare while being far cheaper than Key. The result is cached until the
-// next AddRange.
-func (p *Pred) RangesKey() string {
-	if p.rkeyOK {
-		return p.rkey
-	}
-	var b strings.Builder
-	for _, ri := range p.sortedRanges() {
-		fmt.Fprintf(&b, "%s=%x:%x;", ri.e.Key(), ri.r.Lo, ri.r.Hi)
-	}
-	p.rkey = b.String()
-	p.rkeyOK = true
-	return p.rkey
-}
-
-// RangesFingerprint returns a 64-bit fingerprint of the interval clause set
-// — the cheap form of RangesKey, used by the solver's memo table. Each
-// clause hashes to MixFP(MixFP(fp(e), lo), hi) and the clauses combine by
-// wrapping addition, so the fingerprint is independent of map iteration
-// order without sorting anything. Cached until the next AddRange.
+// RangesFingerprint returns a 64-bit fingerprint of the interval clause set,
+// the key of the solver's memo table: Compare consults the predicate only
+// through RangeOf, i.e. through the interval clauses. Each clause hashes to
+// MixFP(MixFP(fp(e), lo), hi) and the clauses combine by wrapping addition.
+// Cached until the interval clause list changes.
 func (p *Pred) RangesFingerprint() uint64 {
 	if p.rfpOK {
 		return p.rfp
 	}
 	var h uint64
-	for e, ri := range p.ranges {
-		h += expr.MixFP(expr.MixFP(e.Fingerprint(), ri.r.Lo), ri.r.Hi)
+	for _, c := range p.ranges {
+		h += expr.MixFP(expr.MixFP(c.E.Fingerprint(), c.R.Lo), c.R.Hi)
 	}
 	p.rfp = h
 	p.rfpOK = true
@@ -577,9 +552,8 @@ func (p *Pred) RangesFingerprint() uint64 {
 
 // Same reports exact semantic equality of two predicates: equal clause sets
 // up to the canonical Key rendering, ignoring the widening counters (which
-// Key also ignores). It is the allocation-free replacement for comparing
-// Key() strings when detecting the exploration's fixed point: interning
-// makes every clause compare a pointer or integer compare.
+// Key also ignores). Both clause lists are in canonical order and clauses
+// are interned, so it compares position by position, pointer by pointer.
 func (p *Pred) Same(q *Pred) bool {
 	if p == q {
 		return true
@@ -600,20 +574,12 @@ func (p *Pred) Same(q *Pred) bool {
 			return false
 		}
 	}
-	if len(p.mem) != len(q.mem) || len(p.ranges) != len(q.ranges) {
+	if !slices.Equal(p.mem, q.mem) {
 		return false
 	}
-	for k, pe := range p.mem {
-		if qe, ok := q.mem[k]; !ok || pe.Val != qe.Val {
-			return false
-		}
-	}
-	for e, pri := range p.ranges {
-		if qri, ok := q.ranges[e]; !ok || pri.r != qri.r {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(p.ranges, q.ranges, func(a, b RangeClause) bool {
+		return a.E == b.E && a.R == b.R
+	})
 }
 
 // String renders the predicate for humans.

@@ -1,6 +1,9 @@
 package pred
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -99,7 +102,7 @@ func TestJoinEqualClausesKept(t *testing.T) {
 	q.SetReg(x86.RBX, expr.V("rbx0"))
 	p.SetReg(x86.RAX, expr.V("a"))
 	q.SetReg(x86.RAX, expr.V("b"))
-	j := Join(p, q, "v1")
+	j := Join(p, q, NewJoinVars("v1"))
 	if got := j.Reg(x86.RBX); !got.Equal(expr.V("rbx0")) {
 		t.Fatalf("shared clause lost: %v", got)
 	}
@@ -119,7 +122,7 @@ func TestJoinRangeAbstraction(t *testing.T) {
 	p, q := New(), New()
 	p.SetReg(x86.RAX, expr.Word(3))
 	q.SetReg(x86.RAX, expr.Word(4))
-	j := Join(p, q, "v1")
+	j := Join(p, q, NewJoinVars("v1"))
 	jv := j.Reg(x86.RAX)
 	if jv == nil {
 		t.Fatal("range abstraction must keep a clause")
@@ -131,7 +134,7 @@ func TestJoinRangeAbstraction(t *testing.T) {
 	// Joining the result with yet another word widens the interval.
 	s := New()
 	s.SetReg(x86.RAX, expr.Word(10))
-	j2 := Join(s, j, "v1")
+	j2 := Join(s, j, NewJoinVars("v1"))
 	r, ok = j2.RangeOf(j2.Reg(x86.RAX))
 	if !ok || r != (Range{3, 10}) {
 		t.Fatalf("re-joined range: %+v %v", r, ok)
@@ -142,13 +145,14 @@ func TestJoinIdempotentFixedPoint(t *testing.T) {
 	p, q := New(), New()
 	p.SetReg(x86.RAX, expr.Word(3))
 	q.SetReg(x86.RAX, expr.Word(4))
-	j := Join(p, q, "v1")
-	// p ⊑ j and q ⊑ j.
-	if !Leq(p, j, "v1") || !Leq(q, j, "v1") {
+	vars := NewJoinVars("v1")
+	j := Join(p, q, vars)
+	// p ⊑ j and q ⊑ j: joining either into j returns j itself.
+	if Join(p, j, vars) != j || Join(q, j, vars) != j {
 		t.Fatal("operands must be below the join")
 	}
 	// j ⊔ j = j.
-	if Join(j, j, "v1").Key() != j.Key() {
+	if Join(j, j, vars) != j {
 		t.Fatal("join must be idempotent")
 	}
 }
@@ -158,11 +162,12 @@ func TestJoinTermination(t *testing.T) {
 	// the clause is widened away rather than growing forever.
 	cur := New()
 	cur.SetReg(x86.RAX, expr.Word(0))
+	vars := NewJoinVars("v9")
 	stable := 0
 	for i := 1; i < 100; i++ {
 		next := New()
 		next.SetReg(x86.RAX, expr.Word(uint64(i)*7))
-		j := Join(next, cur, "v9")
+		j := Join(next, cur, vars)
 		if j.Key() == cur.Key() {
 			stable++
 			if stable > 2 {
@@ -184,7 +189,7 @@ func TestJoinMemory(t *testing.T) {
 	p.WriteMem(addr, 8, expr.V("rdi0"))
 	q.WriteMem(addr, 8, expr.V("rdi0"))
 	q.WriteMem(addr, 4, expr.Word(1)) // only in q
-	j := Join(p, q, "v1")
+	j := Join(p, q, NewJoinVars("v1"))
 	if v, ok := j.ReadMem(addr, 8); !ok || !v.Equal(expr.V("rdi0")) {
 		t.Fatal("shared memory clause lost")
 	}
@@ -195,7 +200,7 @@ func TestJoinMemory(t *testing.T) {
 	p2, q2 := New(), New()
 	p2.WriteMem(addr, 8, expr.Word(100))
 	q2.WriteMem(addr, 8, expr.Word(200))
-	j2 := Join(p2, q2, "v1")
+	j2 := Join(p2, q2, NewJoinVars("v1"))
 	v, ok := j2.ReadMem(addr, 8)
 	if !ok {
 		t.Fatal("abstracted memory clause missing")
@@ -210,19 +215,19 @@ func TestJoinFlagsAndCmp(t *testing.T) {
 	c := &Cmp{Kind: CmpSub, Lhs: expr.V("a"), Rhs: expr.Word(0xc3), Size: 4}
 	p.SetCmp(c)
 	q.SetCmp(&Cmp{Kind: CmpSub, Lhs: expr.V("a"), Rhs: expr.Word(0xc3), Size: 4})
-	j := Join(p, q, "v1")
+	j := Join(p, q, NewJoinVars("v1"))
 	if j.LastCmp() == nil {
 		t.Fatal("matching comparison descriptor must survive")
 	}
 	q.SetCmp(&Cmp{Kind: CmpSub, Lhs: expr.V("b"), Rhs: expr.Word(1), Size: 4})
-	if Join(p, q, "v1").LastCmp() != nil {
+	if Join(p, q, NewJoinVars("v1")).LastCmp() != nil {
 		t.Fatal("mismatched comparison must be dropped")
 	}
 	p2, q2 := New(), New()
 	p2.SetFlag(x86.ZF, expr.Word(1))
 	q2.SetFlag(x86.ZF, expr.Word(1))
 	q2.SetFlag(x86.CF, expr.Word(0))
-	j2 := Join(p2, q2, "v1")
+	j2 := Join(p2, q2, NewJoinVars("v1"))
 	if j2.Flag(x86.ZF) == nil || j2.Flag(x86.CF) != nil {
 		t.Fatal("flag join")
 	}
@@ -231,10 +236,10 @@ func TestJoinFlagsAndCmp(t *testing.T) {
 func TestJoinBot(t *testing.T) {
 	p := New()
 	p.SetReg(x86.RAX, expr.Word(1))
-	if j := Join(Bot(), p, "v"); j.Key() != p.Key() {
+	if j := Join(Bot(), p, NewJoinVars("v")); j.Key() != p.Key() {
 		t.Fatal("⊥ ⊔ P must be P")
 	}
-	if j := Join(p, Bot(), "v"); j.Key() != p.Key() {
+	if j := Join(p, Bot(), NewJoinVars("v")); j.Key() != p.Key() {
 		t.Fatal("P ⊔ ⊥ must be P")
 	}
 }
@@ -256,6 +261,112 @@ func TestClone(t *testing.T) {
 	}
 	if r, _ := p.RangeOf(expr.V("x")); r != (Range{1, 2}) {
 		t.Fatal("clone aliases ranges")
+	}
+	// Writes to the original stay out of the clone, too.
+	p.WriteMem(expr.V("rdi0"), 4, expr.Word(7))
+	p.DropMem(expr.V("rsp0"), 8)
+	p.AddRange(expr.V("y"), Range{0, 9})
+	if v, _ := q.ReadMem(expr.V("rsp0"), 8); !v.IsWord(0) {
+		t.Fatal("dropping the original's clause reached the clone")
+	}
+	if _, ok := q.ReadMem(expr.V("rdi0"), 4); ok {
+		t.Fatal("the original's new memory clause reached the clone")
+	}
+	if _, ok := q.RangeOf(expr.V("y")); ok {
+		t.Fatal("the original's new interval clause reached the clone")
+	}
+	if q.NumMem() != 1 {
+		t.Fatalf("clone holds %d memory clauses, want 1", q.NumMem())
+	}
+}
+
+var sink *Pred
+
+// TestCloneAllocatesOnce pins the cost of a step's fork: the clause lists
+// are shared, so a clone is one struct.
+func TestCloneAllocatesOnce(t *testing.T) {
+	p := benchPred("a")
+	if n := testing.AllocsPerRun(100, func() { sink = p.Clone() }); n != 1 {
+		t.Fatalf("Clone allocates %v objects, want 1", n)
+	}
+}
+
+// TestJoinFixedPointReturnsStored: a join that reproduces the stored state
+// returns that state itself, allocating nothing.
+func TestJoinFixedPointReturnsStored(t *testing.T) {
+	p := benchPred("a")
+	vars := NewJoinVars("v1")
+	q := Join(p, benchPred("a"), vars)
+	if Join(p, q, vars) != q {
+		t.Fatal("join at the fixed point must return the stored operand")
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = Join(p, q, vars) }); n != 0 {
+		t.Fatalf("fixed-point join allocates %v objects, want 0", n)
+	}
+}
+
+// TestConcurrentCloneShared clones one predicate from several goroutines,
+// each of which then rewrites its own clone: the shared clause lists must
+// never show another goroutine's writes (run under -race).
+func TestConcurrentCloneShared(t *testing.T) {
+	p := benchPred("a")
+	want := p.Key()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				c := p.Clone()
+				slot := expr.Add(expr.V("rsp0"), expr.Word(uint64(8*(g+1))))
+				c.WriteMem(slot, 8, expr.Word(uint64(g)))
+				c.FilterMem(func(m MemEntry) bool { return m.Addr != slot || m.Size == 8 })
+				c.WriteMemWith(expr.V("rdi0"), 8, expr.Word(uint64(i)), func(m MemEntry) *expr.Expr { return m.Val })
+				c.AddRange(expr.V(expr.Var(fmt.Sprintf("g%d", g))), Range{Lo: 0, Hi: uint64(i)})
+				c.AddRange(expr.V("j0_a"), Range{Lo: 0, Hi: uint64(g)})
+				if v, ok := c.ReadMem(slot, 8); !ok || !v.IsWord(uint64(g)) {
+					t.Errorf("goroutine %d: own write lost", g)
+				}
+				if r, ok := c.RangeOf(expr.V("j0_a")); !ok || r.Hi != uint64(g) {
+					t.Errorf("goroutine %d: own narrowing lost: %+v", g, r)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := p.Key(); got != want {
+		t.Fatalf("the shared original changed:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestWriteMemWith: every clause passes through the rewrite, the written
+// region's own clause included, and the written value replaces it.
+func TestWriteMemWith(t *testing.T) {
+	p := New()
+	a, b, c := expr.V("a"), expr.V("b"), expr.V("c")
+	p.WriteMem(a, 8, expr.Word(1))
+	p.WriteMem(b, 8, expr.Word(2))
+	p.WriteMem(c, 8, expr.Word(3))
+	var seen []string
+	p.WriteMemWith(b, 8, expr.Word(9), func(m MemEntry) *expr.Expr {
+		seen = append(seen, m.Addr.Key())
+		if m.Addr == a {
+			return nil // dropped
+		}
+		return expr.Add(m.Val, expr.Word(10))
+	})
+	if got := strings.Join(seen, " "); got != "a b c" {
+		t.Fatalf("rewrite saw %q, want every clause in order", got)
+	}
+	want := "*[b,8] == 0x9;*[c,8] == 0xd"
+	if got := p.Key(); got != want {
+		t.Fatalf("clauses %q, want %q", got, want)
+	}
+	// A write into an empty predicate installs the one clause.
+	q := New()
+	q.WriteMemWith(a, 4, expr.Word(5), func(MemEntry) *expr.Expr { t.Fatal("no clause to rewrite"); return nil })
+	if v, ok := q.ReadMem(a, 4); !ok || !v.IsWord(5) {
+		t.Fatal("written clause missing")
 	}
 }
 
@@ -299,7 +410,7 @@ func TestQuickJoinSoundness(t *testing.T) {
 		p, q := New(), New()
 		p.SetReg(x86.RAX, expr.Word(a))
 		q.SetReg(x86.RAX, expr.Word(b))
-		j := Join(p, q, "vq")
+		j := Join(p, q, NewJoinVars("vq"))
 		jv := j.Reg(x86.RAX)
 		if jv == nil {
 			return true // dropped clause is trivially sound
@@ -322,9 +433,50 @@ func TestQuickJoinCommutative(t *testing.T) {
 		} else {
 			q.SetReg(x86.RBX, expr.Word(b))
 		}
-		return Join(p, q, "vc").Key() == Join(q, p, "vc").Key()
+		return Join(p, q, NewJoinVars("vc")).Key() == Join(q, p, NewJoinVars("vc")).Key()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSetClausesRejectsNonCanonicalLists: the one-pass installs accept a
+// list only in canonical order without repeats, and an interval clause
+// only in the form AddRange stores.
+func TestSetClausesRejectsNonCanonicalLists(t *testing.T) {
+	a, b, x := expr.V("a"), expr.V("b"), expr.V("x")
+	one := func(e *expr.Expr, lo, hi uint64) RangeClause { return RangeClause{E: e, R: Range{lo, hi}} }
+	for _, tc := range []struct {
+		name    string
+		clauses []RangeClause
+		ok      bool
+	}{
+		{"canonical", []RangeClause{one(a, 0, 1), one(b, 2, 3)}, true},
+		{"swapped", []RangeClause{one(b, 2, 3), one(a, 0, 1)}, false},
+		{"repeated", []RangeClause{one(a, 0, 1), one(a, 0, 1)}, false},
+		{"word", []RangeClause{one(expr.Word(5), 0, 9)}, false},
+		{"vacuous", []RangeClause{one(a, 0, ^uint64(0))}, false},
+		{"shift-normalisable", []RangeClause{one(expr.Add(x, expr.Word(5)), 10, 20)}, false},
+	} {
+		p := New()
+		err := p.SetRangeClauses(tc.clauses)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok = %v", tc.name, err, tc.ok)
+		}
+		if tc.ok {
+			if r, found := p.RangeOf(b); !found || r != (Range{2, 3}) {
+				t.Errorf("%s: installed list lost a clause", tc.name)
+			}
+		}
+	}
+	mem := func(e *expr.Expr, size int) MemEntry { return MemEntry{Addr: e, Size: size, Val: expr.Word(1)} }
+	if err := New().SetMemClauses([]MemEntry{mem(a, 4), mem(a, 8), mem(b, 8)}); err != nil {
+		t.Errorf("canonical memory list rejected: %v", err)
+	}
+	if err := New().SetMemClauses([]MemEntry{mem(a, 8), mem(a, 4)}); err == nil {
+		t.Error("memory list out of size order accepted")
+	}
+	if err := New().SetMemClauses([]MemEntry{mem(b, 8), mem(b, 8)}); err == nil {
+		t.Error("repeated memory clause accepted")
 	}
 }

@@ -13,11 +13,12 @@ import (
 func TestWideningLadder(t *testing.T) {
 	cur := New()
 	cur.SetReg(x86.RAX, expr.Word(0))
+	vars := NewJoinVars("vw")
 	sawExact, sawJump := false, false
 	for i := 1; i < 60; i++ {
 		next := New()
 		next.SetReg(x86.RAX, expr.Word(uint64(i)))
-		j := Join(next, cur, "vw")
+		j := Join(next, cur, vars)
 		v := j.Reg(x86.RAX)
 		if v == nil {
 			t.Fatalf("iteration %d: clause dropped (never-nil join must keep it)", i)
@@ -45,7 +46,7 @@ func TestWideningLadder(t *testing.T) {
 	// With values within a jumped bound the chain is stable.
 	stable := New()
 	stable.SetReg(x86.RAX, expr.Word(3))
-	j := Join(stable, cur, "vw")
+	j := Join(stable, cur, vars)
 	if j.Key() != cur.Key() {
 		t.Fatal("in-bound value must not change the fixed point")
 	}
@@ -110,6 +111,24 @@ func TestRangeOfCompositeClause(t *testing.T) {
 	}
 }
 
+// TestRangeOfCompositeFirstInKeyOrder: when several stored compound
+// clauses bound the value, the first in canonical key order decides, on
+// every call.
+func TestRangeOfCompositeFirstInKeyOrder(t *testing.T) {
+	a, b := expr.V("rdi0"), expr.V("rsi0")
+	p := New()
+	p.AddRange(expr.Add(a, b), Range{0, 10})
+	p.AddRange(expr.Add(expr.Mul(expr.Word(2), a), expr.Mul(expr.Word(2), b)), Range{0, 30})
+	e := expr.Add(expr.Mul(expr.Word(4), a), expr.Mul(expr.Word(4), b))
+	// "add(mul(0x2,rdi0),…)" sorts before "add(rdi0,rsi0)": 2·(rdi0+rsi0)
+	// ∈ [0, 30] bounds 4·(rdi0+rsi0) by [0, 60].
+	for i := 0; i < 200; i++ {
+		if r, ok := p.RangeOf(e); !ok || r != (Range{0, 60}) {
+			t.Fatalf("call %d: %+v %v, want [0, 60]", i, r, ok)
+		}
+	}
+}
+
 func TestJoinCmpRebuild(t *testing.T) {
 	// Two states with the same comparison shape over different rax values:
 	// the joined descriptor re-expresses over the joined register.
@@ -118,7 +137,7 @@ func TestJoinCmpRebuild(t *testing.T) {
 	p.SetCmp(&Cmp{Kind: CmpSub, Lhs: expr.Word(3), Rhs: expr.Word(7), Size: 8})
 	q.SetReg(x86.RAX, expr.Word(5))
 	q.SetCmp(&Cmp{Kind: CmpSub, Lhs: expr.Word(5), Rhs: expr.Word(7), Size: 8})
-	j := Join(p, q, "vc")
+	j := Join(p, q, NewJoinVars("vc"))
 	c := j.LastCmp()
 	if c == nil {
 		t.Fatal("descriptor must be rebuilt over the joined register")

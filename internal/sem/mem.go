@@ -115,18 +115,19 @@ func (m *Machine) writeMem(st *State, addr *expr.Expr, size int, val *expr.Expr)
 	if !insertable(addr) {
 		w := solver.Region{Addr: addr, Size: uint64(size)}
 		o := oracle{m, st}
-		st.Pred.FilterMem(func(e pred.MemEntry) bool {
-			sep := o.Compare(w, solver.Region{Addr: e.Addr, Size: uint64(e.Size)}).Separate == solver.Yes
-			if !sep && dbgKills {
+		st.Pred.WriteMemWith(addr, size, val, func(e pred.MemEntry) *expr.Expr {
+			if o.Compare(w, solver.Region{Addr: e.Addr, Size: uint64(e.Size)}).Separate == solver.Yes {
+				return e.Val
+			}
+			if dbgKills {
 				fmt.Printf("DBGW @%x [%s,%d] kills [%s,%d]\n", m.curAddr, addr, size, e.Addr, e.Size)
 				expr.ToLinear(addr).Terms(func(atom *expr.Expr, c uint64) {
 					r, ok := st.Pred.RangeOf(atom)
 					fmt.Printf("   atom %s c=%d r=%+v ok=%v\n", atom, c, r, ok)
 				})
 			}
-			return sep
+			return nil
 		})
-		st.Pred.WriteMem(addr, size, val)
 		return []*State{st}
 	}
 	results, fellBack := memmodel.InsCounted(memmodel.NewRegion(addr, uint64(size)), st.Mem, oracle{m, st}, m.Cfg.MM)
@@ -141,52 +142,35 @@ func (m *Machine) writeMem(st *State, addr *expr.Expr, size int, val *expr.Expr)
 		// Update or invalidate each clause per its relation to the write:
 		// aliases take the new value; enclosing clauses at constant
 		// offsets are spliced byte-precisely; enclosed clauses become
-		// slices of the new value; everything else is dropped.
-		type update struct {
-			e   pred.MemEntry
-			val *expr.Expr
-		}
-		var updates []update
-		s.Pred.MemEntries(func(e pred.MemEntry) {
+		// slices of the new value; separate clauses survive; everything
+		// else is dropped. One pass builds the model's clause list.
+		s.Pred.WriteMemWith(addr, size, val, func(e pred.MemEntry) *expr.Expr {
 			rel, known := res.Rel[entryID(e)]
 			if !known {
-				return // no region in the model: treated as destroyed
+				return nil // no region in the model: treated as destroyed
 			}
 			switch rel {
+			case memmodel.RelSeparate:
+				return e.Val
 			case memmodel.RelAlias:
 				if e.Size == size {
-					updates = append(updates, update{e, val})
+					return val
 				}
 			case memmodel.RelEnclosedIn:
 				// The write lands inside clause e.
 				if off, ok := solver.SameBaseDistance(addr, e.Addr); ok &&
 					off >= 0 && off+int64(size) <= int64(e.Size) {
-					updates = append(updates, update{e, splice(e.Val, val, off, size, e.Size)})
+					return splice(e.Val, val, off, size, e.Size)
 				}
 			case memmodel.RelEncloses:
 				// Clause e lies inside the written region.
 				if off, ok := solver.SameBaseDistance(e.Addr, addr); ok &&
 					off >= 0 && off+int64(e.Size) <= int64(size) {
-					updates = append(updates,
-						update{e, expr.ZExt(expr.Shr(val, expr.Word(uint64(off)*8)), e.Size)})
+					return expr.ZExt(expr.Shr(val, expr.Word(uint64(off)*8)), e.Size)
 				}
 			}
+			return nil
 		})
-		byID := map[memmodel.RegionID]*expr.Expr{}
-		for _, u := range updates {
-			byID[entryID(u.e)] = u.val
-		}
-		s.Pred.FilterMem(func(e pred.MemEntry) bool {
-			if rel, known := res.Rel[entryID(e)]; known && rel == memmodel.RelSeparate {
-				return true
-			}
-			_, updated := byID[entryID(e)]
-			return updated
-		})
-		for _, u := range updates {
-			s.Pred.WriteMem(u.e.Addr, u.e.Size, u.val)
-		}
-		s.Pred.WriteMem(addr, size, val)
 		out = append(out, s)
 	}
 	return out

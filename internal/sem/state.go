@@ -56,14 +56,6 @@ func (s *State) Key() string {
 	return s.Pred.Key() + "|" + s.Mem.Key()
 }
 
-// Same reports semantic equality of two states without rendering keys: the
-// predicates compare clause-by-clause (pointer compares on interned
-// expressions) and the memory models compare structurally with a canonical
-// Key fallback. It is the fixed-point test of the exploration.
-func (s *State) Same(o *State) bool {
-	return s.Pred.Same(o.Pred) && s.Mem.Same(o.Mem)
-}
-
 // String renders the state.
 func (s *State) String() string {
 	return fmt.Sprintf("⟨%s, %s⟩", s.Pred, s.Mem)

@@ -9,8 +9,8 @@
 //
 // Compare is a pure function of the predicate's interval clauses and the
 // two regions, which makes its verdicts memoizable: Cache wraps it with a
-// concurrency-safe memo table keyed on that exact input fingerprint
-// (pred.RangesKey plus the regions' canonical keys), shared by the
+// concurrency-safe memo table keyed on fingerprints of that input
+// (pred.RangesFingerprint plus one fingerprint per region), shared by the
 // pipeline's lift workers.
 package solver
 

@@ -46,7 +46,7 @@ go test -run '^$' -count="$count" -benchmem \
     -bench '^(BenchmarkEqual|BenchmarkKeyShared|BenchmarkSubstAbsent)$' \
     ./internal/expr/ | tee -a "$raw"
 go test -run '^$' -count="$count" -benchmem \
-    -bench '^(BenchmarkRangesKey|BenchmarkJoin|BenchmarkLeq)$' \
+    -bench '^(BenchmarkRangesFingerprint|BenchmarkJoin|BenchmarkJoinFixedPoint)$' \
     ./internal/pred/ | tee -a "$raw"
 go test -run '^$' -count="$count" -benchmem \
     -bench '^BenchmarkSolverCompareCached$' \
