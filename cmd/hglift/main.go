@@ -20,16 +20,18 @@
 // The exit status is non-zero when any lift panicked, timed out, errored,
 // was cancelled or was quarantined (and, in batch mode, when any binary
 // failed to lift); -keep-going reports the trouble but exits 0 anyway.
-// Retry and checkpoint flags make long batches survivable:
+// Retry and store flags make long batches survivable:
 //
 //	-retries N         attempts per lift (retries panicked/timed-out lifts)
 //	-retry-backoff d   delay before the first retry (doubles per retry)
-//	-checkpoint f      batch mode: journal completed lifts to f
-//	-resume            restore completed lifts from -checkpoint instead of
-//	                   truncating it; only the remainder is lifted
 //	-store f           cache lifted Hoare graphs in the content-addressed
 //	                   store at f; re-lifting an unchanged binary decodes
-//	                   the cached graphs instead of exploring
+//	                   the cached graphs instead of exploring, so re-running
+//	                   an interrupted batch with the same -store resumes it
+//
+// A store write that fails is reported with its count on stderr and makes
+// the exit status non-zero, with or without -keep-going: the lifts
+// completed, but a re-run would lift them again.
 //
 // -ptr enables the pointer-analysis pre-pass: a per-function fact table of
 // proven region relations and separation hypotheses is computed before
@@ -124,8 +126,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-lift wall-clock budget (0 = none)")
 	retries := flag.Int("retries", 1, "attempts per lift (>1 retries panicked/timed-out lifts)")
 	retryBackoff := flag.Duration("retry-backoff", 0, "delay before the first retry (doubles per retry)")
-	ckptPath := flag.String("checkpoint", "", "batch mode: journal completed lifts to this file")
-	resume := flag.Bool("resume", false, "restore completed lifts from -checkpoint instead of truncating")
 	storePath := flag.String("store", "", "cache lifted Hoare graphs in the store at this file")
 	ptrFacts := flag.Bool("ptr", false, "run the pointer-analysis pre-pass before each lift")
 	keepGoing := flag.Bool("keep-going", false, "exit 0 even when lifts panicked, timed out, errored or were quarantined")
@@ -134,11 +134,7 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
 	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: hglift [-func addr|name] [-dump] [-thy] [-disasm] [-jobs N] [-timeout d] [-retries N] [-checkpoint f [-resume]] [-keep-going] [-trace f] [-metrics] [-pprof addr] binary.elf ...")
-		os.Exit(2)
-	}
-	if *resume && *ckptPath == "" {
-		fmt.Fprintln(os.Stderr, "hglift: -resume requires -checkpoint")
+		fmt.Fprintln(os.Stderr, "usage: hglift [-func addr|name] [-dump] [-thy] [-disasm] [-jobs N] [-timeout d] [-retries N] [-store f] [-ptr] [-keep-going] [-trace f] [-metrics] [-pprof addr] binary.elf ...")
 		os.Exit(2)
 	}
 	if *pprofAddr != "" {
@@ -170,14 +166,9 @@ func main() {
 		}
 		liftBatch(ctx, flag.Args(), batchConfig{
 			jobs: *jobs, timeout: *timeout, retry: retry,
-			ckptPath: *ckptPath, resume: *resume, keepGoing: *keepGoing,
-			store: store, ptr: *ptrFacts,
+			keepGoing: *keepGoing, store: store, ptr: *ptrFacts,
 		}, obsv)
 		return
-	}
-	if *ckptPath != "" {
-		fmt.Fprintln(os.Stderr, "hglift: -checkpoint applies to batch mode only")
-		os.Exit(2)
 	}
 	data, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -212,7 +203,7 @@ func main() {
 			printDetails(fr, *dump, *thy)
 		}
 		obsv.flush()
-		exitUnhealthy(res.Status, *keepGoing)
+		exitUnhealthy(res, *keepGoing)
 		return
 	}
 
@@ -256,19 +247,30 @@ func main() {
 		}
 	}
 	obsv.flush()
-	exitUnhealthy(res.Status, *keepGoing)
+	exitUnhealthy(res, *keepGoing)
 }
 
 // exitUnhealthy terminates with a non-zero status when a single lift
 // ended in an infrastructure failure (panic, timeout, error,
-// cancellation); -keep-going reports it but keeps the zero status.
-func exitUnhealthy(status core.Status, keepGoing bool) {
-	switch status {
+// cancellation) — -keep-going reports it but keeps the zero status — or
+// when its result could not be written to the store, which fails the run
+// even with -keep-going: the lift completed, but a re-run would lift it
+// again.
+func exitUnhealthy(res lift.Result, keepGoing bool) {
+	code := 0
+	if res.StoreWriteErr != nil {
+		fmt.Fprintf(os.Stderr, "hglift: store: write-errors=1: %v\n", res.StoreWriteErr)
+		code = 1
+	}
+	switch res.Status {
 	case core.StatusPanic, core.StatusTimeout, core.StatusError, core.StatusCancelled:
-		fmt.Fprintf(os.Stderr, "hglift: lift ended in %s\n", status)
+		fmt.Fprintf(os.Stderr, "hglift: lift ended in %s\n", res.Status)
 		if !keepGoing {
-			os.Exit(1)
+			code = 1
 		}
+	}
+	if code != 0 {
+		os.Exit(code)
 	}
 }
 
@@ -277,8 +279,6 @@ type batchConfig struct {
 	jobs      int
 	timeout   time.Duration
 	retry     lift.RetryPolicy
-	ckptPath  string
-	resume    bool
 	keepGoing bool
 	store     *lift.Store
 	ptr       bool
@@ -301,25 +301,8 @@ func liftBatch(ctx context.Context, paths []string, cfg batchConfig, obsv *obser
 		}
 		reqs = append(reqs, lift.Binary(path, im))
 	}
-	var ckpt *lift.Checkpoint
-	if cfg.ckptPath != "" {
-		if !cfg.resume {
-			if err := os.Remove(cfg.ckptPath); err != nil && !os.IsNotExist(err) {
-				fatal(err)
-			}
-		}
-		var err error
-		ckpt, err = lift.OpenCheckpoint(cfg.ckptPath)
-		if err != nil {
-			fatal(err)
-		}
-		if n := ckpt.Skipped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "hglift: checkpoint: dropped %d unparseable journal lines\n", n)
-		}
-	}
 	opts := append([]lift.Option{
-		lift.Jobs(cfg.jobs), lift.Timeout(cfg.timeout),
-		lift.Retry(cfg.retry), lift.WithCheckpoint(ckpt),
+		lift.Jobs(cfg.jobs), lift.Timeout(cfg.timeout), lift.Retry(cfg.retry),
 	}, obsv.opts...)
 	if cfg.store != nil {
 		opts = append(opts, lift.WithStore(cfg.store))
@@ -330,9 +313,7 @@ func liftBatch(ctx context.Context, paths []string, cfg batchConfig, obsv *obser
 	sum := lift.Run(ctx, reqs, opts...)
 	for _, r := range sum.Results {
 		note := ""
-		if r.Restored {
-			note = " (restored)"
-		} else if r.Quarantined {
+		if r.Quarantined {
 			note = fmt.Sprintf(" (quarantined after %d attempts)", r.Attempts)
 		}
 		fmt.Printf("%-32s %-12s instrs=%-6d states=%-6d A=%-3d B=%-3d C=%-3d %8s%s\n",
@@ -342,19 +323,23 @@ func liftBatch(ctx context.Context, paths []string, cfg batchConfig, obsv *obser
 		if r.PanicMsg != "" {
 			fmt.Printf("  panic: %s\n", r.PanicMsg)
 		}
+		if r.StoreWriteErr != nil {
+			fmt.Printf("  store write: %v\n", r.StoreWriteErr)
+		}
 	}
 	cs := sum.Cache.Stats()
 	fmt.Printf("%d lifted, %d unprovable, %d concurrency, %d timeout, %d error, %d panic in %s; solver memo %.0f%% of %d queries\n",
 		sum.Lifted, sum.Unprovable, sum.Concurrency, sum.Timeouts, sum.Errors, sum.Panics,
 		sum.Wall.Round(time.Millisecond), 100*cs.HitRate(), cs.Queries)
-	if sum.Retried > 0 || sum.Quarantined > 0 || sum.Restored > 0 {
-		fmt.Printf("%d retried, %d quarantined, %d restored from checkpoint\n",
-			sum.Retried, sum.Quarantined, sum.Restored)
+	if sum.Retried > 0 || sum.Quarantined > 0 {
+		fmt.Printf("%d retried, %d quarantined\n", sum.Retried, sum.Quarantined)
 	}
 	obsv.flush()
 	code := 0
-	if err := ckpt.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "hglift: checkpoint:", err)
+	if sum.StoreWriteErrors > 0 {
+		// The lifts completed, but a re-run would lift these again, so
+		// the batch fails even with -keep-going.
+		fmt.Fprintf(os.Stderr, "hglift: store: write-errors=%d\n", sum.StoreWriteErrors)
 		code = 1
 	}
 	if sum.Lifted < len(sum.Results) || sum.Quarantined > 0 || sum.LintErrors > 0 {

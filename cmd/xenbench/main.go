@@ -19,27 +19,22 @@
 // workers share one solver memo cache, and the tables report its per-row
 // hit-rate ("Hit%") next to the per-directory wall time.
 //
-// -workers N distributes Table 2's Step-2 re-verification across N worker
-// subprocesses through internal/dist (0 = single-process, the default).
-// Verdicts are merged deterministically, so the printed table is
-// byte-identical at any worker count; only wall time changes.
+// Step 2 (-table2, -weird) runs in this process, each lifted graph's
+// theorems fanned out over goroutines (-jobs of them for -table2).
+// ARCHITECTURE.md ("Step 2 runs in-process") records the measurement
+// behind that choice.
 //
 // -ptr enables the pointer-analysis pre-pass on every lift: per-function
 // fact tables of proven region relations and separation hypotheses answer
 // pointer comparisons before the decision procedure, so undecided pairs
-// stop forking the memory model. Incompatible with -workers > 0 (the
-// worker wire protocol does not ship fact tables); Step 2 in-process
-// recomputes each function's facts so re-checks see the same verdicts the
-// lift did.
+// stop forking the memory model. Step 2 recomputes each function's facts
+// so re-checks see the same verdicts the lift did.
 //
 // Robustness flags make long sweeps survivable:
 //
 //	-timeout d         per-lift wall-clock budget (0 = none)
 //	-retries N         attempts per lift (retries panicked/timed-out lifts)
 //	-retry-backoff d   delay before the first retry (doubles per retry)
-//	-checkpoint f      journal completed lifts to f (crash-safe, atomic)
-//	-resume            restore completed lifts from -checkpoint instead of
-//	                   truncating it; only the remainder is lifted
 //	-store f           cache lifted Hoare graphs in the content-addressed
 //	                   store at f; a warm re-run decodes instead of lifting
 //	                   (stderr reports the hit/miss split)
@@ -48,9 +43,13 @@
 //
 // The run stops cleanly on SIGINT/SIGTERM: in-flight lifts report
 // cancelled, the trace and metrics still flush, and the exit status is
-// non-zero (unless -keep-going). Checkpointing covers the lift sweeps
-// (-table1, -fig3); Step 2 re-checks graphs in memory and is not
-// journalled.
+// non-zero (unless -keep-going). Re-running an interrupted run with the
+// same -store resumes it: every lift sweep (-table1, -table2, -fig3,
+// -ptrbench) answers the tasks the store holds without lifting, and lifts
+// only what it does not keep — unfinished tasks, panics, quarantines and
+// wall-clock timeouts. Table 2 checks Step 2 on the stored graphs. A store
+// write that fails is counted in the stderr tally and makes the exit
+// status non-zero, with or without -keep-going.
 //
 // The -fault-* flags drive the deterministic fault injector (CI's
 // fault-injection smoke job; never needed in normal runs):
@@ -77,7 +76,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/dist"
 	"repro/internal/faultinject"
 	"repro/internal/hoare"
 	"repro/internal/obs"
@@ -93,10 +91,8 @@ import (
 // counters that decide the exit status.
 type runner struct {
 	jobs    int
-	workers int
 	timeout time.Duration
 	retry   lift.RetryPolicy
-	ckpt    *lift.Checkpoint
 	store   *lift.Store
 	flip    string
 	ptr     bool
@@ -104,18 +100,15 @@ type runner struct {
 	tr      *obs.Tracer
 
 	panics, timeouts, errors, cancelled, quarantined int
-	storeHits, storeMisses                           int
+	storeHits, storeMisses, storeWriteErrors         int
+	storeWriteErr                                    error // the first failed store write
 }
 
-// opts assembles the facade options for one sweep; scope namespaces the
-// checkpoint journal so equal task names across sweeps do not collide.
-func (rn *runner) opts(scope string) []lift.Option {
+// opts assembles the facade options every lift sweep shares.
+func (rn *runner) opts() []lift.Option {
 	opts := []lift.Option{
 		lift.Jobs(rn.jobs), lift.Timeout(rn.timeout),
 		lift.Tracer(rn.tr), lift.Retry(rn.retry), lift.Faults(rn.faults),
-	}
-	if rn.ckpt != nil {
-		opts = append(opts, lift.WithCheckpoint(rn.ckpt.Scoped(scope)))
 	}
 	if rn.store != nil {
 		opts = append(opts, lift.WithStore(rn.store))
@@ -137,6 +130,12 @@ func (rn *runner) absorb(sum *lift.Summary) {
 	rn.quarantined += sum.Quarantined
 	rn.storeHits += sum.StoreHits
 	rn.storeMisses += sum.StoreMisses
+	rn.storeWriteErrors += sum.StoreWriteErrors
+	for _, r := range sum.Results {
+		if rn.storeWriteErr == nil {
+			rn.storeWriteErr = r.StoreWriteErr
+		}
+	}
 }
 
 // healthy reports whether every lift completed without infrastructure
@@ -147,7 +146,6 @@ func (rn *runner) healthy() bool {
 }
 
 func main() {
-	dist.MaybeWorker()
 	table1 := flag.Bool("table1", false, "regenerate Table 1")
 	table2 := flag.Bool("table2", false, "regenerate Table 2")
 	fig3 := flag.Bool("fig3", false, "regenerate Figure 3")
@@ -158,12 +156,9 @@ func main() {
 	scale := flag.Float64("scale", 0.15, "Table 1 corpus scale (1.0 = paper size)")
 	seed := flag.Int64("seed", 1, "corpus generation seed")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel lift workers (1 = serial)")
-	workers := flag.Int("workers", 0, "Step-2 worker subprocesses for -table2 (0 = single-process)")
 	timeout := flag.Duration("timeout", 0, "per-lift wall-clock budget (0 = none)")
 	retries := flag.Int("retries", 1, "attempts per lift (>1 retries panicked/timed-out lifts)")
 	retryBackoff := flag.Duration("retry-backoff", 0, "delay before the first retry (doubles per retry)")
-	ckptPath := flag.String("checkpoint", "", "journal completed lifts to this file")
-	resume := flag.Bool("resume", false, "restore completed lifts from -checkpoint instead of truncating")
 	storePath := flag.String("store", "", "cache lifted Hoare graphs in the store at this file")
 	ptrFacts := flag.Bool("ptr", false, "run the pointer-analysis pre-pass before each lift")
 	flipUnit := flag.String("flip", "", "flip one immediate byte in the named corpus unit's function before lifting (store-invalidation smoke)")
@@ -183,14 +178,6 @@ func main() {
 			"xenbench: nothing selected: pass at least one of -table1, -table2, -fig3, -weird, -failures, -ptrbench, or -all\n"+
 				"(-scale, -seed and -jobs only tune a selected run)")
 		flag.Usage()
-		os.Exit(2)
-	}
-	if *resume && *ckptPath == "" {
-		fmt.Fprintln(os.Stderr, "xenbench: -resume requires -checkpoint")
-		os.Exit(2)
-	}
-	if *ptrFacts && *workers > 0 {
-		fmt.Fprintln(os.Stderr, "xenbench: -ptr is incompatible with -workers > 0 (the Step-2 worker protocol does not ship fact tables)")
 		os.Exit(2)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -215,7 +202,6 @@ func main() {
 	}
 	rn := &runner{
 		jobs:    *jobs,
-		workers: *workers,
 		timeout: *timeout,
 		retry:   lift.RetryPolicy{MaxAttempts: *retries, Backoff: *retryBackoff},
 		// tr is nil when no sink is selected: every emission site reduces
@@ -226,24 +212,6 @@ func main() {
 		rn.faults = faultinject.New(faultinject.Config{
 			Seed: *faultSeed, PanicRate: *faultPanic, StallRate: *faultStall,
 		})
-	}
-	if *ckptPath != "" {
-		if !*resume {
-			if err := os.Remove(*ckptPath); err != nil && !os.IsNotExist(err) {
-				fatal(err)
-			}
-		}
-		var err error
-		rn.ckpt, err = lift.OpenCheckpoint(*ckptPath)
-		if err != nil {
-			fatal(err)
-		}
-		if n := rn.ckpt.Skipped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "xenbench: checkpoint: dropped %d unparseable journal lines\n", n)
-		}
-		if n := rn.ckpt.Len(); n > 0 {
-			fmt.Fprintf(os.Stderr, "xenbench: checkpoint: restoring %d completed lifts\n", n)
-		}
 	}
 	if *storePath != "" {
 		st, err := lift.OpenStore(*storePath)
@@ -290,12 +258,16 @@ func main() {
 	if metrics != nil {
 		fmt.Print(metrics.Dump())
 	}
-	if err := rn.ckpt.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "xenbench: checkpoint:", err)
-		code = 1
-	}
 	if rn.store != nil {
-		fmt.Fprintf(os.Stderr, "xenbench: store: hits=%d misses=%d\n", rn.storeHits, rn.storeMisses)
+		tally := fmt.Sprintf("xenbench: store: hits=%d misses=%d", rn.storeHits, rn.storeMisses)
+		if rn.storeWriteErrors > 0 {
+			// The lifts completed, but their graphs were not cached: a
+			// re-run would lift them again, so the run fails even with
+			// -keep-going.
+			tally += fmt.Sprintf(" write-errors=%d (first: %v)", rn.storeWriteErrors, rn.storeWriteErr)
+			code = 1
+		}
+		fmt.Fprintln(os.Stderr, tally)
 	}
 	if !rn.healthy() {
 		fmt.Fprintf(os.Stderr,
@@ -333,8 +305,8 @@ func (r *dirResult) hitRate() string {
 }
 
 // liftDirectory generates one Table 1 directory and lifts every unit
-// through the pipeline; scope namespaces the checkpoint journal.
-func liftDirectory(ctx context.Context, shape corpus.DirShape, seed int64, scope string, cache *solver.Cache, rn *runner) (*dirResult, error) {
+// through the pipeline.
+func liftDirectory(ctx context.Context, shape corpus.DirShape, seed int64, cache *solver.Cache, rn *runner) (*dirResult, error) {
 	dir, err := corpus.BuildDirectory(shape, seed)
 	if err != nil {
 		return nil, err
@@ -351,7 +323,7 @@ func liftDirectory(ctx context.Context, shape corpus.DirShape, seed int64, scope
 			fmt.Fprintf(os.Stderr, "xenbench: flipped one immediate in %s/%s\n", u.Name, fn)
 		}
 	}
-	opts := append(rn.opts(scope), lift.Cache(cache))
+	opts := append(rn.opts(), lift.Cache(cache))
 	sum := lift.Run(ctx, lift.UnitRequests(dir.Units), opts...)
 	rn.absorb(sum)
 	res := &dirResult{name: shape.Name, kind: shape.Kind, elapsed: sum.Wall}
@@ -381,7 +353,7 @@ func runTable1(ctx context.Context, scale float64, seed int64, rn *runner) {
 	cache := solver.NewCache()
 	var totals [2]dirResult
 	for _, shape := range corpus.XenSuite(scale) {
-		res, err := liftDirectory(ctx, shape, seed, "table1/"+shape.Name, cache, rn)
+		res, err := liftDirectory(ctx, shape, seed, cache, rn)
 		if err != nil {
 			fatal(err)
 		}
@@ -432,56 +404,13 @@ func runTable2(ctx context.Context, rn *runner) {
 	for _, u := range units {
 		reqs = append(reqs, lift.Binary(u.Name, u.Image))
 	}
-	// Step 2 re-checks graphs in memory, so Table 2 lifts without a
-	// checkpoint (a restored result carries no graph to check).
-	t2opts := []lift.Option{
-		lift.Jobs(rn.jobs), lift.Timeout(rn.timeout),
-		lift.Tracer(rn.tr), lift.Retry(rn.retry), lift.Faults(rn.faults),
-	}
-	if rn.ptr {
-		t2opts = append(t2opts, lift.PointerFacts())
-	}
-	sum := lift.Run(ctx, reqs, t2opts...)
+	// With -store the graphs of a warm run are decoded from the store, so
+	// Step 2 below checks the stored graphs: an interrupted Table 2
+	// resumes like any other sweep.
+	sum := lift.Run(ctx, reqs, rn.opts()...)
 	rn.absorb(sum)
 
-	// With -workers the Step-2 checks of every lifted function go through
-	// the dist coordinator in one batch (so solver batching and load
-	// balancing see the whole corpus); the reports come back in unit
-	// order, which is exactly the order the print loop below consumes
-	// them in. Worker chatter stays on stderr: the printed table is
-	// byte-identical to the single-process run.
-	var distReports []*triple.Report
-	if rn.workers > 0 {
-		var dus []dist.Unit
-		for i, r := range sum.Results {
-			if r.Status != core.StatusLifted || r.Binary == nil {
-				continue
-			}
-			for _, fr := range r.Binary.Funcs {
-				dus = append(dus, dist.Unit{
-					Name:  fmt.Sprintf("%s/%s", r.Name, fr.Name),
-					Img:   units[i].Image,
-					Graph: fr.Graph,
-				})
-			}
-		}
-		fmt.Fprintf(os.Stderr, "xenbench: distributing %d Step-2 checks across %d workers\n",
-			len(dus), rn.workers)
-		var err error
-		distReports, err = dist.Check(ctx, dus, dist.Options{
-			Workers: rn.workers,
-			Cfg:     sem.DefaultConfig(),
-			Retry:   rn.retry,
-			Timeout: rn.timeout,
-			Tracer:  rn.tr,
-		})
-		if err != nil {
-			fatal(err)
-		}
-	}
-
 	var sumI, sumInd, sumP, sumA, sumF, sumS int
-	next := 0
 	for i, r := range sum.Results {
 		if r.Status != core.StatusLifted || r.Binary == nil {
 			fmt.Printf("%-10s NOT LIFTED: %s\n", r.Name, r.Status)
@@ -489,20 +418,14 @@ func runTable2(ctx context.Context, rn *runner) {
 		}
 		var proven, assumed, failed, skipped int
 		for _, fr := range r.Binary.Funcs {
-			var rep *triple.Report
-			if rn.workers > 0 {
-				rep = distReports[next]
-				next++
-			} else {
-				cfg := sem.DefaultConfig()
-				if rn.ptr {
-					// Re-check under the same facts the lift explored
-					// with, so Step 2 reproduces the lift's verdicts.
-					cfg.Facts = ptr.Analyze(units[i].Image, fr.Addr).Facts
-				}
-				rep = triple.Check(ctx, units[i].Image, fr.Graph, cfg,
-					triple.Workers(rn.jobs), triple.WithTracer(rn.tr))
+			cfg := sem.DefaultConfig()
+			if rn.ptr {
+				// Re-check under the same facts the lift explored with,
+				// so Step 2 reproduces the lift's verdicts.
+				cfg.Facts = ptr.Analyze(units[i].Image, fr.Addr).Facts
 			}
+			rep := triple.Check(ctx, units[i].Image, fr.Graph, cfg,
+				triple.Workers(rn.jobs), triple.WithTracer(rn.tr))
 			proven += rep.Proven
 			assumed += rep.Assumed
 			failed += rep.Failed
@@ -540,8 +463,7 @@ func runFig3(ctx context.Context, scale float64, seed int64, rn *runner) {
 			Name: "fig3", Kind: corpus.KindLibFunc, Lifted: perClass,
 			MinStmts: stmts, MaxStmts: stmts, Helpers: 1,
 		}
-		scope := fmt.Sprintf("fig3/%d", stmts)
-		r, err := liftDirectory(ctx, shape, seed+int64(stmts), scope, cache, rn)
+		r, err := liftDirectory(ctx, shape, seed+int64(stmts), cache, rn)
 		if err != nil {
 			fatal(err)
 		}
@@ -645,7 +567,7 @@ func runPtrBench(ctx context.Context, rn *runner) {
 	if err != nil {
 		fatal(err)
 	}
-	sum := lift.Run(ctx, lift.UnitRequests(dir.Units), rn.opts("ptrbench")...)
+	sum := lift.Run(ctx, lift.UnitRequests(dir.Units), rn.opts()...)
 	rn.absorb(sum)
 	for _, r := range sum.Results {
 		fmt.Printf("verdict %s %s\n", r.Name, r.Status)

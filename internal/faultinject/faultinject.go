@@ -1,17 +1,17 @@
 // Package faultinject is a deterministic, seeded fault injector for the
 // lifting pipeline's robustness machinery. Production-scale corpus runs
-// must survive worker panics, wedged lifts and checkpoint I/O errors; this
+// must survive worker panics, wedged lifts and being killed part-way; this
 // package lets tests and CI *prove* that they do, by injecting exactly
 // those faults at decision points the pipeline already owns (the start of
-// a lift attempt, a checkpoint append, the completion of a task).
+// a lift attempt, the completion of a task).
 //
 // Every decision is a pure function of (seed, site, key, attempt): an FNV
 // hash mapped to [0,1) and compared against the configured rate. Nothing
 // depends on wall-clock time, scheduling order or previous decisions, so a
 // faulted corpus run is as reproducible as a clean one — the property the
-// checkpoint/resume determinism tests rely on: a run that is killed and
-// resumed re-derives the same faults for the tasks it replays, and
-// therefore the same statuses.
+// resume determinism tests rely on: a run that is killed and then resumed
+// against its Hoare-graph store re-derives the same faults for the tasks
+// it lifts again, and therefore the same statuses.
 //
 // An *Injector is nil-safe in the style of obs.Tracer: every method is
 // free to call on a nil receiver, so the pipeline consults it
@@ -44,9 +44,6 @@ type Config struct {
 	// beyond any test watchdog budget). Stalls end early when the
 	// attempt's context is cancelled, so abandoned goroutines drain.
 	StallFor time.Duration
-	// WriteErrRate is the probability that a checkpoint append for a
-	// given task reports an injected I/O error instead of persisting.
-	WriteErrRate float64
 	// MaxAttemptFaults caps lift faults per task to the first n attempts
 	// (0 = every attempt is eligible). MaxAttemptFaults=1 with
 	// PanicRate=1 makes every task fail exactly once and then recover —
@@ -60,8 +57,8 @@ type Config struct {
 
 // Counts tallies the faults an injector actually fired.
 type Counts struct {
-	Panics, Stalls, WriteErrs uint64
-	Killed                    bool
+	Panics, Stalls uint64
+	Killed         bool
 }
 
 // Injector makes deterministic fault decisions. The zero value (or nil)
@@ -71,7 +68,6 @@ type Injector struct {
 	completed atomic.Int64
 	panics    atomic.Uint64
 	stalls    atomic.Uint64
-	writeErrs atomic.Uint64
 	killed    atomic.Bool
 
 	mu     sync.Mutex
@@ -156,19 +152,8 @@ func (i *Injector) LiftStall(task string, attempt int) (time.Duration, bool) {
 	return i.cfg.StallFor, true
 }
 
-// CheckpointWriteErr returns an injected error for the given task's
-// checkpoint append, or nil. The decision is keyed by task name, not write
-// order, so it is identical regardless of worker interleaving.
-func (i *Injector) CheckpointWriteErr(task string) error {
-	if i == nil || !i.decide("checkpoint-write", task, 0, i.cfg.WriteErrRate) {
-		return nil
-	}
-	i.writeErrs.Add(1)
-	return fmt.Errorf("faultinject: injected checkpoint write error for %q", task)
-}
-
-// TaskCompleted records one completed (non-restored) task and fires the
-// OnKill callback when the KillAfter threshold is reached.
+// TaskCompleted records one completed task and fires the OnKill callback
+// when the KillAfter threshold is reached.
 func (i *Injector) TaskCompleted() {
 	if i == nil {
 		return
@@ -190,9 +175,8 @@ func (i *Injector) Fired() Counts {
 		return Counts{}
 	}
 	return Counts{
-		Panics:    i.panics.Load(),
-		Stalls:    i.stalls.Load(),
-		WriteErrs: i.writeErrs.Load(),
-		Killed:    i.killed.Load(),
+		Panics: i.panics.Load(),
+		Stalls: i.stalls.Load(),
+		Killed: i.killed.Load(),
 	}
 }

@@ -11,7 +11,7 @@ import (
 // identical decisions on identical keys, and a different seed to disagree
 // somewhere.
 func TestDeterministic(t *testing.T) {
-	cfg := Config{Seed: 7, PanicRate: 0.3, StallRate: 0.3, WriteErrRate: 0.3}
+	cfg := Config{Seed: 7, PanicRate: 0.3, StallRate: 0.3}
 	a, b := New(cfg), New(cfg)
 	cfg.Seed = 8
 	c := New(cfg)
@@ -25,9 +25,6 @@ func TestDeterministic(t *testing.T) {
 			_, sb := b.LiftStall(task, attempt)
 			if sa != sb {
 				t.Fatalf("same-seed stall decisions diverge for %s/%d", task, attempt)
-			}
-			if (a.CheckpointWriteErr(task) == nil) != (b.CheckpointWriteErr(task) == nil) {
-				t.Fatalf("same-seed write-error decisions diverge for %s", task)
 			}
 			if a.LiftPanic(task, attempt) != c.LiftPanic(task, attempt) {
 				diverged = true
@@ -54,7 +51,7 @@ func TestRates(t *testing.T) {
 		t.Fatalf("empirical rate %.3f far from configured 0.2", got)
 	}
 	var zero *Injector
-	if zero.LiftPanic("x", 0) || zero.CheckpointWriteErr("x") != nil {
+	if zero.LiftPanic("x", 0) {
 		t.Fatal("nil injector fired")
 	}
 	if _, ok := zero.LiftStall("x", 0); ok {

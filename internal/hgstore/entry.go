@@ -217,7 +217,7 @@ func graphStorable(fr *core.FuncResult) bool {
 // dependency ranges: a hash mismatch (or unreadable range) returns
 // ErrStale, any structural problem returns the decoder's error. Graph
 // decoding re-fetches instructions from the image and restores interned
-// expression pointer identity, exactly like the dist shard decoder.
+// expression pointer identity (hoare.DecodeWire).
 func decodePayload(d *wire.Decoder, img *image.Image) (*Entry, error) {
 	e := &Entry{Status: core.Status(d.Byte("status"))}
 	for _, p := range []*int{

@@ -97,10 +97,9 @@ type Store struct {
 	dirty     bool // buffered entries not yet flushed
 }
 
-// Open creates or resumes the store at path — one idiom, like
-// lift.OpenCheckpoint: a missing file is an empty store, an existing one
-// is loaded with corrupt, truncated, or version-skewed records dropped
-// (Dropped counts them). Only real I/O errors are returned. Open takes
+// Open creates or resumes the store at path: a missing file is an empty
+// store, an existing one is loaded with corrupt, truncated, or
+// version-skewed records dropped (Dropped counts them). Only real I/O errors are returned. Open takes
 // the cross-process lock for the read, so it also sweeps any tmp files a
 // crashed writer stranded in the directory.
 func Open(path string) (*Store, error) {

@@ -1,9 +1,9 @@
 // This file implements the binary Hoare-graph record used by the
-// distributed Step-2 shard format (internal/dist): the same graph content
-// as the .hg text form of serial.go, but with every expression replaced by
-// an index into a shared interned-expression table (expr.Table), so shared
-// subterms are emitted once per shard rather than re-rendered at every
-// occurrence. Like the text form, instructions are stored by address only
+// Hoare-graph store and the standalone binary graph file (internal/hgstore):
+// the same graph content as the .hg text form of serial.go, but with every
+// expression replaced by an index into a shared interned-expression table
+// (expr.Table), so shared subterms are emitted once per container rather
+// than re-rendered at every occurrence. Like the text form, instructions are stored by address only
 // and re-fetched from the binary image on decode, so a serialised graph
 // cannot silently drift from its binary.
 //
@@ -26,9 +26,9 @@
 //	tree   = region-count (EXPR size)* kid-count tree*
 //	edge   = from to out-kind addr callee
 //
-// The encoder's callers (dist) first collect every expression of the
-// shard's graphs into one expr.Table via CollectWireExprs, append the
-// table once, then append each graph record against it.
+// The encoder's callers (hgstore) first collect every expression of the
+// graphs a container holds into one expr.Table via CollectWireExprs,
+// append the table once, then append each graph record against it.
 
 package hoare
 

@@ -76,8 +76,8 @@ func FromFile(f *elf64.File) *Image {
 func (im *Image) File() *elf64.File { return im.file }
 
 // Raw returns the ELF bytes the image was loaded from, or nil for an
-// image built with FromFile (which never saw the raw file). Distribution
-// needs the bytes to re-load the image inside a worker subprocess.
+// image built with FromFile (which never saw the raw file). The store
+// hashes them into a binary task's key.
 func (im *Image) Raw() []byte { return im.raw }
 
 // Entry returns the binary's entry point.

@@ -34,30 +34,26 @@ type Kind uint8
 // may lift several functions: a binary lift explores every reachable
 // callee); lift events bracket one function exploration.
 const (
-	KTaskStart     Kind = iota // pipeline: a scheduled task began
-	KTaskFinish                // pipeline: a scheduled task completed (Status, Wall)
-	KWatchdog                  // pipeline: the watchdog abandoned a wedged lift
-	KLiftStart                 // core: one function exploration began
-	KLiftFinish                // core: one function exploration ended (Status, N = steps, Wall)
-	KStep                      // core: one exploration step (Algorithm 1 loop body)
-	KJoin                      // core: an existing invariant was weakened by joining
-	KFork                      // sem: an undecided insertion forked the memory model (N = extra models)
-	KDestroy                   // sem: an insertion destroyed a region in some model
-	KSolver                    // sem: one solver comparison (Hit = answered from memo)
-	KObligation                // core: a proof obligation over an external call was emitted
-	KTheorem                   // triple: a Step-2 theorem verdict (Status, Vertex)
-	KLint                      // hglint: a static-analysis diagnostic (Status = severity, Detail = rule: msg)
-	KRetry                     // pipeline: a failed lift attempt was re-scheduled (Status = attempt's outcome, N = attempt)
-	KQuarantine                // pipeline: a task exhausted its retry budget (Status = final outcome, N = attempts)
-	KCheckpoint                // pipeline: checkpoint activity (Status = skip | write-error, Detail = context)
-	KShardStart                // dist: a serialized shard was handed to a worker (N = work units)
-	KShardDone                 // dist: a shard's verdicts merged (Status, N = solver queries, Hits = memo hits, Wall)
-	KWorkerRestart             // dist: a worker crashed or timed out and its shard was re-scheduled (Status, N = attempt)
-	KStore                     // hgstore: graph-store activity (Status = hit | miss | write | write-error | flush; N = payload bytes or flushed entries, Wall = decode/flush latency, Detail = miss reason / error)
-	KServe                     // serve: daemon request lifecycle (Status = admit | reject | request outcome; Func = request id, Detail = tenant, N = queue depth, Wall = request latency)
-	KFallback                  // sem: an insertion abandoned its forked models past MaxModels and destroyed instead
-	KPtrAnalyze                // ptr: the pointer pre-pass analyzed one function (N = proven facts, Hits = hypotheses, Wall = analysis time)
-	KFactHit                   // sem: a region comparison was answered from the pointer fact table
+	KTaskStart  Kind = iota // pipeline: a scheduled task began
+	KTaskFinish             // pipeline: a scheduled task completed (Status, Wall)
+	KWatchdog               // pipeline: the watchdog abandoned a wedged lift
+	KLiftStart              // core: one function exploration began
+	KLiftFinish             // core: one function exploration ended (Status, N = steps, Wall)
+	KStep                   // core: one exploration step (Algorithm 1 loop body)
+	KJoin                   // core: an existing invariant was weakened by joining
+	KFork                   // sem: an undecided insertion forked the memory model (N = extra models)
+	KDestroy                // sem: an insertion destroyed a region in some model
+	KSolver                 // sem: one solver comparison (Hit = answered from memo)
+	KObligation             // core: a proof obligation over an external call was emitted
+	KTheorem                // triple: a Step-2 theorem verdict (Status, Vertex)
+	KLint                   // hglint: a static-analysis diagnostic (Status = severity, Detail = rule: msg)
+	KRetry                  // pipeline: a failed lift attempt was re-scheduled (Status = attempt's outcome, N = attempt)
+	KQuarantine             // pipeline: a task exhausted its retry budget (Status = final outcome, N = attempts)
+	KStore                  // hgstore: graph-store activity (Status = hit | miss | write | write-error | flush; N = payload bytes or flushed entries, Wall = decode/flush latency, Detail = miss reason / error)
+	KServe                  // serve: daemon request lifecycle (Status = admit | reject | request outcome; Func = request id, Detail = tenant, N = queue depth, Wall = request latency)
+	KFallback               // sem: an insertion abandoned its forked models past MaxModels and destroyed instead
+	KPtrAnalyze             // ptr: the pointer pre-pass analyzed one function (N = proven facts, Hits = hypotheses, Wall = analysis time)
+	KFactHit                // sem: a region comparison was answered from the pointer fact table
 )
 
 // kindNames renders the kinds in the JSONL trace.
@@ -77,16 +73,11 @@ var kindNames = [...]string{
 	KLint:       "lint",
 	KRetry:      "retry",
 	KQuarantine: "quarantine",
-	KCheckpoint: "checkpoint",
-
-	KShardStart:    "shard-start",
-	KShardDone:     "shard-done",
-	KWorkerRestart: "worker-restart",
-	KStore:         "store",
-	KServe:         "serve",
-	KFallback:      "fallback",
-	KPtrAnalyze:    "ptr-analyze",
-	KFactHit:       "ptr-hit",
+	KStore:      "store",
+	KServe:      "serve",
+	KFallback:   "fallback",
+	KPtrAnalyze: "ptr-analyze",
+	KFactHit:    "ptr-hit",
 }
 
 // String renders the kind.
@@ -120,10 +111,10 @@ type Event struct {
 	// Detail is free-form context (an obligation text, a watchdog note).
 	Detail string
 	// N is a count: extra memory models for KFork, exploration steps for
-	// KLiftFinish, solver queries for KShardDone.
+	// KLiftFinish, proven facts for KPtrAnalyze (see each Kind).
 	N uint64
-	// Hits is a second count for kinds that need one: solver memo hits for
-	// KShardDone (N holds the query count).
+	// Hits is a second count for kinds that need one: separation
+	// hypotheses for KPtrAnalyze (N holds the proven facts).
 	Hits uint64
 	// Hit reports a solver memo-cache hit for KSolver.
 	Hit bool
@@ -334,53 +325,6 @@ func (t *Tracer) Quarantine(name, status string, attempts int) {
 		Detail: "task quarantined: retry budget exhausted"})
 }
 
-// CheckpointSkip marks a task restored from the checkpoint journal instead
-// of being lifted.
-func (t *Tracer) CheckpointSkip(name string) {
-	if t == nil {
-		return
-	}
-	t.Emit(Event{Kind: KCheckpoint, Func: name, Status: "skip",
-		Detail: "restored from checkpoint journal"})
-}
-
-// CheckpointError marks a failed checkpoint append; the run keeps going
-// (the record is retried on the next append), so this is a warning, not a
-// failure.
-func (t *Tracer) CheckpointError(name string, err error) {
-	if t == nil {
-		return
-	}
-	t.Emit(Event{Kind: KCheckpoint, Func: name, Status: "write-error", Detail: err.Error()})
-}
-
-// ShardStart marks the dist coordinator handing a serialized shard (with
-// the given number of work units) to a worker subprocess.
-func (t *Tracer) ShardStart(shard string, units int) {
-	if t == nil {
-		return
-	}
-	t.Emit(Event{Kind: KShardStart, Func: shard, N: uint64(units)})
-}
-
-// ShardDone marks a shard's verdicts being merged back: status is "ok" or
-// the terminal failure, queries/hits the shard solver cache's totals.
-func (t *Tracer) ShardDone(shard, status string, queries, hits uint64, wall time.Duration) {
-	if t == nil {
-		return
-	}
-	t.Emit(Event{Kind: KShardDone, Func: shard, Status: status, N: queries, Hits: hits, Wall: wall})
-}
-
-// WorkerRestart marks a worker subprocess crash or timeout whose shard was
-// re-scheduled; attempt is the 0-based index of the attempt that failed.
-func (t *Tracer) WorkerRestart(shard, reason string, attempt int) {
-	if t == nil {
-		return
-	}
-	t.Emit(Event{Kind: KWorkerRestart, Func: shard, Status: reason, N: uint64(attempt)})
-}
-
 // StoreHit marks a graph-store lookup answered from the cache: bytes is
 // the entry's encoded payload size, wall the decode latency (the cost the
 // hit paid instead of a lift).
@@ -409,8 +353,9 @@ func (t *Tracer) StoreWrite(name string, bytes uint64) {
 	t.Emit(Event{Kind: KStore, Func: name, Status: "write", N: bytes})
 }
 
-// StoreError marks a failed store append; like checkpoint write errors the
-// run keeps going — the entry is simply not cached — so this is a warning.
+// StoreError marks a failed store append. The run keeps going — the entry
+// is simply not cached — and the Summary counts the failure, so the
+// commands can report it and exit non-zero.
 func (t *Tracer) StoreError(name string, err error) {
 	if t == nil {
 		return

@@ -91,10 +91,6 @@ type Options struct {
 	// only reproduce the outcome or replace a fault with the real result.
 	// The zero policy disables retrying.
 	Retry RetryPolicy
-	// Checkpoint, when non-nil, makes the run crash-safe: every completed
-	// (non-cancelled) result is appended to the journal, and tasks whose
-	// results the journal already holds are restored without running.
-	Checkpoint *Checkpoint
 	// Faults, when non-nil, is the deterministic fault injector consulted
 	// at the start of every lift attempt and at kill-after thresholds.
 	// Production runs leave it nil; tests and the CI smoke job use it to
@@ -112,8 +108,12 @@ type Options struct {
 	// valid entry skips Step-1 lifting entirely — the result (graphs,
 	// statistics replay) is decoded from the store, optionally re-linted,
 	// and reported with FromStore set. Misses lift as usual and append
-	// their outcome when Storable. Unlike Checkpoint, a store survives
-	// corpus changes: only the tasks whose code bytes drifted re-lift.
+	// their outcome when Storable. The store is also how an interrupted
+	// run resumes: re-running it against the same store answers every
+	// stored task without lifting, and because a store survives corpus
+	// changes, only the tasks whose code bytes drifted re-lift. A Put
+	// that fails leaves the task uncached; Result.StoreWriteErr and
+	// Summary.StoreWriteErrors report it.
 	Store *hgstore.Store
 }
 
@@ -134,21 +134,19 @@ type RetryPolicy struct {
 	TimeoutScale float64
 }
 
-// Attempts normalises MaxAttempts: the total number of attempts a task
-// gets, at least 1. Exported so other schedulers with the same
-// retry-then-quarantine semantics (the dist coordinator's worker
-// subprocesses) share the policy's interpretation.
-func (p RetryPolicy) Attempts() int {
+// attempts normalises MaxAttempts: the total number of attempts a task
+// gets, at least 1.
+func (p RetryPolicy) attempts() int {
 	if p.MaxAttempts < 1 {
 		return 1
 	}
 	return p.MaxAttempts
 }
 
-// Delay returns the backoff before the retry that follows the given
+// delay returns the backoff before the retry that follows the given
 // failed attempt (0-based index): Backoff doubled per retry, capped by
 // MaxBackoff when set.
-func (p RetryPolicy) Delay(attempt int) time.Duration {
+func (p RetryPolicy) delay(attempt int) time.Duration {
 	d := p.Backoff << attempt
 	if p.MaxBackoff > 0 && d > p.MaxBackoff {
 		d = p.MaxBackoff
@@ -232,25 +230,21 @@ type Result struct {
 	// or the Summary totals: a corpus's counts must not depend on how
 	// many times its lifts were retried.
 	RetryStats Stats
-	// Restored marks a result restored from a checkpoint journal rather
-	// than executed in this run. Restored results carry Status, Stats and
-	// retry accounting but no Func/Binary/Lint payloads (the journal
-	// persists outcomes, not graphs).
-	Restored bool
-	// JournalLintErrors carries the journal-recorded lint error count of
-	// a restored result, whose Lint reports are not persisted.
-	JournalLintErrors int
 	// FromStore marks a result decoded from the Hoare-graph store instead
-	// of lifted. Unlike Restored results it carries full Func/Binary
-	// payloads (the store persists graphs); Stats replay the cold lift's
+	// of lifted. It carries full Func/Binary payloads (the store persists
+	// graphs) and reports one attempt; Stats replay the cold lift's
 	// record, so warm summaries aggregate identically to cold ones.
 	FromStore bool
+	// StoreWriteErr is the error of a failed store Put of this result: the
+	// lift completed, but its graphs were not cached, so a re-run lifts
+	// the task again. nil when the write succeeded or none was attempted.
+	StoreWriteErr error
 }
 
 // LintErrors sums the error-severity diagnostics across the result's
-// lint reports (for restored results: the journal-recorded count).
+// lint reports.
 func (r *Result) LintErrors() int {
-	n := r.JournalLintErrors
+	n := 0
 	for _, rep := range r.Lint {
 		n += rep.Errors()
 	}
@@ -275,14 +269,15 @@ type Summary struct {
 	// untroubled ones.
 	RetryStats Stats
 	// Retried counts tasks that needed more than one attempt;
-	// Quarantined counts those that exhausted the retry budget. Restored
-	// counts results replayed from the checkpoint journal.
-	Retried, Quarantined, Restored int
+	// Quarantined counts those that exhausted the retry budget.
+	Retried, Quarantined int
 	// StoreHits counts tasks answered from the Hoare-graph store,
 	// StoreMisses tasks that consulted it and had to lift (0 unless
 	// Options.Store was set). A fully warm run has StoreMisses == 0: it
-	// performed no lifts at all.
-	StoreHits, StoreMisses int
+	// performed no lifts at all. StoreWriteErrors counts the misses whose
+	// result could not be written back (Result.StoreWriteErr); the run
+	// is complete, but a re-run will lift them again.
+	StoreHits, StoreMisses, StoreWriteErrors int
 	// LintErrors sums error-severity hglint diagnostics across every
 	// result (0 unless Options.Lint was set).
 	LintErrors int
@@ -291,6 +286,44 @@ type Summary struct {
 	// Cache is the Run's solver cache (shared or per-Run), for corpus-wide
 	// hit-rate reporting.
 	Cache *solver.Cache
+}
+
+// Canonical renders the Summary as a deterministic byte string: results
+// in task order with their status, retry accounting and
+// scheduling-independent statistics, then the corpus totals. Wall-clock
+// fields, memo-cache hit counts and the statistics of abandoned attempts
+// are excluded — time varies run to run, hits depend on how warm the
+// shared cache was when each lift ran (a resumed run answers part of the
+// corpus from the store), and a cooperatively timed-out attempt's
+// partial statistics depend on where the deadline landed. Everything
+// included is a pure function of the inputs, so an interrupted run
+// resumed against its store renders byte-identically to an uninterrupted
+// one, as long as no task needed a retry: a store hit reports one
+// attempt.
+func (s *Summary) Canonical() string {
+	var b []byte
+	app := func(format string, args ...any) {
+		b = append(b, fmt.Sprintf(format, args...)...)
+	}
+	for _, r := range s.Results {
+		g := r.Stats.Graph
+		app("%s status=%s attempts=%d quarantined=%t lint=%d instrs=%d states=%d joins=%d edges=%d A=%d B=%d C=%d obl=%d asm=%d weird=%d queries=%d forks=%d destroys=%d\n",
+			r.Name, r.Status, r.Attempts, r.Quarantined, r.LintErrors(),
+			g.Instructions, g.States, g.Joins, g.Edges,
+			g.ResolvedInd, g.UnresolvedJump, g.UnresolvedCall,
+			g.Obligations, g.Assumptions, g.WeirdVertices,
+			r.Stats.Sem.SolverQueries, r.Stats.Sem.Forks, r.Stats.Sem.Destroys)
+	}
+	tg := s.Stats.Graph
+	app("total lifted=%d unprovable=%d concurrency=%d timeouts=%d errors=%d panics=%d cancelled=%d retried=%d quarantined=%d lint=%d\n",
+		s.Lifted, s.Unprovable, s.Concurrency, s.Timeouts, s.Errors, s.Panics,
+		s.Cancelled, s.Retried, s.Quarantined, s.LintErrors)
+	app("stats instrs=%d states=%d joins=%d edges=%d A=%d B=%d C=%d obl=%d asm=%d weird=%d queries=%d forks=%d destroys=%d\n",
+		tg.Instructions, tg.States, tg.Joins, tg.Edges,
+		tg.ResolvedInd, tg.UnresolvedJump, tg.UnresolvedCall,
+		tg.Obligations, tg.Assumptions, tg.WeirdVertices,
+		s.Stats.Sem.SolverQueries, s.Stats.Sem.Forks, s.Stats.Sem.Destroys)
+	return string(b)
 }
 
 // testHookLiftStart, when set, runs at the start of every lift on the
@@ -312,35 +345,9 @@ func RunCtx(ctx context.Context, tasks []Task, opts Options) *Summary {
 		opts.Cache = solver.NewCache()
 	}
 	sum := &Summary{Results: make([]Result, len(tasks)), Cache: opts.Cache}
-	// Resume: restore journalled results up front so workers skip them.
-	// Per-unit independence makes this sound — a restored result is the
-	// outcome of the exact same lift the journal's run performed.
-	var restored []bool
-	if opts.Checkpoint != nil {
-		restored = make([]bool, len(tasks))
-		for i, t := range tasks {
-			if r, ok := opts.Checkpoint.Lookup(t.Name); ok {
-				r.Index = i
-				sum.Results[i] = r
-				restored[i] = true
-			}
-		}
-	}
 	start := time.Now()
 	ForEach(opts.Jobs, len(tasks), func(i int) {
-		if restored != nil && restored[i] {
-			opts.Tracer.CheckpointSkip(tasks[i].Name)
-			return
-		}
-		r := runOne(ctx, tasks[i], i, opts)
-		sum.Results[i] = r
-		// Cancelled tasks are not journalled: they produced no outcome
-		// and must rerun on resume.
-		if opts.Checkpoint != nil && r.Status != core.StatusCancelled {
-			if err := opts.Checkpoint.Append(r); err != nil {
-				opts.Tracer.CheckpointError(r.Name, err)
-			}
-		}
+		sum.Results[i] = runOne(ctx, tasks[i], i, opts)
 		opts.Faults.TaskCompleted()
 	})
 	sum.Wall = time.Since(start)
@@ -355,15 +362,15 @@ func RunCtx(ctx context.Context, tasks []Task, opts Options) *Summary {
 		if r.Quarantined {
 			sum.Quarantined++
 		}
-		if r.Restored {
-			sum.Restored++
-		}
-		if opts.Store != nil && !r.Restored {
+		if opts.Store != nil {
 			if r.FromStore {
 				sum.StoreHits++
 			} else if r.Status != core.StatusCancelled {
 				sum.StoreMisses++
 			}
+		}
+		if r.StoreWriteErr != nil {
+			sum.StoreWriteErrors++
 		}
 		switch r.Status {
 		case core.StatusLifted:
@@ -400,6 +407,7 @@ func runOne(ctx context.Context, t Task, idx int, opts Options) Result {
 			hgstore.Storable(r.Status, opts.Timeout > 0) &&
 			(r.Func != nil || r.Binary != nil) {
 			if n, err := opts.Store.Put(storeKey, entryFromResult(r), t.Img); err != nil {
+				r.StoreWriteErr = err
 				tr.StoreError(t.Name, err)
 			} else {
 				tr.StoreWrite(t.Name, uint64(n))
@@ -431,7 +439,7 @@ func runOne(ctx context.Context, t Task, idx int, opts Options) Result {
 			tr.StoreMiss(t.Name, reason)
 		}
 	}
-	maxAttempts := opts.Retry.Attempts()
+	maxAttempts := opts.Retry.attempts()
 	var retryStats Stats
 	for attempt := 0; ; attempt++ {
 		r := runAttempt(ctx, t, idx, opts, tr, attempt)
@@ -448,7 +456,7 @@ func runOne(ctx context.Context, t Task, idx int, opts Options) Result {
 			return finish(r)
 		}
 		retryStats.Add(r.Stats)
-		backoff := opts.Retry.Delay(attempt)
+		backoff := opts.Retry.delay(attempt)
 		tr.Retry(t.Name, r.Status.String(), attempt, backoff)
 		if backoff > 0 {
 			timer := time.NewTimer(backoff)

@@ -18,11 +18,17 @@ import (
 // tests.
 func smallDir(t *testing.T) []Task {
 	t.Helper()
-	shape := corpus.DirShape{
+	return dirTasks(t, corpus.DirShape{
 		Name: "pipetest", Kind: corpus.KindLibFunc, Lifted: 6,
 		MinStmts: 2, MaxStmts: 8, Helpers: 1,
-	}
-	dir, err := corpus.BuildDirectory(shape, 42)
+	}, 42)
+}
+
+// dirTasks generates one corpus directory and maps its units onto tasks,
+// honouring each unit's step budget.
+func dirTasks(t *testing.T, shape corpus.DirShape, seed int64) []Task {
+	t.Helper()
+	dir, err := corpus.BuildDirectory(shape, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,16 @@
 package triple
 
 import (
+	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/elf64"
 	"repro/internal/expr"
+	"repro/internal/hgstore"
 	"repro/internal/hoare"
 	"repro/internal/image"
 	"repro/internal/memmodel"
@@ -199,9 +202,11 @@ func dumpFailures(rep *Report) string {
 
 var _ = hoare.ExitID
 
-// TestSerialisedGraphVerifies marshals a lifted graph to the .hg format,
-// loads it back, and re-verifies every theorem on the loaded copy — the
-// full export/import/validate pipeline.
+// TestSerialisedGraphVerifies marshals a lifted graph to each persisted
+// format — the .hg text and the compact binary container the store and
+// hgprove -hg read — loads it back, and re-verifies every theorem on the
+// loaded copy: the full export/import/validate pipeline. The loaded
+// graph's report must equal the original graph's, theorem for theorem.
 func TestSerialisedGraphVerifies(t *testing.T) {
 	table := make([]byte, 16)
 	im, r := buildAndLift(t, func(a *x86.Asm) {
@@ -229,44 +234,58 @@ func TestSerialisedGraphVerifies(t *testing.T) {
 	if r.Status != core.StatusLifted {
 		t.Fatalf("lift: %s", r.Status)
 	}
+	want := Check(context.Background(), im, r.Graph, sem.DefaultConfig(), Workers(2))
+	if !want.AllProven() {
+		t.Fatalf("original graph failed verification:\n%s", dumpFailures(want))
+	}
 
-	data := hoare.Marshal(r.Graph)
-	loaded, err := hoare.Load(im, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.FuncAddr != r.Graph.FuncAddr || loaded.RetSym != r.Graph.RetSym {
-		t.Fatal("header mismatch")
-	}
-	if len(loaded.Vertices) != len(r.Graph.Vertices) || len(loaded.Edges) != len(r.Graph.Edges) {
-		t.Fatalf("shape mismatch: %d/%d vertices, %d/%d edges",
-			len(loaded.Vertices), len(r.Graph.Vertices), len(loaded.Edges), len(r.Graph.Edges))
-	}
-	// Invariants round-trip exactly (per-vertex predicate keys match).
-	for id, v := range r.Graph.Vertices {
-		lv := loaded.Vertices[id]
-		if lv == nil {
-			t.Fatalf("vertex %s lost", id)
-		}
-		if (v.State == nil) != (lv.State == nil) {
-			t.Fatalf("vertex %s state presence mismatch", id)
-		}
-		if v.State != nil && v.State.Pred.Key() != lv.State.Pred.Key() {
-			t.Fatalf("vertex %s predicate mismatch:\n%s\nvs\n%s",
-				id, v.State.Pred.Key(), lv.State.Pred.Key())
-		}
-		if v.State != nil && v.State.Mem.Key() != lv.State.Mem.Key() {
-			t.Fatalf("vertex %s model mismatch: %s vs %s", id, v.State.Mem, lv.State.Mem)
-		}
-	}
-	// The loaded graph verifies.
-	rep := Check(context.Background(), im, loaded, sem.DefaultConfig(), Workers(2))
-	if !rep.AllProven() {
-		t.Fatalf("loaded graph failed verification:\n%s", dumpFailures(rep))
-	}
-	// Marshalling the loaded graph is a fixed point.
-	if string(hoare.Marshal(loaded)) != string(data) {
-		t.Fatal("marshal is not idempotent across a load")
+	for _, format := range []struct {
+		name    string
+		marshal func(*hoare.Graph) []byte
+	}{
+		{"text", hoare.Marshal},
+		{"binary", hgstore.MarshalGraph},
+	} {
+		t.Run(format.name, func(t *testing.T) {
+			data := format.marshal(r.Graph)
+			loaded, err := hgstore.LoadGraph(im, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded.FuncAddr != r.Graph.FuncAddr || loaded.RetSym != r.Graph.RetSym {
+				t.Fatal("header mismatch")
+			}
+			if len(loaded.Vertices) != len(r.Graph.Vertices) || len(loaded.Edges) != len(r.Graph.Edges) {
+				t.Fatalf("shape mismatch: %d/%d vertices, %d/%d edges",
+					len(loaded.Vertices), len(r.Graph.Vertices), len(loaded.Edges), len(r.Graph.Edges))
+			}
+			// Invariants round-trip exactly (per-vertex predicate keys match).
+			for id, v := range r.Graph.Vertices {
+				lv := loaded.Vertices[id]
+				if lv == nil {
+					t.Fatalf("vertex %s lost", id)
+				}
+				if (v.State == nil) != (lv.State == nil) {
+					t.Fatalf("vertex %s state presence mismatch", id)
+				}
+				if v.State != nil && v.State.Pred.Key() != lv.State.Pred.Key() {
+					t.Fatalf("vertex %s predicate mismatch:\n%s\nvs\n%s",
+						id, v.State.Pred.Key(), lv.State.Pred.Key())
+				}
+				if v.State != nil && v.State.Mem.Key() != lv.State.Mem.Key() {
+					t.Fatalf("vertex %s model mismatch: %s vs %s", id, v.State.Mem, lv.State.Mem)
+				}
+			}
+			// The loaded graph verifies exactly as the original does.
+			rep := Check(context.Background(), im, loaded, sem.DefaultConfig(), Workers(2))
+			if !reflect.DeepEqual(rep, want) {
+				t.Fatalf("loaded graph's report differs from the original's:\n%+v\nvs\n%+v", rep, want)
+			}
+			// Marshalling the loaded graph is a fixed point.
+			if !bytes.Equal(format.marshal(loaded), data) {
+				t.Fatal("marshal is not idempotent across a load")
+			}
+		})
 	}
 }
 

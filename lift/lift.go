@@ -21,16 +21,14 @@
 // core.Lifter.LiftFunc, core.Lifter.LiftBinary, triple.CheckGraph) have
 // been deleted; all lifting flows through this package.
 //
-// Two persistence surfaces compose with a Run:
-//
-//   - WithCheckpoint(cp) makes a run crash-safe: completed results journal
-//     to disk and an interrupted run resumes where it stopped. A
-//     checkpoint is keyed by task name and scoped to one request list.
-//   - WithStore(st) makes lifting incremental: lifted Hoare graphs are
-//     cached content-addressed by (code bytes, config, lifter version), so
-//     a re-run over an unchanged corpus decodes graphs instead of lifting
-//     them, and editing one function re-lifts only that function. A store
-//     survives arbitrary corpus changes.
+// One persistence surface composes with a Run: WithStore(st) makes
+// lifting incremental. Lifted Hoare graphs are cached content-addressed by
+// (code bytes, config, lifter version), so a re-run over an unchanged
+// corpus decodes graphs instead of lifting them, and editing one function
+// re-lifts only that function. The store is also how an interrupted run
+// resumes: re-run it against the same store, and only what the store does
+// not keep lifts again — the tasks that never finished, panics,
+// quarantines and wall-clock timeouts.
 package lift
 
 import (
@@ -58,23 +56,10 @@ type (
 	Stats = pipeline.Stats
 	// RetryPolicy tunes the rescheduling of faulted lifts (see Retry).
 	RetryPolicy = pipeline.RetryPolicy
-	// Checkpoint is a crash-safe journal of completed results (see
-	// WithCheckpoint and OpenCheckpoint).
-	Checkpoint = pipeline.Checkpoint
 	// Store is a content-addressed cache of lifted Hoare graphs (see
 	// WithStore and OpenStore).
 	Store = hgstore.Store
 )
-
-// OpenCheckpoint opens the checkpoint journal at path: an existing file
-// is resumed (a corrupt tail is dropped and reported by Skipped), a
-// missing one starts a fresh journal. Delete the file first for a
-// guaranteed-fresh run. This is the only checkpoint entrypoint: the
-// deprecated NewCheckpoint/ResumeCheckpoint wrappers served their one
-// compatibility release and are gone.
-func OpenCheckpoint(path string) (*Checkpoint, error) {
-	return pipeline.OpenCheckpoint(path)
-}
 
 // OpenStore opens the Hoare-graph store at path: an existing container is
 // loaded (corrupt or version-skewed records are dropped and counted, never
@@ -192,21 +177,14 @@ func Retry(p RetryPolicy) Option {
 	return func(s *settings) { s.popts.Retry = p }
 }
 
-// WithCheckpoint makes the run crash-safe: every completed (non-
-// cancelled) result is appended to the journal, and tasks the journal
-// already holds are restored without lifting. Resuming an interrupted run
-// with the same requests reproduces the uninterrupted Summary.
-func WithCheckpoint(c *Checkpoint) Option {
-	return func(s *settings) { s.popts.Checkpoint = c }
-}
-
 // WithStore makes the run incremental: before lifting, each task is
 // looked up in the store by the hash of its own code bytes, its resolved
 // configuration and the lifter version; a hit decodes the cached graphs
 // (and re-validates the hash of every instruction range they depend on
 // against the task's image) instead of exploring, and a miss lifts as
 // usual and writes the result back. Summary.StoreHits / StoreMisses count
-// the split; a fully warm run performs zero lifts.
+// the split; a fully warm run performs zero lifts. Summary.StoreWriteErrors
+// counts results the store failed to write back.
 func WithStore(st *Store) Option {
 	return func(s *settings) { s.popts.Store = st }
 }

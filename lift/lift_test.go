@@ -1,8 +1,8 @@
 package lift_test
 
 // Facade-level coverage of the robustness options: retry-with-backoff and
-// checkpoint/resume wired through lift.Run, with faults injected the same
-// way the CI smoke job does.
+// resuming against the Hoare-graph store, wired through lift.Run, with
+// faults injected the same way the CI smoke job does.
 
 import (
 	"context"
@@ -27,60 +27,54 @@ func scenarioRequests(t *testing.T) []lift.Request {
 	return reqs
 }
 
-// TestFacadeRetryAndCheckpoint drives the whole robustness surface
-// through the facade: every first attempt panics, retries recover every
-// lift, the journal records the outcomes, and a resumed run restores them
-// without lifting — summarising byte-identically.
-func TestFacadeRetryAndCheckpoint(t *testing.T) {
+// TestFacadeRetryAndResume drives the whole robustness surface through
+// the facade: every first attempt panics, retries recover every lift and
+// the store keeps the outcomes, and a second run against the same store
+// answers every request without lifting. The resumed results carry the
+// first run's statuses and statistics with one attempt each, so the
+// resumed summary renders like an untroubled run's.
+func TestFacadeRetryAndResume(t *testing.T) {
+	ctx := context.Background()
 	reqs := scenarioRequests(t)
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	cp, err := lift.OpenCheckpoint(path)
+	path := filepath.Join(t.TempDir(), "run.hgcs")
+	st, err := lift.OpenStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := faultinject.New(faultinject.Config{Seed: 3, PanicRate: 1, MaxAttemptFaults: 1})
-	sum := lift.Run(context.Background(), reqs,
+	sum := lift.Run(ctx, reqs,
 		lift.Jobs(2),
 		lift.Retry(lift.RetryPolicy{MaxAttempts: 2}),
-		lift.WithCheckpoint(cp),
+		lift.WithStore(st),
 		lift.Faults(inj),
 	)
 	if sum.Panics != 0 || sum.Retried != len(reqs) {
 		t.Fatalf("panics=%d retried=%d, want 0/%d", sum.Panics, sum.Retried, len(reqs))
 	}
-	if cp.Err() != nil || cp.Len() != len(reqs) {
-		t.Fatalf("journal: len=%d err=%v", cp.Len(), cp.Err())
+	if sum.StoreMisses != len(reqs) || sum.StoreWriteErrors != 0 {
+		t.Fatalf("first run: misses=%d write-errors=%d, want %d/0",
+			sum.StoreMisses, sum.StoreWriteErrors, len(reqs))
 	}
 
-	resumed, err := lift.OpenCheckpoint(path)
+	reopened, err := lift.OpenStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum2 := lift.Run(context.Background(), reqs, lift.WithCheckpoint(resumed))
-	if sum2.Restored != len(reqs) {
-		t.Fatalf("Restored = %d, want %d", sum2.Restored, len(reqs))
+	resumed := lift.Run(ctx, reqs, lift.WithStore(reopened))
+	if resumed.StoreHits != len(reqs) || resumed.StoreMisses != 0 {
+		t.Fatalf("resumed run: hits=%d misses=%d, want %d/0",
+			resumed.StoreHits, resumed.StoreMisses, len(reqs))
 	}
-	if got, want := sum2.Canonical(), sum.Canonical(); got != want {
-		t.Fatalf("restored summary diverges:\n--- restored ---\n%s--- original ---\n%s", got, want)
+	for i, r := range resumed.Results {
+		want := sum.Results[i]
+		if r.Status != want.Status || r.Attempts != 1 || r.Stats.Graph != want.Stats.Graph ||
+			r.Stats.Sem.SolverQueries != want.Stats.Sem.SolverQueries {
+			t.Fatalf("%s: resumed %s attempts=%d %+v, first run %s %+v",
+				r.Name, r.Status, r.Attempts, r.Stats.Graph, want.Status, want.Stats.Graph)
+		}
 	}
-}
-
-// TestOpenCheckpointIsTheOnlyEntrypoint pins the post-deprecation
-// contract: OpenCheckpoint both creates a missing journal and resumes an
-// existing one, and the NewCheckpoint/ResumeCheckpoint wrappers deleted
-// after their one compatibility release stay deleted (the ctxless
-// analyzer's deprecation map is empty — see internal/analysis).
-func TestOpenCheckpointIsTheOnlyEntrypoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "compat.ckpt")
-	cp, err := lift.OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Len() != 0 {
-		t.Fatalf("fresh journal Len = %d, want 0", cp.Len())
-	}
-	// Reopening resumes the same (still empty) file.
-	if opened, err := lift.OpenCheckpoint(path); err != nil || opened.Len() != 0 || opened.Skipped() != 0 {
-		t.Fatalf("reopen: len=%v skipped=%v err=%v", opened.Len(), opened.Skipped(), err)
+	clean := lift.Run(ctx, reqs)
+	if got, want := resumed.Canonical(), clean.Canonical(); got != want {
+		t.Fatalf("resumed summary diverges from an untroubled run:\n--- resumed ---\n%s--- untroubled ---\n%s", got, want)
 	}
 }

@@ -71,13 +71,14 @@ go test -run '^$' -count="$count" -benchmem \
     -bench '^(BenchmarkPtrPathology|BenchmarkPtrPathologyFacts|BenchmarkPtrAnalyze)$' \
     . | tee -a "$raw"
 
-# Distributed Step 2: the in-process baseline against worker-subprocess
-# runs at 1/2/4 workers (internal/dist). The workers=1 vs workers=N pair
-# is the scaling datapoint recorded in BENCH_PR6.json; workers=1 vs
-# InProcess isolates the shard protocol overhead.
+# Step 2: every lifted graph of a scaled-down Table 2 corpus checked in
+# this process, serially (workers=1) and with each graph's theorems fanned
+# over GOMAXPROCS goroutines — the path xenbench -table2 takes. The
+# worker-subprocess numbers of BENCH_PR6.json came from a checker that has
+# since been removed (ARCHITECTURE.md, "Step 2 runs in-process").
 go test -run '^$' -count="$count" -benchmem \
-    -bench '^(BenchmarkStep2InProcess|BenchmarkStep2Workers)$' \
-    ./internal/dist/ | tee -a "$raw"
+    -bench '^BenchmarkStep2$' \
+    ./internal/triple/ | tee -a "$raw"
 
 # Fold the go test -bench lines into JSON. Value/unit pairs follow the
 # iteration count; units become keys (ns/op -> ns_per_op, hit% -> hit_pct).
