@@ -30,9 +30,7 @@ import (
 	"repro/internal/memmodel"
 	"repro/internal/pred"
 	"repro/internal/ptr"
-	"repro/internal/sem"
 	"repro/internal/solver"
-	"repro/internal/triple"
 	"repro/lift"
 )
 
@@ -165,7 +163,7 @@ func benchTable2(b *testing.B, name string) {
 			b.Fatalf("%s: %s", unit.Name, r.Status)
 		}
 		for _, fr := range r.Binary.Funcs {
-			rep := triple.Check(context.Background(), unit.Image, fr.Graph, sem.DefaultConfig(), triple.Workers(2))
+			rep := lift.Check(context.Background(), unit.Image, fr.Graph, lift.Jobs(2))
 			if rep.Failed != 0 {
 				b.Fatalf("%s/%s: %d failed theorems", unit.Name, fr.Name, rep.Failed)
 			}
@@ -222,7 +220,7 @@ func BenchmarkWeirdEdge(b *testing.B) {
 		if r.Status != core.StatusLifted {
 			b.Fatal(r.Status)
 		}
-		rep := triple.Check(context.Background(), s.Image, r.Graph, sem.DefaultConfig(), triple.Workers(2))
+		rep := lift.Check(context.Background(), s.Image, r.Graph, lift.Jobs(2))
 		if rep.Failed != 0 {
 			b.Fatal("weird-edge theorems failed")
 		}

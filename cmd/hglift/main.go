@@ -56,8 +56,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"sort"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -207,7 +205,7 @@ func main() {
 		return
 	}
 
-	addr, name, err := resolveFunc(im, *funcSpec)
+	addr, name, err := im.ResolveFunc(*funcSpec)
 	if err != nil {
 		fatal(err)
 	}
@@ -242,7 +240,7 @@ func main() {
 	printStats(fr.Stats())
 	printDetails(fr, *dump, *thy)
 	if *disasm && fr.Graph != nil {
-		for _, line := range disasmLines(fr.Graph) {
+		for _, line := range fr.Graph.Disasm() {
 			fmt.Println(line)
 		}
 	}
@@ -356,23 +354,6 @@ func liftBatch(ctx context.Context, paths []string, cfg batchConfig, obsv *obser
 	}
 }
 
-func resolveFunc(im *image.Image, spec string) (uint64, string, error) {
-	if addr, err := strconv.ParseUint(spec, 0, 64); err == nil {
-		name := fmt.Sprintf("sub_%x", addr)
-		if n, ok := im.SymbolName(addr); ok {
-			name = n
-		}
-		return addr, name, nil
-	}
-	syms := im.FuncSymbols()
-	for _, s := range syms {
-		if s.Name == spec {
-			return s.Value, spec, nil
-		}
-	}
-	return 0, "", fmt.Errorf("hglift: no function %q (have %d symbols)", spec, len(syms))
-}
-
 func printStats(s hoare.Stats) {
 	fmt.Printf("  instructions=%d states=%d edges=%d resolved=%d unresolved-jumps=%d unresolved-calls=%d\n",
 		s.Instructions, s.States, s.Edges, s.ResolvedInd, s.UnresolvedJump, s.UnresolvedCall)
@@ -394,23 +375,6 @@ func printDetails(fr *core.FuncResult, dump, thy bool) {
 	if thy {
 		fmt.Println(triple.ExportTheory(fr.Graph, fr.Name))
 	}
-}
-
-// disasmLines renders the recovered disassembly in address order — the
-// paper's base question 1 ("what instructions are executed") — straight
-// from the already-lifted graph.
-func disasmLines(g *hoare.Graph) []string {
-	addrs := make([]uint64, 0, len(g.Instrs))
-	for a := range g.Instrs {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	out := make([]string, 0, len(addrs))
-	for _, a := range addrs {
-		inst := g.Instrs[a]
-		out = append(out, fmt.Sprintf("%#x: %s", a, inst.String()))
-	}
-	return out
 }
 
 func fatal(err error) {

@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -35,6 +34,7 @@ import (
 	"repro/internal/hgstore"
 	"repro/internal/image"
 	"repro/internal/solver"
+	"repro/lift"
 )
 
 func main() {
@@ -110,23 +110,29 @@ func collect(im *image.Image, hgIn, funcSpec string, opts []hglint.Option) ([]*h
 		return []*hglint.Report{hglint.Lint(g, opts...)}, nil
 	}
 
-	l := core.New(im, core.DefaultConfig())
 	if funcSpec != "" {
-		addr, name, err := resolveFunc(im, funcSpec)
+		addr, name, err := im.ResolveFunc(funcSpec)
 		if err != nil {
 			fatal(err)
 		}
-		fr := l.LiftFuncCtx(context.Background(), addr, name)
+		res := lift.One(context.Background(), lift.Func(name, im, addr))
+		fr := res.Func
+		if fr == nil {
+			fatal(fmt.Errorf("lift %s: %s %s", name, res.Status, res.PanicMsg))
+		}
 		if fr.Status != core.StatusLifted || fr.Graph == nil {
 			fatal(fmt.Errorf("lift %s: %s %v", name, fr.Status, fr.Reasons))
 		}
 		return []*hglint.Report{hglint.Lint(fr.Graph, opts...)}, nil
 	}
 
-	br := l.LiftBinaryCtx(context.Background(), "binary")
+	res := lift.One(context.Background(), lift.Binary("binary", im))
+	if res.Binary == nil {
+		fatal(fmt.Errorf("lift binary: %s %s", res.Status, res.PanicMsg))
+	}
 	var reports []*hglint.Report
 	var skipped []string
-	for _, fr := range br.Funcs {
+	for _, fr := range res.Binary.Funcs {
 		if fr.Status != core.StatusLifted || fr.Graph == nil {
 			skipped = append(skipped, fmt.Sprintf("%s: not lifted (%s) — skipped", fr.Name, fr.Status))
 			continue
@@ -134,25 +140,9 @@ func collect(im *image.Image, hgIn, funcSpec string, opts []hglint.Option) ([]*h
 		reports = append(reports, hglint.Lint(fr.Graph, opts...))
 	}
 	if len(reports) == 0 {
-		fatal(fmt.Errorf("binary: no lifted graph to lint (status %s)", br.Status))
+		fatal(fmt.Errorf("binary: no lifted graph to lint (status %s)", res.Status))
 	}
 	return reports, skipped
-}
-
-func resolveFunc(im *image.Image, spec string) (uint64, string, error) {
-	if addr, err := strconv.ParseUint(spec, 0, 64); err == nil {
-		name := fmt.Sprintf("sub_%x", addr)
-		if n, ok := im.SymbolName(addr); ok {
-			name = n
-		}
-		return addr, name, nil
-	}
-	for _, s := range im.FuncSymbols() {
-		if s.Name == spec {
-			return s.Value, spec, nil
-		}
-	}
-	return 0, "", fmt.Errorf("hglint: no function %q", spec)
 }
 
 func fatal(err error) {

@@ -1,8 +1,8 @@
 // Command hgprove runs Step 2 of the paper: it lifts a binary (or one
 // function) and independently re-verifies every vertex of the extracted
 // Hoare graph as a Hoare triple — one mutually independent theorem per
-// vertex, checked in parallel. With -thy it also writes the Isabelle/HOL-
-// style theory export.
+// vertex, checked in parallel. With -func and -thy it also writes the
+// Isabelle/HOL-style theory export.
 //
 // Usage:
 //
@@ -11,8 +11,16 @@
 //
 // With -hg it re-verifies a previously exported graph instead of lifting:
 // the .hg text format or the compact binary container (hglift -obin),
-// detected by magic. The graph is linted first, and a graph with hglint
-// errors is refused before Step 2 runs.
+// detected by magic. The three modes share one path: the graphs are lifted
+// through lift.One (or loaded), each is linted by hglint, and lift.Check
+// proves its theorems. An exported graph with hglint errors is refused
+// before Step 2 runs; a lifted one counts as a failure of its function,
+// and the check moves on to the next function.
+//
+// The run stops cleanly on SIGINT/SIGTERM: theorems not yet checked are
+// skipped. The exit status is non-zero unless every theorem is proven or
+// assumed — a failed or skipped theorem, or a malformed graph, fails the
+// run in every mode.
 package main
 
 import (
@@ -20,14 +28,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
+	"os/signal"
+	"syscall"
 
-	"repro"
+	"repro/internal/core"
 	"repro/internal/hglint"
 	"repro/internal/hgstore"
+	"repro/internal/hoare"
 	"repro/internal/image"
-	"repro/internal/sem"
 	"repro/internal/triple"
+	"repro/lift"
 )
 
 func main() {
@@ -39,97 +49,110 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: hgprove [-func addr|name] [-thy out.thy] [-hg graph] binary.elf")
 		os.Exit(2)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	data, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
+	img, err := image.Load(data)
+	if err != nil {
+		fatal(err)
+	}
+	title, graphs := load(ctx, img, *funcSpec, *hgIn)
+	// A binary's failures carry their function's name; a single graph's
+	// carry only the vertex.
+	qualify := *funcSpec == "" && *hgIn == ""
 
-	if *hgIn != "" {
-		im, err := image.Load(data)
-		if err != nil {
-			fatal(err)
-		}
-		hg, err := os.ReadFile(*hgIn)
-		if err != nil {
-			fatal(err)
-		}
-		g, err := hgstore.LoadGraph(im, hg)
-		if err != nil {
-			fatal(err)
-		}
-		// Fail-fast precheck: an externally supplied graph may be
-		// malformed in ways the theorem checker would only report as
-		// opaque failures. Lint it first and refuse broken input.
+	var proven, assumed, failed, skipped, malformed int
+	var failures []string
+	for _, g := range graphs {
 		lrep := hglint.Lint(g)
 		for _, d := range lrep.Diagnostics {
 			fmt.Fprintf(os.Stderr, "hgprove: lint: %s\n", d)
 		}
 		if lrep.HasErrors() {
-			fatal(fmt.Errorf("%s: %d hglint errors; not running Step 2", g.FuncName, lrep.Errors()))
+			// A malformed graph would only surface inside the checker as
+			// opaque failures. An exported one is refused outright; a
+			// lifted one fails its own function, and the check moves on.
+			if *hgIn != "" {
+				fatal(fmt.Errorf("%s: %d hglint errors; not running Step 2", g.FuncName, lrep.Errors()))
+			}
+			malformed++
+			failures = append(failures, fmt.Sprintf("%s: malformed graph: %d hglint errors", g.FuncName, lrep.Errors()))
+			continue
 		}
-		rep := triple.Check(context.Background(), im, g, sem.DefaultConfig(), triple.Workers(4))
-		fmt.Printf("%s: %d proven, %d assumed, %d failed\n", g.FuncName, rep.Proven, rep.Assumed, rep.Failed)
+		rep := lift.Check(ctx, img, g)
+		proven += rep.Proven
+		assumed += rep.Assumed
+		failed += rep.Failed
+		skipped += rep.Skipped
 		for _, th := range rep.Sorted() {
-			if th.Verdict == triple.Failed {
-				fmt.Printf("  FAILED %s: %s\n", th.Vertex, th.Reason)
+			if th.Verdict != triple.Failed {
+				continue
 			}
-		}
-		if rep.Failed != 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *funcSpec != "" {
-		addr, err := resolveFunc(data, *funcSpec)
-		if err != nil {
-			fatal(err)
-		}
-		fr, vr, err := repro.VerifyFunction(data, addr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s: %d proven, %d assumed, %d failed\n", fr.Name, vr.Proven, vr.Assumed, vr.Failed)
-		for _, f := range vr.Failures {
-			fmt.Println("  FAILED", f)
-		}
-		if *thyOut != "" {
-			if err := os.WriteFile(*thyOut, []byte(fr.Theory), 0o644); err != nil {
-				fatal(err)
+			label := string(th.Vertex)
+			if qualify {
+				label = g.FuncName + "/" + label
 			}
-			fmt.Println("theory written to", *thyOut)
+			failures = append(failures, fmt.Sprintf("%s: %s", label, th.Reason))
 		}
-		if !vr.AllProven() {
-			os.Exit(1)
-		}
-		return
 	}
-
-	vr, err := repro.VerifyBinary(data)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("binary: %d proven, %d assumed, %d failed\n", vr.Proven, vr.Assumed, vr.Failed)
-	for _, f := range vr.Failures {
+	fmt.Printf("%s: %d proven, %d assumed, %d failed\n", title, proven, assumed, failed)
+	for _, f := range failures {
 		fmt.Println("  FAILED", f)
 	}
-	if !vr.AllProven() {
+	if skipped > 0 {
+		fmt.Printf("  SKIPPED %d theorems: %v\n", skipped, ctx.Err())
+	}
+	if *thyOut != "" && *funcSpec != "" {
+		if err := os.WriteFile(*thyOut, []byte(triple.ExportTheory(graphs[0], graphs[0].FuncName)), 0o644); err != nil {
+			fatal(err)
+		}
+		fmt.Println("theory written to", *thyOut)
+	}
+	if failed > 0 || skipped > 0 || malformed > 0 {
 		os.Exit(1)
 	}
 }
 
-func resolveFunc(data []byte, spec string) (uint64, error) {
-	if addr, err := strconv.ParseUint(spec, 0, 64); err == nil {
-		return addr, nil
+// load returns the graphs one mode checks and the name its summary line
+// carries: the exported graph (-hg), the lifted function (-func), or every
+// function lifted from the entry point of the binary.
+func load(ctx context.Context, img *image.Image, funcSpec, hgIn string) (string, []*hoare.Graph) {
+	switch {
+	case hgIn != "":
+		hg, err := os.ReadFile(hgIn)
+		if err != nil {
+			fatal(err)
+		}
+		g, err := hgstore.LoadGraph(img, hg)
+		if err != nil {
+			fatal(err)
+		}
+		return g.FuncName, []*hoare.Graph{g}
+	case funcSpec != "":
+		addr, name, err := img.ResolveFunc(funcSpec)
+		if err != nil {
+			fatal(err)
+		}
+		res := lift.One(ctx, lift.Func(name, img, addr))
+		if res.Status != core.StatusLifted {
+			fatal(fmt.Errorf("function %s not lifted: %s", name, res.Status))
+		}
+		return name, []*hoare.Graph{res.Func.Graph}
 	}
-	syms, err := repro.FuncSymbols(data)
-	if err != nil {
-		return 0, err
+	res := lift.One(ctx, lift.Binary("binary", img))
+	if res.Status != core.StatusLifted {
+		fatal(fmt.Errorf("binary not lifted: %s", res.Status))
 	}
-	if addr, ok := syms[spec]; ok {
-		return addr, nil
+	var graphs []*hoare.Graph
+	for _, fr := range res.Binary.Funcs {
+		if fr.Graph != nil {
+			graphs = append(graphs, fr.Graph)
+		}
 	}
-	return 0, fmt.Errorf("hgprove: no function %q", spec)
+	return "binary", graphs
 }
 
 func fatal(err error) {

@@ -19,16 +19,18 @@
 // workers share one solver memo cache, and the tables report its per-row
 // hit-rate ("Hit%") next to the per-directory wall time.
 //
-// Step 2 (-table2, -weird) runs in this process, each lifted graph's
-// theorems fanned out over goroutines (-jobs of them for -table2).
+// Step 2 (-table2, -weird) runs in this process through lift.Check, each
+// lifted graph's theorems fanned out over goroutines (-jobs of them for
+// -table2).
 // ARCHITECTURE.md ("Step 2 runs in-process") records the measurement
 // behind that choice.
 //
 // -ptr enables the pointer-analysis pre-pass on every lift: per-function
 // fact tables of proven region relations and separation hypotheses answer
 // pointer comparisons before the decision procedure, so undecided pairs
-// stop forking the memory model. Step 2 recomputes each function's facts
-// so re-checks see the same verdicts the lift did.
+// stop forking the memory model. Step 2 (lift.Check under the same
+// options) recomputes each function's facts so re-checks see the same
+// verdicts the lift did.
 //
 // Robustness flags make long sweeps survivable:
 //
@@ -79,10 +81,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/hoare"
 	"repro/internal/obs"
-	"repro/internal/ptr"
-	"repro/internal/sem"
 	"repro/internal/solver"
-	"repro/internal/triple"
 	"repro/internal/x86"
 	"repro/lift"
 )
@@ -407,7 +406,8 @@ func runTable2(ctx context.Context, rn *runner) {
 	// With -store the graphs of a warm run are decoded from the store, so
 	// Step 2 below checks the stored graphs: an interrupted Table 2
 	// resumes like any other sweep.
-	sum := lift.Run(ctx, reqs, rn.opts()...)
+	opts := rn.opts()
+	sum := lift.Run(ctx, reqs, opts...)
 	rn.absorb(sum)
 
 	var sumI, sumInd, sumP, sumA, sumF, sumS int
@@ -418,14 +418,9 @@ func runTable2(ctx context.Context, rn *runner) {
 		}
 		var proven, assumed, failed, skipped int
 		for _, fr := range r.Binary.Funcs {
-			cfg := sem.DefaultConfig()
-			if rn.ptr {
-				// Re-check under the same facts the lift explored with,
-				// so Step 2 reproduces the lift's verdicts.
-				cfg.Facts = ptr.Analyze(units[i].Image, fr.Addr).Facts
-			}
-			rep := triple.Check(ctx, units[i].Image, fr.Graph, cfg,
-				triple.Workers(rn.jobs), triple.WithTracer(rn.tr))
+			// The run's options carry -ptr, so Step 2 re-checks under the
+			// facts the lift explored with.
+			rep := lift.Check(ctx, units[i].Image, fr.Graph, opts...)
 			proven += rep.Proven
 			assumed += rep.Assumed
 			failed += rep.Failed
@@ -499,10 +494,11 @@ func runWeird(ctx context.Context, tr *obs.Tracer) {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := core.DefaultConfig()
-	cfg.Sem.Tracer = tr.WithLift(s.Name)
-	l := core.New(s.Image, cfg)
-	r := l.LiftFuncCtx(ctx, s.FuncAddr, s.Name)
+	res := lift.One(ctx, lift.Func(s.Name, s.Image, s.FuncAddr), lift.Tracer(tr))
+	r := res.Func
+	if r == nil || r.Graph == nil {
+		fatal(fmt.Errorf("%s: %s", s.Name, res.Status))
+	}
 	st := r.Stats()
 	fmt.Printf("status=%s instrs=%d states=%d resolved=%d weird-vertices=%d\n",
 		r.Status, st.Instructions, st.States, st.ResolvedInd, st.WeirdVertices)
@@ -516,8 +512,7 @@ func runWeird(ctx context.Context, tr *obs.Tracer) {
 		}
 		fmt.Printf("  %s -> %s : %s%s\n", e.From, e.To, label, marker)
 	}
-	rep := triple.Check(ctx, s.Image, r.Graph, sem.DefaultConfig(),
-		triple.Workers(2), triple.WithTracer(tr))
+	rep := lift.Check(ctx, s.Image, r.Graph, lift.Jobs(2), lift.Tracer(tr))
 	fmt.Printf("Step 2: %d proven, %d assumed, %d failed\n", rep.Proven, rep.Assumed, rep.Failed)
 	fmt.Println()
 }
@@ -527,23 +522,27 @@ func runFailures(ctx context.Context, tr *obs.Tracer) {
 	scenarios := []func() (*corpus.Scenario, error){
 		corpus.Ret2Win, corpus.StackProbe, corpus.NonStdRSP, corpus.Overflow,
 	}
-	for _, f := range scenarios {
+	reqs := make([]lift.Request, len(scenarios))
+	descs := make([]string, len(scenarios))
+	for i, f := range scenarios {
 		s, err := f()
 		if err != nil {
 			fatal(err)
 		}
-		cfg := core.DefaultConfig()
-		cfg.Sem.Tracer = tr.WithLift(s.Name)
-		l := core.New(s.Image, cfg)
-		r := l.LiftFuncCtx(ctx, s.FuncAddr, s.Name)
-		fmt.Printf("%-12s status=%s\n", s.Name, r.Status)
-		fmt.Printf("             %s\n", s.Describe)
-		for _, reason := range r.Reasons {
-			fmt.Printf("             reason: %s\n", reason)
-		}
-		if r.Graph != nil {
-			for _, o := range r.Graph.Obligations {
-				fmt.Printf("             obligation: %s\n", o)
+		reqs[i] = lift.Func(s.Name, s.Image, s.FuncAddr)
+		descs[i] = s.Describe
+	}
+	for i, res := range lift.Run(ctx, reqs, lift.Tracer(tr)).Results {
+		fmt.Printf("%-12s status=%s\n", res.Name, res.Status)
+		fmt.Printf("             %s\n", descs[i])
+		if r := res.Func; r != nil {
+			for _, reason := range r.Reasons {
+				fmt.Printf("             reason: %s\n", reason)
+			}
+			if r.Graph != nil {
+				for _, o := range r.Graph.Obligations {
+					fmt.Printf("             obligation: %s\n", o)
+				}
 			}
 		}
 	}

@@ -7,11 +7,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro"
 	"repro/internal/cgen"
+	"repro/internal/image"
+	"repro/lift"
 )
 
 func main() {
@@ -38,29 +40,26 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fr, err := repro.LiftFunction(bin.ELF, bin.Funcs["dispatch"])
+	img, err := image.Load(bin.ELF)
 	if err != nil {
 		log.Fatal(err)
+	}
+	req := lift.Func("dispatch", img, bin.Funcs["dispatch"])
+	res := lift.One(context.Background(), req)
+	if res.Func == nil || res.Func.Graph == nil {
+		log.Fatalf("dispatch: %s", res.Status)
 	}
 	fmt.Printf("default lift: status=%s resolved-indirections=%d unresolved-jumps=%d\n",
-		fr.Status, fr.Stats.ResolvedInd, fr.Stats.UnresolvedJump)
+		res.Status, res.Stats.Graph.ResolvedInd, res.Stats.Graph.UnresolvedJump)
 
 	fmt.Println("\nrecovered disassembly (note the cmp/ja bound and the table jump):")
-	lines, err := repro.Disasm(bin.ELF, bin.Funcs["dispatch"])
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, l := range lines {
+	for _, l := range res.Func.Graph.Disasm() {
 		fmt.Println(" ", l)
 	}
 
 	// Ablation: join code pointers — the loaded table entries collapse
 	// into an interval and the jump cannot be bounded.
-	ab, err := repro.LiftFunction(bin.ELF, bin.Funcs["dispatch"],
-		repro.Options{JoinCodePointers: true})
-	if err != nil {
-		log.Fatal(err)
-	}
+	ab := lift.One(context.Background(), req, lift.JoinCodePointers())
 	fmt.Printf("\nablation (join code pointers): resolved=%d unresolved-jumps=%d\n",
-		ab.Stats.ResolvedInd, ab.Stats.UnresolvedJump)
+		ab.Stats.Graph.ResolvedInd, ab.Stats.Graph.UnresolvedJump)
 }

@@ -1,14 +1,19 @@
 // Quickstart: compile a tiny C-like program to a real ELF binary, lift it
 // to a Hoare Graph (Step 1), inspect the recovered disassembly and
 // statistics, then independently re-verify every Hoare triple (Step 2).
+// The exit status is non-zero unless Step 2 proves every theorem.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"os"
 
-	"repro"
 	"repro/internal/cgen"
+	"repro/internal/core"
+	"repro/internal/image"
+	"repro/lift"
 )
 
 func main() {
@@ -40,30 +45,44 @@ func main() {
 	}
 	fmt.Printf("compiled: %d bytes of ELF\n\n", len(bin.ELF))
 
-	// Step 1: lift the binary from its entry point.
-	rep, err := repro.LiftBinary(bin.ELF)
+	img, err := image.Load(bin.ELF)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("lift status: %s\n", rep.Status)
+
+	// Step 1: lift the binary from its entry point.
+	ctx := context.Background()
+	res := lift.One(ctx, lift.Binary("quickstart", img))
+	if res.Status != core.StatusLifted {
+		log.Fatalf("lift: %s", res.Status)
+	}
+	st := res.Stats.Graph
+	fmt.Printf("lift status: %s\n", res.Status)
 	fmt.Printf("instructions=%d symbolic states=%d edges=%d\n\n",
-		rep.Stats.Instructions, rep.Stats.States, rep.Stats.Edges)
+		st.Instructions, st.States, st.Edges)
 
 	// The recovered disassembly of main.
-	lines, err := repro.Disasm(bin.ELF, bin.Funcs["main"])
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("recovered disassembly of main:")
-	for _, l := range lines {
-		fmt.Println(" ", l)
+	for _, fr := range res.Binary.Funcs {
+		if fr.Addr == bin.Funcs["main"] {
+			for _, l := range fr.Graph.Disasm() {
+				fmt.Println(" ", l)
+			}
+		}
 	}
 
 	// Step 2: every vertex is one independently checked Hoare triple.
-	vr, err := repro.VerifyBinary(bin.ELF)
-	if err != nil {
-		log.Fatal(err)
+	var proven, assumed, failed, skipped int
+	for _, fr := range res.Binary.Funcs {
+		rep := lift.Check(ctx, img, fr.Graph)
+		proven += rep.Proven
+		assumed += rep.Assumed
+		failed += rep.Failed
+		skipped += rep.Skipped
 	}
 	fmt.Printf("\nStep 2: %d theorems proven, %d assumed, %d failed\n",
-		vr.Proven, vr.Assumed, vr.Failed)
+		proven, assumed, failed)
+	if failed > 0 || skipped > 0 {
+		os.Exit(1)
+	}
 }

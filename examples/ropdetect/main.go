@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/lift"
 )
 
 func main() {
@@ -22,13 +23,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	l := core.New(s.Image, core.DefaultConfig())
-	r := l.LiftFuncCtx(context.Background(), s.FuncAddr, s.Name)
+	r := lift.One(context.Background(), lift.Func(s.Name, s.Image, s.FuncAddr)).Func
 	fmt.Printf("status: %s\n", r.Status)
 	for _, o := range r.Graph.Obligations {
 		fmt.Printf("obligation: %s\n", o)
 	}
-	fmt.Println("violating the obligation (memset writing ≥ 0x30 bytes) overwrites the return address.")
+	for _, c := range core.ExploitCandidates(r) {
+		fmt.Printf("violating the obligation (%s writing ≥ %#x bytes) overwrites the return address.\n",
+			c.Callee, c.OverwriteLen)
+	}
 
 	fmt.Println("\n=== functions the lifter must reject ===")
 	for _, build := range []func() (*corpus.Scenario, error){
@@ -38,8 +41,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		l := core.New(s.Image, core.DefaultConfig())
-		r := l.LiftFuncCtx(context.Background(), s.FuncAddr, s.Name)
+		r := lift.One(context.Background(), lift.Func(s.Name, s.Image, s.FuncAddr)).Func
 		fmt.Printf("%-12s -> %s\n", s.Name, r.Status)
 		for _, reason := range r.Reasons {
 			fmt.Printf("             %s\n", reason)

@@ -4,20 +4,21 @@
 // indirect jump lands in the middle of that instruction — a ROP gadget.
 // An overapproximative lifter must find this "weird" edge, and ours does:
 // the Hoare graph contains one edge per jump-table value plus the edge to
-// the hidden gadget, and every edge verifies as a Hoare triple.
+// the hidden gadget, and every edge verifies as a Hoare triple (the exit
+// status is non-zero otherwise).
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/emu"
-	"repro/internal/sem"
-	"repro/internal/triple"
 	"repro/internal/x86"
+	"repro/lift"
 )
 
 func main() {
@@ -27,8 +28,12 @@ func main() {
 	}
 	fmt.Println(s.Describe)
 
-	l := core.New(s.Image, core.DefaultConfig())
-	r := l.LiftFuncCtx(context.Background(), s.FuncAddr, s.Name)
+	ctx := context.Background()
+	res := lift.One(ctx, lift.Func(s.Name, s.Image, s.FuncAddr))
+	r := res.Func
+	if r == nil || r.Graph == nil {
+		log.Fatalf("%s: %s", s.Name, res.Status)
+	}
 	fmt.Printf("\nlift status: %s, %d instructions, %d states, %d resolved indirection(s)\n",
 		r.Status, r.Stats().Instructions, r.Stats().States, r.Stats().ResolvedInd)
 
@@ -57,9 +62,12 @@ func main() {
 		}
 	}
 
-	rep := triple.Check(context.Background(), s.Image, r.Graph, sem.DefaultConfig(), triple.Workers(2))
+	rep := lift.Check(ctx, s.Image, r.Graph, lift.Jobs(2))
 	fmt.Printf("\nStep 2: %d theorems proven, %d assumed, %d failed\n",
 		rep.Proven, rep.Assumed, rep.Failed)
+	if !rep.AllProven() {
+		os.Exit(1)
+	}
 }
 
 func mustString(r *core.FuncResult, addr uint64) string {

@@ -7,12 +7,12 @@
 // Four analyzers are registered:
 //
 //	ctxless — forbids reintroducing exported non-context Lift*/Run*/Check*
-//	          entrypoints in the core/pipeline/triple packages (the four
-//	          deprecated context-less wrappers were deleted once callers
-//	          migrated; the rule keeps them deleted) and flags calls to
-//	          any wrapper registered as Deprecated (none at present — the
-//	          PR 7 checkpoint wrappers finished their one compatibility
-//	          release and are deleted).
+//	          entrypoints in the core/pipeline/triple packages and the
+//	          repro/lift front door (the four deprecated context-less
+//	          wrappers were deleted once callers migrated; the rule keeps
+//	          them deleted) and flags calls to any wrapper registered as
+//	          Deprecated (none at present — the checkpoint wrappers
+//	          finished their one compatibility release and are deleted).
 //	exprnew — flags expr.Expr composite literals outside package expr;
 //	          hand-built expressions bypass the intern table and break
 //	          the pointer-identity invariant behind expr.Equal.

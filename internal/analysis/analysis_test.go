@@ -205,9 +205,9 @@ func f() { _, _ = lift.ResumeCheckpoint("x") }
 
 func TestCtxlessDeclarationRule(t *testing.T) {
 	imp := stubImporter(t)
-	// The rule covers the entrypoint packages including their internal
-	// test variants: exported Lift*/Run*/Check* declarations must take a
-	// context.Context.
+	// The rule covers the entrypoint packages, the front door included,
+	// and their internal test variants: exported Lift*/Run*/Check*
+	// declarations must take a context.Context.
 	src := `package pipeline
 import "context"
 func Run(n int) int { return n }
@@ -221,6 +221,7 @@ func (T) CheckAllCtx(ctx context.Context) {}
 	for _, path := range []string{
 		"repro/internal/pipeline",
 		"repro/internal/pipeline [repro/internal/pipeline.test]",
+		"repro/lift",
 	} {
 		pass := typecheck(t, path, src, imp)
 		diags := Run(pass, []*Analyzer{Ctxless})

@@ -8,15 +8,19 @@ import (
 )
 
 // entrypointPkgs are the packages whose exported lift/prove entrypoints
-// must thread a context.Context. The four deprecated context-less
+// must thread a context.Context: the lifter, the scheduler, the Step-2
+// checker and the front door over all three (repro/lift, whose Run, One
+// and Check every command calls). The four deprecated context-less
 // wrappers (Lifter.LiftFunc, Lifter.LiftBinary, pipeline.Run,
 // triple.CheckGraph) were deleted once every caller had migrated; this
-// rule keeps them deleted by flagging any reintroduction at the
-// declaration, not the call site.
+// rule keeps them deleted — and keeps a context-less Run or Check off the
+// front door — by flagging any reintroduction at the declaration, not the
+// call site.
 var entrypointPkgs = map[string]bool{
 	"repro/internal/core":     true,
 	"repro/internal/pipeline": true,
 	"repro/internal/triple":   true,
+	"repro/lift":              true,
 }
 
 // entrypointPrefixes mark the declaration names the rule covers: the

@@ -201,6 +201,23 @@ func (g *Graph) WeirdAddresses() []uint64 {
 	return out
 }
 
+// Disasm renders the recovered disassembly in address order, one
+// "0xADDR: instruction" line each — the paper's base question 1 ("what
+// instructions are executed").
+func (g *Graph) Disasm() []string {
+	addrs := make([]uint64, 0, len(g.Instrs))
+	for a := range g.Instrs {
+		addrs = append(addrs, a)
+	}
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	out := make([]string, len(addrs))
+	for i, a := range addrs {
+		inst := g.Instrs[a]
+		out[i] = fmt.Sprintf("%#x: %s", a, inst.String())
+	}
+	return out
+}
+
 // Add accumulates another stats record (per-directory totals of Table 1).
 func (s *Stats) Add(o Stats) {
 	s.Instructions += o.Instructions

@@ -12,6 +12,7 @@ package image
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -169,4 +170,24 @@ func (im *Image) SymbolName(addr uint64) (string, bool) {
 		return "", false
 	}
 	return s.Name, true
+}
+
+// ResolveFunc resolves a command-line function spec — an address (hex
+// with a 0x prefix, or decimal) or a function symbol name — to the
+// function's address and the name its lift reports: the symbol at that
+// address, or sub_<hex> when there is none.
+func (im *Image) ResolveFunc(spec string) (addr uint64, name string, err error) {
+	if addr, err := strconv.ParseUint(spec, 0, 64); err == nil {
+		if name, ok := im.SymbolName(addr); ok {
+			return addr, name, nil
+		}
+		return addr, fmt.Sprintf("sub_%x", addr), nil
+	}
+	syms := im.FuncSymbols()
+	for _, s := range syms {
+		if s.Name == spec {
+			return s.Value, spec, nil
+		}
+	}
+	return 0, "", fmt.Errorf("no function %q (have %d symbols)", spec, len(syms))
 }

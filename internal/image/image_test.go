@@ -107,6 +107,37 @@ func TestPLTAndSymbols(t *testing.T) {
 	}
 }
 
+// TestResolveFunc covers the one function-spec resolver the commands
+// share: addresses with and without a symbol, symbol names, and unknown
+// names, whose error names no command (the caller adds its own prefix).
+func TestResolveFunc(t *testing.T) {
+	im := sampleImage(t)
+	for _, tc := range []struct {
+		spec     string
+		addr     uint64
+		name     string
+		errMatch string
+	}{
+		{spec: "0x401000", addr: 0x401000, name: "main"},
+		{spec: "0x401001", addr: 0x401001, name: "sub_401001"},
+		{spec: "4198400", addr: 0x401000, name: "main"},
+		{spec: "main", addr: 0x401000, name: "main"},
+		{spec: "memset@plt", errMatch: `no function "memset@plt" (have 1 symbols)`},
+		{spec: "nosuch", errMatch: `no function "nosuch" (have 1 symbols)`},
+	} {
+		addr, name, err := im.ResolveFunc(tc.spec)
+		if tc.errMatch != "" {
+			if err == nil || err.Error() != tc.errMatch {
+				t.Errorf("%s: error %v, want %q", tc.spec, err, tc.errMatch)
+			}
+			continue
+		}
+		if err != nil || addr != tc.addr || name != tc.name {
+			t.Errorf("%s: got (%#x, %q, %v), want (%#x, %q)", tc.spec, addr, name, err, tc.addr, tc.name)
+		}
+	}
+}
+
 func TestLoadErrors(t *testing.T) {
 	if _, err := Load([]byte("junk")); err == nil {
 		t.Fatal("junk must fail")

@@ -5,8 +5,8 @@
 // state, so the lifts of a corpus (Table 1's eight directories, Table 2's
 // six binaries, Figure 3's size sweep) are embarrassingly parallel.
 //
-// Run fans a slice of Tasks out across runtime.NumCPU() workers (ForEach is
-// the shared pool primitive, also used by the Step-2 checker). Each lift
+// Run fans a slice of Tasks out across runtime.NumCPU() workers (pool.ForEach
+// is the shared pool primitive, also used by the Step-2 checker). Each lift
 // runs under a wall-clock watchdog and a panic guard: a pathological
 // function reports core.StatusTimeout or core.StatusPanic instead of
 // wedging a worker or killing the run — this is how the paper's Table 1
@@ -40,6 +40,7 @@ import (
 	"repro/internal/hoare"
 	"repro/internal/image"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/sem"
 	"repro/internal/solver"
 )
@@ -346,7 +347,7 @@ func RunCtx(ctx context.Context, tasks []Task, opts Options) *Summary {
 	}
 	sum := &Summary{Results: make([]Result, len(tasks)), Cache: opts.Cache}
 	start := time.Now()
-	ForEach(opts.Jobs, len(tasks), func(i int) {
+	pool.ForEach(opts.Jobs, len(tasks), func(i int) {
 		sum.Results[i] = runOne(ctx, tasks[i], i, opts)
 		opts.Faults.TaskCompleted()
 	})

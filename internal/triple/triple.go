@@ -21,7 +21,7 @@ import (
 	"repro/internal/image"
 	"repro/internal/memmodel"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
+	"repro/internal/pool"
 	"repro/internal/pred"
 	"repro/internal/sem"
 	"repro/internal/x86"
@@ -110,7 +110,7 @@ func ErrorBudget(n int) CheckOption {
 
 // Check re-verifies every vertex of the graph, independently and in
 // parallel across the configured number of workers (the theorems are
-// mutually independent, so the pipeline's worker pool fans them out
+// mutually independent, so the shared worker pool fans them out
 // directly). Cancelling the context stops issuing work; vertices not
 // checked in time report Skipped with a cancellation reason, so a
 // cancelled report never claims AllProven. An ErrorBudget likewise
@@ -127,7 +127,7 @@ func Check(ctx context.Context, img *image.Image, g *hoare.Graph, cfg sem.Config
 	vertices := g.SortedVertices()
 	rep := &Report{Func: g.FuncName, Theorems: make([]Theorem, len(vertices))}
 	var failures atomic.Int64
-	pipeline.ForEach(cc.workers, len(vertices), func(i int) {
+	pool.ForEach(cc.workers, len(vertices), func(i int) {
 		v := vertices[i]
 		switch {
 		case ctx.Err() != nil:

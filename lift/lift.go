@@ -1,8 +1,7 @@
-// Package lift is the unified front door to the lifting pipeline. It
-// replaces the three fragmented entry surfaces that grew organically —
-// core.Config for the lifter, pipeline.Task/pipeline.Options for the
-// scheduler, and ad-hoc tracer/metrics wiring — with one request type and
-// one functional-option set, threaded end to end by a context.Context:
+// Package lift is the front door to both steps of the paper: Run and One
+// lift requests through the scheduler (Step 1), and Check re-verifies a
+// lifted graph (Step 2), with one request type and one functional-option
+// set threaded end to end by a context.Context:
 //
 //	metrics := obs.NewMetrics()
 //	sum := lift.Run(ctx, lift.Requests(
@@ -13,13 +12,17 @@
 //	    lift.Timeout(30*time.Second),
 //	    lift.Observe(metrics),
 //	)
+//	for _, fr := range sum.Results[0].Binary.Funcs {
+//	        rep := lift.Check(ctx, imgA, fr.Graph, lift.Jobs(8))
+//	        fmt.Println(fr.Name, rep.Proven, rep.AllProven())
+//	}
 //
 // Cancelling ctx stops in-flight lifts cooperatively (they report
 // core.StatusCancelled) and skips tasks not yet started; the per-lift
 // Timeout is a deadline on the same context, so the two budgets share one
-// mechanism. The old context-less entrypoints (pipeline.Run,
-// core.Lifter.LiftFunc, core.Lifter.LiftBinary, triple.CheckGraph) have
-// been deleted; all lifting flows through this package.
+// mechanism. A cancelled Check reports its unchecked theorems as Skipped.
+// Every command and example lifts and checks through this package; only
+// the scheduler itself constructs a lifter.
 //
 // One persistence surface composes with a Run: WithStore(st) makes
 // lifting incremental. Lifted Hoare graphs are cached content-addressed by
@@ -33,16 +36,21 @@ package lift
 
 import (
 	"context"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/faultinject"
 	"repro/internal/hgstore"
+	"repro/internal/hoare"
 	"repro/internal/image"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/ptr"
+	"repro/internal/sem"
 	"repro/internal/solver"
+	"repro/internal/triple"
 )
 
 // Aliases for the result types a Run produces, so facade users need not
@@ -139,7 +147,8 @@ type settings struct {
 // Option tunes a Run (functional options over the unified settings).
 type Option func(*settings)
 
-// Jobs sets the worker count (≤ 0 selects all CPUs).
+// Jobs sets the worker count (≤ 0 selects all CPUs): lifts in flight for
+// Run, theorems in flight for Check.
 func Jobs(n int) Option {
 	return func(s *settings) { s.popts.Jobs = n }
 }
@@ -156,7 +165,8 @@ func Cache(c *solver.Cache) Option {
 	return func(s *settings) { s.popts.Cache = c }
 }
 
-// Tracer observes the run with an existing tracer.
+// Tracer observes the run with an existing tracer (a Check emits one
+// theorem event per vertex).
 func Tracer(t *obs.Tracer) Option {
 	return func(s *settings) { s.popts.Tracer = t }
 }
@@ -226,7 +236,9 @@ func JoinCodePointers() Option {
 // hypotheses is computed before exploring, answering comparisons without
 // the decision procedure and without forking the memory model. Set at the
 // run level (pipeline.Options) so it also folds into per-request Config
-// overrides and the store's configuration fingerprint.
+// overrides and the store's configuration fingerprint. Check recomputes
+// the same table for the graph's function, so Step 2 re-checks under the
+// facts the lift explored with.
 func PointerFacts() Option {
 	return func(s *settings) { s.popts.PointerFacts = true }
 }
@@ -272,4 +284,25 @@ func Run(ctx context.Context, reqs []Request, opts ...Option) *Summary {
 // One lifts a single request and returns its result directly.
 func One(ctx context.Context, req Request, opts ...Option) Result {
 	return Run(ctx, []Request{req}, opts...).Results[0]
+}
+
+// Check runs Step 2 on one lifted graph: every vertex's Hoare triple is
+// re-verified independently against the image's bytes, fanned out over
+// Jobs workers. It is the one place that fixes Step 2's semantic
+// configuration — the default machine, plus the function's pointer facts
+// under PointerFacts — so every command checks under the same one. Check
+// honours Jobs, Tracer/Observe and PointerFacts and ignores the lifting
+// options. Cancelling ctx reports the theorems not yet checked as
+// Skipped, so a cancelled report never claims AllProven.
+func Check(ctx context.Context, img *image.Image, g *hoare.Graph, opts ...Option) *triple.Report {
+	s := resolve(opts)
+	cfg := sem.DefaultConfig()
+	if s.popts.PointerFacts {
+		cfg.Facts = ptr.Analyze(img, g.FuncAddr).Facts
+	}
+	jobs := s.popts.Jobs
+	if jobs <= 0 {
+		jobs = runtime.NumCPU()
+	}
+	return triple.Check(ctx, img, g, cfg, triple.Workers(jobs), triple.WithTracer(s.popts.Tracer))
 }

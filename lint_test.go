@@ -1,10 +1,10 @@
 package repro
 
 // Integration tests for the hglint static analyzer through the lift
-// facade and the Step-2 facade: lifted scenario graphs pass the analyzer,
-// lint reports ride the pipeline results, diagnostics ride the trace as
-// lint events, and the Verify* entrypoints run the precheck ahead of the
-// theorem checker.
+// facade: lifted scenario graphs pass the analyzer, lint reports ride the
+// pipeline results, diagnostics ride the trace as lint events, and the
+// precheck hgprove runs ahead of the theorem checker passes on a
+// well-formed lift.
 
 import (
 	"context"
@@ -54,19 +54,23 @@ func TestFacadeLint(t *testing.T) {
 	}
 }
 
-// TestVerifyFunctionRunsPrecheck exercises the Step-2 facade end to end:
-// the lint precheck must pass on a well-formed lift and the theorems must
-// then all be proven (or assumed).
+// TestVerifyFunctionRunsPrecheck exercises Step 2 end to end the way
+// hgprove -func runs it: the lint precheck must pass on a well-formed
+// lift and lift.Check must then prove (or assume) every theorem.
 func TestVerifyFunctionRunsPrecheck(t *testing.T) {
 	s, err := corpus.Ret2Win()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, vr, err := VerifyFunction(s.Raw, s.FuncAddr)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	res := lift.One(ctx, lift.Func(s.Name, s.Image, s.FuncAddr))
+	if res.Func == nil || res.Func.Graph == nil {
+		t.Fatalf("ret2win: %s", res.Status)
 	}
-	if !vr.AllProven() {
-		t.Fatalf("theorems failed: %v", vr.Failures)
+	if lrep := hglint.Lint(res.Func.Graph); lrep.HasErrors() {
+		t.Fatalf("precheck refused a well-formed lift:\n%s", lrep)
+	}
+	if rep := lift.Check(ctx, s.Image, res.Func.Graph); !rep.AllProven() || rep.Proven == 0 {
+		t.Fatalf("ret2win: %d proven, %d failed, %d skipped", rep.Proven, rep.Failed, rep.Skipped)
 	}
 }
