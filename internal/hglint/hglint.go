@@ -168,19 +168,47 @@ func Only(names ...string) Option {
 }
 
 // Ctx is the shared analysis context one rule set runs in. Rules read the
-// graph and report through it; reachability sets are computed lazily and
-// shared across rules.
+// graph and report through it; the sorted vertex and edge lists,
+// reachability sets and memory classes are computed lazily, once per Lint
+// call, and shared across rules.
 type Ctx struct {
 	// Graph is the graph under analysis.
 	Graph *hoare.Graph
 
-	cache   *solver.Cache
-	rule    *Rule
-	diags   []Diagnostic
-	fwd     map[hoare.VertexID]bool
-	toExit  map[hoare.VertexID]bool
-	succs   map[hoare.VertexID][]hoare.VertexID
-	succsOK bool
+	cache     *solver.Cache
+	rule      *Rule
+	diags     []Diagnostic
+	vertices  []*hoare.Vertex
+	edges     []hoare.Edge
+	sortedOK  bool
+	fwd       map[hoare.VertexID]bool
+	toExit    map[hoare.VertexID]bool
+	succs     map[hoare.VertexID][]hoare.VertexID
+	succsOK   bool
+	classes   [][]*hoare.Vertex
+	classesOK bool
+}
+
+// Vertices returns the graph's vertices in hoare.Graph.SortedVertices
+// order, sorted once per Lint call. Rules must not modify the slice.
+func (c *Ctx) Vertices() []*hoare.Vertex {
+	c.sortOnce()
+	return c.vertices
+}
+
+// Edges returns the graph's edges in hoare.Graph.SortedEdges order, sorted
+// once per Lint call. Rules must not modify the slice.
+func (c *Ctx) Edges() []hoare.Edge {
+	c.sortOnce()
+	return c.edges
+}
+
+func (c *Ctx) sortOnce() {
+	if !c.sortedOK {
+		c.vertices = c.Graph.SortedVertices()
+		c.edges = c.Graph.SortedEdges()
+		c.sortedOK = true
+	}
 }
 
 // Reportf records one diagnostic for the running rule. vertex and addr

@@ -3,6 +3,7 @@ package hglint
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -354,5 +355,120 @@ func TestSeverityText(t *testing.T) {
 	var bad Severity
 	if err := bad.UnmarshalText([]byte("fatal")); err == nil {
 		t.Fatal("unknown severity should not parse")
+	}
+}
+
+// cacheModes runs a lint test without and with a solver cache: the
+// memory classes must not depend on the memo.
+var cacheModes = []struct {
+	name string
+	opts func() []Option
+}{
+	{"nocache", func() []Option { return nil }},
+	{"cache", func() []Option { return []Option{WithCache(solver.NewCache())} }},
+}
+
+// twoStateVertices returns the first two non-terminal vertices, in vertex
+// order, that carry states and sit at different addresses. Each gets a
+// state of its own, so a test may rewrite it.
+func twoStateVertices(t *testing.T, g *hoare.Graph) (*hoare.Vertex, *hoare.Vertex) {
+	t.Helper()
+	var picked []*hoare.Vertex
+	for _, v := range g.SortedVertices() {
+		if v.State == nil || isTerminal(v.ID) || (len(picked) == 1 && picked[0].Addr == v.Addr) {
+			continue
+		}
+		v.State = v.State.Clone()
+		if picked = append(picked, v); len(picked) == 2 {
+			return picked[0], picked[1]
+		}
+	}
+	t.Fatal("graph has fewer than two vertices with states")
+	return nil, nil
+}
+
+// sameMemClass reports whether Lint's memory classes put a and b together.
+func sameMemClass(g *hoare.Graph, a, b *hoare.Vertex) bool {
+	for _, class := range (&Ctx{Graph: g}).memClasses() {
+		if slices.Contains(class, a) {
+			return slices.Contains(class, b)
+		}
+	}
+	return false
+}
+
+// msgsAt returns the messages of the rule's diagnostics reported at the
+// vertex, failing the test if one carries another vertex's address.
+func msgsAt(t *testing.T, rep *Report, rule string, v *hoare.Vertex) []string {
+	t.Helper()
+	var out []string
+	for _, d := range rep.Diagnostics {
+		if d.Rule != rule || d.Vertex != string(v.ID) {
+			continue
+		}
+		if d.Addr != v.Addr {
+			t.Errorf("%s diagnostic at vertex %s carries address %#x, want %#x", rule, v.ID, d.Addr, v.Addr)
+		}
+		out = append(out, d.Msg)
+	}
+	return out
+}
+
+// TestMemClassReplay gives two vertices one corrupted forest: the
+// memory-model rules run once for their class, and each vertex still gets
+// every finding under its own vertex and address.
+func TestMemClassReplay(t *testing.T) {
+	for _, mode := range cacheModes {
+		t.Run(mode.name, func(t *testing.T) {
+			g := liftScenario(t, "ret2win")
+			v1, v2 := twoStateVertices(t, g)
+			rsp0 := expr.V("rsp0")
+			// A region enclosed in itself (dup region, cycle) beside a
+			// sibling it necessarily partially overlaps (refuted ⋈).
+			parent := memmodel.Leaf(memmodel.NewRegion(rsp0, 8))
+			parent.Kids = memmodel.Forest{memmodel.Leaf(memmodel.NewRegion(rsp0, 8))}
+			f := memmodel.Forest{parent, memmodel.Leaf(memmodel.NewRegion(expr.Add(rsp0, expr.Word(4)), 8))}
+			v1.State.Mem, v2.State.Mem = f, f
+			if !sameMemClass(g, v1, v2) {
+				t.Fatalf("vertices %s and %s should share a memory class", v1.ID, v2.ID)
+			}
+			rep := Lint(g, mode.opts()...)
+			for _, rule := range []string{"mm-dup-region", "mm-cycle", "mm-partial-overlap", "mm-relation-refuted"} {
+				m1, m2 := msgsAt(t, rep, rule, v1), msgsAt(t, rep, rule, v2)
+				if len(m1) == 0 || !slices.Equal(m1, m2) {
+					t.Errorf("%s: vertex %s reports %q, vertex %s reports %q", rule, v1.ID, m1, v2.ID, m2)
+				}
+			}
+		})
+	}
+}
+
+// TestMemClassSplitsOnRanges gives two vertices one forest but different
+// interval clauses: the solver refutes the forest's separation under one
+// of them only, so only that vertex reports.
+func TestMemClassSplitsOnRanges(t *testing.T) {
+	for _, mode := range cacheModes {
+		t.Run(mode.name, func(t *testing.T) {
+			g := liftScenario(t, "ret2win")
+			v1, v2 := twoStateVertices(t, g)
+			rsp0, x := expr.V("rsp0"), expr.V("x")
+			f := memmodel.Forest{
+				memmodel.Leaf(memmodel.NewRegion(expr.Add(rsp0, x), 8)),
+				memmodel.Leaf(memmodel.NewRegion(rsp0, 8)),
+			}
+			v1.State.Mem, v2.State.Mem = f, f
+			v1.State.Pred.AddRange(x, pred.Range{Lo: 4, Hi: 4})   // overlaps rsp0
+			v2.State.Pred.AddRange(x, pred.Range{Lo: 16, Hi: 32}) // clear of it
+			if sameMemClass(g, v1, v2) {
+				t.Fatalf("vertices %s and %s differ in their interval clauses but share a memory class", v1.ID, v2.ID)
+			}
+			rep := Lint(g, mode.opts()...)
+			if m := msgsAt(t, rep, "mm-relation-refuted", v1); len(m) != 1 || !strings.Contains(m[0], "⋈") {
+				t.Errorf("vertex %s: want one refuted separation, got %q", v1.ID, m)
+			}
+			if m := msgsAt(t, rep, "mm-relation-refuted", v2); len(m) != 0 {
+				t.Errorf("vertex %s: want no refuted relation, got %q", v2.ID, m)
+			}
+		})
 	}
 }

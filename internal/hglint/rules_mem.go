@@ -6,12 +6,16 @@
 // partially overlap (Definition 3.7 destroys such regions at insertion),
 // and no relation the model asserts is refuted by the solver under the
 // vertex's own predicate.
+//
+// The five rules read a vertex's forest and, through the solver, its
+// interval clauses, and nothing else. Vertices share their trees, so many
+// vertices of one graph agree on both: each rule runs once per such class
+// of vertices and replays its findings on every member.
 
 package hglint
 
 import (
-	"fmt"
-
+	"repro/internal/expr"
 	"repro/internal/hoare"
 	"repro/internal/memmodel"
 	"repro/internal/solver"
@@ -22,39 +26,39 @@ func init() {
 		Name:     "mm-empty-tree",
 		Severity: SevError,
 		Doc:      "no memory tree node is empty",
-		Check:    perVertexModel(checkEmptyTree),
+		Check:    perMemClass(checkEmptyTree),
 	})
 	Register(Rule{
 		Name:     "mm-dup-region",
 		Severity: SevError,
 		Doc:      "no region occurs twice in a memory forest",
-		Check:    perVertexModel(checkDupRegion),
+		Check:    perMemClass(checkDupRegion),
 	})
 	Register(Rule{
 		Name:     "mm-cycle",
 		Severity: SevError,
 		Doc:      "enclosure is acyclic: no region encloses itself",
-		Check:    perVertexModel(checkCycle),
+		Check:    perMemClass(checkCycle),
 	})
 	Register(Rule{
 		Name:     "mm-partial-overlap",
 		Severity: SevError,
 		Doc:      "no two live regions necessarily partially overlap",
-		Check:    perVertexModel(checkPartialOverlap),
+		Check:    perMemClass(checkPartialOverlap),
 	})
 	Register(Rule{
 		Name:     "mm-relation-refuted",
 		Severity: SevError,
 		Doc:      "no asserted region relation is refuted by the solver",
-		Check:    perVertexModel(checkRelationRefuted),
+		Check:    perMemClass(checkRelationRefuted),
 	})
 }
 
-// perVertexModel lifts a per-vertex forest check over every vertex that
-// carries a state, in deterministic vertex order.
+// perVertexModel lifts a per-vertex check over every vertex that carries
+// a state, in deterministic vertex order.
 func perVertexModel(check func(ctx *Ctx, v *hoare.Vertex)) func(*Ctx) {
 	return func(ctx *Ctx) {
-		for _, v := range ctx.Graph.SortedVertices() {
+		for _, v := range ctx.Vertices() {
 			if v.State == nil {
 				continue
 			}
@@ -63,9 +67,72 @@ func perVertexModel(check func(ctx *Ctx, v *hoare.Vertex)) func(*Ctx) {
 	}
 }
 
-// regionKey mirrors the forest's canonical region identity.
-func regionKey(r solver.Region) string {
-	return fmt.Sprintf("%s#%d", r.Addr.Key(), r.Size)
+// perMemClass lifts a memory-model check over the memory classes: it runs
+// the check on each class's first member and replays every finding on the
+// other members, each with its own vertex and address.
+func perMemClass(check func(ctx *Ctx, v *hoare.Vertex)) func(*Ctx) {
+	return func(ctx *Ctx) {
+		for _, class := range ctx.memClasses() {
+			first := len(ctx.diags)
+			check(ctx, class[0])
+			last := len(ctx.diags)
+			for _, v := range class[1:] {
+				for i := first; i < last; i++ {
+					d := ctx.diags[i]
+					d.Vertex, d.Addr = string(v.ID), v.Addr
+					ctx.diags = append(ctx.diags, d)
+				}
+			}
+		}
+	}
+}
+
+// memClasses partitions the vertices that carry a state into classes with
+// the same forest, tree by tree (memmodel.SameOrdered), and the same
+// interval clauses (pred.SameRanges), the only part of a predicate the
+// solver reads. Members are listed in vertex order. Fingerprints of the
+// two pick a bucket; membership is decided by the exact comparisons.
+func (c *Ctx) memClasses() [][]*hoare.Vertex {
+	if c.classesOK {
+		return c.classes
+	}
+	type bucketKey struct{ ranges, forest uint64 }
+	buckets := map[bucketKey][]int{}
+	for _, v := range c.Vertices() {
+		if v.State == nil {
+			continue
+		}
+		k := bucketKey{v.State.Pred.RangesFingerprint(), forestFingerprint(v.State.Mem)}
+		joined := false
+		for _, i := range buckets[k] {
+			rep := c.classes[i][0].State
+			if memmodel.SameOrdered(rep.Mem, v.State.Mem) && rep.Pred.SameRanges(v.State.Pred) {
+				c.classes[i] = append(c.classes[i], v)
+				joined = true
+				break
+			}
+		}
+		if !joined {
+			buckets[k] = append(buckets[k], len(c.classes))
+			c.classes = append(c.classes, []*hoare.Vertex{v})
+		}
+	}
+	c.classesOK = true
+	return c.classes
+}
+
+// forestFingerprint hashes a forest's shape and region identities in
+// order, so that forests memmodel.SameOrdered equates hash alike.
+func forestFingerprint(f memmodel.Forest) uint64 {
+	h := uint64(len(f))
+	for _, t := range f {
+		h = expr.MixFP(h, uint64(len(t.Regions)))
+		for _, r := range t.Regions {
+			h = expr.MixFP(expr.MixFP(h, r.Addr.Fingerprint()), r.Size)
+		}
+		h = expr.MixFP(h, forestFingerprint(t.Kids))
+	}
+	return h
 }
 
 func checkEmptyTree(ctx *Ctx, v *hoare.Vertex) {
@@ -82,43 +149,40 @@ func checkEmptyTree(ctx *Ctx, v *hoare.Vertex) {
 }
 
 func checkDupRegion(ctx *Ctx, v *hoare.Vertex) {
-	seen := map[string]bool{}
+	seen := map[memmodel.RegionID]bool{}
 	for _, r := range v.State.Mem.AllRegions(nil) {
-		k := regionKey(r)
-		if seen[k] {
-			ctx.Reportf(v.ID, v.Addr, "region %s occurs twice in the memory forest", k)
+		id := memmodel.IDOf(r)
+		if seen[id] {
+			ctx.Reportf(v.ID, v.Addr, "region %s occurs twice in the memory forest", id)
 		}
-		seen[k] = true
+		seen[id] = true
 	}
 }
 
-// checkCycle walks each tree with its ancestor path: a region key that
+// checkCycle walks each tree with its ancestor path: a region that
 // reappears below itself would make enclosure cyclic (a region enclosed
 // in itself), which no concrete state can satisfy.
 func checkCycle(ctx *Ctx, v *hoare.Vertex) {
-	path := map[string]bool{}
+	path := map[memmodel.RegionID]bool{}
 	var walk func(f memmodel.Forest)
 	walk = func(f memmodel.Forest) {
 		for _, t := range f {
-			var keys []string
 			cyclic := false
 			for _, r := range t.Regions {
-				k := regionKey(r)
-				if path[k] {
-					ctx.Reportf(v.ID, v.Addr, "region %s is enclosed in itself", k)
+				if id := memmodel.IDOf(r); path[id] {
+					ctx.Reportf(v.ID, v.Addr, "region %s is enclosed in itself", id)
 					cyclic = true
 				}
-				keys = append(keys, k)
 			}
 			if cyclic {
 				continue // don't recurse through an already-reported cycle
 			}
-			for _, k := range keys {
-				path[k] = true
+			for _, r := range t.Regions {
+				path[memmodel.IDOf(r)] = true
 			}
 			walk(t.Kids)
-			for _, k := range keys {
-				delete(path, k)
+			for _, r := range t.Regions {
+				delete(path, memmodel.IDOf(r))
 			}
 		}
 	}
@@ -138,7 +202,7 @@ func checkPartialOverlap(ctx *Ctx, v *hoare.Vertex) {
 			res := ctx.Compare(p, regions[i], regions[j])
 			if res.Partial == solver.Yes {
 				ctx.Reportf(v.ID, v.Addr, "live regions %s and %s necessarily partially overlap",
-					regionKey(regions[i]), regionKey(regions[j]))
+					memmodel.IDOf(regions[i]), memmodel.IDOf(regions[j]))
 			}
 		}
 	}
@@ -150,15 +214,15 @@ func checkPartialOverlap(ctx *Ctx, v *hoare.Vertex) {
 // makes the model unsatisfiable — R(M) would hold in no concrete state.
 func checkRelationRefuted(ctx *Ctx, v *hoare.Vertex) {
 	p := v.State.Pred
-	for _, rel := range v.State.Mem.RelationsDetailed() {
-		res := ctx.Compare(p, rel.A, rel.B)
+	for _, rel := range v.State.Mem.Relations() {
+		res := ctx.Compare(p, rel.A.Region(), rel.B.Region())
 		refuted := false
 		switch rel.Op {
-		case "≡":
+		case memmodel.OpAlias:
 			refuted = res.Alias == solver.No
-		case "⋈":
+		case memmodel.OpSeparate:
 			refuted = res.Separate == solver.No
-		case "⪯":
+		case memmodel.OpEnclosed:
 			// A child may sit anywhere inside its parent, including
 			// exactly on top of it, so enclosure is refuted only when
 			// both strict enclosure and aliasing are impossible.
@@ -166,7 +230,7 @@ func checkRelationRefuted(ctx *Ctx, v *hoare.Vertex) {
 		}
 		if refuted {
 			ctx.Reportf(v.ID, v.Addr, "model asserts %s %s %s but the solver refutes it",
-				regionKey(rel.A), rel.Op, regionKey(rel.B))
+				rel.A, rel.Op, rel.B)
 		}
 	}
 }

@@ -106,7 +106,7 @@ func checkRetIntegrity(ctx *Ctx) {
 	}
 	want := expr.V(g.RetSym).Key()
 	reachesExit := ctx.ReachesExit()
-	for _, v := range g.SortedVertices() {
+	for _, v := range ctx.Vertices() {
 		if isTerminal(v.ID) || v.State == nil || !reachesExit[v.ID] {
 			continue
 		}

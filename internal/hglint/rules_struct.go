@@ -70,7 +70,7 @@ func checkEntry(ctx *Ctx) {
 
 func checkDanglingEdges(ctx *Ctx) {
 	g := ctx.Graph
-	for _, e := range g.SortedEdges() {
+	for _, e := range ctx.Edges() {
 		if _, ok := g.Vertices[e.From]; !ok {
 			ctx.Reportf(e.From, e.Inst.Addr, "edge %s -> %s leaves a vertex that does not exist", e.From, e.To)
 		}
@@ -81,7 +81,7 @@ func checkDanglingEdges(ctx *Ctx) {
 }
 
 func checkTerminalOutEdges(ctx *Ctx) {
-	for _, e := range ctx.Graph.SortedEdges() {
+	for _, e := range ctx.Edges() {
 		if e.From == hoare.ExitID || e.From == hoare.HaltID {
 			ctx.Reportf(e.From, e.Inst.Addr, "terminal vertex %s has an out-edge to %s", e.From, e.To)
 		}
@@ -89,7 +89,7 @@ func checkTerminalOutEdges(ctx *Ctx) {
 }
 
 func checkCallCallee(ctx *Ctx) {
-	for _, e := range ctx.Graph.SortedEdges() {
+	for _, e := range ctx.Edges() {
 		if e.Kind == sem.KCall && e.Callee == "" {
 			ctx.Reportf(e.From, e.Inst.Addr, "call edge %s -> %s has no callee name", e.From, e.To)
 		}
@@ -98,7 +98,7 @@ func checkCallCallee(ctx *Ctx) {
 
 func checkEdgeInst(ctx *Ctx) {
 	g := ctx.Graph
-	for _, e := range g.SortedEdges() {
+	for _, e := range ctx.Edges() {
 		if _, ok := g.Instrs[e.Inst.Addr]; !ok {
 			ctx.Reportf(e.From, e.Inst.Addr, "edge instruction @%#x is not in the recovered disassembly", e.Inst.Addr)
 		}
@@ -119,7 +119,7 @@ func checkNoSuccessor(ctx *Ctx) {
 		annotated[a.Addr] = true
 	}
 	succs := ctx.successors()
-	for _, v := range g.SortedVertices() {
+	for _, v := range ctx.Vertices() {
 		if isTerminal(v.ID) {
 			continue
 		}
@@ -131,7 +131,7 @@ func checkNoSuccessor(ctx *Ctx) {
 
 func checkUnreachable(ctx *Ctx) {
 	reach := ctx.Reachable()
-	for _, v := range ctx.Graph.SortedVertices() {
+	for _, v := range ctx.Vertices() {
 		// exit/halt are created eagerly and may legitimately be isolated
 		// (e.g. a function that never returns leaves exit unreachable).
 		if isTerminal(v.ID) {

@@ -80,45 +80,43 @@ func DefaultConfig() Config {
 func RelationsOf(f Forest, r solver.Region) map[RegionID]RelKind {
 	want := IDOf(r)
 	rel := map[RegionID]RelKind{}
-	for _, reg := range f.AllRegions(nil) {
+	f.eachRegion(func(reg solver.Region) {
 		if id := IDOf(reg); id != want {
 			rel[id] = RelSeparate
 		}
+	})
+	path := pathTo(f, want, nil)
+	if len(path) == 0 {
+		return rel
 	}
-	var walk func(f Forest, ancestors []RegionID) bool
-	walk = func(f Forest, ancestors []RegionID) bool {
-		for _, t := range f {
-			inNode := false
-			var nodeIDs []RegionID
-			for _, reg := range t.Regions {
-				id := IDOf(reg)
-				nodeIDs = append(nodeIDs, id)
-				if id == want {
-					inNode = true
-				}
-			}
-			if inNode {
-				for _, id := range nodeIDs {
-					if id != want {
-						rel[id] = RelAlias
-					}
-				}
-				for _, a := range ancestors {
-					rel[a] = RelEnclosedIn
-				}
-				for _, kid := range t.Kids.AllRegions(nil) {
-					rel[IDOf(kid)] = RelEncloses
-				}
-				return true
-			}
-			if walk(t.Kids, append(ancestors, nodeIDs...)) {
-				return true
-			}
+	node := path[len(path)-1]
+	for _, reg := range node.Regions {
+		if id := IDOf(reg); id != want {
+			rel[id] = RelAlias
 		}
-		return false
 	}
-	walk(f, nil)
+	for _, anc := range path[:len(path)-1] {
+		for _, reg := range anc.Regions {
+			rel[IDOf(reg)] = RelEnclosedIn
+		}
+	}
+	node.Kids.eachRegion(func(reg solver.Region) { rel[IDOf(reg)] = RelEncloses })
 	return rel
+}
+
+// pathTo appends to path the trees from a top-level tree of f down to the
+// first node, depth first, that holds id; it returns nil if none does.
+func pathTo(f Forest, id RegionID, path []*Tree) []*Tree {
+	for _, t := range f {
+		here := append(path, t)
+		if hasID(t.Regions, id) {
+			return here
+		}
+		if found := pathTo(t.Kids, id, here); found != nil {
+			return found
+		}
+	}
+	return nil
 }
 
 // Ins inserts region r into memory model f per Definition 3.7, returning
@@ -262,13 +260,9 @@ func insAlias(t0, t1 *Tree, rest Forest) InsResult {
 		rel[IDOf(r)] = RelAlias
 	}
 	merged.Kids = slices.Concat(t0.Kids, t1.Kids)
-	for _, kid := range t1.Kids.AllRegions(nil) {
-		rel[IDOf(kid)] = RelEncloses
-	}
+	t1.Kids.eachRegion(func(kid solver.Region) { rel[IDOf(kid)] = RelEncloses })
 	out := append(Forest{merged}, rest...)
-	for _, r := range rest.AllRegions(nil) {
-		rel[IDOf(r)] = RelSeparate
-	}
+	rest.eachRegion(func(r solver.Region) { rel[IDOf(r)] = RelSeparate })
 	return InsResult{Forest: out, Rel: rel}
 }
 
@@ -284,9 +278,7 @@ func insSep(t0, t1 *Tree, rest Forest, o Oracle, cfg Config) []InsResult {
 		for _, r := range t1.Regions {
 			rel[IDOf(r)] = RelSeparate
 		}
-		for _, r := range t1.Kids.AllRegions(nil) {
-			rel[IDOf(r)] = RelSeparate
-		}
+		t1.Kids.eachRegion(func(r solver.Region) { rel[IDOf(r)] = RelSeparate })
 		out = append(out, InsResult{
 			Forest: append(Forest{t1}, sub.Forest...),
 			Rel:    rel,
@@ -310,9 +302,7 @@ func insEnc(t0, t1 *Tree, rest Forest, o Oracle, cfg Config) InsResult {
 		rel[IDOf(r)] = RelEnclosedIn
 	}
 	nt := &Tree{Regions: t1.Regions, Kids: sub.Forest}
-	for _, r := range rest.AllRegions(nil) {
-		rel[IDOf(r)] = RelSeparate
-	}
+	rest.eachRegion(func(r solver.Region) { rel[IDOf(r)] = RelSeparate })
 	return InsResult{Forest: append(Forest{nt}, rest...), Rel: rel}
 }
 
@@ -325,9 +315,7 @@ func insCon(t0, t1 *Tree, rest Forest, o Oracle, cfg Config) []InsResult {
 	for _, r := range t1.Regions {
 		inner[IDOf(r)] = RelEncloses
 	}
-	for _, r := range t1.Kids.AllRegions(nil) {
-		inner[IDOf(r)] = RelEncloses
-	}
+	t1.Kids.eachRegion(func(r solver.Region) { inner[IDOf(r)] = RelEncloses })
 	subResults := insTree(grown, rest, o, cfg)
 	out := make([]InsResult, 0, len(subResults))
 	for _, sub := range subResults {
@@ -357,17 +345,13 @@ func destroy(t0 *Tree, f Forest, o Oracle) InsResult {
 			for _, reg := range t.Regions {
 				rel[IDOf(reg)] = RelSeparate
 			}
-			for _, reg := range t.Kids.AllRegions(nil) {
-				rel[IDOf(reg)] = RelSeparate
-			}
+			t.Kids.eachRegion(func(reg solver.Region) { rel[IDOf(reg)] = RelSeparate })
 			continue
 		}
 		for _, reg := range t.Regions {
 			rel[IDOf(reg)] = RelDestroyed
 		}
-		for _, reg := range t.Kids.AllRegions(nil) {
-			rel[IDOf(reg)] = RelDestroyed
-		}
+		t.Kids.eachRegion(func(reg solver.Region) { rel[IDOf(reg)] = RelDestroyed })
 	}
 	return InsResult{Forest: append(kept, t0), Rel: rel}
 }

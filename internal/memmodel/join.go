@@ -21,7 +21,7 @@ import (
 // common case at the exploration's fixed point; trees are immutable, so the
 // result shares them.
 func Join(m0, m1 Forest) Forest {
-	if sameOrdered(m0, m1) {
+	if SameOrdered(m0, m1) {
 		return m1
 	}
 	trees := append(append([]*Tree{}, m0...), m1...)

@@ -2,6 +2,7 @@ package memmodel
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/expr"
@@ -166,10 +167,10 @@ func TestExample38(t *testing.T) {
 	// Figure 2a: one tree, node {rdi0, rsi0}, child [rsi0+4,4].
 	var saw2a, saw2b bool
 	for _, m := range models {
-		rels := m.Relations()
-		aliasTop := rels[relKeyStr(rdi, rsi, "≡")]
-		childIn := rels[relKeyStr2(rsi4, rsi, "⪯")]
-		sepTop := rels[relKeyStr(rdi, rsi, "⋈")]
+		rels := m.RelationSet()
+		aliasTop := rels.Has(Relation{A: IDOf(rdi), B: IDOf(rsi), Op: OpAlias})
+		childIn := rels.Has(Relation{A: IDOf(rsi4), B: IDOf(rsi), Op: OpEnclosed})
+		sepTop := rels.Has(Relation{A: IDOf(rdi), B: IDOf(rsi), Op: OpSeparate})
 		if aliasTop && childIn {
 			saw2a = true
 		}
@@ -188,9 +189,41 @@ func TestExample38(t *testing.T) {
 	}
 }
 
-// relKeyStr2 is relKeyStr for the asymmetric ⪯.
-func relKeyStr2(a, b solver.Region, op string) string {
-	return regionKey(a) + " " + op + " " + regionKey(b)
+// TestRelationSet pins R(M) as values: the walk's order, the symmetric
+// lookup of ≡ and ⋈ (but not ⪯), and the canonical rendering.
+func TestRelationSet(t *testing.T) {
+	a, b := reg(expr.V("rdi0"), 8), reg(expr.V("rsi0"), 8)
+	c, d := reg(expr.V("rdi0"), 4), reg(rsp(-8), 8)
+	f := Forest{{Regions: []solver.Region{a, b}, Kids: Forest{Leaf(c)}}, Leaf(d)}
+	want := []Relation{
+		{A: IDOf(a), B: IDOf(b), Op: OpAlias},
+		{A: IDOf(c), B: IDOf(a), Op: OpEnclosed},
+		{A: IDOf(c), B: IDOf(b), Op: OpEnclosed},
+		{A: IDOf(a), B: IDOf(d), Op: OpSeparate},
+		{A: IDOf(b), B: IDOf(d), Op: OpSeparate},
+		{A: IDOf(c), B: IDOf(d), Op: OpSeparate},
+	}
+	if got := f.Relations(); !slices.Equal(got, want) {
+		t.Fatalf("Relations() = %v, want %v", got, want)
+	}
+	set := f.RelationSet()
+	if len(set) != len(want) {
+		t.Fatalf("set has %d relations, want %d", len(set), len(want))
+	}
+	for _, r := range want {
+		if !set.Has(r) || (r.Op != OpEnclosed) != set.Has(Relation{A: r.B, B: r.A, Op: r.Op}) {
+			t.Errorf("set membership of %v or its converse is wrong", r)
+		}
+	}
+	if set.Has(Relation{A: IDOf(a), B: IDOf(d), Op: OpAlias}) {
+		t.Error("set holds a relation the model does not assert")
+	}
+	if got := (Relation{A: IDOf(d), B: IDOf(a), Op: OpSeparate}).String(); got != "add(rsp0,0xfffffffffffffff8)#8 ⋈ rdi0#8" {
+		t.Errorf("separation renders as %q", got)
+	}
+	if got := (Relation{A: IDOf(c), B: IDOf(a), Op: OpEnclosed}).String(); got != "rdi0#4 ⪯ rdi0#8" {
+		t.Errorf("enclosure renders as %q", got)
+	}
 }
 
 func TestDestroyOnNoForkConfig(t *testing.T) {
@@ -255,7 +288,7 @@ func TestJoinExample313(t *testing.T) {
 	if len(j) != 1 {
 		t.Fatalf("one tree expected: %v", j)
 	}
-	if len(j[0].Regions) != 1 || regionKey(j[0].Regions[0]) != regionKey(top) {
+	if len(j[0].Regions) != 1 || IDOf(j[0].Regions[0]) != IDOf(top) {
 		t.Fatalf("top node: %v", j)
 	}
 	if len(j[0].Kids) != 2 {
@@ -268,7 +301,7 @@ func TestJoinIntersectsAliasSets(t *testing.T) {
 	m0 := Forest{{Regions: []solver.Region{a, b}}}
 	m1 := Forest{{Regions: []solver.Region{a, c}}}
 	j := Join(m0, m1)
-	if len(j) != 1 || len(j[0].Regions) != 1 || regionKey(j[0].Regions[0]) != regionKey(a) {
+	if len(j) != 1 || len(j[0].Regions) != 1 || IDOf(j[0].Regions[0]) != IDOf(a) {
 		t.Fatalf("intersection must keep only the shared region: %v", j)
 	}
 }
@@ -513,7 +546,7 @@ func TestQuickJoinOfSameModels(t *testing.T) {
 				continue
 			}
 			same++
-			if !sameOrdered(a, b) {
+			if !SameOrdered(a, b) {
 				reordered++
 			}
 			if j := Join(a, b); j.Key() != b.Key() {

@@ -38,12 +38,6 @@ func NewRegion(addr *expr.Expr, size uint64) solver.Region {
 	return solver.Region{Addr: addr, Size: size}
 }
 
-// regionKey renders a region for the canonical string forms (Forest.Key,
-// Relations); identity checks and relation maps use RegionID instead.
-func regionKey(r solver.Region) string {
-	return fmt.Sprintf("%s#%d", r.Addr.Key(), r.Size)
-}
-
 // RegionID identifies a region exactly. Addresses are interned expressions,
 // so the (address pointer, size) pair is a comparable value with the same
 // equality as the rendered "addrKey#size" string, at no rendering cost. The
@@ -56,6 +50,9 @@ type RegionID struct {
 
 // IDOf returns the identity of a region.
 func IDOf(r solver.Region) RegionID { return RegionID{Addr: r.Addr, Size: r.Size} }
+
+// Region returns the region the identity names.
+func (id RegionID) Region() solver.Region { return solver.Region{Addr: id.Addr, Size: id.Size} }
 
 // String renders the identity in the canonical "addrKey#size" form.
 func (id RegionID) String() string {
@@ -78,7 +75,7 @@ func (f Forest) Key() string {
 func (t *Tree) key() string {
 	rs := make([]string, len(t.Regions))
 	for i, r := range t.Regions {
-		rs[i] = regionKey(r)
+		rs[i] = IDOf(r).String()
 	}
 	sort.Strings(rs)
 	s := "[" + strings.Join(rs, "≡")
@@ -97,15 +94,16 @@ func (f Forest) String() string { return f.Key() }
 // their trees and joins preserve order) are detected without rendering
 // anything; otherwise it falls back to the order-independent canonical Key.
 func (f Forest) Same(g Forest) bool {
-	if sameOrdered(f, g) {
+	if SameOrdered(f, g) {
 		return true
 	}
 	return f.Key() == g.Key()
 }
 
-// sameOrdered reports whether two forests hold the same trees in the same
-// order; a shared subtree compares by pointer.
-func sameOrdered(f, g Forest) bool {
+// SameOrdered reports whether two forests hold the same trees in the same
+// order; a shared subtree compares by pointer. Such forests encode the
+// same relations, so a check that holds for one holds for the other.
+func SameOrdered(f, g Forest) bool {
 	if len(f) != len(g) {
 		return false
 	}
@@ -122,7 +120,7 @@ func sameOrdered(f, g Forest) bool {
 				return false
 			}
 		}
-		if !sameOrdered(t.Kids, u.Kids) {
+		if !SameOrdered(t.Kids, u.Kids) {
 			return false
 		}
 	}
@@ -138,12 +136,29 @@ func (f Forest) AllRegions(dst []solver.Region) []solver.Region {
 	return dst
 }
 
+// eachRegion calls visit on every region of the forest, in AllRegions
+// order, without collecting them.
+func (f Forest) eachRegion(visit func(solver.Region)) {
+	for _, t := range f {
+		t.eachRegion(visit)
+	}
+}
+
+// eachRegion calls visit on the tree's node regions, then on every region
+// below it.
+func (t *Tree) eachRegion(visit func(solver.Region)) {
+	for _, r := range t.Regions {
+		visit(r)
+	}
+	t.Kids.eachRegion(visit)
+}
+
 // HasRegion reports whether the forest contains a region with the same
 // address and size.
 func (f Forest) HasRegion(r solver.Region) bool {
 	want := IDOf(r)
-	for _, existing := range f.AllRegions(nil) {
-		if IDOf(existing) == want {
+	for _, t := range f {
+		if hasID(t.Regions, want) || t.Kids.HasRegion(r) {
 			return true
 		}
 	}
@@ -153,110 +168,118 @@ func (f Forest) HasRegion(r solver.Region) bool {
 // NumRegions counts the regions in the forest.
 func (f Forest) NumRegions() int { return len(f.AllRegions(nil)) }
 
-// Relation is one entry of R(M): an ordered pair of regions and the
-// relation the model asserts between them.
+// RelOp is the kind of one entry of R(M).
+type RelOp uint8
+
+// The relations a model asserts between two of its regions.
+const (
+	OpAlias    RelOp = iota // A ≡ B: both regions sit in one node
+	OpSeparate              // A ⋈ B: the regions sit in different sibling subtrees
+	OpEnclosed              // A ⪯ B: B sits in a node above A's
+)
+
+// String renders the operator in the paper's notation.
+func (op RelOp) String() string {
+	switch op {
+	case OpAlias:
+		return "≡"
+	case OpSeparate:
+		return "⋈"
+	default:
+		return "⪯"
+	}
+}
+
+// Relation is one entry of R(M): an ordered pair of region identities and
+// the relation the model asserts between them. ≡ and ⋈ are symmetric, so a
+// RelationSet matches them in either order; ⪯ reads "A is enclosed in B".
 type Relation struct {
-	A, B solver.Region
-	Op   string // "≡", "⋈" or "⪯"
+	A, B RegionID
+	Op   RelOp
 }
 
-// String renders the relation in the canonical key form used by
-// Relations().
+// String renders the relation in its canonical form: "a ⪯ b" in order,
+// and the symmetric relations with their operands in key order. Nothing
+// but failure reasons and diagnostics renders a relation.
 func (r Relation) String() string {
-	if r.Op == "⪯" {
-		return fmt.Sprintf("%s ⪯ %s", regionKey(r.A), regionKey(r.B))
+	ka, kb := r.A.String(), r.B.String()
+	if r.Op != OpEnclosed && ka > kb {
+		ka, kb = kb, ka
 	}
-	return relKeyStr(r.A, r.B, r.Op)
+	return ka + " " + r.Op.String() + " " + kb
 }
 
-// RelationsDetailed returns R(M) with structured entries.
-func (f Forest) RelationsDetailed() []Relation {
+// Relations returns R(M), the relations the model asserts, in a fixed
+// order: for each tree, the aliases within its node, every region below
+// the node enclosed in each node region, every region of the tree separate
+// from every region of each later sibling tree, then the same for its
+// children.
+func (f Forest) Relations() []Relation {
 	var out []Relation
-	var walk func(f Forest)
-	walk = func(f Forest) {
-		for i, t := range f {
-			for a := 0; a < len(t.Regions); a++ {
-				for b := a + 1; b < len(t.Regions); b++ {
-					out = append(out, Relation{A: t.Regions[a], B: t.Regions[b], Op: "≡"})
-				}
-			}
-			for _, kid := range t.Kids.AllRegions(nil) {
-				for _, top := range t.Regions {
-					out = append(out, Relation{A: kid, B: top, Op: "⪯"})
-				}
-			}
-			for j := i + 1; j < len(f); j++ {
-				for _, a := range t.Kids.AllRegions(append([]solver.Region(nil), t.Regions...)) {
-					for _, b := range f[j].Kids.AllRegions(append([]solver.Region(nil), f[j].Regions...)) {
-						out = append(out, Relation{A: a, B: b, Op: "⋈"})
-					}
-				}
-			}
-			walk(t.Kids)
-		}
-	}
-	walk(f)
+	f.eachRelation(func(r Relation) { out = append(out, r) })
 	return out
+}
+
+// RelationSet is R(M) as a set, keyed by value.
+type RelationSet map[Relation]struct{}
+
+// RelationSet returns R(M) as a set.
+func (f Forest) RelationSet() RelationSet {
+	s := RelationSet{}
+	f.eachRelation(func(r Relation) { s[r] = struct{}{} })
+	return s
+}
+
+// Has reports whether the set holds r, matching ≡ and ⋈ in either operand
+// order.
+func (s RelationSet) Has(r Relation) bool {
+	if _, ok := s[r]; ok {
+		return true
+	}
+	if r.Op == OpEnclosed {
+		return false
+	}
+	_, ok := s[Relation{A: r.B, B: r.A, Op: r.Op}]
+	return ok
+}
+
+// eachRelation calls fn on every relation of R(M), in Relations order.
+func (f Forest) eachRelation(fn func(Relation)) {
+	for i, t := range f {
+		for a, ra := range t.Regions {
+			for _, rb := range t.Regions[a+1:] {
+				fn(Relation{A: IDOf(ra), B: IDOf(rb), Op: OpAlias})
+			}
+		}
+		t.Kids.eachRegion(func(kid solver.Region) {
+			for _, top := range t.Regions {
+				fn(Relation{A: IDOf(kid), B: IDOf(top), Op: OpEnclosed})
+			}
+		})
+		for _, u := range f[i+1:] {
+			t.eachRegion(func(a solver.Region) {
+				u.eachRegion(func(b solver.Region) {
+					fn(Relation{A: IDOf(a), B: IDOf(b), Op: OpSeparate})
+				})
+			})
+		}
+		t.Kids.eachRelation(fn)
+	}
 }
 
 // GeometricallyNecessary reports whether the relation holds in every
 // concrete state regardless of any predicate — e.g. two stack slots at
 // constant offsets are always separate.
 func GeometricallyNecessary(r Relation) bool {
-	v := solver.Compare(emptyPred, r.A, r.B)
+	v := solver.Compare(emptyPred, r.A.Region(), r.B.Region())
 	switch r.Op {
-	case "≡":
+	case OpAlias:
 		return v.Alias == solver.Yes
-	case "⋈":
+	case OpSeparate:
 		return v.Separate == solver.Yes
-	case "⪯":
+	default:
 		return v.Enclosed == solver.Yes || v.Alias == solver.Yes
 	}
-	return false
-}
-
-// Relations returns the set R(M) of region relations encoded by the model,
-// as strings "a ≡ b", "a ⋈ b", "a ⪯ b" with operands in canonical order.
-// It is used by tests of Lemma 3.11 (completeness of insertion).
-func (f Forest) Relations() map[string]bool {
-	out := map[string]bool{}
-	var walk func(f Forest)
-	walk = func(f Forest) {
-		for i, t := range f {
-			// Aliasing within a node.
-			for a := 0; a < len(t.Regions); a++ {
-				for b := a + 1; b < len(t.Regions); b++ {
-					out[relKeyStr(t.Regions[a], t.Regions[b], "≡")] = true
-				}
-			}
-			// Children enclosed in parents (any top region).
-			for _, kid := range t.Kids.AllRegions(nil) {
-				for _, top := range t.Regions {
-					out[fmt.Sprintf("%s ⪯ %s", regionKey(kid), regionKey(top))] = true
-				}
-			}
-			// Siblings separate (all regions pairwise).
-			for j := i + 1; j < len(f); j++ {
-				for _, a := range append(append([]solver.Region{}, t.Regions...), t.Kids.AllRegions(nil)...) {
-					for _, b := range append(append([]solver.Region{}, f[j].Regions...), f[j].Kids.AllRegions(nil)...) {
-						out[relKeyStr(a, b, "⋈")] = true
-					}
-				}
-			}
-			// Sibling children within the same parent are separate.
-			walk(t.Kids)
-		}
-	}
-	walk(f)
-	return out
-}
-
-func relKeyStr(a, b solver.Region, op string) string {
-	ka, kb := regionKey(a), regionKey(b)
-	if ka > kb {
-		ka, kb = kb, ka
-	}
-	return fmt.Sprintf("%s %s %s", ka, op, kb)
 }
 
 // Holds implements Definition 3.9 for a concrete valuation: eval maps an

@@ -550,6 +550,16 @@ func (p *Pred) RangesFingerprint() uint64 {
 	return h
 }
 
+// SameRanges reports whether two predicates carry the same interval
+// clauses in the same order, compared clause by clause and pointer by
+// pointer. The solver reads a predicate only through these clauses, so
+// predicates with the same ranges get the same Compare verdicts.
+func (p *Pred) SameRanges(q *Pred) bool {
+	return slices.EqualFunc(p.ranges, q.ranges, func(a, b RangeClause) bool {
+		return a.E == b.E && a.R == b.R
+	})
+}
+
 // Same reports exact semantic equality of two predicates: equal clause sets
 // up to the canonical Key rendering, ignoring the widening counters (which
 // Key also ignores). Both clause lists are in canonical order and clauses
@@ -574,12 +584,7 @@ func (p *Pred) Same(q *Pred) bool {
 			return false
 		}
 	}
-	if !slices.Equal(p.mem, q.mem) {
-		return false
-	}
-	return slices.EqualFunc(p.ranges, q.ranges, func(a, b RangeClause) bool {
-		return a.E == b.E && a.R == b.R
-	})
+	return slices.Equal(p.mem, q.mem) && p.SameRanges(q)
 }
 
 // String renders the predicate for humans.

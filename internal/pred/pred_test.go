@@ -64,6 +64,23 @@ func TestRanges(t *testing.T) {
 	}
 }
 
+// TestSameRanges checks that SameRanges compares the interval clauses
+// only: other clauses may differ, a different bound may not.
+func TestSameRanges(t *testing.T) {
+	x := expr.V("x")
+	p := New()
+	p.AddRange(x, Range{0, 7})
+	q := p.Clone()
+	q.SetReg(x86.RAX, expr.Word(1))
+	if !p.SameRanges(q) || p.Same(q) {
+		t.Fatal("predicates differing only in a register clause must have the same ranges")
+	}
+	q.AddRange(x, Range{0, 3})
+	if p.SameRanges(q) {
+		t.Fatal("a narrowed interval must break SameRanges")
+	}
+}
+
 func TestRangeOfLinear(t *testing.T) {
 	p := New()
 	v := expr.V("idx")

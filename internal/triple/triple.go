@@ -11,8 +11,10 @@
 package triple
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -125,6 +127,7 @@ func Check(ctx context.Context, img *image.Image, g *hoare.Graph, cfg sem.Config
 		cc.workers = 1
 	}
 	vertices := g.SortedVertices()
+	succs := successors(g)
 	rep := &Report{Func: g.FuncName, Theorems: make([]Theorem, len(vertices))}
 	var failures atomic.Int64
 	pool.ForEach(cc.workers, len(vertices), func(i int) {
@@ -137,7 +140,7 @@ func Check(ctx context.Context, img *image.Image, g *hoare.Graph, cfg sem.Config
 			rep.Theorems[i] = Theorem{Vertex: v.ID, Addr: v.Addr, Verdict: Skipped,
 				Reason: fmt.Sprintf("not checked: error budget (%d) exhausted", cc.budget)}
 		default:
-			rep.Theorems[i] = checkVertex(img, g, cfg, v)
+			rep.Theorems[i] = checkVertex(img, g, cfg, v, succs[v.ID])
 			if rep.Theorems[i].Verdict == Failed {
 				failures.Add(1)
 			}
@@ -160,6 +163,39 @@ func Check(ctx context.Context, img *image.Image, g *hoare.Graph, cfg sem.Config
 	return rep
 }
 
+// succ is one out-neighbour of a vertex: its ID, and its vertex (nil when
+// the edge dangles).
+type succ struct {
+	id hoare.VertexID
+	v  *hoare.Vertex
+}
+
+// successors lists every vertex's distinct out-neighbours in vertex-ID
+// order, once per check. Two successors can share one address (IDs carry
+// a code-pointer suffix), so a fixed order is what makes a failure reason
+// name the same successor on every run.
+func successors(g *hoare.Graph) map[hoare.VertexID][]succ {
+	out := map[hoare.VertexID][]succ{}
+	for _, e := range g.Edges {
+		out[e.From] = append(out[e.From], succ{e.To, g.Vertices[e.To]})
+	}
+	for from, ss := range out {
+		slices.SortFunc(ss, func(a, b succ) int { return cmp.Compare(a.id, b.id) })
+		out[from] = slices.CompactFunc(ss, func(a, b succ) bool { return a.id == b.id })
+	}
+	return out
+}
+
+// hasSucc reports whether id is among the successors.
+func hasSucc(succs []succ, id hoare.VertexID) bool {
+	for _, s := range succs {
+		if s.id == id {
+			return true
+		}
+	}
+	return false
+}
+
 // annotatedAt reports whether the instruction at addr carries an
 // unsoundness annotation.
 func annotatedAt(g *hoare.Graph, addr uint64) bool {
@@ -175,7 +211,7 @@ func annotatedAt(g *hoare.Graph, addr uint64) bool {
 // {inv(v)} inst(v) {∨ inv(succ)}. Every shared artefact is recomputed: the
 // instruction is re-fetched from the binary's bytes and re-executed by a
 // fresh machine.
-func checkVertex(img *image.Image, g *hoare.Graph, cfg sem.Config, v *hoare.Vertex) Theorem {
+func checkVertex(img *image.Image, g *hoare.Graph, cfg sem.Config, v *hoare.Vertex, succs []succ) Theorem {
 	th := Theorem{Vertex: v.ID, Addr: v.Addr}
 	if v.ID == hoare.ExitID || v.ID == hoare.HaltID {
 		th.Verdict = Proven
@@ -187,14 +223,6 @@ func checkVertex(img *image.Image, g *hoare.Graph, cfg sem.Config, v *hoare.Vert
 		th.Verdict = Failed
 		th.Reason = fmt.Sprintf("re-fetch: %v", err)
 		return th
-	}
-
-	// Successor invariants, grouped by vertex.
-	succs := map[hoare.VertexID]*hoare.Vertex{}
-	for _, e := range g.Edges {
-		if e.From == v.ID {
-			succs[e.To] = g.Vertices[e.To]
-		}
 	}
 
 	m := sem.NewMachine(img, cfg)
@@ -224,10 +252,10 @@ func checkVertex(img *image.Image, g *hoare.Graph, cfg sem.Config, v *hoare.Vert
 
 // outcomeEntailsSuccessor finds a successor vertex whose invariant is
 // entailed by the outcome's post-state.
-func outcomeEntailsSuccessor(g *hoare.Graph, m *sem.Machine, addr, next uint64, o sem.Outcome, succs map[hoare.VertexID]*hoare.Vertex) (bool, string) {
+func outcomeEntailsSuccessor(g *hoare.Graph, m *sem.Machine, addr, next uint64, o sem.Outcome, succs []succ) (bool, string) {
 	switch o.Kind {
 	case sem.KHalt:
-		if _, ok := succs[hoare.HaltID]; ok {
+		if hasSucc(succs, hoare.HaltID) {
 			return true, ""
 		}
 		return false, "halt outcome without halt successor"
@@ -236,7 +264,7 @@ func outcomeEntailsSuccessor(g *hoare.Graph, m *sem.Machine, addr, next uint64, 
 		if !chk.OK {
 			return false, fmt.Sprintf("return check: %v", chk.Reasons)
 		}
-		if _, ok := succs[hoare.ExitID]; ok {
+		if hasSucc(succs, hoare.ExitID) {
 			return true, ""
 		}
 		return false, "ret outcome without exit successor"
@@ -244,11 +272,11 @@ func outcomeEntailsSuccessor(g *hoare.Graph, m *sem.Machine, addr, next uint64, 
 		// A call edge's postcondition is the ABI-cleaned continuation —
 		// or a terminal edge when the callee never returns.
 		post := m.CleanAfterCall(o.State, addr)
-		for id, s := range succs {
-			if id == hoare.HaltID {
+		for _, s := range succs {
+			if s.id == hoare.HaltID {
 				return true, "" // callee proven non-returning in Step 1
 			}
-			if s != nil && s.Addr == next && entails(post, s.State, id) {
+			if s.v != nil && s.v.Addr == next && entails(post, s.v.State) {
 				return true, ""
 			}
 		}
@@ -259,12 +287,12 @@ func outcomeEntailsSuccessor(g *hoare.Graph, m *sem.Machine, addr, next uint64, 
 			return false, fmt.Sprintf("unbounded control flow: rip = %v", o.Target)
 		}
 		var why string
-		for id, s := range succs {
-			if s == nil || id == hoare.ExitID || id == hoare.HaltID {
+		for _, s := range succs {
+			if s.v == nil || s.id == hoare.ExitID || s.id == hoare.HaltID {
 				continue
 			}
-			if s.Addr == tgt {
-				ok, reason := entailsWhy(o.State, s.State)
+			if s.v.Addr == tgt {
+				ok, reason := entailsWhy(o.State, s.v.State)
 				if ok {
 					return true, ""
 				}
@@ -282,8 +310,7 @@ func outcomeEntailsSuccessor(g *hoare.Graph, m *sem.Machine, addr, next uint64, 
 // several parts additionally require the post values to coincide. Memory
 // model entailment is relation-set inclusion (the invariant's model is the
 // weaker one: it encodes fewer relations).
-func entails(post, inv *sem.State, vid hoare.VertexID) bool {
-	_ = vid
+func entails(post, inv *sem.State) bool {
 	ok, _ := entailsWhy(post, inv)
 	return ok
 }
@@ -298,13 +325,14 @@ func entailsWhy(post, inv *sem.State) (bool, string) {
 	}
 	// Every relation asserted by the invariant's memory model must be
 	// encoded by the post-state's model — or hold geometrically in every
-	// state (same-base constant offsets).
-	postRels := post.Mem.Relations()
-	for _, rel := range inv.Mem.RelationsDetailed() {
-		if postRels[rel.String()] {
-			continue
-		}
-		if memmodel.GeometricallyNecessary(rel) {
+	// state (same-base constant offsets). Forests with the same trees in
+	// the same order assert the same relations, so they need no walk.
+	if memmodel.SameOrdered(post.Mem, inv.Mem) {
+		return true, ""
+	}
+	postRels := post.Mem.RelationSet()
+	for _, rel := range inv.Mem.Relations() {
+		if postRels.Has(rel) || memmodel.GeometricallyNecessary(rel) {
 			continue
 		}
 		return false, fmt.Sprintf("memory relation %q not established", rel.String())

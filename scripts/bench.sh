@@ -80,6 +80,12 @@ go test -run '^$' -count="$count" -benchmem \
     -bench '^BenchmarkStep2$' \
     ./internal/triple/ | tee -a "$raw"
 
+# hglint: every lifted graph of CoreUtilsSuite(0.17) linted with the lift's
+# shared solver cache, as perfbench's coreutils-prove prove step does.
+go test -run '^$' -count="$count" -benchmem \
+    -bench '^BenchmarkLint$' \
+    ./internal/hglint/ | tee -a "$raw"
+
 # Fold the go test -bench lines into JSON. Value/unit pairs follow the
 # iteration count; units become keys (ns/op -> ns_per_op, hit% -> hit_pct).
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v go="$(go env GOVERSION)" '
