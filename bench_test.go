@@ -27,6 +27,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/expr"
+	"repro/internal/hgstore"
 	"repro/internal/memmodel"
 	"repro/internal/pred"
 	"repro/internal/ptr"
@@ -141,6 +142,46 @@ func BenchmarkTable1_lib_warmstore(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(sum.StoreHits), "hits")
+}
+
+// BenchmarkStorePut times one write-through Put — seal, encode, and the
+// locked append and fsync of one record — into a store holding the
+// largest Table 1 directory: the write perfbench's store-incremental makes
+// for the unit it edits each round.
+func BenchmarkStorePut(b *testing.B) {
+	dir := table1Dirs(b)["lib"]
+	st, err := lift.OpenStore(filepath.Join(b.TempDir(), "graphs.hgcs"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	st.SetAutoFlush(false)
+	lift.Run(context.Background(), lift.UnitRequests(dir.Units), lift.Jobs(1), lift.WithStore(st))
+	if err := st.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	st.SetAutoFlush(true)
+	var unit *corpus.Unit
+	for _, u := range dir.Units {
+		if u.Expect == core.StatusLifted {
+			unit = u
+			break
+		}
+	}
+	if unit == nil {
+		b.Fatal("no lifted unit")
+	}
+	l := core.New(unit.Image, core.DefaultConfig())
+	fr := l.LiftFuncCtx(context.Background(), unit.FuncAddr, unit.Name)
+	e := &hgstore.Entry{Status: fr.Status, Graph: fr.Stats(), Sem: l.Counters(),
+		Funcs: []*core.FuncResult{fr}, EntryIndex: -1}
+	key := hgstore.TaskKey(unit.Image, unit.FuncAddr, false, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.Put(key, e, unit.Image); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // benchTable2 lifts one CoreUtils-shaped binary and proves every vertex —

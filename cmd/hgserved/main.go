@@ -3,8 +3,9 @@
 // binaries (single or batch) and receive per-function progress and
 // verdicts as an NDJSON stream. Duplicate submissions are answered from
 // the content-addressed Hoare-graph store with zero lifts; the store's
-// locked read-merge-write flush makes sharing its container with
-// concurrent hglift -store runs safe.
+// locked flush, which reads what other writers appended before it
+// appends, makes sharing its container with concurrent hglift -store runs
+// safe.
 //
 // Usage:
 //

@@ -85,7 +85,7 @@ const (
 
 func fpWord(w uint64) uint64 { return MixFP(seedWord, w) }
 
-func fpVar(name Var) uint64 {
+func fpVar[N Var | []byte](name N) uint64 {
 	// FNV-1a over the name bytes, then avalanche through the finalizer.
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {
@@ -147,6 +147,25 @@ func intern(kind Kind, word uint64, v Var, op Op, size uint8, args []*Expr, fp u
 	s.buckets[fp] = append(s.buckets[fp], e)
 	s.mu.Unlock()
 	return e
+}
+
+// internVar returns V(Var(name)) without allocating the name when the
+// variable is already interned: a decoder reads names as bytes, and most
+// of them name variables the process has seen. A hit counts as V's would;
+// a miss falls through to V, which allocates the name and counts the miss.
+func internVar(name []byte) *Expr {
+	fp := fpVar(name)
+	s := &shards[fp&(numShards-1)]
+	s.mu.Lock()
+	for _, e := range s.buckets[fp] {
+		if e.kind == KindVar && string(e.v) == string(name) {
+			s.hits++
+			s.mu.Unlock()
+			return e
+		}
+	}
+	s.mu.Unlock()
+	return V(Var(name))
 }
 
 // InternStats is a snapshot of the process-global intern table.

@@ -98,6 +98,51 @@ func TestTableStats(t *testing.T) {
 	}
 }
 
+// TestInternVarMatchesV pins the decoder's byte-keyed interning against
+// V: the same canonical node on a miss and on a hit, the same counter
+// movements, and a name that does not alias the caller's buffer.
+func TestInternVarMatchesV(t *testing.T) {
+	step := func(intern func() *Expr) (*Expr, InternStats) {
+		before := TableStats()
+		e := intern()
+		after := TableStats()
+		return e, InternStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
+	}
+	miss := InternStats{Misses: 1}
+	hit := InternStats{Hits: 1}
+
+	// A name first seen through internVar, then through V.
+	buf := []byte(fmt.Sprintf("internvar_probe_%d", TableStats().Misses))
+	name := string(buf)
+	e, d := step(func() *Expr { return internVar(buf) })
+	if d != miss {
+		t.Fatalf("internVar miss moved the counters by %+v, want %+v", d, miss)
+	}
+	buf[0] = 'X' // the interned name must be a copy
+	if e.VarName() != Var(name) {
+		t.Fatalf("interned name %q aliases the caller's buffer", e.VarName())
+	}
+	v, d := step(func() *Expr { return V(Var(name)) })
+	if v != e || d != hit {
+		t.Fatalf("V after internVar: same node %v, counters %+v", v == e, d)
+	}
+	again, d := step(func() *Expr { return internVar([]byte(name)) })
+	if again != e || d != hit {
+		t.Fatalf("internVar hit: same node %v, counters %+v", again == e, d)
+	}
+
+	// A name first seen through V, then through internVar.
+	name2 := name + "_v"
+	v2, d := step(func() *Expr { return V(Var(name2)) })
+	if d != miss {
+		t.Fatalf("V miss moved the counters by %+v", d)
+	}
+	e2, d := step(func() *Expr { return internVar([]byte(name2)) })
+	if e2 != v2 || d != hit {
+		t.Fatalf("internVar after V: same node %v, counters %+v", e2 == v2, d)
+	}
+}
+
 // FuzzInternCanonical is the tentpole's canonicality oracle: for
 // constructor-built pairs, structural equality (the pre-interning
 // definition), pointer identity and fingerprint equality must all coincide,

@@ -139,9 +139,9 @@ func DecodeTable(d *wire.Decoder) ([]*Expr, error) {
 				nodes = append(nodes, Word(w))
 			}
 		case tagVar:
-			name := d.String("var name")
+			name := d.Bytes(d.Uvarint("var name length"), "var name")
 			if d.Err() == nil {
-				nodes = append(nodes, V(Var(name)))
+				nodes = append(nodes, internVar(name))
 			}
 		case tagDeref:
 			size := d.Uvarint("deref size")

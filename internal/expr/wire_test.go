@@ -2,6 +2,7 @@ package expr
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/wire"
@@ -168,5 +169,25 @@ func TestDecodeTableRejectsMalformedNodes(t *testing.T) {
 		if _, err := DecodeTable(wire.NewDecoder(data)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestDecodeTableInternsNamesFromBytes pins the decoder's byte-keyed
+// interning: decoding a table whose variables the process already holds
+// allocates no variable name, only the node list and the cursor.
+func TestDecodeTableInternsNamesFromBytes(t *testing.T) {
+	const vars = 64
+	tab := NewTable()
+	for i := 0; i < vars; i++ {
+		tab.Add(V(Var(fmt.Sprintf("decode_probe_%d", i))))
+	}
+	data := AppendTable(nil, tab)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := DecodeTable(wire.NewDecoder(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("decoding %d interned variables allocates %.0f times, want at most 3", vars, allocs)
 	}
 }

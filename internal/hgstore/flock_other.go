@@ -4,11 +4,10 @@ package hgstore
 
 // Fallback for platforms without flock: the sidecar file is still created
 // (so tooling sees the same on-disk shape) but provides no cross-process
-// exclusion — concurrent writers fall back to last-flush-wins for entries
-// the merge pass cannot see mid-write. The merge-on-flush union still
-// recovers every entry that reached the container, so the degradation is
-// bounded staleness, not corruption: every file a reader observes is a
-// complete rename-published container.
+// exclusion — two writers may append at one offset, or one may compact
+// while another appends, and lose each other's records. Every record is
+// checksummed, so the damage reads back as dropped records (misses):
+// the degradation is lost entries, never a wrong hit.
 
 import (
 	"fmt"

@@ -2,19 +2,20 @@
 
 package hgstore
 
-// Cross-process serialisation of the read-merge-write flush cycle. The
+// Cross-process serialisation of the container's reads and writes. The
 // in-process mutex only protects one *Store; two processes sharing a store
 // file (the hgserved daemon plus an hglift -store run, or two concurrent
 // CLI runs) used to race each other through a fixed <path>.tmp and a
 // blind whole-container overwrite — the later rename silently dropped the
 // earlier process's entries. An advisory flock on a sidecar lock file
-// closes the race: whoever holds it owns the read-merge-write window.
+// closes the race: whoever holds it owns the container, from reading what
+// others appended to the fsync of its own append or compaction.
 //
 // The lock lives on <path>.lock rather than the container itself because
-// the container is replaced by rename on every flush: a lock taken on the
-// old inode would not exclude a writer that already renamed a new file
-// into place. The sidecar is created once and never renamed, so its inode
-// is stable for every process.
+// a compaction replaces the container by rename: a lock taken on the old
+// inode would not exclude a writer that already renamed a new file into
+// place. The sidecar is created once and never renamed, so its inode is
+// stable for every process.
 
 import (
 	"fmt"

@@ -14,6 +14,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -208,4 +210,160 @@ func swappedClauseStore(f *testing.F, s *corpus.Scenario, dir string) []byte {
 		f.Fatalf("%s: swapped memory clauses: lookup reason %q, want a corrupt miss", s.Name, reason)
 	}
 	return data
+}
+
+// FuzzLoadGraph: for any bytes, LoadGraph returns a graph or an error,
+// never a panic, and a binary graph file it accepts re-marshals to a file
+// that loads back to the same bytes. Seeded with the marshal of a lifted
+// scenario graph, its truncations, a version-1 file (testdata) and files
+// whose record names a tree, forest, expression or vertex out of range.
+func FuzzLoadGraph(f *testing.F) {
+	s, err := corpus.Ret2Win()
+	if err != nil {
+		f.Fatal(err)
+	}
+	fr := core.New(s.Image, core.DefaultConfig()).LiftFuncCtx(context.Background(), s.FuncAddr, s.Name)
+	if fr.Graph == nil || fr.Graph.EntryID == "" {
+		f.Fatalf("%s: no graph", s.Name)
+	}
+	full := hgstore.MarshalGraph(fr.Graph)
+	f.Add(full)
+	for _, n := range []int{6, len(full) / 3, len(full) / 2, len(full) - 9, len(full) - 1} {
+		f.Add(full[:n])
+	}
+	corrupt := corruptIndexGraphs(f, full)
+	kinds := make([]string, 0, len(corrupt))
+	for what := range corrupt {
+		kinds = append(kinds, what)
+	}
+	sort.Strings(kinds)
+	for _, what := range kinds {
+		if _, err := hgstore.LoadGraph(s.Image, corrupt[what]); err == nil || !strings.Contains(err.Error(), "out of range") {
+			f.Fatalf("graph file with a corrupt %s index: %v, want an out-of-range error", what, err)
+		}
+		f.Add(corrupt[what])
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := hgstore.LoadGraph(s.Image, data)
+		if err != nil || !hgstore.IsBinaryGraph(data) {
+			return
+		}
+		out := hgstore.MarshalGraph(g)
+		g2, err := hgstore.LoadGraph(s.Image, out)
+		if err != nil {
+			t.Fatalf("re-load of own marshal failed: %v", err)
+		}
+		if !bytes.Equal(hgstore.MarshalGraph(g2), out) {
+			t.Fatal("marshal of an accepted graph is not a fixed point")
+		}
+	})
+}
+
+// corruptIndexGraphs returns copies of a graph file whose record names an
+// index one past its table: the first region's expression, the first
+// forest's tree, the first state's forest and the first edge's source
+// vertex; and one whose first tree gains a subtree that is the tree
+// itself. Each is resealed, so only the decoder can reject it.
+func corruptIndexGraphs(f *testing.F, file []byte) map[string][]byte {
+	d := wire.NewDecoder(file)
+	d.Bytes(uint64(len(hgstore.Magic)), "magic")
+	d.Uvarint("version")
+	d.Byte("kind")
+	body := d.Bytes(d.Uvarint("body length"), "body")
+
+	// Walk the record to each index site, noting its offset and the bytes
+	// that replace the uvarint there.
+	type site struct {
+		at   int
+		repl []byte
+	}
+	sites := map[string]site{}
+	note := func(what string, repl ...uint64) {
+		if _, ok := sites[what]; !ok {
+			var b []byte
+			for _, u := range repl {
+				b = binary.AppendUvarint(b, u)
+			}
+			sites[what] = site{d.Pos(), b}
+		}
+		d.Uvarint(what)
+	}
+	d = wire.NewDecoder(body)
+	nodes, err := expr.DecodeTable(d)
+	if err != nil {
+		f.Fatal(err)
+	}
+	d.Uvarint("function address")
+	d.String("function name")
+	d.String("return symbol")
+	d.String("entry")
+	nTrees := int(d.Uvarint("trees"))
+	for i := 0; i < nTrees; i++ {
+		for n := d.Uvarint("regions"); n > 0; n-- {
+			note("region expression", uint64(len(nodes)))
+			d.Uvarint("size")
+		}
+		at := d.Pos()
+		n := d.Uvarint("kids")
+		if i == 0 {
+			sites["subtree"] = site{at, slices.Concat(binary.AppendUvarint(nil, n+1), binary.AppendUvarint(nil, 0))}
+		}
+		for ; n > 0; n-- {
+			d.Uvarint("kid")
+		}
+	}
+	nForests := int(d.Uvarint("forests"))
+	for i := 0; i < nForests; i++ {
+		for n := d.Uvarint("forest trees"); n > 0; n-- {
+			note("forest tree", uint64(nTrees))
+		}
+	}
+	nVertices := int(d.Uvarint("vertices"))
+	for i := 0; i < nVertices; i++ {
+		d.String("id")
+		d.Uvarint("addr")
+		if d.Byte("has state") == 0 {
+			continue
+		}
+		for _, per := range []uint64{2, 2} { // register, then flag clauses
+			for n := d.Uvarint("clauses") * per; n > 0; n-- {
+				d.Uvarint("clause field")
+			}
+		}
+		if d.Byte("has cmp") == 1 {
+			for j := 0; j < 4; j++ {
+				d.Uvarint("cmp field")
+			}
+		}
+		for n := d.Uvarint("memory clauses") * 3; n > 0; n-- {
+			d.Uvarint("memory field")
+		}
+		for n := d.Uvarint("range clauses"); n > 0; n-- {
+			d.Uvarint("range expression")
+			d.Uint64("lo")
+			d.Uint64("hi")
+		}
+		note("state forest", uint64(nForests))
+	}
+	d.Uvarint("edges")
+	note("edge source", uint64(nVertices)+1)
+	if err := d.Err(); err != nil {
+		f.Fatal(err)
+	}
+	if len(sites) != 5 {
+		f.Fatalf("found %d of the 5 index sites", len(sites))
+	}
+
+	out := map[string][]byte{}
+	for what, s := range sites {
+		_, n := binary.Uvarint(body[s.at:])
+		edited := slices.Concat(body[:s.at], s.repl, body[s.at+n:])
+		file := []byte(hgstore.Magic)
+		file = binary.AppendUvarint(file, hgstore.Version)
+		file = append(file, 'G')
+		file = wire.AppendBytes(file, edited)
+		out[what] = wire.AppendUint64(file, hgstore.PayloadChecksum(edited))
+	}
+	return out
 }

@@ -9,7 +9,7 @@
 // is as trustworthy as a fresh one: Step 2 can always re-verify it without
 // trusting the writer.
 //
-// Storage is a single compact container file ("HGCS" v1) reusing the PR 6
+// Storage is a single compact container file ("HGCS" v2) reusing the PR 6
 // wire codecs: one interned-expression table per entry (shared subterms
 // emitted once, decode restores pointer identity through the smart
 // constructors) and the binary Hoare-graph record of internal/hoare. A

@@ -10,35 +10,49 @@ package hgstore
 //
 // checksum is the content hash of the payload bytes; a record whose
 // checksum does not match — bit corruption — is dropped, as is a
-// truncated tail (a crash mid-write under a non-atomic filesystem), as
-// are records stamped with a different LifterVersion. Every drop is a
-// future miss, never an error: the store is a cache, and its failure mode
-// is re-lifting.
+// truncated tail (a writer that died mid-append), as are records stamped
+// with a different LifterVersion. Every drop is a future miss, never an
+// error: the store is a cache, and its failure mode is re-lifting.
 //
-// Writes are atomic replaces: the writer serialises the whole container
-// to a uniquely named temp file in the same directory (os.CreateTemp, so
-// two flushers can never collide on one tmp path), fsyncs, and renames
-// over the destination. A reader therefore never observes a half-written
-// file. Concurrency is handled at two levels:
+// A flush appends. Under an advisory flock on the <path>.lock sidecar it
+// reads only the bytes other writers appended since this handle last
+// looked (their records join memory, so no writer drops another's
+// entries), truncates a torn tail, appends the records Put since the
+// last flush, and fsyncs before it releases the lock. A flush therefore
+// costs what it adds, not the size of the container, and Open, which
+// reads under the same lock, never sees a live writer's half-appended
+// record. Concurrency is handled at two levels:
 //
 //   - in-process, the store mutex serialises the N pipeline workers that
 //     Put concurrently under -jobs N;
-//   - cross-process, an advisory flock on the <path>.lock sidecar
-//     serialises the whole read-merge-write cycle, and the flush *unions*
-//     the current on-disk container with the in-memory records instead of
-//     blind-overwriting — so a daemon and a CLI run (or two CLI runs)
-//     sharing one store file cannot drop each other's entries.
+//   - cross-process, the flock serialises every read and write of the
+//     container, across handles of one process too.
+//
+// Putting a key again appends a new record and leaves the old one dead.
+// Compaction rewrites the container with one record per live key, in
+// first-insertion order, through a uniquely named temp file in the same
+// directory (os.CreateTemp, so two writers can never collide on one tmp
+// path) that is fsynced and renamed over the container. Open compacts
+// when dead records outnumber live ones. A handle that has seen a defect
+// (a record dropped for its checksum or lifter version, or a file that is
+// not a current store container) compacts on its next flush instead of
+// appending, so a flush leaves nothing for a reopen to drop. A handle
+// remembers the identity of the file it read and the offset just past its
+// last complete record: when another handle has since compacted, the path
+// names a new file, and the flush rescans it from the start instead of
+// writing at a stale offset. Compaction keeps the file mode of the
+// container it replaces, so the mode does not depend on which path wrote
+// last.
 //
 // A crash between CreateTemp and Rename strands a tmp file; Open sweeps
-// leftovers (safe under the same lock: a live flusher holds it for its
+// leftovers (safe under the same lock: a live writer holds it for its
 // whole create-to-rename window, so any tmp visible while the lock is
 // held is orphaned), and a failed Rename removes its own tmp.
 //
 // By default every Put flushes. Long-running writers (the hgserved
 // daemon) switch to buffered mode with SetAutoFlush(false) and call Flush
-// on their own cadence — merge-on-flush makes the deferred write exactly
-// as safe, it just widens the window a crash can lose (a cache's failure
-// mode: re-lifting).
+// on their own cadence: the deferred append is exactly as safe, it just
+// widens the window a crash can lose (a cache's failure mode: re-lifting).
 
 import (
 	"errors"
@@ -54,15 +68,18 @@ import (
 	"repro/internal/wire"
 )
 
-// Magic and Version identify the HGCS container.
+// Magic and Version identify the HGCS container. Version 2 introduced the
+// graph record's tree and forest tables (internal/hoare/wire.go); a
+// container of another version is dropped whole and rewritten by the
+// first flush.
 const (
 	Magic   = "HGCS"
-	Version = 1
+	Version = 2
 )
 
 // lockSuffix names the sidecar lock file and tmpMid the unique temp files
-// a flush writes ("<path>.tmp-<random>"); the sweep in Open matches the
-// shared "<path>.tmp" prefix, which also covers the fixed "<path>.tmp"
+// a compaction writes ("<path>.tmp-<random>"); the sweep in Open matches
+// the shared "<path>.tmp" prefix, which also covers the fixed "<path>.tmp"
 // name older writers used.
 const (
 	lockSuffix = ".lock"
@@ -80,8 +97,8 @@ const (
 // needs it (decode restores interned pointers against the reader's
 // image, so decoding eagerly at open would pin the wrong image).
 type record struct {
-	key     Key
 	payload []byte
+	pending bool // Put since the last flush: the next flush appends it
 }
 
 // Store is the content-addressed Hoare-graph cache. All methods are safe
@@ -92,16 +109,28 @@ type Store struct {
 	path      string
 	recs      map[Key]*record
 	order     []Key // insertion order of first sight, for stable files
+	pending   []Key // keys Put since the last flush, in Put order
 	dropped   int
 	autoFlush bool // false = buffered: Puts stay in memory until Flush
-	dirty     bool // buffered entries not yet flushed
+	// The container as this handle last read or wrote it: the file's
+	// identity and the offset just past its last complete record, where
+	// the next append goes.
+	file os.FileInfo
+	end  int64
+	// compact makes the next flush rewrite the container: the handle has
+	// seen a defect a flush must not leave behind.
+	compact bool
 }
 
 // Open creates or resumes the store at path: a missing file is an empty
 // store, an existing one is loaded with corrupt, truncated, or
-// version-skewed records dropped (Dropped counts them). Only real I/O errors are returned. Open takes
-// the cross-process lock for the read, so it also sweeps any tmp files a
-// crashed writer stranded in the directory.
+// version-skewed records dropped (Dropped counts them). Only real I/O
+// errors reading the file are returned. Open takes the cross-process lock
+// for the read, so it also sweeps any tmp files a crashed writer stranded
+// in the directory, and it compacts the container when dead records
+// outnumber live ones. A failed compaction is left to the next flush,
+// which retries it and reports the error: a reader needs no writable
+// container.
 func Open(path string) (*Store, error) {
 	s := &Store{path: path, recs: map[Key]*record{}, autoFlush: true}
 	lock, err := acquireFileLock(path)
@@ -110,19 +139,28 @@ func Open(path string) (*Store, error) {
 	}
 	defer lock.release()
 	s.sweepStaleTmps()
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return s, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("hgstore: open: %w", err)
 	}
-	s.scan(data, false)
+	defer f.Close()
+	records, _, err := s.readTail(f, false)
+	if err != nil {
+		return nil, fmt.Errorf("hgstore: open: %w", err)
+	}
+	if dead := records - len(s.recs); dead > len(s.recs) {
+		if s.rewrite() != nil {
+			s.compact = true
+		}
+	}
 	return s, nil
 }
 
 // sweepStaleTmps removes orphaned temp files next to the store. Callers
-// hold the file lock: a live flusher keeps the lock across its whole
+// hold the file lock: a live writer keeps the lock across its whole
 // create-to-rename window, so every "<base>.tmp*" entry visible now was
 // stranded by a crash (or by the pre-lock fixed-name writers) and will
 // never be renamed.
@@ -143,25 +181,58 @@ func (s *Store) sweepStaleTmps() {
 	}
 }
 
-// scan parses a container, tolerating every content defect. In load mode
-// (merge false) usable records replace in-memory ones and every defect
-// counts toward Dropped. In merge mode — the flush's read-back of a file
-// another process may have advanced — records only fill keys memory does
-// not hold: keys are content-addressed, so an entry present in both
-// places carries the same outcome and the in-memory copy wins; defects
-// are not counted, since the flush is about to rewrite the file anyway.
-func (s *Store) scan(data []byte, merge bool) {
+// readTail reads and scans what the open container holds past this
+// handle's last look: the bytes from s.end on when f is the file the
+// handle read before, otherwise (another handle compacted it, or it
+// shrank) the whole file. It returns the number of complete records it
+// read and the file's size. Callers hold the file lock.
+func (s *Store) readTail(f *os.File, merge bool) (records int, size int64, err error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	size = fi.Size()
+	from := s.end
+	if s.file == nil || !os.SameFile(fi, s.file) || size < from {
+		from = 0
+	}
+	data := make([]byte, size-from)
+	if n, err := f.ReadAt(data, from); n < len(data) {
+		return 0, 0, err
+	}
+	s.file = fi
+	return s.scan(data, from, merge), size, nil
+}
+
+// scan parses container bytes that start at file offset base (0: the
+// whole file, header included), tolerating every content defect, and
+// returns the number of complete records it read. It moves s.end past
+// the last complete record, so a torn tail is left beyond s.end for the
+// next flush to truncate, and it sets s.compact on any other defect. In
+// load mode (merge false) usable records replace in-memory ones and every
+// defect counts toward Dropped. In merge mode — a flush reading what
+// other writers appended — records only fill keys memory does not hold:
+// keys are content-addressed, so an entry present in both places carries
+// the same outcome and the in-memory copy wins; defects are not counted,
+// since the flush is about to compact them away.
+func (s *Store) scan(data []byte, base int64, merge bool) (records int) {
 	d := wire.NewDecoder(data)
-	if string(d.Bytes(uint64(len(Magic)), "magic")) != Magic ||
-		d.Uvarint("container version") != Version ||
-		d.Byte("file kind") != fileKindStore {
-		// Wrong magic, a future container version, or a graph file where
-		// a store was expected: everything it holds is unusable — treat
-		// the whole file as dropped. The next flush rewrites it.
-		if !merge {
-			s.dropped++
+	if base == 0 {
+		s.end = 0
+		if string(d.Bytes(uint64(len(Magic)), "magic")) != Magic ||
+			d.Uvarint("container version") != Version ||
+			d.Byte("file kind") != fileKindStore {
+			// Wrong magic, another container version, or a graph file
+			// where a store was expected: everything it holds is
+			// unusable — treat the whole file as dropped. The next flush
+			// rewrites it.
+			if !merge {
+				s.dropped++
+			}
+			s.compact = true
+			return 0
 		}
-		return
+		s.end = int64(d.Pos())
 	}
 	for len(d.Rest()) > 0 {
 		var k Key
@@ -169,20 +240,26 @@ func (s *Store) scan(data []byte, merge bool) {
 		k.Cfg = d.Uint64("record config fingerprint")
 		k.Addr = d.Uvarint("record address")
 		k.Binary = decodeBool(d, "record binary")
-		version := d.String("record lifter version")
-		payload := d.ByteSlice("record payload")
+		version := d.Bytes(d.Uvarint("record lifter version length"), "record lifter version")
+		// The payload aliases data, which readTail allocated for this scan
+		// and nothing else holds.
+		payload := d.Bytes(d.Uvarint("record payload length"), "record payload")
 		sum := d.Uint64("record checksum")
 		if d.Err() != nil {
-			// Truncated or malformed tail: drop it and everything after.
+			// Truncated or malformed tail: drop it and everything after;
+			// the next flush cuts it off.
 			if !merge {
 				s.dropped++
 			}
-			return
+			return records
 		}
-		if sum != hashBytes(hashSeed, payload) || version != LifterVersion {
+		records++
+		s.end = base + int64(d.Pos())
+		if sum != hashBytes(hashSeed, payload) || string(version) != LifterVersion {
 			if !merge {
 				s.dropped++
 			}
+			s.compact = true
 			continue
 		}
 		if _, ok := s.recs[k]; ok {
@@ -192,8 +269,9 @@ func (s *Store) scan(data []byte, merge bool) {
 		} else {
 			s.order = append(s.order, k)
 		}
-		s.recs[k] = &record{key: k, payload: payload}
+		s.recs[k] = &record{payload: payload}
 	}
+	return records
 }
 
 // Path returns the store's file path.
@@ -226,24 +304,24 @@ func (s *Store) Dropped() int {
 }
 
 // SetAutoFlush selects between write-through Puts (true, the default:
-// every Put rewrites the container, the CLI batch behaviour) and buffered
-// mode (false: Puts stay in memory until Flush — the long-running daemon
-// behaviour, where a flush per cached lift would make the container
-// rewrite the hot path). Buffered entries survive only until a crash;
-// that is the cache's stated failure mode, re-lifting.
+// every Put appends to the container and fsyncs, the CLI batch behaviour)
+// and buffered mode (false: Puts stay in memory until Flush — the
+// long-running daemon behaviour, where an fsync per cached lift would sit
+// on the hot path). Buffered entries survive only until a crash; that is
+// the cache's stated failure mode, re-lifting.
 func (s *Store) SetAutoFlush(auto bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.autoFlush = auto
 }
 
-// Flush persists buffered entries: a no-op when nothing changed since the
-// last write, otherwise one locked read-merge-write cycle. Callers in
+// Flush persists buffered entries: a no-op when nothing was Put since the
+// last flush, otherwise one locked append (or compaction). Callers in
 // buffered mode own the cadence (periodic, end-of-batch, shutdown).
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.dirty {
+	if len(s.pending) == 0 {
 		return nil
 	}
 	return s.flushLocked()
@@ -275,13 +353,13 @@ func (s *Store) Lookup(key Key, img *image.Image) (*Entry, int, time.Duration, s
 
 // Put seals, encodes and persists one entry, replacing any previous
 // record under the same key, and returns the encoded payload size. The
-// write is atomic (unique tmp + rename of the whole container), serialised
-// in-process by the store mutex and cross-process by the file lock, so
-// concurrent Puts from -jobs N workers and from other processes sharing
-// the store interleave safely. Sealing mutates the entry, so one *Entry
-// must not be passed to concurrent Puts — each lift produces its own. In
-// buffered mode (SetAutoFlush(false)) the entry only reaches disk at the
-// next Flush. Callers decide storability (see Storable) before putting.
+// write appends to the container under the store mutex and the
+// cross-process file lock (see the file comment), so concurrent Puts from
+// -jobs N workers and from other processes sharing the store interleave
+// safely. Sealing mutates the entry, so one *Entry must not be passed to
+// concurrent Puts — each lift produces its own. In buffered mode
+// (SetAutoFlush(false)) the entry only reaches disk at the next Flush.
+// Callers decide storability (see Storable) before putting.
 func (s *Store) Put(key Key, e *Entry, img *image.Image) (int, error) {
 	if err := e.Seal(img); err != nil {
 		return 0, err
@@ -289,46 +367,84 @@ func (s *Store) Put(key Key, e *Entry, img *image.Image) (int, error) {
 	payload := e.appendPayload(nil)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.recs[key]; !ok {
+	old := s.recs[key]
+	if old == nil {
 		s.order = append(s.order, key)
 	}
-	s.recs[key] = &record{key: key, payload: payload}
-	s.dirty = true
+	if old == nil || !old.pending {
+		s.pending = append(s.pending, key)
+	}
+	s.recs[key] = &record{payload: payload, pending: true}
 	if !s.autoFlush {
 		return len(payload), nil
 	}
 	return len(payload), s.flushLocked()
 }
 
-// flushLocked rewrites the container atomically under the cross-process
-// file lock: read back whatever is on disk and union it into memory (so a
-// concurrent process's entries survive this writer's rewrite), then
-// serialise everything to a unique temp file and rename it into place.
-// Records are emitted in first-insertion order, so re-running an
-// identical corpus rewrites an identical file.
+// flushLocked persists the pending records under the cross-process file
+// lock: it reads what other writers appended since this handle last
+// looked, then appends the pending records after the last complete record
+// (cutting off a torn tail) and fsyncs. When the handle has seen a defect,
+// or the container is missing, it compacts instead.
 func (s *Store) flushLocked() error {
 	lock, err := acquireFileLock(s.path)
 	if err != nil {
 		return err
 	}
 	defer lock.release()
-	if data, err := os.ReadFile(s.path); err == nil {
-		s.scan(data, true)
-	} else if !os.IsNotExist(err) {
+	f, err := os.OpenFile(s.path, os.O_RDWR, 0)
+	if os.IsNotExist(err) {
+		return s.rewrite()
+	}
+	if err != nil {
+		return fmt.Errorf("hgstore: flush: %w", err)
+	}
+	err = s.appendTo(f)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("hgstore: flush: %w", cerr)
+	}
+	return err
+}
+
+// appendTo is flushLocked's work on the open container.
+func (s *Store) appendTo(f *os.File) error {
+	_, size, err := s.readTail(f, true)
+	if err != nil {
 		return fmt.Errorf("hgstore: flush read-back: %w", err)
 	}
+	if s.compact {
+		return s.rewrite()
+	}
+	var buf []byte
+	for _, k := range s.pending {
+		buf = appendRecord(buf, k, s.recs[k].payload)
+	}
+	if size > s.end {
+		if err := f.Truncate(s.end); err != nil {
+			return fmt.Errorf("hgstore: flush: %w", err)
+		}
+	}
+	if _, err := f.WriteAt(buf, s.end); err != nil {
+		return fmt.Errorf("hgstore: flush: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("hgstore: flush: %w", err)
+	}
+	s.end += int64(len(buf))
+	s.flushed()
+	return nil
+}
+
+// rewrite compacts: it writes one record per live key, in first-insertion
+// order (so re-running an identical corpus writes an identical file), to
+// a unique temp file with the mode of the container it replaces, fsyncs
+// it and renames it over the container. Callers hold the file lock.
+func (s *Store) rewrite() error {
 	buf := []byte(Magic)
 	buf = wire.AppendUvarint(buf, Version)
 	buf = append(buf, fileKindStore)
 	for _, k := range s.order {
-		r := s.recs[k]
-		buf = wire.AppendUint64(buf, k.Code)
-		buf = wire.AppendUint64(buf, k.Cfg)
-		buf = wire.AppendUvarint(buf, k.Addr)
-		buf = appendBool(buf, k.Binary)
-		buf = wire.AppendString(buf, LifterVersion)
-		buf = wire.AppendBytes(buf, r.payload)
-		buf = wire.AppendUint64(buf, hashBytes(hashSeed, r.payload))
+		buf = appendRecord(buf, k, s.recs[k].payload)
 	}
 	dir, base := filepath.Split(s.path)
 	if dir == "" {
@@ -339,15 +455,25 @@ func (s *Store) flushLocked() error {
 		return err
 	}
 	tmp := f.Name()
-	if _, err := f.Write(buf); err != nil {
+	fail := func(err error) error {
 		f.Close()
 		os.Remove(tmp)
 		return err
 	}
+	if old, err := os.Stat(s.path); err == nil && old.Mode().IsRegular() {
+		if err := f.Chmod(old.Mode().Perm()); err != nil {
+			return fail(err)
+		}
+	}
+	if _, err := f.Write(buf); err != nil {
+		return fail(err)
+	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+		return fail(err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return fail(err)
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
@@ -358,8 +484,28 @@ func (s *Store) flushLocked() error {
 		os.Remove(tmp)
 		return err
 	}
-	s.dirty = false
+	s.file, s.end, s.compact = fi, int64(len(buf)), false
+	s.flushed()
 	return nil
+}
+
+// flushed marks every pending record as written.
+func (s *Store) flushed() {
+	for _, k := range s.pending {
+		s.recs[k].pending = false
+	}
+	s.pending = s.pending[:0]
+}
+
+// appendRecord appends one container record.
+func appendRecord(buf []byte, k Key, payload []byte) []byte {
+	buf = wire.AppendUint64(buf, k.Code)
+	buf = wire.AppendUint64(buf, k.Cfg)
+	buf = wire.AppendUvarint(buf, k.Addr)
+	buf = appendBool(buf, k.Binary)
+	buf = wire.AppendString(buf, LifterVersion)
+	buf = wire.AppendBytes(buf, payload)
+	return wire.AppendUint64(buf, hashBytes(hashSeed, payload))
 }
 
 // Keys returns the stored keys sorted for deterministic iteration (tests

@@ -11,6 +11,8 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -382,5 +384,65 @@ func TestGraphFileRoundTrip(t *testing.T) {
 			t.Fatalf("%s: truncated graph file loaded without error", s.Name)
 		}
 		break // one lifted scenario is enough for the file format
+	}
+}
+
+// fuzzSeed reads the bytes of a checked-in fuzz corpus entry.
+func fuzzSeed(t *testing.T, target, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	lit := strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")")
+	s, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []byte(s)
+}
+
+// TestGraphFileRejectsVersion1: a graph file written before the record
+// kept tree and forest tables fails loudly, naming its version.
+func TestGraphFileRejectsVersion1(t *testing.T) {
+	s, err := corpus.Ret2Win()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = hgstore.LoadGraph(s.Image, fuzzSeed(t, "FuzzLoadGraph", "v1-graph"))
+	if err == nil || !strings.Contains(err.Error(), "unsupported container version 1") {
+		t.Fatalf("version-1 graph file: %v, want an unsupported-version error", err)
+	}
+}
+
+// TestStoreDropsVersion1Container: a version-1 store container is dropped
+// whole — a miss for every entry, not an error — and the first flush
+// rewrites it as a current container.
+func TestStoreDropsVersion1Container(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.hgcs")
+	if err := os.WriteFile(path, fuzzSeed(t, "FuzzStoreOpen", "v1-container"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	st, err := hgstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != 0 || st.Dropped() != 1 {
+		t.Fatalf("version-1 container: len=%d dropped=%d, want 0/1", st.Len(), st.Dropped())
+	}
+	e, key, img, err := stressEntry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Put(key, e, img); err != nil {
+		t.Fatal(err)
+	}
+	re, err := hgstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Len() != 1 || re.Dropped() != 0 {
+		t.Fatalf("after the first flush: len=%d dropped=%d, want 1/0", re.Len(), re.Dropped())
 	}
 }

@@ -99,29 +99,47 @@ type Graph struct {
 	// bounded (column A of Table 1), keyed by instruction address.
 	Resolved map[uint64]bool
 
-	edgeSet map[string]bool
+	edgeSet map[edgeKey]struct{}
+}
+
+// edgeKey identifies an edge for AddEdge's deduplication: two edges with
+// the same endpoints and instruction address are the same transition.
+type edgeKey struct {
+	From, To VertexID
+	Addr     uint64
 }
 
 // NewGraph returns an empty graph for a function at addr.
 func NewGraph(addr uint64, name string, retSym expr.Var) *Graph {
-	return &Graph{
+	return newGraphSized(addr, name, retSym, 0, 0)
+}
+
+// newGraphSized returns an empty graph whose vertex, edge and instruction
+// containers are sized for the given counts (a decoder knows them up
+// front).
+func newGraphSized(addr uint64, name string, retSym expr.Var, vertices, edges int) *Graph {
+	g := &Graph{
 		FuncAddr: addr,
 		FuncName: name,
 		RetSym:   retSym,
-		Vertices: map[VertexID]*Vertex{},
-		Instrs:   map[uint64]x86.Inst{},
+		Vertices: make(map[VertexID]*Vertex, vertices),
+		Instrs:   make(map[uint64]x86.Inst, edges),
 		Resolved: map[uint64]bool{},
-		edgeSet:  map[string]bool{},
+		edgeSet:  make(map[edgeKey]struct{}, edges),
 	}
+	if edges > 0 {
+		g.Edges = make([]Edge, 0, edges)
+	}
+	return g
 }
 
 // AddEdge inserts an edge if not already present.
 func (g *Graph) AddEdge(e Edge) {
-	key := fmt.Sprintf("%s→%s@%x", e.From, e.To, e.Inst.Addr)
-	if g.edgeSet[key] {
+	key := edgeKey{From: e.From, To: e.To, Addr: e.Inst.Addr}
+	if _, ok := g.edgeSet[key]; ok {
 		return
 	}
-	g.edgeSet[key] = true
+	g.edgeSet[key] = struct{}{}
 	g.Edges = append(g.Edges, e)
 }
 

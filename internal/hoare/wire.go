@@ -13,18 +13,36 @@
 // the byte identity):
 //
 //	graph  = funcaddr funcname retsym entry
+//	         tree-count tree* forest-count forest*
 //	         vertex-count vertex* edge-count edge*
 //	         ann-count annotation* obl-count TEXT* asm-count TEXT*
+//	tree   = region-count (EXPR size)* kid-count TREE*
+//	forest = tree-count TREE*
 //	vertex = id addr has-state state?
 //	state  = reg-count   (gpr-index EXPR)*
 //	         flag-count  (flag EXPR)*
 //	         has-cmp     (cmp-kind size EXPR EXPR)?
 //	         mem-count   (EXPR size EXPR)*
 //	         range-count (EXPR lo64 hi64)*       lo/hi raw little-endian
-//	         forest
-//	forest = tree-count tree*
-//	tree   = region-count (EXPR size)* kid-count tree*
-//	edge   = from to out-kind addr callee
+//	         FOREST
+//	edge   = VREF VREF out-kind addr callee
+//
+// TREE and FOREST index the graph's tree and forest tables. The lifter
+// shares immutable memory trees between states, so a graph holds few
+// distinct trees and forests but names them at every vertex: the record
+// writes each structurally distinct tree once (a kid is always an earlier
+// tree, so the table is in topological order) and each distinct forest
+// once, and the decoder rebuilds one shared *memmodel.Tree per table entry
+// and one Forest per forest entry. Two vertices whose forests
+// memmodel.SameOrdered equates name the same forest. A decoded tree or
+// forest may not expand to more nodes than the table has trees (a lifted
+// tree holds each distinct subtree once), so a hostile record cannot make
+// a walk of its forests blow up. Clause lists get no table: they are
+// rarely shared (most vertices hold their own).
+//
+// VREF names an edge endpoint: index+1 into the vertex list, or 0 followed
+// by the ID for an endpoint that is not a vertex (an abandoned lift leaves
+// edges to vertices it never created).
 //
 // The encoder's callers (hgstore) first collect every expression of the
 // graphs a container holds into one expr.Table via CollectWireExprs,
@@ -91,14 +109,28 @@ func collectForest(t *expr.Table, f memmodel.Forest) {
 // the graph must already be in the table (see CollectWireExprs).
 func AppendWire(buf []byte, t *expr.Table, g *Graph) []byte {
 	idx := func(e *expr.Expr) uint64 { return uint64(t.Index(e)) }
+	vertices := g.SortedVertices()
+	models := newModelTable(t)
+	forestOf := make([]uint64, len(vertices))
+	ref := make(map[VertexID]uint64, len(vertices))
+	for i, v := range vertices {
+		ref[v.ID] = uint64(i) + 1
+		if v.State != nil {
+			forestOf[i] = models.forest(v.State.Mem)
+		}
+	}
+
 	buf = wire.AppendUvarint(buf, g.FuncAddr)
 	buf = wire.AppendString(buf, g.FuncName)
 	buf = wire.AppendString(buf, string(g.RetSym))
 	buf = wire.AppendString(buf, string(g.EntryID))
+	buf = wire.AppendUvarint(buf, uint64(len(models.trees.index)))
+	buf = append(buf, models.trees.bytes...)
+	buf = wire.AppendUvarint(buf, uint64(len(models.forests.index)))
+	buf = append(buf, models.forests.bytes...)
 
-	vertices := g.SortedVertices()
 	buf = wire.AppendUvarint(buf, uint64(len(vertices)))
-	for _, v := range vertices {
+	for i, v := range vertices {
 		buf = wire.AppendString(buf, string(v.ID))
 		buf = wire.AppendUvarint(buf, v.Addr)
 		if v.State == nil {
@@ -162,14 +194,21 @@ func AppendWire(buf []byte, t *expr.Table, g *Graph) []byte {
 			buf = wire.AppendUint64(buf, rc.r.Hi)
 		}
 
-		buf = appendForest(buf, t, v.State.Mem)
+		buf = wire.AppendUvarint(buf, forestOf[i])
 	}
 
+	appendRef := func(buf []byte, id VertexID) []byte {
+		if r, ok := ref[id]; ok {
+			return wire.AppendUvarint(buf, r)
+		}
+		buf = append(buf, 0)
+		return wire.AppendString(buf, string(id))
+	}
 	edges := g.SortedEdges()
 	buf = wire.AppendUvarint(buf, uint64(len(edges)))
 	for _, e := range edges {
-		buf = wire.AppendString(buf, string(e.From))
-		buf = wire.AppendString(buf, string(e.To))
+		buf = appendRef(buf, e.From)
+		buf = appendRef(buf, e.To)
 		buf = wire.AppendUvarint(buf, uint64(e.Kind))
 		buf = wire.AppendUvarint(buf, e.Inst.Addr)
 		buf = wire.AppendString(buf, e.Callee)
@@ -192,22 +231,80 @@ func AppendWire(buf []byte, t *expr.Table, g *Graph) []byte {
 	return buf
 }
 
-func appendForest(buf []byte, t *expr.Table, f memmodel.Forest) []byte {
-	buf = wire.AppendUvarint(buf, uint64(len(f)))
-	for _, tree := range f {
-		buf = wire.AppendUvarint(buf, uint64(len(tree.Regions)))
-		for _, r := range tree.Regions {
-			buf = wire.AppendUvarint(buf, uint64(t.Index(r.Addr)))
-			buf = wire.AppendUvarint(buf, r.Size)
-		}
-		buf = appendForest(buf, t, tree.Kids)
+// modelTable numbers the distinct memory trees and forests of one graph
+// and accumulates their encoded table entries. An entry names regions by
+// expression index and kids or trees by tree index, so its bytes are its
+// structural key: structurally equal trees, and forests
+// memmodel.SameOrdered equates, encode to the same entry. A tree met
+// before as the same pointer costs one map probe.
+type modelTable struct {
+	t       *expr.Table
+	treeOf  map[*memmodel.Tree]uint64
+	trees   entryTable
+	forests entryTable
+}
+
+func newModelTable(t *expr.Table) *modelTable {
+	return &modelTable{
+		t:       t,
+		treeOf:  map[*memmodel.Tree]uint64{},
+		trees:   entryTable{index: map[string]uint64{}},
+		forests: entryTable{index: map[string]uint64{}},
 	}
-	return buf
+}
+
+// tree returns the table index of t, adding its kids first, then t.
+func (m *modelTable) tree(t *memmodel.Tree) uint64 {
+	if i, ok := m.treeOf[t]; ok {
+		return i
+	}
+	b := wire.AppendUvarint(nil, uint64(len(t.Regions)))
+	for _, r := range t.Regions {
+		b = wire.AppendUvarint(b, uint64(m.t.Index(r.Addr)))
+		b = wire.AppendUvarint(b, r.Size)
+	}
+	i := m.trees.add(m.appendTrees(b, t.Kids))
+	m.treeOf[t] = i
+	return i
+}
+
+// forest returns the table index of f, adding its trees first.
+func (m *modelTable) forest(f memmodel.Forest) uint64 {
+	return m.forests.add(m.appendTrees(nil, f))
+}
+
+// appendTrees appends f as a counted list of tree indices.
+func (m *modelTable) appendTrees(b []byte, f memmodel.Forest) []byte {
+	b = wire.AppendUvarint(b, uint64(len(f)))
+	for _, t := range f {
+		b = wire.AppendUvarint(b, m.tree(t))
+	}
+	return b
+}
+
+// entryTable numbers distinct encoded table entries in order of first
+// sight and keeps their bytes.
+type entryTable struct {
+	index map[string]uint64
+	bytes []byte
+}
+
+// add returns the index of entry b, appending it if it is new.
+func (e *entryTable) add(b []byte) uint64 {
+	i, ok := e.index[string(b)]
+	if !ok {
+		i = uint64(len(e.index))
+		e.index[string(b)] = i
+		e.bytes = append(e.bytes, b...)
+	}
+	return i
 }
 
 // DecodeWire decodes one binary graph record from the cursor against the
 // decoded expression table, re-fetching every edge's instruction from the
 // image (exactly like the text loader, the record stores addresses only).
+// Every index is bounds-checked, so a corrupt record is an error, never a
+// panic; the decoded vertices share the record's trees and forests.
 func DecodeWire(d *wire.Decoder, nodes []*expr.Expr, img *image.Image) (*Graph, error) {
 	node := func(what string) *expr.Expr {
 		i := d.Uvarint(what)
@@ -225,42 +322,72 @@ func DecodeWire(d *wire.Decoder, nodes []*expr.Expr, img *image.Image) (*Graph, 
 	funcName := d.String("function name")
 	retSym := d.String("return symbol")
 	entry := d.String("entry id")
+	trees, sizes := decodeTrees(d, node)
+	forests := decodeForests(d, trees, sizes)
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	g := NewGraph(funcAddr, funcName, expr.Var(retSym))
-	g.EntryID = VertexID(entry)
 
 	nVertices := d.Len("vertex")
+	vertices := make([]*Vertex, 0, nVertices)
 	for i := 0; i < nVertices && d.Err() == nil; i++ {
 		id := VertexID(d.String("vertex id"))
 		addr := d.Uvarint("vertex address")
 		v := &Vertex{ID: id, Addr: addr}
 		if d.Byte("vertex state flag") == 1 {
 			v.State = sem.NewState()
-			decodeState(d, v.State, node)
+			decodeState(d, v.State, node, forests)
 		}
 		if d.Err() == nil {
-			g.Vertices[id] = v
+			vertices = append(vertices, v)
 		}
 	}
-
 	nEdges := d.Len("edge")
+	if d.Err() != nil {
+		return nil, d.Err()
+	}
+	g := newGraphSized(funcAddr, funcName, expr.Var(retSym), len(vertices), nEdges)
+	g.EntryID = VertexID(entry)
+	for _, v := range vertices {
+		g.Vertices[v.ID] = v
+	}
+
+	ref := func(what string) VertexID {
+		i := d.Uvarint(what)
+		if d.Err() != nil {
+			return ""
+		}
+		if i == 0 {
+			id := VertexID(d.String(what + " id"))
+			if _, ok := g.Vertices[id]; ok && d.Err() == nil {
+				d.Failf("%s %q is a vertex but is not named by index", what, id)
+			}
+			return id
+		}
+		if i > uint64(len(vertices)) {
+			d.Failf("%s vertex index %d out of range (have %d vertices)", what, i-1, len(vertices))
+			return ""
+		}
+		return vertices[i-1].ID
+	}
 	for i := 0; i < nEdges && d.Err() == nil; i++ {
-		from := VertexID(d.String("edge from"))
-		to := VertexID(d.String("edge to"))
+		from := ref("edge from")
+		to := ref("edge to")
 		kind := d.Uvarint("edge kind")
 		addr := d.Uvarint("edge address")
 		callee := d.String("edge callee")
 		if d.Err() != nil {
 			break
 		}
-		inst, err := img.Fetch(addr)
-		if err != nil {
-			d.Failf("edge instruction: %v", err)
-			break
+		inst, ok := g.Instrs[addr]
+		if !ok {
+			var err error
+			if inst, err = img.Fetch(addr); err != nil {
+				d.Failf("edge instruction: %v", err)
+				break
+			}
+			g.Instrs[addr] = inst
 		}
-		g.Instrs[addr] = inst
 		g.AddEdge(Edge{From: from, To: to, Inst: inst, Kind: sem.OutKind(kind), Callee: callee})
 	}
 
@@ -291,8 +418,81 @@ func DecodeWire(d *wire.Decoder, nodes []*expr.Expr, img *image.Image) (*Graph, 
 	return g, nil
 }
 
-// decodeState reads one vertex state's clauses.
-func decodeState(d *wire.Decoder, st *sem.State, node func(string) *expr.Expr) {
+// decodeTrees reads the tree table. A kid must name an earlier tree, so
+// every tree is built from finished kids and the table cannot hold a
+// cycle. It also returns each tree's expanded size (its nodes, counting
+// every kid's subtree), which may not exceed the number of trees up to
+// and including it: a lifted tree holds each distinct subtree once (two
+// copies would put one region in two places), while a record that names
+// one earlier tree twice per level would make every walk of the decoded
+// forests exponential in the record's size. Empty lists decode as nil.
+func decodeTrees(d *wire.Decoder, node func(string) *expr.Expr) ([]*memmodel.Tree, []int) {
+	n := d.Len("memory-model tree")
+	trees := make([]*memmodel.Tree, 0, n)
+	sizes := make([]int, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		t := &memmodel.Tree{}
+		if nRegions := d.Len("memory-model region"); nRegions > 0 {
+			t.Regions = make([]solver.Region, 0, nRegions)
+			for j := 0; j < nRegions && d.Err() == nil; j++ {
+				addr := node("region address")
+				size := d.Uvarint("region size")
+				t.Regions = append(t.Regions, solver.Region{Addr: addr, Size: size})
+			}
+		}
+		var size int
+		t.Kids, size = decodeIndexed(d, "memory-model subtree", trees, sizes)
+		if size++; size > i+1 {
+			d.Failf("memory-model tree %d expands to %d nodes, more than the %d trees it may hold", i, size, i+1)
+		}
+		trees = append(trees, t)
+		sizes = append(sizes, size)
+	}
+	return trees, sizes
+}
+
+// decodeForests reads the forest table against the decoded trees. A
+// forest, too, may not expand to more nodes than the table has trees.
+func decodeForests(d *wire.Decoder, trees []*memmodel.Tree, sizes []int) []memmodel.Forest {
+	n := d.Len("memory-model forest")
+	forests := make([]memmodel.Forest, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		f, size := decodeIndexed(d, "forest tree", trees, sizes)
+		if size > len(trees) {
+			d.Failf("memory-model forest %d expands to %d nodes, more than the %d trees", i, size, len(trees))
+		}
+		forests = append(forests, f)
+	}
+	return forests
+}
+
+// decodeIndexed reads a counted list of indices into trees, failing on
+// an index past the end (for a tree's kids, trees holds only the trees
+// before it), and returns the forest with its expanded size.
+func decodeIndexed(d *wire.Decoder, what string, trees []*memmodel.Tree, sizes []int) (memmodel.Forest, int) {
+	n := d.Len(what)
+	if n == 0 {
+		return nil, 0
+	}
+	f := make(memmodel.Forest, 0, n)
+	size := 0
+	for j := 0; j < n && d.Err() == nil; j++ {
+		i := d.Uvarint(what + " index")
+		if d.Err() != nil {
+			break
+		}
+		if i >= uint64(len(trees)) {
+			d.Failf("%s index %d out of range (have %d earlier trees)", what, i, len(trees))
+			break
+		}
+		f = append(f, trees[i])
+		size += sizes[i]
+	}
+	return f, size
+}
+
+// decodeState reads one vertex state's clauses and names its forest.
+func decodeState(d *wire.Decoder, st *sem.State, node func(string) *expr.Expr, forests []memmodel.Forest) {
 	nRegs := d.Len("register clause")
 	for i := 0; i < nRegs && d.Err() == nil; i++ {
 		ri := d.Uvarint("register index")
@@ -368,27 +568,13 @@ func decodeState(d *wire.Decoder, st *sem.State, node func(string) *expr.Expr) {
 		d.Failf("%v", err)
 		return
 	}
-	st.Mem = decodeForest(d, node)
-}
-
-func decodeForest(d *wire.Decoder, node func(string) *expr.Expr) memmodel.Forest {
-	n := d.Len("memory-model tree")
-	var out memmodel.Forest
-	for i := 0; i < n && d.Err() == nil; i++ {
-		t := &memmodel.Tree{}
-		nRegions := d.Len("memory-model region")
-		for j := 0; j < nRegions && d.Err() == nil; j++ {
-			addr := node("region address")
-			size := d.Uvarint("region size")
-			if d.Err() != nil {
-				return nil
-			}
-			t.Regions = append(t.Regions, solver.Region{Addr: addr, Size: size})
-		}
-		t.Kids = decodeForest(d, node)
-		if d.Err() == nil {
-			out = append(out, t)
-		}
+	fi := d.Uvarint("vertex forest index")
+	if d.Err() != nil {
+		return
 	}
-	return out
+	if fi >= uint64(len(forests)) {
+		d.Failf("forest index %d out of range (have %d forests)", fi, len(forests))
+		return
+	}
+	st.Mem = forests[fi]
 }

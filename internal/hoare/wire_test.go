@@ -3,6 +3,7 @@ package hoare
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -216,5 +217,151 @@ func TestDecodeWireRejectsNonCanonicalClauses(t *testing.T) {
 		if err := decode(edited); err == nil {
 			t.Errorf("%s: record decoded without error", tc.name)
 		}
+	}
+}
+
+// handRecord assembles a graph record for the test image against a
+// one-node expression table: a header with entry vertex "401000", the
+// given tree and forest tables (each entry an index list; a tree holds
+// one region [rsp0, 8] before its kid list), one vertex at 0x401000 whose
+// empty state names forest vertexForest, and one mov edge between the
+// given vertex references (index+1; 0 is not used here).
+func handRecord(trees, forests [][]uint64, vertexForest, from, to uint64) []byte {
+	b := wire.AppendUvarint(nil, 0x401000)
+	b = wire.AppendString(b, "f")
+	b = wire.AppendString(b, "S_401000")
+	b = wire.AppendString(b, "401000")
+	b = wire.AppendUvarint(b, uint64(len(trees)))
+	for _, kids := range trees {
+		b = wire.AppendUvarint(b, 1)
+		b = wire.AppendUvarint(b, 0) // region address: node 0
+		b = wire.AppendUvarint(b, 8)
+		b = appendList(b, kids)
+	}
+	b = wire.AppendUvarint(b, uint64(len(forests)))
+	for _, f := range forests {
+		b = appendList(b, f)
+	}
+	b = wire.AppendUvarint(b, 1)
+	b = wire.AppendString(b, "401000")
+	b = wire.AppendUvarint(b, 0x401000)
+	b = append(b, 1, 0, 0, 0, 0, 0) // has-state, no reg/flag/cmp/mem/range clause
+	b = wire.AppendUvarint(b, vertexForest)
+	b = wire.AppendUvarint(b, 1)
+	b = wire.AppendUvarint(b, from)
+	b = wire.AppendUvarint(b, to)
+	b = wire.AppendUvarint(b, uint64(sem.KFall))
+	b = wire.AppendUvarint(b, 0x401000)
+	b = wire.AppendString(b, "")
+	return append(b, 0, 0, 0) // no annotation, obligation or assumption
+}
+
+// appendList appends a counted list of uvarints.
+func appendList(b []byte, list []uint64) []byte {
+	b = wire.AppendUvarint(b, uint64(len(list)))
+	for _, u := range list {
+		b = wire.AppendUvarint(b, u)
+	}
+	return b
+}
+
+// TestDecodeWireRejectsBadModelIndices feeds records whose tree, forest
+// or edge-vertex indices are out of range, or whose trees or forests name
+// one tree twice (a record that could expand exponentially): each must
+// fail the decode with an error, never a panic or an index into the wrong
+// table.
+func TestDecodeWireRejectsBadModelIndices(t *testing.T) {
+	im := buildTestImage(t)
+	nodes := []*expr.Expr{expr.V("rsp0")}
+	decode := func(rec []byte) (g *Graph, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("decode panicked: %v", r)
+			}
+		}()
+		return DecodeWire(wire.NewDecoder(rec), nodes, im)
+	}
+
+	// The well-formed record: tree 1 encloses tree 0, and the vertex's
+	// forest holds tree 1.
+	g, err := decode(handRecord([][]uint64{nil, {0}}, [][]uint64{{1}}, 0, 1, 1))
+	if err != nil {
+		t.Fatalf("well-formed record: %v", err)
+	}
+	mem := g.Vertices["401000"].State.Mem
+	if len(mem) != 1 || len(mem[0].Kids) != 1 || len(mem[0].Kids[0].Kids) != 0 {
+		t.Fatalf("well-formed record decoded to %s", mem)
+	}
+
+	for _, tc := range []struct {
+		name, want string
+		rec        []byte
+	}{
+		{"subtree is its own tree", "subtree index 0 out of range",
+			handRecord([][]uint64{{0}}, [][]uint64{{0}}, 0, 1, 1)},
+		{"subtree is a later tree", "subtree index 1 out of range",
+			handRecord([][]uint64{{1}, nil}, [][]uint64{{0}}, 0, 1, 1)},
+		{"subtree named twice", "tree 1 expands to 3 nodes",
+			handRecord([][]uint64{nil, {0, 0}}, [][]uint64{{1}}, 0, 1, 1)},
+		{"forest names a tree twice", "forest 0 expands to 2 nodes",
+			handRecord([][]uint64{nil}, [][]uint64{{0, 0}}, 0, 1, 1)},
+		{"forest names a missing tree", "forest tree index 1 out of range",
+			handRecord([][]uint64{nil}, [][]uint64{{1}}, 0, 1, 1)},
+		{"vertex names a missing forest", "forest index 1 out of range",
+			handRecord([][]uint64{nil}, [][]uint64{{0}}, 1, 1, 1)},
+		{"edge source out of range", "edge from vertex index 1 out of range",
+			handRecord([][]uint64{nil}, [][]uint64{{0}}, 0, 2, 1)},
+		{"edge target out of range", "edge to vertex index 6 out of range",
+			handRecord([][]uint64{nil}, [][]uint64{{0}}, 0, 1, 7)},
+	} {
+		if _, err := decode(tc.rec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: decode error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestWireEdgeToMissingVertex round-trips a graph with an edge whose
+// target was never made a vertex (an abandoned lift leaves such edges):
+// the record names it inline, and an inline name that is a vertex is
+// rejected as non-canonical.
+func TestWireEdgeToMissingVertex(t *testing.T) {
+	im := buildTestImage(t)
+	g := sampleGraph()
+	delete(g.Vertices, ExitID)
+	table, record := encodeGraph(g)
+	d := wire.NewDecoder(append(append([]byte(nil), table...), record...))
+	nodes, err := expr.DecodeTable(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := DecodeWire(d, nodes, im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !loaded.HasEdge("401005", ExitID) || loaded.Vertices[ExitID] != nil {
+		t.Fatalf("edge to the missing exit vertex lost:\n%s", loaded.Dump())
+	}
+	if _, again := encodeGraph(loaded); !bytes.Equal(record, again) {
+		t.Fatal("record re-serialization differs")
+	}
+
+	// Name a real vertex inline: 0 then its ID, in place of its index.
+	// The first edge runs from the first vertex (ref 1) to the second.
+	edge := wire.AppendUvarint(nil, 2) // edge count
+	edge = append(edge, 1, 2)
+	edge = wire.AppendUvarint(edge, uint64(sem.KFall))
+	edge = wire.AppendUvarint(edge, 0x401000)
+	if n := bytes.Count(record, edge); n != 1 {
+		t.Fatalf("first edge found %d times in the record", n)
+	}
+	at := bytes.Index(record, edge) + 1
+	inline := wire.AppendString([]byte{0}, "401000")
+	edited := slices.Concat(record[:at], inline, record[at+1:])
+	d = wire.NewDecoder(append(append([]byte(nil), table...), edited...))
+	if nodes, err = expr.DecodeTable(d); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeWire(d, nodes, im); err == nil || !strings.Contains(err.Error(), "not named by index") {
+		t.Fatalf("an inline name of a vertex: %v, want a non-canonical error", err)
 	}
 }

@@ -364,8 +364,9 @@ func (t *Tracer) StoreError(name string, err error) {
 }
 
 // StoreFlush marks the graph store persisting its buffered entries in one
-// locked read-merge-write cycle (the daemon's write mode): entries is how
-// many the store holds after the merge, wall the cycle's latency.
+// locked flush (the daemon's write mode): entries is how many the store
+// holds after it took in what other writers appended, wall the flush's
+// latency.
 func (t *Tracer) StoreFlush(entries int, wall time.Duration) {
 	if t == nil {
 		return

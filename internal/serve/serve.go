@@ -18,10 +18,11 @@
 // a summary whose Canonical rendering is byte-identical to the original
 // run's. The engine owns the store's flush cycle: it switches the store
 // to buffered mode and flushes after each submission that added entries,
-// plus exactly once at Shutdown. Because the store's flush is a locked
-// read-merge-write (see internal/hgstore), other processes — a CLI
-// hglift -store run, a second daemon — may share the same container
-// concurrently without losing entries.
+// plus exactly once at Shutdown. Because the store's flush reads what
+// other writers appended before it appends, under a file lock (see
+// internal/hgstore), other processes — a CLI hglift -store run, a second
+// daemon — may share the same container concurrently without losing
+// entries.
 package serve
 
 import (

@@ -55,11 +55,12 @@ go test -run '^$' -count="$count" -benchmem \
 # End-to-end: one serial and one parallel Table 1 directory through the full
 # pipeline (scaled-down corpus; see bench_test.go), plus the warm-store
 # re-run (every task served from a pre-populated HG store, zero lifts) —
-# cold vs warm is the incremental-lifting ratio recorded in BENCH_PR7.json.
+# cold vs warm is the incremental-lifting ratio recorded in BENCH_PR7.json —
+# and one write-through Put into that store (seal, encode, append, fsync).
 # Skipped by -short to keep the CI smoke job fast.
 if [ "$short" -eq 0 ]; then
     go test -run '^$' -count="$count" -benchmem \
-        -bench '^(BenchmarkTable1_lib|BenchmarkTable1_lib_parallel|BenchmarkTable1_lib_warmstore)$' \
+        -bench '^(BenchmarkTable1_lib|BenchmarkTable1_lib_parallel|BenchmarkTable1_lib_warmstore|BenchmarkStorePut)$' \
         . | tee -a "$raw"
 fi
 
