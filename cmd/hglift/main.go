@@ -326,9 +326,9 @@ func liftBatch(ctx context.Context, paths []string, cfg batchConfig, obsv *obser
 		}
 	}
 	cs := sum.Cache.Stats()
-	fmt.Printf("%d lifted, %d unprovable, %d concurrency, %d timeout, %d error, %d panic in %s; solver memo %.0f%% of %d queries\n",
+	fmt.Printf("%d lifted, %d unprovable, %d concurrency, %d timeout, %d error, %d panic in %s; solver memo %.0f%% of %d queries, %d exact\n",
 		sum.Lifted, sum.Unprovable, sum.Concurrency, sum.Timeouts, sum.Errors, sum.Panics,
-		sum.Wall.Round(time.Millisecond), 100*cs.HitRate(), cs.Queries)
+		sum.Wall.Round(time.Millisecond), 100*cs.HitRate(), cs.Queries, cs.Exact)
 	if sum.Retried > 0 || sum.Quarantined > 0 {
 		fmt.Printf("%d retried, %d quarantined\n", sum.Retried, sum.Quarantined)
 	}

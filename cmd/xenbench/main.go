@@ -377,8 +377,8 @@ func runTable1(ctx context.Context, scale float64, seed int64, rn *runner) {
 	fmt.Println("w lifted, x unprovable return address, y concurrency, z timeout")
 	fmt.Println("A resolved indirections, B unresolved jumps, C unresolved calls")
 	cs := cache.Stats()
-	fmt.Printf("solver memo: %d queries, %d hits (%.0f%%), %d entries\n",
-		cs.Queries, cs.Hits, 100*cs.HitRate(), cs.Entries)
+	fmt.Printf("solver memo: %d queries, %d exact, %d hits (%.0f%%), %d entries\n",
+		cs.Queries, cs.Exact, cs.Hits, 100*cs.HitRate(), cs.Entries)
 	fmt.Println()
 }
 
@@ -438,8 +438,8 @@ func runTable2(ctx context.Context, rn *runner) {
 	}
 	fmt.Printf("%-10s %13d %14d %10d %10d %8d %8d\n", "Total", sumI, sumInd, sumP, sumA, sumF, sumS)
 	cs := sum.Cache.Stats()
-	fmt.Printf("lift wall time %s; solver memo %.0f%% of %d queries\n",
-		sum.Wall.Round(time.Millisecond), 100*cs.HitRate(), cs.Queries)
+	fmt.Printf("lift wall time %s; solver memo %.0f%% of %d queries, %d exact\n",
+		sum.Wall.Round(time.Millisecond), 100*cs.HitRate(), cs.Queries, cs.Exact)
 	fmt.Println()
 }
 

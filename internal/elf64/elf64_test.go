@@ -190,6 +190,26 @@ func TestParseErrorSentinels(t *testing.T) {
 	}
 }
 
+// TestParseUndersizedEntries: a header table whose entries are smaller
+// than an ELF64 entry is a format error. With entry size 0, 2¹⁶ entries
+// would all read the same header, copying its section 2¹⁶ times.
+func TestParseUndersizedEntries(t *testing.T) {
+	b := NewExec(0x401000)
+	b.AddSection(".text", SHFExecinstr, 0x401000, []byte{0xc3})
+	img, err := b.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, field := range map[string]int{"program": 54, "section": 58} {
+		bad := append([]byte(nil), img...)
+		le.PutUint16(bad[field:], 0)
+		le.PutUint16(bad[field+2:], 0xffff)
+		if _, err := Parse(bad); !errors.Is(err, ErrBadMagic) {
+			t.Errorf("%s header entry size 0: want ErrBadMagic, got %v", name, err)
+		}
+	}
+}
+
 func TestOverlapRejected(t *testing.T) {
 	b := NewExec(0x1000)
 	b.AddSection(".a", 0, 0x1000, make([]byte, 0x100))

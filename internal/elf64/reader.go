@@ -9,7 +9,8 @@ import (
 // Sentinel parse failures, for errors.Is dispatch: a truncated image may
 // be worth re-fetching, a wrong-format one never is.
 var (
-	// ErrBadMagic marks an image that is not ELF64/LSB/x86-64 at all.
+	// ErrBadMagic marks an image that is not ELF64/LSB/x86-64 at all, or
+	// whose header tables are not laid out as ELF64 tables.
 	ErrBadMagic = errors.New("bad magic")
 	// ErrTruncated marks an image whose headers point past its end.
 	ErrTruncated = errors.New("truncated image")
@@ -66,10 +67,20 @@ func Parse(b []byte) (*File, error) {
 	h.ShNum = le.Uint16(b[60:])
 	h.ShStrNdx = le.Uint16(b[62:])
 
+	// A table whose entries are smaller than the header each one holds
+	// overlaps itself. With entry size 0, 2¹⁶ section headers would all
+	// re-read one header and copy its section data 2¹⁶ times.
+	if h.PhNum > 0 && h.PhEntSize < 56 {
+		return nil, parseErr(ErrBadMagic, "program header entry size %d < 56", h.PhEntSize)
+	}
+	if h.ShNum > 0 && h.ShEntSize < 64 {
+		return nil, parseErr(ErrBadMagic, "section header entry size %d < 64", h.ShEntSize)
+	}
+
 	// Program headers.
 	for i := 0; i < int(h.PhNum); i++ {
 		off := h.PhOff + uint64(i)*uint64(h.PhEntSize)
-		if off+56 > uint64(len(b)) {
+		if !within(b, off, 56) {
 			return nil, parseErr(ErrTruncated, "program header %d out of range", i)
 		}
 		p := b[off:]
@@ -93,7 +104,7 @@ func Parse(b []byte) (*File, error) {
 	var raw []rawShdr
 	for i := 0; i < int(h.ShNum); i++ {
 		off := h.ShOff + uint64(i)*uint64(h.ShEntSize)
-		if off+64 > uint64(len(b)) {
+		if !within(b, off, 64) {
 			return nil, parseErr(ErrTruncated, "section header %d out of range", i)
 		}
 		s := b[off:]
@@ -109,7 +120,7 @@ func Parse(b []byte) (*File, error) {
 			EntSize:   le.Uint64(s[56:]),
 		}
 		if sec.Type != SHTNobits && sec.Type != SHTNull && sec.Size > 0 {
-			if sec.Off+sec.Size > uint64(len(b)) {
+			if !within(b, sec.Off, sec.Size) {
 				return nil, parseErr(ErrTruncated, "section %d data out of range", i)
 			}
 			sec.Data = append([]byte(nil), b[sec.Off:sec.Off+sec.Size]...)
@@ -148,6 +159,16 @@ func Parse(b []byte) (*File, error) {
 		}
 	}
 	return f, nil
+}
+
+// within reports whether the size bytes at offset off lie inside b. It
+// compares against the room left after off, so a hostile offset near 2⁶⁴
+// cannot wrap the sum back into range. (A header's off is the table offset
+// plus at most 2¹⁶ entries of at most 2¹⁶ bytes: once entry 0 is within b,
+// later sums stay far below 2⁶⁴.)
+func within(b []byte, off, size uint64) bool {
+	n := uint64(len(b))
+	return off <= n && size <= n-off
 }
 
 // cstr reads a NUL-terminated string at the given offset of a string table.

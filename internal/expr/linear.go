@@ -197,6 +197,21 @@ func (l *Linear) Sub(m *Linear) *Linear {
 	return d.canon()
 }
 
+// ConstDiff returns the constant l − m when the two forms have the same
+// terms, and reports whether they do; unlike Sub it allocates nothing. Both
+// term lists are in canonical order and atoms are interned, so l − m is
+// constant exactly when the lists are equal element by element. The one
+// exception needs two distinct atoms that render alike and whose 64-bit
+// fingerprints collide too: they tie in the canonical order, may sit in
+// either order, and ConstDiff reports no constant — the conservative
+// answer, at the collision risk solver.Cache already accepts.
+func (l *Linear) ConstDiff(m *Linear) (uint64, bool) {
+	if !slices.Equal(l.terms, m.terms) {
+		return 0, false
+	}
+	return l.K - m.K, true
+}
+
 // Const returns the constant value of the linear form and whether it has no
 // non-constant terms.
 func (l *Linear) Const() (uint64, bool) {

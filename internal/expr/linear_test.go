@@ -95,3 +95,34 @@ func TestDebugCrossCheckCatchesStaleForm(t *testing.T) {
 	}()
 	ToLinear(e)
 }
+
+// TestConstDiffMatchesSub checks ConstDiff against the difference Sub
+// builds: it reports a constant exactly when Sub's difference is one, with
+// the same value, and allocates nothing.
+func TestConstDiffMatchesSub(t *testing.T) {
+	x, y := V("cd_x"), V("cd_y")
+	forms := []*Expr{
+		Word(0x40),
+		Add(x, Word(8)),
+		Add(x, Word(^uint64(0)-7)),
+		Add(x, Mul(Word(8), y), Word(16)),
+		Add(Mul(Word(8), y), x),
+		Add(x, Mul(Word(4), y)),
+		Add(y, Word(8)),
+		Sub(Word(3), x),
+	}
+	for _, a := range forms {
+		for _, b := range forms {
+			la, lb := ToLinear(a), ToLinear(b)
+			want, wantOK := la.Sub(lb).Const()
+			got, ok := la.ConstDiff(lb)
+			if ok != wantOK || got != want {
+				t.Errorf("ConstDiff(%s, %s) = %#x, %v; Sub gives %#x, %v", a, b, got, ok, want, wantOK)
+			}
+		}
+	}
+	la, lb := ToLinear(forms[3]), ToLinear(forms[4])
+	if n := testing.AllocsPerRun(100, func() { la.ConstDiff(lb) }); n != 0 {
+		t.Fatalf("ConstDiff: %v allocs, want 0", n)
+	}
+}

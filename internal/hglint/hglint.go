@@ -187,6 +187,10 @@ type Ctx struct {
 	succsOK   bool
 	classes   [][]*hoare.Vertex
 	classesOK bool
+
+	// memBuf is pred-inconsistent's scratch list of a vertex's memory
+	// clauses, reused across the vertices of one Lint call.
+	memBuf []pred.MemEntry
 }
 
 // Vertices returns the graph's vertices in hoare.Graph.SortedVertices

@@ -214,7 +214,7 @@ func checkPartialOverlap(ctx *Ctx, v *hoare.Vertex) {
 // makes the model unsatisfiable — R(M) would hold in no concrete state.
 func checkRelationRefuted(ctx *Ctx, v *hoare.Vertex) {
 	p := v.State.Pred
-	for _, rel := range v.State.Mem.Relations() {
+	v.State.Mem.EachRelation(func(rel memmodel.Relation) {
 		res := ctx.Compare(p, rel.A.Region(), rel.B.Region())
 		refuted := false
 		switch rel.Op {
@@ -232,5 +232,5 @@ func checkRelationRefuted(ctx *Ctx, v *hoare.Vertex) {
 			ctx.Reportf(v.ID, v.Addr, "model asserts %s %s %s but the solver refutes it",
 				rel.A, rel.Op, rel.B)
 		}
-	}
+	})
 }

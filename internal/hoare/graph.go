@@ -7,6 +7,7 @@ package hoare
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -204,18 +205,18 @@ func (g *Graph) Stats() Stats {
 
 // WeirdAddresses returns the lifted instruction addresses that lie
 // strictly inside another lifted instruction — overlapping instructions,
-// the hallmark of "weird" control flow (Section 2).
+// the hallmark of "weird" control flow (Section 2). One sweep in address
+// order decides it: an address is inside some earlier instruction exactly
+// when it lies below the furthest end of the instructions before it.
 func (g *Graph) WeirdAddresses() []uint64 {
 	var out []uint64
-	for addr := range g.Instrs {
-		for a, inst := range g.Instrs {
-			if addr > a && addr < a+uint64(inst.Len) {
-				out = append(out, addr)
-				break
-			}
+	var reach uint64 // furthest end of the instructions seen so far
+	for _, a := range g.sortedAddrs() {
+		if a < reach {
+			out = append(out, a)
 		}
+		reach = max(reach, a+uint64(g.Instrs[a].Len))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -223,17 +224,23 @@ func (g *Graph) WeirdAddresses() []uint64 {
 // "0xADDR: instruction" line each — the paper's base question 1 ("what
 // instructions are executed").
 func (g *Graph) Disasm() []string {
-	addrs := make([]uint64, 0, len(g.Instrs))
-	for a := range g.Instrs {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	addrs := g.sortedAddrs()
 	out := make([]string, len(addrs))
 	for i, a := range addrs {
 		inst := g.Instrs[a]
 		out[i] = fmt.Sprintf("%#x: %s", a, inst.String())
 	}
 	return out
+}
+
+// sortedAddrs returns the lifted instruction addresses in ascending order.
+func (g *Graph) sortedAddrs() []uint64 {
+	addrs := make([]uint64, 0, len(g.Instrs))
+	for a := range g.Instrs {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	return addrs
 }
 
 // Add accumulates another stats record (per-directory totals of Table 1).

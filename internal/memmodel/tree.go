@@ -216,7 +216,7 @@ func (r Relation) String() string {
 // children.
 func (f Forest) Relations() []Relation {
 	var out []Relation
-	f.eachRelation(func(r Relation) { out = append(out, r) })
+	f.EachRelation(func(r Relation) { out = append(out, r) })
 	return out
 }
 
@@ -226,7 +226,7 @@ type RelationSet map[Relation]struct{}
 // RelationSet returns R(M) as a set.
 func (f Forest) RelationSet() RelationSet {
 	s := RelationSet{}
-	f.eachRelation(func(r Relation) { s[r] = struct{}{} })
+	f.EachRelation(func(r Relation) { s[r] = struct{}{} })
 	return s
 }
 
@@ -243,8 +243,9 @@ func (s RelationSet) Has(r Relation) bool {
 	return ok
 }
 
-// eachRelation calls fn on every relation of R(M), in Relations order.
-func (f Forest) eachRelation(fn func(Relation)) {
+// EachRelation calls fn on every relation of R(M), in Relations order,
+// without collecting them.
+func (f Forest) EachRelation(fn func(Relation)) {
 	for i, t := range f {
 		for a, ra := range t.Regions {
 			for _, rb := range t.Regions[a+1:] {
@@ -263,7 +264,7 @@ func (f Forest) eachRelation(fn func(Relation)) {
 				})
 			})
 		}
-		t.Kids.eachRelation(fn)
+		t.Kids.EachRelation(fn)
 	}
 }
 

@@ -185,26 +185,37 @@ func TestRunPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestRunSharedCache shares one cache across two Runs: the second run over
-// the same corpus must answer almost every query from the memo.
+// TestRunSharedCache shares one cache across two Runs. The second run over
+// the same corpus asks only questions the cache has answered before, so it
+// adds no entry: every query it makes is answered from geometry (a
+// constant-difference pair, which never reaches the memo) or from the memo.
 func TestRunSharedCache(t *testing.T) {
 	tasks := smallDir(t)
 	cache := solver.NewCache()
 	first := RunCtx(context.Background(), tasks, Options{Jobs: 2, Cache: cache})
+	before := cache.Stats()
 	second := RunCtx(context.Background(), tasks, Options{Jobs: 2, Cache: cache})
+	after := cache.Stats()
 	if second.Cache != cache || first.Cache != cache {
 		t.Fatalf("Run did not adopt the provided cache")
 	}
-	if q := second.Stats.Sem.SolverQueries; q == 0 || second.Stats.Sem.SolverHits != q {
-		t.Fatalf("second run: %d hits of %d queries, want all hits",
-			second.Stats.Sem.SolverHits, q)
+	queries, hits := after.Queries-before.Queries, after.Hits-before.Hits
+	exact := after.Exact - before.Exact
+	if queries == 0 || hits == 0 || exact == 0 {
+		t.Fatalf("second run: %d queries, %d hits, %d exact; want all three non-zero", queries, hits, exact)
 	}
-	cs := cache.Stats()
-	if cs.Queries == 0 || cs.Hits == 0 || cs.Entries == 0 {
-		t.Fatalf("cache stats empty: %+v", cs)
+	if after.Entries != before.Entries {
+		t.Fatalf("second run added %d memo entries, want none", after.Entries-before.Entries)
 	}
-	if cs.HitRate() <= 0 || cs.HitRate() > 1 {
-		t.Fatalf("hit rate %v out of range", cs.HitRate())
+	if hits+exact != queries {
+		t.Fatalf("second run: %d hits + %d exact != %d queries", hits, exact, queries)
+	}
+	if s := second.Stats.Sem; s.SolverQueries != queries || s.SolverHits != hits {
+		t.Fatalf("second run's Stats count %d queries and %d hits, the cache %d and %d",
+			s.SolverQueries, s.SolverHits, queries, hits)
+	}
+	if after.HitRate() <= 0 || after.HitRate() > 1 {
+		t.Fatalf("hit rate %v out of range", after.HitRate())
 	}
 }
 

@@ -8,10 +8,13 @@
 // Maybe, which soundly forces the lifter onto its fork/destroy paths.
 //
 // Compare is a pure function of the predicate's interval clauses and the
-// two regions, which makes its verdicts memoizable: Cache wraps it with a
-// concurrency-safe memo table keyed on fingerprints of that input
-// (pred.RangesFingerprint plus one fingerprint per region), shared by the
-// pipeline's lift workers.
+// two regions. When the two addresses differ by a constant — two slots of
+// one frame, two fields of one object — the verdict is pure geometry and
+// never reads the predicate. Only the other verdicts are memoized: Cache
+// answers constant-difference pairs directly and keeps a concurrency-safe
+// memo table for the rest, keyed on fingerprints of the input
+// (pred.RangesFingerprint plus one fingerprint per region) and shared by
+// the pipeline's lift workers and hglint.
 package solver
 
 import (
@@ -74,12 +77,21 @@ func (r Result) Decided() bool {
 // difference d = addr(r0) − addr(r1) is computed in linear normal form; if
 // it is constant the geometry is exact, if it has interval-bounded terms
 // the relations are decided over the interval, otherwise everything is
-// Maybe. Offsets are interpreted as signed quantities (the paper's
-// no-wraparound domain assumption for object addresses).
+// Maybe. Two addresses with the same terms are recognised as a constant
+// difference without building d. Offsets are interpreted as signed
+// quantities (the paper's no-wraparound domain assumption for object
+// addresses).
 func Compare(p *pred.Pred, r0, r1 Region) Result {
-	d := expr.ToLinear(r0.Addr).Sub(expr.ToLinear(r1.Addr))
 	n0, n1 := int64(r0.Size), int64(r1.Size)
+	if c, ok := SameBaseDistance(r0.Addr, r1.Addr); ok {
+		return exact(c, n0, n1)
+	}
+	return compareDiff(p, expr.ToLinear(r0.Addr).Sub(expr.ToLinear(r1.Addr)), n0, n1)
+}
 
+// compareDiff decides the relations of two regions of sizes n0 and n1
+// from the linear difference d of their addresses.
+func compareDiff(p *pred.Pred, d *expr.Linear, n0, n1 int64) Result {
 	if c, ok := d.Const(); ok {
 		return exact(int64(c), n0, n1)
 	}
@@ -212,10 +224,10 @@ func diffInterval(p *pred.Pred, d *expr.Linear) (lo, hi int64, ok bool) {
 }
 
 // SameBaseDistance reports the exact signed distance between two addresses
-// when their non-constant parts coincide, e.g. (rsp0−8) and (rsp0−32).
+// when their non-constant parts coincide, e.g. (rsp0−8) and (rsp0−32). Such
+// a pair's verdict is geometry and reads no predicate. It builds nothing.
 func SameBaseDistance(a0, a1 *expr.Expr) (int64, bool) {
-	d := expr.ToLinear(a0).Sub(expr.ToLinear(a1))
-	c, ok := d.Const()
+	c, ok := expr.ToLinear(a0).ConstDiff(expr.ToLinear(a1))
 	return int64(c), ok
 }
 

@@ -72,6 +72,60 @@ func TestEntailsMemoryRelations(t *testing.T) {
 	})
 }
 
+// TestEntailsCorrelatedJoinVariable: a join variable the invariant uses
+// in several parts correlates them, so the post values at its uses must
+// coincide; a variable used once constrains nothing.
+func TestEntailsCorrelatedJoinVariable(t *testing.T) {
+	v, w := expr.V("j_corr_v"), expr.V("j_corr_w")
+	slot := expr.Add(expr.V("rsp0"), expr.Word(^uint64(0)-7))
+	inv := pred.New()
+	inv.SetReg(x86.RAX, v)
+	inv.SetReg(x86.RBX, w)
+	inv.SetReg(x86.RCX, v)
+	inv.WriteMem(slot, 8, v)
+	post := func(rax, rbx, rcx, mem uint64) *pred.Pred {
+		p := pred.New()
+		p.SetReg(x86.RAX, expr.Word(rax))
+		p.SetReg(x86.RBX, expr.Word(rbx))
+		p.SetReg(x86.RCX, expr.Word(rcx))
+		p.WriteMem(slot, 8, expr.Word(mem))
+		return p
+	}
+	if ok, why := entailsPred(post(1, 2, 1, 1), inv); !ok {
+		t.Fatalf("agreeing uses not entailed: %s", why)
+	}
+	const diverging = "correlated join variable with diverging post values"
+	for _, p := range []*pred.Pred{post(1, 2, 3, 1), post(1, 2, 1, 3)} {
+		if ok, why := entailsPred(p, inv); ok || why != diverging {
+			t.Fatalf("entailsPred = %v, %q; want false, %q", ok, why, diverging)
+		}
+	}
+}
+
+// TestEntailsPredAllocatesNothing: the join-variable uses of a check fit
+// the stack buffer entailsPred keeps them in. The invariant has 24 uses,
+// the 99th percentile of the checks of CoreUtilsSuite(1.0) (whose largest
+// has 28): every general-purpose register and eight stack slots, pairs of
+// them correlated by one join variable. Checking it allocates nothing.
+func TestEntailsPredAllocatesNothing(t *testing.T) {
+	inv, post := pred.New(), pred.New()
+	for i, r := range x86.GPRs {
+		inv.SetReg(r, expr.V(expr.Var(fmt.Sprintf("j_alloc_%d", i/2))))
+		post.SetReg(r, expr.Word(uint64(i/2)))
+	}
+	for i := 0; i < 8; i++ {
+		slot := expr.Add(expr.V("rsp0"), expr.Word(uint64(-8*(i+1))))
+		inv.WriteMem(slot, 8, expr.V(expr.Var(fmt.Sprintf("j_alloc_%d", i))))
+		post.WriteMem(slot, 8, expr.Word(uint64(i)))
+	}
+	if ok, why := entailsPred(post, inv); !ok {
+		t.Fatalf("agreeing uses not entailed: %s", why)
+	}
+	if n := testing.AllocsPerRun(100, func() { entailsPred(post, inv) }); n != 0 {
+		t.Fatalf("entailsPred: %v allocs per check, want 0", n)
+	}
+}
+
 // regionString renders a region as "addrKey#size".
 func regionString(r solver.Region) string { return fmt.Sprintf("%s#%d", r.Addr.Key(), r.Size) }
 

@@ -371,12 +371,15 @@ func entailsPred(post, inv *pred.Pred) (bool, string) {
 		return false, "invariant is unsatisfiable"
 	}
 	// Shared join variables encode correlations between parts: collect
-	// the post values assigned to each invariant variable and require
-	// them to coincide.
-	varUses := map[*expr.Expr][]*expr.Expr{}
+	// the post value assigned at each use of an invariant variable and
+	// require the values of one variable to coincide. The checks of
+	// CoreUtilsSuite(1.0) record at most 28 uses (99th percentile 25), so
+	// the uses go into a slice on the stack and are compared pairwise.
+	var useBuf [32]varUse
+	varUses := useBuf[:0]
 	record := func(got, want *expr.Expr) {
 		if want != nil && want.Kind() == expr.KindVar && got != nil {
-			varUses[want] = append(varUses[want], got)
+			varUses = append(varUses, varUse{want, got})
 		}
 	}
 
@@ -408,12 +411,8 @@ func entailsPred(post, inv *pred.Pred) (bool, string) {
 	if !ok {
 		return false, why
 	}
-	for _, uses := range varUses {
-		for i := 1; i < len(uses); i++ {
-			if !uses[i].Equal(uses[0]) {
-				return false, "correlated join variable with diverging post values"
-			}
-		}
+	if !usesAgree(varUses) {
+		return false, "correlated join variable with diverging post values"
 	}
 	// Flags.
 	for f := x86.Flag(0); f < x86.NumFlags; f++ {
@@ -430,6 +429,26 @@ func entailsPred(post, inv *pred.Pred) (bool, string) {
 		return false, "flag comparison descriptor not entailed"
 	}
 	return true, ""
+}
+
+// varUse is one use of an invariant join variable and the post value
+// found there.
+type varUse struct{ v, got *expr.Expr }
+
+// usesAgree reports whether every use of each join variable found the
+// same post value as the variable's first use.
+func usesAgree(uses []varUse) bool {
+	for i, u := range uses {
+		for _, first := range uses[:i] {
+			if first.v == u.v {
+				if !u.got.Equal(first.got) {
+					return false
+				}
+				break
+			}
+		}
+	}
+	return true
 }
 
 // cmpEntails checks the flag-defining comparison descriptor: absent in the

@@ -40,7 +40,8 @@ raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
 # Micro-benchmarks: expression equality/keys, predicate ranges and joins,
-# solver cache probes. Each package run separately so a compile error in one
+# solver cache probes (a memo hit, and a constant-offset pair answered
+# before the memo). Each package run separately so a compile error in one
 # doesn't mask the others.
 go test -run '^$' -count="$count" -benchmem \
     -bench '^(BenchmarkEqual|BenchmarkKeyShared|BenchmarkSubstAbsent)$' \
@@ -49,7 +50,7 @@ go test -run '^$' -count="$count" -benchmem \
     -bench '^(BenchmarkRangesFingerprint|BenchmarkJoin|BenchmarkJoinFixedPoint)$' \
     ./internal/pred/ | tee -a "$raw"
 go test -run '^$' -count="$count" -benchmem \
-    -bench '^BenchmarkSolverCompareCached$' \
+    -bench '^(BenchmarkSolverCompareCached|BenchmarkSolverCompareExact)$' \
     ./internal/solver/ | tee -a "$raw"
 
 # End-to-end: one serial and one parallel Table 1 directory through the full
@@ -82,9 +83,11 @@ go test -run '^$' -count="$count" -benchmem \
     ./internal/triple/ | tee -a "$raw"
 
 # hglint: every lifted graph of CoreUtilsSuite(0.17) linted with the lift's
-# shared solver cache, as perfbench's coreutils-prove prove step does.
+# solver cache, warm from earlier iterations (BenchmarkLint), and with a
+# fresh cache per iteration (BenchmarkLintFresh), whose memo misses as in
+# perfbench's coreutils-prove prove step.
 go test -run '^$' -count="$count" -benchmem \
-    -bench '^BenchmarkLint$' \
+    -bench '^(BenchmarkLint|BenchmarkLintFresh)$' \
     ./internal/hglint/ | tee -a "$raw"
 
 # Fold the go test -bench lines into JSON. Value/unit pairs follow the
