@@ -677,3 +677,29 @@ func TestExploitCandidatesEmptyForBenign(t *testing.T) {
 		t.Fatal("nil graph")
 	}
 }
+
+// TestLiftStopsAtUndecodableInstruction: bytes the decoder rejects (here
+// mov al, ah, whose high-byte register the model does not name) fail the
+// lift with a fetch-error annotation, never an edge out of them.
+func TestLiftStopsAtUndecodableInstruction(t *testing.T) {
+	b := newBuilder(t)
+	a := b.Func("f")
+	a.I(x86.MOV, x86.RegOp(x86.RAX, 8), x86.RegOp(x86.RDI, 8))
+	bad := a.PC()
+	a.Raw(0x88, 0xe0)
+	a.I(x86.RET)
+	r := lift(t, b, "f")
+	if r.Status != StatusError {
+		t.Fatalf("status %s, want %s", r.Status, StatusError)
+	}
+	annotated := false
+	for _, an := range r.Graph.Annotations {
+		annotated = annotated || an.Addr == bad && an.Kind == hoare.AnnFetchError
+	}
+	if !annotated {
+		t.Fatalf("no fetch-error annotation at %#x: %v", bad, r.Graph.Annotations)
+	}
+	if inst, ok := r.Graph.Instrs[bad]; ok {
+		t.Fatalf("undecodable bytes lifted as %s", inst.String())
+	}
+}

@@ -427,16 +427,12 @@ func (c *CPU) Step() (x86.Inst, error) {
 		a, b := c.readOp(ops[0]), c.readOp(ops[1])
 		c.writeOp(ops[0], b)
 		c.writeOp(ops[1], a)
-	case x86.CDQE:
-		if len(inst.Bytes) > 0 && inst.Bytes[0] == 0x48 {
-			c.Regs[x86.RAX] = signExtend(c.Regs[x86.RAX]&maskFor(4), 4)
-		} else {
-			c.writeOp(x86.RegOp(x86.RAX, 4), signExtend(c.Regs[x86.RAX]&maskFor(2), 2)&maskFor(4))
-		}
-	case x86.CDQ:
-		c.writeOp(x86.RegOp(x86.RDX, 4), signExtend(c.Regs[x86.RAX]&maskFor(4), 4)>>32&maskFor(4))
-	case x86.CQO:
-		c.Regs[x86.RDX] = uint64(int64(c.Regs[x86.RAX]) >> 63)
+	case x86.CBW, x86.CWDE, x86.CDQE:
+		n := inst.Mn.Width()
+		c.writeOp(x86.RegOp(x86.RAX, n), signExtend(c.Regs[x86.RAX], n/2))
+	case x86.CWD, x86.CDQ, x86.CQO:
+		n := inst.Mn.Width()
+		c.writeOp(x86.RegOp(x86.RDX, n), uint64(int64(signExtend(c.Regs[x86.RAX], n))>>63))
 	case x86.SETCC:
 		v := uint64(0)
 		if c.Cond(inst.Cond) {

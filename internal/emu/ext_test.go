@@ -295,3 +295,40 @@ func TestDifferentialMemoryOps(t *testing.T) {
 		}
 	}
 }
+
+// TestAccumulatorSignExtension runs cbw/cwde/cdqe and cwd/cdq/cqo in
+// every prefix spelling against the hardware results: the width comes
+// from the operand size, never from the first byte.
+func TestAccumulatorSignExtension(t *testing.T) {
+	const rax, rdx = 0x1111111180008080, 0x2222222222222222
+	for _, c := range []struct {
+		bytes            []byte
+		wantRAX, wantRDX uint64
+	}{
+		{[]byte{0x66, 0x98}, 0x111111118000ff80, rdx},       // cbw
+		{[]byte{0x98}, 0xffff8080, rdx},                     // cwde
+		{[]byte{0x48, 0x98}, 0xffffffff80008080, rdx},       // cdqe
+		{[]byte{0x49, 0x98}, 0xffffffff80008080, rdx},       // cdqe, REX.WB
+		{[]byte{0x4c, 0x98}, 0xffffffff80008080, rdx},       // cdqe, REX.WR
+		{[]byte{0x2e, 0x48, 0x98}, 0xffffffff80008080, rdx}, // cdqe after a segment prefix
+		{[]byte{0x66, 0x48, 0x98}, 0xffffffff80008080, rdx}, // cdqe: REX.W overrides 66
+		{[]byte{0x66, 0x99}, rax, 0x222222222222ffff},       // cwd
+		{[]byte{0x99}, rax, 0xffffffff},                     // cdq
+		{[]byte{0x48, 0x99}, rax, 0},                        // cqo
+		{[]byte{0x49, 0x99}, rax, 0},                        // cqo, REX.WB
+	} {
+		im := buildImage(t, func(a *x86.Asm) {
+			a.Raw(c.bytes...)
+			a.I(x86.RET)
+		})
+		cpu := New(im)
+		cpu.Regs[x86.RAX], cpu.Regs[x86.RDX] = rax, rdx
+		if _, err := cpu.Run(10); err != nil {
+			t.Fatalf("% x: %v", c.bytes, err)
+		}
+		if cpu.Regs[x86.RAX] != c.wantRAX || cpu.Regs[x86.RDX] != c.wantRDX {
+			t.Errorf("% x: rax=%#x rdx=%#x, want rax=%#x rdx=%#x",
+				c.bytes, cpu.Regs[x86.RAX], cpu.Regs[x86.RDX], c.wantRAX, c.wantRDX)
+		}
+	}
+}

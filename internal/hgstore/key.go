@@ -31,7 +31,7 @@ import (
 // the wire formats could alter a lift's outcome or its encoding: entries
 // stamped with another version are dropped on open (a miss, not an
 // error), so a stale store heals itself by re-lifting.
-const LifterVersion = "hg-lifter/2"
+const LifterVersion = "hg-lifter/3"
 
 // Key addresses one cached lift outcome. Two lifts with equal keys read
 // the same primary code bytes under the same configuration and lifter

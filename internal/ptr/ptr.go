@@ -393,9 +393,9 @@ func (w *walker) step(inst *x86.Inst, st absState) {
 	case x86.MUL, x86.DIV, x86.IDIV:
 		st.kill(x86.RAX)
 		st.kill(x86.RDX)
-	case x86.CDQE:
+	case x86.CBW, x86.CWDE, x86.CDQE:
 		st.kill(x86.RAX)
-	case x86.CDQ, x86.CQO:
+	case x86.CWD, x86.CDQ, x86.CQO:
 		st.kill(x86.RDX)
 	case x86.XCHG:
 		d, s := op0(), op1()

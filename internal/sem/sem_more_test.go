@@ -292,3 +292,37 @@ func TestXchgMem(t *testing.T) {
 		t.Fatalf("xchg mem: %v %v", v, ok)
 	}
 }
+
+// TestAccumulatorSignExtension steps cbw/cwde/cdqe and cwd/cdq/cqo in
+// every prefix spelling from concrete registers and checks the hardware
+// results: the width comes from the operand size, never from the first
+// byte.
+func TestAccumulatorSignExtension(t *testing.T) {
+	const rax, rdx = 0x1111111180008080, 0x2222222222222222
+	for _, c := range []struct {
+		bytes            []byte
+		wantRAX, wantRDX uint64
+	}{
+		{[]byte{0x66, 0x98}, 0x111111118000ff80, rdx},       // cbw
+		{[]byte{0x98}, 0xffff8080, rdx},                     // cwde
+		{[]byte{0x48, 0x98}, 0xffffffff80008080, rdx},       // cdqe
+		{[]byte{0x49, 0x98}, 0xffffffff80008080, rdx},       // cdqe, REX.WB
+		{[]byte{0x4c, 0x98}, 0xffffffff80008080, rdx},       // cdqe, REX.WR
+		{[]byte{0x2e, 0x48, 0x98}, 0xffffffff80008080, rdx}, // cdqe after a segment prefix
+		{[]byte{0x66, 0x48, 0x98}, 0xffffffff80008080, rdx}, // cdqe: REX.W overrides 66
+		{[]byte{0x66, 0x99}, rax, 0x222222222222ffff},       // cwd
+		{[]byte{0x99}, rax, 0xffffffff},                     // cdq
+		{[]byte{0x48, 0x99}, rax, 0},                        // cqo
+		{[]byte{0x49, 0x99}, rax, 0},                        // cqo, REX.WB
+	} {
+		m := newMachine(t, func(a *x86.Asm) { a.Raw(c.bytes...) }, nil)
+		st := NewState()
+		st.Pred.SetReg(x86.RAX, expr.Word(rax))
+		st.Pred.SetReg(x86.RDX, expr.Word(rdx))
+		st = run(t, m, st, textBase, 1)
+		if !st.Pred.Reg(x86.RAX).IsWord(c.wantRAX) || !st.Pred.Reg(x86.RDX).IsWord(c.wantRDX) {
+			t.Errorf("% x: rax=%v rdx=%v, want rax=%#x rdx=%#x",
+				c.bytes, st.Pred.Reg(x86.RAX), st.Pred.Reg(x86.RDX), c.wantRAX, c.wantRDX)
+		}
+	}
+}

@@ -247,25 +247,17 @@ func (m *Machine) Step(st *State, inst x86.Inst) ([]Outcome, error) {
 		}
 		return out, nil
 
-	case x86.CDQE:
-		// cdqe (REX.W) sign-extends eax into rax; cwde extends ax into eax.
-		if len(inst.Bytes) > 0 && inst.Bytes[0] == 0x48 {
-			eax := m.regVal(st, x86.RAX, 4)
-			st.Pred.SetReg(x86.RAX, expr.SExt(eax, 4))
-		} else {
-			ax := m.regVal(st, x86.RAX, 2)
-			m.writeReg(st, x86.RAX, 4, expr.ZExt(expr.SExt(ax, 2), 4))
-		}
+	case x86.CBW, x86.CWDE, x86.CDQE:
+		// Sign-extend the low half of the accumulator into its width.
+		n := inst.Mn.Width()
+		m.writeReg(st, x86.RAX, n, expr.SExt(m.regVal(st, x86.RAX, n/2), n/2))
 		return fall(st), nil
 
-	case x86.CDQ:
-		eax := m.regVal(st, x86.RAX, 4)
-		m.writeReg(st, x86.RDX, 4, expr.ZExt(expr.Sar(expr.SExt(eax, 4), expr.Word(63)), 4))
-		return fall(st), nil
-
-	case x86.CQO:
-		rax := m.regVal(st, x86.RAX, 8)
-		st.Pred.SetReg(x86.RDX, expr.Sar(rax, expr.Word(63)))
+	case x86.CWD, x86.CDQ, x86.CQO:
+		// Fill rdx at the accumulator's width with its sign.
+		n := inst.Mn.Width()
+		a := expr.SExt(m.regVal(st, x86.RAX, n), n)
+		m.writeReg(st, x86.RDX, n, expr.Sar(a, expr.Word(63)))
 		return fall(st), nil
 
 	case x86.SETCC:

@@ -16,18 +16,26 @@ func (e *DecodeError) Error() string {
 	return fmt.Sprintf("x86: cannot decode at %#x (opcode %#02x): %s", e.Addr, e.Opcode, e.Reason)
 }
 
+// REX payload bits.
+const (
+	rexB = 1 << iota // extends ModRM.rm, SIB.base and the opcode register
+	rexX             // extends SIB.index
+	rexR             // extends ModRM.reg
+	rexW             // 64-bit operand size
+)
+
 type decoder struct {
 	code []byte
 	addr uint64
 	pos  int
 
-	opsize int // 4 by default, 8 with REX.W, 2 with 0x66
 	rex    byte
 	hasREX bool
 	op66   bool
 	repF3  bool
 	repF2  bool
 	opc    byte
+	modrm  byte
 }
 
 func (d *decoder) fail(reason string) error {
@@ -43,122 +51,71 @@ func (d *decoder) byte() (byte, error) {
 	return b, nil
 }
 
-func (d *decoder) u16() (uint16, error) {
-	if d.pos+2 > len(d.code) {
-		return 0, d.fail("truncated imm16")
-	}
-	v := binary.LittleEndian.Uint16(d.code[d.pos:])
-	d.pos += 2
-	return v, nil
-}
-
-func (d *decoder) u32() (uint32, error) {
-	if d.pos+4 > len(d.code) {
-		return 0, d.fail("truncated imm32")
-	}
-	v := binary.LittleEndian.Uint32(d.code[d.pos:])
-	d.pos += 4
-	return v, nil
-}
-
-func (d *decoder) u64() (uint64, error) {
-	if d.pos+8 > len(d.code) {
-		return 0, d.fail("truncated imm64")
-	}
-	v := binary.LittleEndian.Uint64(d.code[d.pos:])
-	d.pos += 8
-	return v, nil
-}
+// truncated names the error of a short immediate or displacement.
+var truncated = [...]string{1: "truncated instruction", 2: "truncated imm16", 4: "truncated imm32", 8: "truncated imm64"}
 
 // imm reads a size-byte immediate sign-extended to 64 bits.
 func (d *decoder) imm(size int) (int64, error) {
+	if d.pos+size > len(d.code) {
+		return 0, d.fail(truncated[size])
+	}
+	b := d.code[d.pos:]
+	d.pos += size
 	switch size {
 	case 1:
-		b, err := d.byte()
-		return int64(int8(b)), err
+		return int64(int8(b[0])), nil
 	case 2:
-		v, err := d.u16()
-		return int64(int16(v)), err
+		return int64(int16(binary.LittleEndian.Uint16(b))), nil
 	case 4:
-		v, err := d.u32()
-		return int64(int32(v)), err
-	default:
-		v, err := d.u64()
-		return int64(v), err
+		return int64(int32(binary.LittleEndian.Uint32(b))), nil
 	}
+	return int64(binary.LittleEndian.Uint64(b)), nil
 }
 
-// rexR, rexX, rexB extend ModRM.reg, SIB.index and ModRM.rm/SIB.base.
-func (d *decoder) rexR() Reg { return Reg(d.rex & 0x4 >> 2 << 3) }
-func (d *decoder) rexX() Reg { return Reg(d.rex & 0x2 >> 1 << 3) }
-func (d *decoder) rexB() Reg { return Reg(d.rex & 0x1 << 3) }
-
-// modrm parses a ModRM byte (plus SIB/displacement) and returns the reg
-// field (as a register number extended by REX.R) and the r/m operand at the
-// given access size.
-func (d *decoder) modrm(size int) (reg Reg, rm Operand, err error) {
-	m, err := d.byte()
-	if err != nil {
-		return 0, Operand{}, err
+// ext returns REX bit b as the high bit of a register number.
+func (d *decoder) ext(b byte) Reg {
+	if d.rex&b != 0 {
+		return 8
 	}
-	mod := m >> 6
-	reg = Reg(m>>3&7) | d.rexR()
-	rmBits := Reg(m & 7)
+	return 0
+}
 
+// rm parses the r/m operand of the ModRM byte already read (plus its SIB
+// byte and displacement) at the given access size.
+func (d *decoder) rm(size int) (Operand, error) {
+	mod, rmBits := d.modrm>>6, Reg(d.modrm&7)
 	if mod == 3 {
-		return reg, RegOp(rmBits|d.rexB(), size), nil
+		return RegOp(rmBits|d.ext(rexB), size), nil
 	}
-
 	mem := Operand{Kind: OpMem, Size: size, Base: RegNone, Index: RegNone, Scale: 1}
 	switch {
 	case rmBits == 4: // SIB follows
 		sib, err := d.byte()
 		if err != nil {
-			return 0, Operand{}, err
+			return Operand{}, err
 		}
-		mem.Scale = 1 << (sib >> 6)
-		idx := Reg(sib>>3&7) | d.rexX()
-		base := Reg(sib&7) | d.rexB()
-		if idx != RSP { // index=100b (without REX.X) means "no index"
-			mem.Index = idx
+		if idx := Reg(sib>>3&7) | d.ext(rexX); idx != RSP { // index=100b (without REX.X) means "no index"
+			mem.Index, mem.Scale = idx, 1<<(sib>>6)
 		}
-		if sib&7 == 5 && mod == 0 {
-			// no base, disp32 follows
-			v, err := d.u32()
-			if err != nil {
-				return 0, Operand{}, err
-			}
-			mem.Disp = int64(int32(v))
+		if sib&7 == 5 && mod == 0 { // no base, disp32 follows
+			mod = 2
 		} else {
-			mem.Base = base
+			mem.Base = Reg(sib&7) | d.ext(rexB)
 		}
 	case rmBits == 5 && mod == 0: // RIP-relative disp32
-		v, err := d.u32()
-		if err != nil {
-			return 0, Operand{}, err
-		}
 		mem.Base = RIP
-		mem.Disp = int64(int32(v))
-		return reg, mem, nil
+		mod = 2
 	default:
-		mem.Base = rmBits | d.rexB()
+		mem.Base = rmBits | d.ext(rexB)
 	}
-
+	var err error
 	switch mod {
 	case 1:
-		b, err := d.byte()
-		if err != nil {
-			return 0, Operand{}, err
-		}
-		mem.Disp = int64(int8(b))
+		mem.Disp, err = d.imm(1)
 	case 2:
-		v, err := d.u32()
-		if err != nil {
-			return 0, Operand{}, err
-		}
-		mem.Disp = int64(int32(v))
+		mem.Disp, err = d.imm(4)
 	}
-	return reg, mem, nil
+	return mem, err
 }
 
 // Decode decodes a single instruction starting at code[0], whose first byte
@@ -167,7 +124,7 @@ func (d *decoder) modrm(size int) (reg Reg, rm Operand, err error) {
 // addresses in the operand (Base=RIP, Disp=absolute target), so downstream
 // consumers never re-do RIP arithmetic.
 func Decode(code []byte, addr uint64) (Inst, error) {
-	d := &decoder{code: code, addr: addr, opsize: 4}
+	d := decoder{code: code, addr: addr}
 
 	// Prefixes.
 prefixes:
@@ -178,30 +135,23 @@ prefixes:
 		switch b := code[d.pos]; b {
 		case 0x66:
 			d.op66 = true
-			d.pos++
 		case 0xf3:
 			d.repF3 = true
-			d.pos++
 		case 0xf2:
 			d.repF2 = true
-			d.pos++
-		case 0x2e, 0x3e, 0x26, 0x36, 0x64, 0x65: // segment / branch hints
-			d.pos++
+		case 0x2e, 0x3e, 0x26, 0x36: // segment overrides without effect in 64-bit mode, branch hints
+		case 0x64, 0x65:
+			return Inst{}, d.fail("fs/gs segment override unsupported")
 		default:
 			if b >= 0x40 && b <= 0x4f {
-				d.rex = b
+				// REX must be the last prefix.
+				d.rex = b & 0xf
 				d.hasREX = true
 				d.pos++
-				// REX must be the last prefix.
-				break prefixes
 			}
 			break prefixes
 		}
-	}
-	if d.rex&0x8 != 0 {
-		d.opsize = 8
-	} else if d.op66 {
-		d.opsize = 2
+		d.pos++
 	}
 
 	opc, err := d.byte()
@@ -209,14 +159,36 @@ prefixes:
 		return Inst{}, err
 	}
 	d.opc = opc
-
-	inst, err := d.decodeOne(opc)
+	key, what := int(opc), "opcode"
+	if opc == 0x0f {
+		if d.opc, err = d.byte(); err != nil {
+			return Inst{}, err
+		}
+		key, what = 0x100|int(d.opc), "0f opcode"
+	}
+	rows := byOpcode[key]
+	if len(rows) == 0 {
+		return Inst{}, d.fail("unsupported " + what)
+	}
+	if rows[0].form.hasModRM() {
+		if d.modrm, err = d.byte(); err != nil {
+			return Inst{}, err
+		}
+	}
+	r, size, err := d.match(rows)
 	if err != nil {
 		return Inst{}, err
 	}
-	inst.Addr = addr
+	inst := Inst{Addr: addr, Mn: r.mn, Cond: r.cc, Rep: r.pfx&pRep != 0 && d.repF3}
+	if inst.Ops, err = d.operands(r, size); err != nil {
+		return Inst{}, err
+	}
+	// The processor faults on an instruction longer than 15 bytes, which
+	// only redundant prefixes can make.
+	if d.pos > 15 {
+		return Inst{}, d.fail("instruction longer than 15 bytes")
+	}
 	inst.Len = d.pos
-	inst.Bytes = append([]byte(nil), code[:d.pos]...)
 
 	// Resolve RIP-relative displacements and relative branch targets to
 	// absolute addresses.
@@ -226,445 +198,118 @@ prefixes:
 			o.Disp += int64(inst.Next())
 		}
 	}
-	switch inst.Mn {
-	case CALL, JMP, JCC:
-		if len(inst.Ops) == 1 && inst.Ops[0].Kind == OpImm {
-			inst.Ops[0].Imm += int64(inst.Next())
-			inst.Ops[0].Size = 8
-		}
+	if r.form == fRel {
+		inst.Ops[0].Imm += int64(inst.Next())
+		inst.Ops[0].Size = 8
 	}
 	return inst, nil
 }
 
-// aluFamily maps the low 3 bits of the classic ALU opcode rows (and the
-// /reg field of 80/81/83) to mnemonics.
-var aluFamily = [8]Mnemonic{ADD, OR, ADC, SBB, AND, SUB, XOR, CMP}
-
-// shiftFamily maps the /reg field of C0/C1/D0-D3 to mnemonics.
-var shiftFamily = [8]Mnemonic{ROL, ROR, BAD, BAD, SHL, SHR, BAD, SAR}
-
-func (d *decoder) decodeOne(opc byte) (Inst, error) {
-	size := d.opsize
-
-	// Classic ALU rows: 00-3B excluding the 0F escape and row oddities.
-	if opc < 0x40 && opc&7 <= 5 && opc != 0x0f && opc != 0x26 && opc != 0x2e && opc != 0x36 && opc != 0x3e {
-		mn := aluFamily[opc>>3]
-		switch opc & 7 {
-		case 0: // r/m8, r8
-			reg, rm, err := d.modrm(1)
-			return Inst{Mn: mn, Ops: []Operand{rm, RegOp(reg, 1)}}, err
-		case 1: // r/m, r
-			reg, rm, err := d.modrm(size)
-			return Inst{Mn: mn, Ops: []Operand{rm, RegOp(reg, size)}}, err
-		case 2: // r8, r/m8
-			reg, rm, err := d.modrm(1)
-			return Inst{Mn: mn, Ops: []Operand{RegOp(reg, 1), rm}}, err
-		case 3: // r, r/m
-			reg, rm, err := d.modrm(size)
-			return Inst{Mn: mn, Ops: []Operand{RegOp(reg, size), rm}}, err
-		case 4: // al, imm8
-			v, err := d.imm(1)
-			return Inst{Mn: mn, Ops: []Operand{RegOp(RAX, 1), ImmOp(v, 1)}}, err
-		case 5: // eax, imm
-			isz := size
-			if isz == 8 {
-				isz = 4
-			}
-			v, err := d.imm(isz)
-			return Inst{Mn: mn, Ops: []Operand{RegOp(RAX, size), ImmOp(v, isz)}}, err
+// match returns the first row that admits the ModRM extension and the
+// prefixes read, with the operand size they select.
+func (d *decoder) match(rows []*row) (*row, int, error) {
+	reason := ""
+	for _, r := range rows {
+		if r.ext != 0 && r.ext != slash(int(d.modrm>>3&7)) {
+			continue
 		}
-	}
-
-	switch {
-	case opc >= 0x50 && opc <= 0x57:
-		return Inst{Mn: PUSH, Ops: []Operand{RegOp(Reg(opc-0x50)|d.rexB(), 8)}}, nil
-	case opc >= 0x58 && opc <= 0x5f:
-		return Inst{Mn: POP, Ops: []Operand{RegOp(Reg(opc-0x58)|d.rexB(), 8)}}, nil
-	case opc >= 0x70 && opc <= 0x7f:
-		v, err := d.imm(1)
-		return Inst{Mn: JCC, Cond: Cond(opc - 0x70), Ops: []Operand{ImmOp(v, 1)}}, err
-	case opc >= 0xb0 && opc <= 0xb7:
-		v, err := d.imm(1)
-		return Inst{Mn: MOV, Ops: []Operand{RegOp(Reg(opc-0xb0)|d.rexB(), 1), ImmOp(v, 1)}}, err
-	case opc >= 0xb8 && opc <= 0xbf:
-		r := Reg(opc-0xb8) | d.rexB()
-		if size == 8 { // movabs r64, imm64
-			v, err := d.u64()
-			return Inst{Mn: MOV, Ops: []Operand{RegOp(r, 8), ImmOp(int64(v), 8)}}, err
-		}
-		v, err := d.imm(size)
-		return Inst{Mn: MOV, Ops: []Operand{RegOp(r, size), ImmOp(v, size)}}, err
-	case opc >= 0x91 && opc <= 0x97:
-		return Inst{Mn: XCHG, Ops: []Operand{RegOp(RAX, size), RegOp(Reg(opc-0x90)|d.rexB(), size)}}, nil
-	}
-
-	switch opc {
-	case 0x0f:
-		return d.decode0F()
-	case 0x63: // movsxd r64, r/m32
-		reg, rm, err := d.modrm(4)
-		return Inst{Mn: MOVSXD, Ops: []Operand{RegOp(reg, 8), rm}}, err
-	case 0x68:
-		v, err := d.imm(4)
-		return Inst{Mn: PUSH, Ops: []Operand{ImmOp(v, 4)}}, err
-	case 0x69: // imul r, r/m, imm32
-		reg, rm, err := d.modrm(size)
-		if err != nil {
-			return Inst{}, err
-		}
-		isz := size
-		if isz == 8 {
-			isz = 4
-		}
-		v, err := d.imm(isz)
-		return Inst{Mn: IMUL, Ops: []Operand{RegOp(reg, size), rm, ImmOp(v, isz)}}, err
-	case 0x6a:
-		v, err := d.imm(1)
-		return Inst{Mn: PUSH, Ops: []Operand{ImmOp(v, 1)}}, err
-	case 0x6b: // imul r, r/m, imm8
-		reg, rm, err := d.modrm(size)
-		if err != nil {
-			return Inst{}, err
-		}
-		v, err := d.imm(1)
-		return Inst{Mn: IMUL, Ops: []Operand{RegOp(reg, size), rm, ImmOp(v, 1)}}, err
-	case 0x80: // alu r/m8, imm8
-		reg, rm, err := d.modrm(1)
-		if err != nil {
-			return Inst{}, err
-		}
-		v, err := d.imm(1)
-		return Inst{Mn: aluFamily[reg&7], Ops: []Operand{rm, ImmOp(v, 1)}}, err
-	case 0x81:
-		reg, rm, err := d.modrm(size)
-		if err != nil {
-			return Inst{}, err
-		}
-		isz := size
-		if isz == 8 {
-			isz = 4
-		}
-		v, err := d.imm(isz)
-		return Inst{Mn: aluFamily[reg&7], Ops: []Operand{rm, ImmOp(v, isz)}}, err
-	case 0x83:
-		reg, rm, err := d.modrm(size)
-		if err != nil {
-			return Inst{}, err
-		}
-		v, err := d.imm(1)
-		return Inst{Mn: aluFamily[reg&7], Ops: []Operand{rm, ImmOp(v, 1)}}, err
-	case 0x84:
-		reg, rm, err := d.modrm(1)
-		return Inst{Mn: TEST, Ops: []Operand{rm, RegOp(reg, 1)}}, err
-	case 0x85:
-		reg, rm, err := d.modrm(size)
-		return Inst{Mn: TEST, Ops: []Operand{rm, RegOp(reg, size)}}, err
-	case 0x86:
-		reg, rm, err := d.modrm(1)
-		return Inst{Mn: XCHG, Ops: []Operand{rm, RegOp(reg, 1)}}, err
-	case 0x87:
-		reg, rm, err := d.modrm(size)
-		return Inst{Mn: XCHG, Ops: []Operand{rm, RegOp(reg, size)}}, err
-	case 0x88:
-		reg, rm, err := d.modrm(1)
-		return Inst{Mn: MOV, Ops: []Operand{rm, RegOp(reg, 1)}}, err
-	case 0x89:
-		reg, rm, err := d.modrm(size)
-		return Inst{Mn: MOV, Ops: []Operand{rm, RegOp(reg, size)}}, err
-	case 0x8a:
-		reg, rm, err := d.modrm(1)
-		return Inst{Mn: MOV, Ops: []Operand{RegOp(reg, 1), rm}}, err
-	case 0x8b:
-		reg, rm, err := d.modrm(size)
-		return Inst{Mn: MOV, Ops: []Operand{RegOp(reg, size), rm}}, err
-	case 0x8d:
-		reg, rm, err := d.modrm(size)
-		if err != nil {
-			return Inst{}, err
-		}
-		if rm.Kind != OpMem {
-			return Inst{}, d.fail("lea with register source")
-		}
-		return Inst{Mn: LEA, Ops: []Operand{RegOp(reg, size), rm}}, nil
-	case 0x8f: // pop r/m
-		reg, rm, err := d.modrm(8)
-		if err != nil {
-			return Inst{}, err
-		}
-		if reg&7 != 0 {
-			return Inst{}, d.fail("8f /non-zero")
-		}
-		return Inst{Mn: POP, Ops: []Operand{rm}}, nil
-	case 0x90:
-		return Inst{Mn: NOP}, nil
-	case 0x98:
-		if size == 8 {
-			return Inst{Mn: CDQE}, nil
-		}
-		return Inst{Mn: CDQE}, nil // cwde/cdqe treated uniformly at size
-	case 0x99:
-		if size == 8 {
-			return Inst{Mn: CQO}, nil
-		}
-		return Inst{Mn: CDQ}, nil
-	case 0xa4:
-		return Inst{Mn: MOVS, Rep: d.repF3, Ops: []Operand{{Kind: OpNone, Size: 1}}}, nil
-	case 0xa5:
-		return Inst{Mn: MOVS, Rep: d.repF3, Ops: []Operand{{Kind: OpNone, Size: size}}}, nil
-	case 0xaa:
-		return Inst{Mn: STOS, Rep: d.repF3, Ops: []Operand{{Kind: OpNone, Size: 1}}}, nil
-	case 0xab:
-		return Inst{Mn: STOS, Rep: d.repF3, Ops: []Operand{{Kind: OpNone, Size: size}}}, nil
-	case 0xa8:
-		v, err := d.imm(1)
-		return Inst{Mn: TEST, Ops: []Operand{RegOp(RAX, 1), ImmOp(v, 1)}}, err
-	case 0xa9:
-		isz := size
-		if isz == 8 {
-			isz = 4
-		}
-		v, err := d.imm(isz)
-		return Inst{Mn: TEST, Ops: []Operand{RegOp(RAX, size), ImmOp(v, isz)}}, err
-	case 0xc0, 0xc1, 0xd0, 0xd1, 0xd2, 0xd3:
-		sz := size
-		if opc == 0xc0 || opc == 0xd0 || opc == 0xd2 {
-			sz = 1
-		}
-		reg, rm, err := d.modrm(sz)
-		if err != nil {
-			return Inst{}, err
-		}
-		mn := shiftFamily[reg&7]
-		if mn == BAD {
-			return Inst{}, d.fail("unsupported shift family member")
-		}
-		switch opc {
-		case 0xc0, 0xc1:
-			v, err := d.imm(1)
-			return Inst{Mn: mn, Ops: []Operand{rm, ImmOp(v, 1)}}, err
-		case 0xd0, 0xd1:
-			return Inst{Mn: mn, Ops: []Operand{rm, ImmOp(1, 1)}}, nil
-		default: // d2, d3: shift by cl
-			return Inst{Mn: mn, Ops: []Operand{rm, RegOp(RCX, 1)}}, nil
-		}
-	case 0xc2:
-		v, err := d.u16()
-		return Inst{Mn: RET, Ops: []Operand{ImmOp(int64(v), 2)}}, err
-	case 0xc3:
-		return Inst{Mn: RET}, nil
-	case 0xc6:
-		reg, rm, err := d.modrm(1)
-		if err != nil {
-			return Inst{}, err
-		}
-		if reg&7 != 0 {
-			return Inst{}, d.fail("c6 /non-zero")
-		}
-		v, err := d.imm(1)
-		return Inst{Mn: MOV, Ops: []Operand{rm, ImmOp(v, 1)}}, err
-	case 0xc7:
-		reg, rm, err := d.modrm(size)
-		if err != nil {
-			return Inst{}, err
-		}
-		if reg&7 != 0 {
-			return Inst{}, d.fail("c7 /non-zero")
-		}
-		isz := size
-		if isz == 8 {
-			isz = 4
-		}
-		v, err := d.imm(isz)
-		return Inst{Mn: MOV, Ops: []Operand{rm, ImmOp(v, isz)}}, err
-	case 0xc9:
-		return Inst{Mn: LEAVE}, nil
-	case 0xcc:
-		return Inst{Mn: INT3}, nil
-	case 0xe8:
-		v, err := d.imm(4)
-		return Inst{Mn: CALL, Ops: []Operand{ImmOp(v, 4)}}, err
-	case 0xe9:
-		v, err := d.imm(4)
-		return Inst{Mn: JMP, Ops: []Operand{ImmOp(v, 4)}}, err
-	case 0xeb:
-		v, err := d.imm(1)
-		return Inst{Mn: JMP, Ops: []Operand{ImmOp(v, 1)}}, err
-	case 0xf4:
-		return Inst{Mn: HLT}, nil
-	case 0xf6, 0xf7:
-		sz := size
-		if opc == 0xf6 {
-			sz = 1
-		}
-		reg, rm, err := d.modrm(sz)
-		if err != nil {
-			return Inst{}, err
-		}
-		switch reg & 7 {
-		case 0, 1: // test r/m, imm
-			isz := sz
-			if isz == 8 {
-				isz = 4
-			}
-			v, err := d.imm(isz)
-			return Inst{Mn: TEST, Ops: []Operand{rm, ImmOp(v, isz)}}, err
-		case 2:
-			return Inst{Mn: NOT, Ops: []Operand{rm}}, nil
-		case 3:
-			return Inst{Mn: NEG, Ops: []Operand{rm}}, nil
-		case 4:
-			return Inst{Mn: MUL, Ops: []Operand{rm}}, nil
-		case 5:
-			return Inst{Mn: IMUL, Ops: []Operand{rm}}, nil
-		case 6:
-			return Inst{Mn: DIV, Ops: []Operand{rm}}, nil
+		size := int(r.w)
+		switch {
+		case r.w <= wB:
+		case d.rex&rexW != 0:
+			size = 8
+		case d.op66:
+			size = 2
+		case r.pfx&pD64 != 0:
+			size = 8
 		default:
-			return Inst{Mn: IDIV, Ops: []Operand{rm}}, nil
+			size = 4
 		}
-	case 0xfe:
-		reg, rm, err := d.modrm(1)
-		if err != nil {
-			return Inst{}, err
+		switch {
+		case size&int(r.w) != size:
+			reason = "operand size prefix unsupported"
+		case r.pfx&pRep != 0 && d.repF2:
+			reason = "repne prefix unsupported"
+		case r.pfx&pF3 != 0 && !d.repF3:
+			reason = "missing f3 prefix"
+		case r.pfx&pNoF3 != 0 && d.repF3:
+			reason = "f3 prefix (tzcnt, lzcnt) unsupported"
+		case r.pfx&pNoRexB != 0 && d.rex&rexB != 0:
+			// The next row (xchg) takes it.
+		default:
+			return r, size, nil
 		}
-		switch reg & 7 {
-		case 0:
-			return Inst{Mn: INC, Ops: []Operand{rm}}, nil
-		case 1:
-			return Inst{Mn: DEC, Ops: []Operand{rm}}, nil
-		}
-		return Inst{}, d.fail("fe /bad")
-	case 0xff:
-		reg, rm, err := d.modrm(size)
-		if err != nil {
-			return Inst{}, err
-		}
-		switch reg & 7 {
-		case 0:
-			return Inst{Mn: INC, Ops: []Operand{rm}}, nil
-		case 1:
-			return Inst{Mn: DEC, Ops: []Operand{rm}}, nil
-		case 2:
-			rm.Size = 8
-			return Inst{Mn: CALL, Ops: []Operand{rm}}, nil
-		case 4:
-			rm.Size = 8
-			return Inst{Mn: JMP, Ops: []Operand{rm}}, nil
-		case 6:
-			rm.Size = 8
-			return Inst{Mn: PUSH, Ops: []Operand{rm}}, nil
-		}
-		return Inst{}, d.fail("ff /bad")
 	}
-	return Inst{}, d.fail("unsupported opcode")
+	if reason == "" {
+		reason = fmt.Sprintf("unsupported extension /%d", d.modrm>>3&7)
+	}
+	return nil, 0, d.fail(reason)
 }
 
-func (d *decoder) decode0F() (Inst, error) {
-	opc, err := d.byte()
-	if err != nil {
-		return Inst{}, err
-	}
-	d.opc = opc
-	size := d.opsize
-
+// operands reads the operands of row r at operand size size.
+func (d *decoder) operands(r *row, size int) ([]Operand, error) {
+	var rm, imm Operand
+	var err error
 	switch {
-	case opc >= 0x80 && opc <= 0x8f:
-		v, err := d.imm(4)
-		return Inst{Mn: JCC, Cond: Cond(opc - 0x80), Ops: []Operand{ImmOp(v, 4)}}, err
-	case opc >= 0x90 && opc <= 0x9f:
-		_, rm, err := d.modrm(1)
-		return Inst{Mn: SETCC, Cond: Cond(opc - 0x90), Ops: []Operand{rm}}, err
-	case opc >= 0x40 && opc <= 0x4f:
-		reg, rm, err := d.modrm(size)
-		return Inst{Mn: CMOVCC, Cond: Cond(opc - 0x40), Ops: []Operand{RegOp(reg, size), rm}}, err
-	}
-
-	if opc >= 0xc8 && opc <= 0xcf {
-		return Inst{Mn: BSWAP, Ops: []Operand{RegOp(Reg(opc-0xc8)|d.rexB(), size)}}, nil
-	}
-
-	switch opc {
-	case 0x05:
-		return Inst{Mn: SYSCALL}, nil
-	case 0xa3:
-		reg, rm, err := d.modrm(size)
-		return Inst{Mn: BT, Ops: []Operand{rm, RegOp(reg, size)}}, err
-	case 0xab:
-		reg, rm, err := d.modrm(size)
-		return Inst{Mn: BTS, Ops: []Operand{rm, RegOp(reg, size)}}, err
-	case 0xb3:
-		reg, rm, err := d.modrm(size)
-		return Inst{Mn: BTR, Ops: []Operand{rm, RegOp(reg, size)}}, err
-	case 0xbb:
-		reg, rm, err := d.modrm(size)
-		return Inst{Mn: BTC, Ops: []Operand{rm, RegOp(reg, size)}}, err
-	case 0xba:
-		reg, rm, err := d.modrm(size)
+	case r.form.hasModRM():
+		rmSize := size
+		if r.rmw != 0 {
+			rmSize = int(r.rmw)
+		}
+		if rm, err = d.rm(rmSize); err != nil {
+			return nil, err
+		}
+		if r.form == fRegMem && rm.Kind != OpMem {
+			return nil, d.fail("register operand where memory is required")
+		}
+	case r.form == fTail:
+		b, err := d.byte()
 		if err != nil {
-			return Inst{}, err
+			return nil, err
 		}
-		mns := map[Reg]Mnemonic{4: BT, 5: BTS, 6: BTR, 7: BTC}
-		mn, ok := mns[reg&7]
-		if !ok {
-			return Inst{}, d.fail("0f ba /bad")
+		if b != r.tail {
+			return nil, d.fail(fmt.Sprintf("%#02x after the opcode, want %#02x", b, r.tail))
 		}
-		v, err := d.imm(1)
-		return Inst{Mn: mn, Ops: []Operand{rm, ImmOp(v, 1)}}, err
-	case 0xbc:
-		reg, rm, err := d.modrm(size)
-		return Inst{Mn: BSF, Ops: []Operand{RegOp(reg, size), rm}}, err
-	case 0xbd:
-		reg, rm, err := d.modrm(size)
-		return Inst{Mn: BSR, Ops: []Operand{RegOp(reg, size), rm}}, err
-	case 0xb8:
-		if !d.repF3 {
-			return Inst{}, d.fail("0f b8 without f3 (jmpe unsupported)")
-		}
-		reg, rm, err := d.modrm(size)
-		return Inst{Mn: POPCNT, Ops: []Operand{RegOp(reg, size), rm}}, err
-	case 0xc0:
-		reg, rm, err := d.modrm(1)
-		return Inst{Mn: XADD, Ops: []Operand{rm, RegOp(reg, 1)}}, err
-	case 0xc1:
-		reg, rm, err := d.modrm(size)
-		return Inst{Mn: XADD, Ops: []Operand{rm, RegOp(reg, size)}}, err
-	case 0xb0:
-		reg, rm, err := d.modrm(1)
-		return Inst{Mn: CMPXCHG, Ops: []Operand{rm, RegOp(reg, 1)}}, err
-	case 0xb1:
-		reg, rm, err := d.modrm(size)
-		return Inst{Mn: CMPXCHG, Ops: []Operand{rm, RegOp(reg, size)}}, err
-	case 0x0b:
-		return Inst{Mn: UD2}, nil
-	case 0x1e:
-		if d.repF3 {
-			m, err := d.byte()
-			if err != nil {
-				return Inst{}, err
-			}
-			if m == 0xfa {
-				return Inst{Mn: ENDBR64}, nil
-			}
-			return Inst{}, d.fail("f3 0f 1e /bad")
-		}
-		return Inst{}, d.fail("0f 1e without f3")
-	case 0x1f: // multi-byte nop
-		_, _, err := d.modrm(size)
-		return Inst{Mn: NOP}, err
-	case 0xaf:
-		reg, rm, err := d.modrm(size)
-		return Inst{Mn: IMUL, Ops: []Operand{RegOp(reg, size), rm}}, err
-	case 0xb6:
-		reg, rm, err := d.modrm(1)
-		return Inst{Mn: MOVZX, Ops: []Operand{RegOp(reg, size), rm}}, err
-	case 0xb7:
-		reg, rm, err := d.modrm(2)
-		return Inst{Mn: MOVZX, Ops: []Operand{RegOp(reg, size), rm}}, err
-	case 0xbe:
-		reg, rm, err := d.modrm(1)
-		return Inst{Mn: MOVSX, Ops: []Operand{RegOp(reg, size), rm}}, err
-	case 0xbf:
-		reg, rm, err := d.modrm(2)
-		return Inst{Mn: MOVSX, Ops: []Operand{RegOp(reg, size), rm}}, err
 	}
-	return Inst{}, d.fail("unsupported 0f opcode")
+	if w := r.immWidth(size); w > 0 {
+		if imm.Imm, err = d.imm(w); err != nil {
+			return nil, err
+		}
+		if r.imm == i16 {
+			imm.Imm = int64(uint16(imm.Imm))
+		}
+		imm.Kind, imm.Size = OpImm, w
+	}
+
+	slots := layouts[r.form]
+	if len(slots) == 0 {
+		return nil, nil
+	}
+	ops := make([]Operand, len(slots))
+	for i, s := range slots {
+		switch s {
+		case sRM:
+			ops[i] = rm
+		case sReg:
+			ops[i] = RegOp(Reg(d.modrm>>3&7)|d.ext(rexR), size)
+		case sOReg:
+			ops[i] = RegOp(Reg(d.opc&7)|d.ext(rexB), size)
+		case sImm:
+			ops[i] = imm
+		case sAcc:
+			ops[i] = RegOp(RAX, size)
+		case sCL:
+			ops[i] = RegOp(RCX, 1)
+		case sOne:
+			ops[i] = ImmOp(1, 1)
+		case sWidth:
+			ops[i] = Operand{Kind: OpNone, Size: size}
+		}
+		// Without REX, byte registers 4–7 are ah, ch, dh and bh, which
+		// the model does not name.
+		if o := ops[i]; o.Kind == OpReg && o.Size == 1 && o.Reg >= RSP && o.Reg <= RDI && !d.hasREX {
+			return nil, d.fail("high-byte register (ah, ch, dh, bh) unsupported")
+		}
+	}
+	return ops, nil
 }

@@ -5,799 +5,226 @@ import (
 	"fmt"
 )
 
-// enc accumulates the parts of one instruction encoding.
-type enc struct {
-	rex      byte // REX payload bits (W/R/X/B); emitted if nonzero or forced
-	forceRex bool
-	prefix   []byte // legacy prefixes (66, F3…)
-	opcode   []byte
-	modrm    byte
-	hasModRM bool
-	sib      byte
-	hasSIB   bool
-	disp     []byte
-	ripRel   bool  // disp is a RIP-relative placeholder for target ripTarget
-	ripTgt   int64 // absolute target
-	imm      []byte
-}
-
-func (e *enc) setW() { e.rex |= 8 }
-
-func (e *enc) opsizePrefix(size int) {
-	switch size {
-	case 2:
-		e.prefix = append(e.prefix, 0x66)
-	case 8:
-		e.setW()
-	}
-}
-
-// reg8NeedsREX reports whether encoding r as an 8-bit register requires a
-// REX prefix to select spl/bpl/sil/dil rather than ah/ch/dh/bh.
-func reg8NeedsREX(r Reg) bool { return r >= RSP && r <= RDI }
-
-// setRegField installs r in the ModRM.reg field.
-func (e *enc) setRegField(r Reg, size int) {
-	if r >= 8 {
-		e.rex |= 4 // REX.R
-	}
-	if size == 1 && reg8NeedsREX(r) {
-		e.forceRex = true
-	}
-	e.modrm |= byte(r&7) << 3
-	e.hasModRM = true
-}
-
-// setRM installs the r/m operand (register or memory form).
-func (e *enc) setRM(o Operand) error {
-	e.hasModRM = true
-	if o.Kind == OpReg {
-		if o.Reg >= 8 {
-			e.rex |= 1 // REX.B
-		}
-		if o.Size == 1 && reg8NeedsREX(o.Reg) {
-			e.forceRex = true
-		}
-		e.modrm |= 0xc0 | byte(o.Reg&7)
-		return nil
-	}
-	if o.Kind != OpMem {
-		return fmt.Errorf("x86: r/m operand must be register or memory, got %v", o)
-	}
-	if o.Base == RIP {
-		e.modrm |= 0x05 // mod=00 rm=101
-		e.ripRel = true
-		e.ripTgt = o.Disp
-		e.disp = make([]byte, 4)
-		return nil
-	}
-	// Index register.
-	needSIB := o.Index != RegNone || o.Base == RegNone || o.Base&7 == RSP&7
-	if o.Index == RSP {
-		return fmt.Errorf("x86: rsp cannot be an index register")
-	}
-	var mod byte
-	switch {
-	case o.Base == RegNone:
-		mod = 0 // SIB with base=101, disp32
-	case o.Disp == 0 && o.Base&7 != RBP&7:
-		mod = 0
-	case o.Disp >= -128 && o.Disp <= 127:
-		mod = 1
-	default:
-		if o.Disp < -1<<31 || o.Disp > 1<<31-1 {
-			return fmt.Errorf("x86: displacement %#x out of range", o.Disp)
-		}
-		mod = 2
-	}
-	if needSIB {
-		e.modrm |= mod<<6 | 0x04
-		e.hasSIB = true
-		switch o.Scale {
-		case 0, 1:
-		case 2:
-			e.sib |= 1 << 6
-		case 4:
-			e.sib |= 2 << 6
-		case 8:
-			e.sib |= 3 << 6
-		default:
-			return fmt.Errorf("x86: bad scale %d", o.Scale)
-		}
-		if o.Index == RegNone {
-			e.sib |= 0x20 // index=100 (none)
-		} else {
-			if o.Index >= 8 {
-				e.rex |= 2 // REX.X
-			}
-			e.sib |= byte(o.Index&7) << 3
-		}
-		if o.Base == RegNone {
-			e.sib |= 0x05
-			mod = 0
-			e.modrm = e.modrm&^0xc0 | mod<<6
-			e.disp = make([]byte, 4)
-			binary.LittleEndian.PutUint32(e.disp, uint32(int32(o.Disp)))
-			return nil
-		}
-		if o.Base >= 8 {
-			e.rex |= 1
-		}
-		e.sib |= byte(o.Base & 7)
-	} else {
-		e.modrm |= mod<<6 | byte(o.Base&7)
-		if o.Base >= 8 {
-			e.rex |= 1
-		}
-	}
-	switch mod {
-	case 1:
-		e.disp = []byte{byte(int8(o.Disp))}
-	case 2:
-		e.disp = make([]byte, 4)
-		binary.LittleEndian.PutUint32(e.disp, uint32(int32(o.Disp)))
-	}
-	return nil
-}
-
-// putImm appends an immediate of the given byte width.
-func (e *enc) putImm(v int64, size int) {
-	switch size {
-	case 1:
-		e.imm = append(e.imm, byte(v))
-	case 2:
-		var b [2]byte
-		binary.LittleEndian.PutUint16(b[:], uint16(v))
-		e.imm = append(e.imm, b[:]...)
-	case 4:
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(v))
-		e.imm = append(e.imm, b[:]...)
-	case 8:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(v))
-		e.imm = append(e.imm, b[:]...)
-	}
-}
-
-// bytes serialises the encoding. addr is the virtual address of the first
-// byte, needed to resolve RIP-relative displacements.
-func (e *enc) bytes(addr uint64) []byte {
-	out := append([]byte(nil), e.prefix...)
-	if e.rex != 0 || e.forceRex {
-		out = append(out, 0x40|e.rex)
-	}
-	out = append(out, e.opcode...)
-	if e.hasModRM {
-		out = append(out, e.modrm)
-	}
-	if e.hasSIB {
-		out = append(out, e.sib)
-	}
-	dispOff := len(out)
-	out = append(out, e.disp...)
-	out = append(out, e.imm...)
-	if e.ripRel {
-		rel := e.ripTgt - int64(addr) - int64(len(out))
-		binary.LittleEndian.PutUint32(out[dispOff:], uint32(int32(rel)))
-	}
-	return out
-}
-
-// aluBase maps ALU mnemonics to their classic opcode row base.
-var aluBase = map[Mnemonic]byte{
-	ADD: 0x00, OR: 0x08, ADC: 0x10, SBB: 0x18,
-	AND: 0x20, SUB: 0x28, XOR: 0x30, CMP: 0x38,
-}
-
-// aluExt maps ALU mnemonics to the /reg extension of opcodes 80/81/83.
-var aluExt = map[Mnemonic]byte{
-	ADD: 0, OR: 1, ADC: 2, SBB: 3, AND: 4, SUB: 5, XOR: 6, CMP: 7,
-}
-
-// shiftExt maps shift mnemonics to the /reg extension of C0/C1/D2/D3.
-var shiftExt = map[Mnemonic]byte{ROL: 0, ROR: 1, SHL: 4, SHR: 5, SAR: 7}
-
-// Encode produces the byte encoding of inst. For CALL/JMP/JCC with
-// immediate operands the immediate must hold the absolute target and
-// inst.Addr the instruction address (matching what Decode produces);
-// rel32 forms are always chosen. Returns an error for shapes outside the
-// supported subset.
+// Encode produces the byte encoding of inst from the first row for its
+// mnemonic that fits the operands. For CALL/JMP/JCC with immediate
+// operands the immediate must hold the absolute target and inst.Addr the
+// instruction address (matching what Decode produces); rel32 forms are
+// always chosen. Returns an error for shapes outside the supported subset.
 func Encode(inst Inst) ([]byte, error) {
-	e := &enc{}
-	ops := inst.Ops
-	sz := func(i int) int { return ops[i].Size }
-
-	switch inst.Mn {
-	case NOP:
-		return []byte{0x90}, nil
-	case RET:
-		if len(ops) == 1 {
-			out := []byte{0xc2, 0, 0}
-			binary.LittleEndian.PutUint16(out[1:], uint16(ops[0].Imm))
-			return out, nil
-		}
-		return []byte{0xc3}, nil
-	case LEAVE:
-		return []byte{0xc9}, nil
-	case INT3:
-		return []byte{0xcc}, nil
-	case HLT:
-		return []byte{0xf4}, nil
-	case UD2:
-		return []byte{0x0f, 0x0b}, nil
-	case SYSCALL:
-		return []byte{0x0f, 0x05}, nil
-	case ENDBR64:
-		return []byte{0xf3, 0x0f, 0x1e, 0xfa}, nil
-	case MOVS, STOS:
-		op := byte(0xa4)
-		if inst.Mn == STOS {
-			op = 0xaa
-		}
-		size := 1
-		if len(ops) > 0 {
-			size = ops[0].Size
-		}
-		if size > 1 {
-			op++
-		}
-		var out []byte
-		if inst.Rep {
-			out = append(out, 0xf3)
-		}
-		switch size {
-		case 2:
-			out = append(out, 0x66)
-		case 8:
-			out = append(out, 0x48)
-		}
-		return append(out, op), nil
-	case CDQE:
-		return []byte{0x48, 0x98}, nil
-	case CDQ:
-		return []byte{0x99}, nil
-	case CQO:
-		return []byte{0x48, 0x99}, nil
-
-	case PUSH:
-		switch {
-		case len(ops) == 1 && ops[0].Kind == OpReg:
-			if ops[0].Reg >= 8 {
-				e.rex |= 1
-			}
-			e.opcode = []byte{0x50 + byte(ops[0].Reg&7)}
-			return e.bytes(inst.Addr), nil
-		case len(ops) == 1 && ops[0].Kind == OpImm:
-			if ops[0].Size == 1 {
-				return []byte{0x6a, byte(ops[0].Imm)}, nil
-			}
-			out := []byte{0x68, 0, 0, 0, 0}
-			binary.LittleEndian.PutUint32(out[1:], uint32(int32(ops[0].Imm)))
-			return out, nil
-		case len(ops) == 1 && ops[0].Kind == OpMem:
-			e.opcode = []byte{0xff}
-			e.modrm = 6 << 3
-			if err := e.setRM(ops[0]); err != nil {
-				return nil, err
-			}
-			return e.bytes(inst.Addr), nil
-		}
-	case POP:
-		if len(ops) == 1 && ops[0].Kind == OpReg {
-			if ops[0].Reg >= 8 {
-				e.rex |= 1
-			}
-			e.opcode = []byte{0x58 + byte(ops[0].Reg&7)}
-			return e.bytes(inst.Addr), nil
-		}
-		if len(ops) == 1 && ops[0].Kind == OpMem {
-			e.opcode = []byte{0x8f}
-			if err := e.setRM(ops[0]); err != nil {
-				return nil, err
-			}
-			return e.bytes(inst.Addr), nil
-		}
-
-	case CALL, JMP:
-		if len(ops) == 1 && ops[0].Kind == OpImm {
-			op := byte(0xe8)
-			if inst.Mn == JMP {
-				op = 0xe9
-			}
-			out := []byte{op, 0, 0, 0, 0}
-			rel := ops[0].Imm - int64(inst.Addr) - int64(len(out))
-			binary.LittleEndian.PutUint32(out[1:], uint32(int32(rel)))
-			return out, nil
-		}
-		if len(ops) == 1 && (ops[0].Kind == OpMem || ops[0].Kind == OpReg) {
-			ext := byte(2)
-			if inst.Mn == JMP {
-				ext = 4
-			}
-			e.opcode = []byte{0xff}
-			e.modrm = ext << 3
-			rm := ops[0]
-			rm.Size = 4 // default-64 operand: no REX.W
-			if err := e.setRM(rm); err != nil {
-				return nil, err
-			}
-			return e.bytes(inst.Addr), nil
-		}
-	case JCC:
-		if len(ops) == 1 && ops[0].Kind == OpImm {
-			out := []byte{0x0f, 0x80 + byte(inst.Cond), 0, 0, 0, 0}
-			rel := ops[0].Imm - int64(inst.Addr) - int64(len(out))
-			binary.LittleEndian.PutUint32(out[2:], uint32(int32(rel)))
-			return out, nil
-		}
-	case SETCC:
-		if len(ops) == 1 {
-			e.opcode = []byte{0x0f, 0x90 + byte(inst.Cond)}
-			if err := e.setRM(ops[0]); err != nil {
-				return nil, err
-			}
-			return e.bytes(inst.Addr), nil
-		}
-	case CMOVCC:
-		if len(ops) == 2 && ops[0].Kind == OpReg {
-			e.opsizePrefix(sz(0))
-			e.opcode = []byte{0x0f, 0x40 + byte(inst.Cond)}
-			e.setRegField(ops[0].Reg, sz(0))
-			if err := e.setRM(ops[1]); err != nil {
-				return nil, err
-			}
-			return e.bytes(inst.Addr), nil
-		}
-
-	case MOV:
-		return encodeMov(e, inst)
-	case MOVZX, MOVSX:
-		if len(ops) == 2 && ops[0].Kind == OpReg && sz(1) <= 2 {
-			e.opsizePrefix(sz(0))
-			op := byte(0xb6)
-			if inst.Mn == MOVSX {
-				op = 0xbe
-			}
-			if sz(1) == 2 {
-				op++
-			}
-			e.opcode = []byte{0x0f, op}
-			e.setRegField(ops[0].Reg, sz(0))
-			if err := e.setRM(ops[1]); err != nil {
-				return nil, err
-			}
-			return e.bytes(inst.Addr), nil
-		}
-	case MOVSXD:
-		if len(ops) == 2 && ops[0].Kind == OpReg {
-			e.setW()
-			e.opcode = []byte{0x63}
-			e.setRegField(ops[0].Reg, 8)
-			if err := e.setRM(ops[1]); err != nil {
-				return nil, err
-			}
-			return e.bytes(inst.Addr), nil
-		}
-	case LEA:
-		if len(ops) == 2 && ops[0].Kind == OpReg && ops[1].Kind == OpMem {
-			e.opsizePrefix(sz(0))
-			e.opcode = []byte{0x8d}
-			e.setRegField(ops[0].Reg, sz(0))
-			if err := e.setRM(ops[1]); err != nil {
-				return nil, err
-			}
-			return e.bytes(inst.Addr), nil
-		}
-
-	case ADD, OR, ADC, SBB, AND, SUB, XOR, CMP:
-		return encodeALU(e, inst)
-	case TEST:
-		return encodeTest(e, inst)
-	case NOT, NEG, MUL, DIV, IDIV:
-		ext := map[Mnemonic]byte{NOT: 2, NEG: 3, MUL: 4, DIV: 6, IDIV: 7}[inst.Mn]
-		if len(ops) == 1 {
-			op := byte(0xf7)
-			if sz(0) == 1 {
-				op = 0xf6
-			} else {
-				e.opsizePrefix(sz(0))
-			}
-			e.opcode = []byte{op}
-			e.modrm = ext << 3
-			if err := e.setRM(ops[0]); err != nil {
-				return nil, err
-			}
-			return e.bytes(inst.Addr), nil
-		}
-	case IMUL:
-		switch len(ops) {
-		case 1:
-			op := byte(0xf7)
-			if sz(0) == 1 {
-				op = 0xf6
-			} else {
-				e.opsizePrefix(sz(0))
-			}
-			e.opcode = []byte{op}
-			e.modrm = 5 << 3
-			if err := e.setRM(ops[0]); err != nil {
-				return nil, err
-			}
-			return e.bytes(inst.Addr), nil
-		case 2:
-			e.opsizePrefix(sz(0))
-			e.opcode = []byte{0x0f, 0xaf}
-			e.setRegField(ops[0].Reg, sz(0))
-			if err := e.setRM(ops[1]); err != nil {
-				return nil, err
-			}
-			return e.bytes(inst.Addr), nil
-		case 3:
-			e.opsizePrefix(sz(0))
-			if ops[2].Size == 1 {
-				e.opcode = []byte{0x6b}
-			} else {
-				e.opcode = []byte{0x69}
-			}
-			e.setRegField(ops[0].Reg, sz(0))
-			if err := e.setRM(ops[1]); err != nil {
-				return nil, err
-			}
-			e.putImm(ops[2].Imm, ops[2].Size)
-			return e.bytes(inst.Addr), nil
-		}
-	case INC, DEC:
-		if len(ops) == 1 {
-			op := byte(0xff)
-			if sz(0) == 1 {
-				op = 0xfe
-			} else {
-				e.opsizePrefix(sz(0))
-			}
-			e.opcode = []byte{op}
-			if inst.Mn == DEC {
-				e.modrm = 1 << 3
-			}
-			if err := e.setRM(ops[0]); err != nil {
-				return nil, err
-			}
-			return e.bytes(inst.Addr), nil
-		}
-	case SHL, SHR, SAR, ROL, ROR:
-		ext := shiftExt[inst.Mn]
-		if len(ops) == 2 {
-			byCL := ops[1].Kind == OpReg && ops[1].Reg == RCX
-			var op byte
-			switch {
-			case sz(0) == 1 && byCL:
-				op = 0xd2
-			case byCL:
-				op = 0xd3
-				e.opsizePrefix(sz(0))
-			case sz(0) == 1:
-				op = 0xc0
-			default:
-				op = 0xc1
-				e.opsizePrefix(sz(0))
-			}
-			e.opcode = []byte{op}
-			e.modrm = ext << 3
-			if err := e.setRM(ops[0]); err != nil {
-				return nil, err
-			}
-			if !byCL {
-				e.putImm(ops[1].Imm, 1)
-			}
-			return e.bytes(inst.Addr), nil
-		}
-	case BT, BTS, BTR, BTC:
-		ops2 := map[Mnemonic]byte{BT: 0xa3, BTS: 0xab, BTR: 0xb3, BTC: 0xbb}
-		exts := map[Mnemonic]byte{BT: 4, BTS: 5, BTR: 6, BTC: 7}
-		if len(ops) == 2 && ops[1].Kind == OpReg {
-			e.opsizePrefix(sz(0))
-			e.opcode = []byte{0x0f, ops2[inst.Mn]}
-			e.setRegField(ops[1].Reg, sz(1))
-			if err := e.setRM(ops[0]); err != nil {
-				return nil, err
-			}
-			return e.bytes(inst.Addr), nil
-		}
-		if len(ops) == 2 && ops[1].Kind == OpImm {
-			e.opsizePrefix(sz(0))
-			e.opcode = []byte{0x0f, 0xba}
-			e.modrm = exts[inst.Mn] << 3
-			if err := e.setRM(ops[0]); err != nil {
-				return nil, err
-			}
-			e.putImm(ops[1].Imm, 1)
-			return e.bytes(inst.Addr), nil
-		}
-	case BSF, BSR:
-		if len(ops) == 2 && ops[0].Kind == OpReg {
-			op := byte(0xbc)
-			if inst.Mn == BSR {
-				op = 0xbd
-			}
-			e.opsizePrefix(sz(0))
-			e.opcode = []byte{0x0f, op}
-			e.setRegField(ops[0].Reg, sz(0))
-			if err := e.setRM(ops[1]); err != nil {
-				return nil, err
-			}
-			return e.bytes(inst.Addr), nil
-		}
-	case POPCNT:
-		if len(ops) == 2 && ops[0].Kind == OpReg {
-			e.prefix = append(e.prefix, 0xf3)
-			e.opsizePrefix(sz(0))
-			e.opcode = []byte{0x0f, 0xb8}
-			e.setRegField(ops[0].Reg, sz(0))
-			if err := e.setRM(ops[1]); err != nil {
-				return nil, err
-			}
-			return e.bytes(inst.Addr), nil
-		}
-	case XADD, CMPXCHG:
-		if len(ops) == 2 && ops[1].Kind == OpReg {
-			var op byte
-			if inst.Mn == XADD {
-				op = 0xc1
-				if sz(0) == 1 {
-					op = 0xc0
-				}
-			} else {
-				op = 0xb1
-				if sz(0) == 1 {
-					op = 0xb0
-				}
-			}
-			if sz(0) > 1 {
-				e.opsizePrefix(sz(0))
-			}
-			e.opcode = []byte{0x0f, op}
-			e.setRegField(ops[1].Reg, sz(1))
-			if err := e.setRM(ops[0]); err != nil {
-				return nil, err
-			}
-			return e.bytes(inst.Addr), nil
-		}
-	case BSWAP:
-		if len(ops) == 1 && ops[0].Kind == OpReg {
-			e.opsizePrefix(sz(0))
-			if ops[0].Reg >= 8 {
-				e.rex |= 1
-			}
-			e.opcode = []byte{0x0f, 0xc8 + byte(ops[0].Reg&7)}
-			return e.bytes(inst.Addr), nil
-		}
-	case XCHG:
-		if len(ops) == 2 {
-			op := byte(0x87)
-			if sz(0) == 1 {
-				op = 0x86
-			} else {
-				e.opsizePrefix(sz(0))
-			}
-			e.opcode = []byte{op}
-			// r/m first operand, reg second.
-			if ops[1].Kind != OpReg {
-				return nil, fmt.Errorf("x86: xchg second operand must be a register")
-			}
-			e.setRegField(ops[1].Reg, sz(1))
-			if err := e.setRM(ops[0]); err != nil {
-				return nil, err
-			}
-			return e.bytes(inst.Addr), nil
+	for _, r := range byMnemonic[inst.Mn] {
+		if size, ok := r.fits(&inst); ok {
+			return r.encode(&inst, size)
 		}
 	}
 	return nil, fmt.Errorf("x86: cannot encode %s", inst.String())
 }
 
-func encodeMov(e *enc, inst Inst) ([]byte, error) {
+// fits reports whether row r can encode inst, and at which operand size.
+func (r *row) fits(inst *Inst) (int, bool) {
 	ops := inst.Ops
-	if len(ops) != 2 {
-		return nil, fmt.Errorf("x86: mov needs 2 operands")
+	slots := layouts[r.form]
+	if (r.mn == JCC || r.mn == SETCC || r.mn == CMOVCC) && r.cc != inst.Cond || len(ops) != len(slots) {
+		return 0, false
 	}
-	dst, src := ops[0], ops[1]
-	switch {
-	case src.Kind == OpImm && dst.Kind == OpReg:
-		if dst.Size == 8 && (src.Imm > 1<<31-1 || src.Imm < -1<<31 || src.Size == 8) {
-			// movabs r64, imm64
-			e.setW()
-			if dst.Reg >= 8 {
-				e.rex |= 1
-			}
-			e.opcode = []byte{0xb8 + byte(dst.Reg&7)}
-			e.putImm(src.Imm, 8)
-			return e.bytes(inst.Addr), nil
-		}
-		if dst.Size == 1 {
-			if dst.Reg >= 8 {
-				e.rex |= 1
-			}
-			if reg8NeedsREX(dst.Reg) {
-				e.forceRex = true
-			}
-			e.opcode = []byte{0xb0 + byte(dst.Reg&7)}
-			e.putImm(src.Imm, 1)
-			return e.bytes(inst.Addr), nil
-		}
-		// c7 /0 sign-extends imm32 for 64-bit.
-		e.opsizePrefix(dst.Size)
-		e.opcode = []byte{0xc7}
-		if err := e.setRM(dst); err != nil {
-			return nil, err
-		}
-		isz := dst.Size
-		if isz == 8 {
-			isz = 4
-		}
-		e.putImm(src.Imm, isz)
-		return e.bytes(inst.Addr), nil
-	case src.Kind == OpImm && dst.Kind == OpMem:
-		op := byte(0xc7)
-		if dst.Size == 1 {
-			op = 0xc6
-		} else {
-			e.opsizePrefix(dst.Size)
-		}
-		e.opcode = []byte{op}
-		if err := e.setRM(dst); err != nil {
-			return nil, err
-		}
-		isz := dst.Size
-		if isz == 8 {
-			isz = 4
-		}
-		e.putImm(src.Imm, isz)
-		return e.bytes(inst.Addr), nil
-	case src.Kind == OpReg:
-		op := byte(0x89)
-		if src.Size == 1 {
-			op = 0x88
-		} else {
-			e.opsizePrefix(src.Size)
-		}
-		e.opcode = []byte{op}
-		e.setRegField(src.Reg, src.Size)
-		if err := e.setRM(dst); err != nil {
-			return nil, err
-		}
-		return e.bytes(inst.Addr), nil
-	case dst.Kind == OpReg && src.Kind == OpMem:
-		op := byte(0x8b)
-		if dst.Size == 1 {
-			op = 0x8a
-		} else {
-			e.opsizePrefix(dst.Size)
-		}
-		e.opcode = []byte{op}
-		e.setRegField(dst.Reg, dst.Size)
-		if err := e.setRM(src); err != nil {
-			return nil, err
-		}
-		return e.bytes(inst.Addr), nil
+	size := int(r.w) // rows whose operands do not carry the operand size admit one width
+	if len(ops) > 0 && ops[0].Kind != OpImm {
+		size = ops[0].Size
 	}
-	return nil, fmt.Errorf("x86: cannot encode mov %v, %v", dst, src)
+	if size&int(r.w) != size || r.w > wB && size == 0 {
+		return 0, false
+	}
+	rmSize := size
+	if r.rmw != 0 {
+		rmSize = int(r.rmw)
+	}
+	for i, s := range slots {
+		o := ops[i]
+		ok := false
+		switch s {
+		case sRM:
+			ok = (o.Kind == OpMem || o.Kind == OpReg && r.form != fRegMem) && o.Size == rmSize
+		case sReg, sOReg:
+			ok = o.Kind == OpReg && o.Size == size
+		case sImm:
+			switch {
+			case o.Kind != OpImm:
+			case r.imm == iS:
+				ok = o.Size == 1
+			case r.imm == iZ && size == 8 && r.form != fRel:
+				// imm32 is sign-extended to 64 bits.
+				ok = o.Size != 8 && o.Imm == int64(int32(o.Imm))
+			default:
+				ok = true
+			}
+		case sAcc:
+			ok = o == RegOp(RAX, size)
+		case sCL:
+			ok = o == RegOp(RCX, 1)
+		case sOne:
+			ok = o.Kind == OpImm && o.Imm == 1
+		case sWidth:
+			ok = o.Kind == OpNone
+		}
+		if !ok {
+			return 0, false
+		}
+	}
+	return size, true
 }
 
-func encodeALU(e *enc, inst Inst) ([]byte, error) {
-	ops := inst.Ops
-	if len(ops) != 2 {
-		return nil, fmt.Errorf("x86: %s needs 2 operands", inst.Mn)
+// encode emits inst by row r at operand size size: legacy prefixes, REX,
+// opcode, ModRM, SIB, displacement, immediate.
+func (r *row) encode(inst *Inst, size int) ([]byte, error) {
+	out := make([]byte, 0, 16)
+	if r.pfx&pF3 != 0 || r.pfx&pRep != 0 && inst.Rep {
+		out = append(out, 0xf3)
 	}
-	dst, src := ops[0], ops[1]
-	base := aluBase[inst.Mn]
+	if r.w > wB && size == 2 {
+		out = append(out, 0x66)
+	}
+	var rex byte
+	forceREX := false
+	if r.w > wB && size == 8 && r.pfx&pD64 == 0 {
+		rex |= rexW
+	}
+	// regBits returns the low three bits of register operand o, noting its
+	// REX extension (bit) and whether it is spl–dil, which need a REX.
+	regBits := func(o Operand, bit byte) byte {
+		if o.Reg >= 8 {
+			rex |= bit
+		}
+		if o.Size == 1 && o.Reg >= RSP && o.Reg <= RDI {
+			forceREX = true
+		}
+		return byte(o.Reg & 7)
+	}
+
+	op := byte(r.op)
+	var reg byte
+	if r.ext != 0 {
+		reg = r.ext - 1
+	}
+	rm := Operand{Kind: OpReg} // fModRM names no operand: eax
+	var imm *Operand
+	for i, s := range layouts[r.form] {
+		switch s {
+		case sRM:
+			rm = inst.Ops[i]
+		case sReg:
+			reg = regBits(inst.Ops[i], rexR)
+		case sOReg:
+			op += regBits(inst.Ops[i], rexB)
+		case sImm:
+			imm = &inst.Ops[i]
+		}
+	}
+	var modrm []byte // ModRM, SIB and displacement bytes
+	rip := false
 	switch {
-	case src.Kind == OpImm:
-		// Short accumulator forms: op al, imm8 / op eax, imm32.
-		if dst.Kind == OpReg && dst.Reg == RAX {
-			if dst.Size == 1 && src.Size == 1 {
-				e.opcode = []byte{base + 4}
-				e.putImm(src.Imm, 1)
-				return e.bytes(inst.Addr), nil
-			}
-			if dst.Size > 1 && src.Size > 1 {
-				e.opsizePrefix(dst.Size)
-				e.opcode = []byte{base + 5}
-				isz := dst.Size
-				if isz == 8 {
-					isz = 4
-				}
-				e.putImm(src.Imm, isz)
-				return e.bytes(inst.Addr), nil
+	case r.form == fTail:
+		modrm = []byte{r.tail}
+	case !r.form.hasModRM():
+	case rm.Kind == OpReg:
+		modrm = []byte{0xc0 | reg<<3 | regBits(rm, rexB)}
+	default:
+		var err error
+		if modrm, rip, err = memBytes(rm, reg, &rex); err != nil {
+			return nil, err
+		}
+	}
+
+	if rex != 0 || forceREX {
+		out = append(out, 0x40|rex)
+	}
+	if r.op > 0xff {
+		out = append(out, 0x0f)
+	}
+	out = append(out, op)
+	out = append(out, modrm...)
+	dispEnd := len(out)
+	if imm != nil {
+		w := r.immWidth(size)
+		v := imm.Imm
+		if r.form == fRel {
+			if v -= int64(inst.Addr) + int64(len(out)+w); v != v<<(64-8*w)>>(64-8*w) {
+				return nil, fmt.Errorf("x86: branch target %#x out of range", imm.Imm)
 			}
 		}
-		var op byte
-		switch {
-		case dst.Size == 1:
-			op = 0x80
-		case src.Size == 1:
-			op = 0x83
-			e.opsizePrefix(dst.Size)
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		out = append(out, b[:w]...)
+	}
+	if rip {
+		rel := rm.Disp - int64(inst.Addr) - int64(len(out))
+		if rel != int64(int32(rel)) {
+			return nil, fmt.Errorf("x86: rip-relative target %#x out of range", rm.Disp)
+		}
+		binary.LittleEndian.PutUint32(out[dispEnd-4:], uint32(int32(rel)))
+	}
+	return out, nil
+}
+
+// memBytes encodes memory operand o with ModRM reg field reg: the ModRM
+// byte, any SIB byte and the displacement. It sets REX.X and REX.B in rex,
+// and reports a RIP-relative operand, whose displacement the caller fills
+// in once the instruction's length is known. The choices: mod 00 unless the
+// base is rbp/r13 or the displacement is nonzero, disp8 whenever it fits,
+// and a SIB byte for an index, an rsp/r12 base or no base.
+func memBytes(o Operand, reg byte, rex *byte) ([]byte, bool, error) {
+	if o.Base == RIP {
+		return []byte{reg<<3 | 5, 0, 0, 0, 0}, true, nil
+	}
+	if o.Index == RSP {
+		return nil, false, fmt.Errorf("x86: rsp cannot be an index register")
+	}
+	var mod byte
+	switch {
+	case o.Base == RegNone || o.Disp == 0 && o.Base&7 != RBP&7:
+	case o.Disp >= -128 && o.Disp <= 127:
+		mod = 1
+	case o.Disp < -1<<31 || o.Disp > 1<<31-1:
+		return nil, false, fmt.Errorf("x86: displacement %#x out of range", o.Disp)
+	default:
+		mod = 2
+	}
+	base := byte(o.Base & 7)
+	if o.Base == RegNone {
+		base = 5
+	} else if o.Base >= 8 {
+		*rex |= rexB
+	}
+	out := make([]byte, 0, 7)
+	if o.Index != RegNone || o.Base == RegNone || base == 4 {
+		var scale byte
+		switch o.Scale {
+		case 0, 1:
+		case 2:
+			scale = 1
+		case 4:
+			scale = 2
+		case 8:
+			scale = 3
 		default:
-			op = 0x81
-			e.opsizePrefix(dst.Size)
+			return nil, false, fmt.Errorf("x86: bad scale %d", o.Scale)
 		}
-		e.opcode = []byte{op}
-		e.modrm = aluExt[inst.Mn] << 3
-		if err := e.setRM(dst); err != nil {
-			return nil, err
+		index := byte(4) // none
+		if o.Index != RegNone {
+			index = byte(o.Index & 7)
+			if o.Index >= 8 {
+				*rex |= rexX
+			}
 		}
-		isz := src.Size
-		if isz == 8 {
-			isz = 4
-		}
-		e.putImm(src.Imm, isz)
-		return e.bytes(inst.Addr), nil
-	case src.Kind == OpReg:
-		op := base + 1
-		if src.Size == 1 {
-			op = base
-		} else {
-			e.opsizePrefix(src.Size)
-		}
-		e.opcode = []byte{op}
-		e.setRegField(src.Reg, src.Size)
-		if err := e.setRM(dst); err != nil {
-			return nil, err
-		}
-		return e.bytes(inst.Addr), nil
-	case dst.Kind == OpReg && src.Kind == OpMem:
-		op := base + 3
-		if dst.Size == 1 {
-			op = base + 2
-		} else {
-			e.opsizePrefix(dst.Size)
-		}
-		e.opcode = []byte{op}
-		e.setRegField(dst.Reg, dst.Size)
-		if err := e.setRM(src); err != nil {
-			return nil, err
-		}
-		return e.bytes(inst.Addr), nil
+		out = append(out, mod<<6|reg<<3|4, scale<<6|index<<3|base)
+	} else {
+		out = append(out, mod<<6|reg<<3|base)
 	}
-	return nil, fmt.Errorf("x86: cannot encode %s %v, %v", inst.Mn, dst, src)
-}
-
-func encodeTest(e *enc, inst Inst) ([]byte, error) {
-	ops := inst.Ops
-	if len(ops) != 2 {
-		return nil, fmt.Errorf("x86: test needs 2 operands")
-	}
-	dst, src := ops[0], ops[1]
+	var d [4]byte
+	binary.LittleEndian.PutUint32(d[:], uint32(int32(o.Disp)))
 	switch {
-	case src.Kind == OpReg:
-		op := byte(0x85)
-		if src.Size == 1 {
-			op = 0x84
-		} else {
-			e.opsizePrefix(src.Size)
-		}
-		e.opcode = []byte{op}
-		e.setRegField(src.Reg, src.Size)
-		if err := e.setRM(dst); err != nil {
-			return nil, err
-		}
-		return e.bytes(inst.Addr), nil
-	case src.Kind == OpImm:
-		op := byte(0xf7)
-		if dst.Size == 1 {
-			op = 0xf6
-		} else {
-			e.opsizePrefix(dst.Size)
-		}
-		e.opcode = []byte{op}
-		if err := e.setRM(dst); err != nil {
-			return nil, err
-		}
-		isz := dst.Size
-		if isz == 8 {
-			isz = 4
-		}
-		e.putImm(src.Imm, isz)
-		return e.bytes(inst.Addr), nil
+	case o.Base == RegNone || mod == 2:
+		out = append(out, d[:]...)
+	case mod == 1:
+		out = append(out, d[0])
 	}
-	return nil, fmt.Errorf("x86: cannot encode test %v, %v", dst, src)
+	return out, false, nil
 }

@@ -51,9 +51,12 @@ const (
 	NOP
 	ENDBR64
 	XCHG
-	CDQE // REX.W 98 (and CWDE without)
-	CDQ  // 99 (CQO with REX.W)
-	CQO
+	CBW  // 66 98: al sign-extended into ax
+	CWDE // 98: ax into eax
+	CDQE // REX.W 98: eax into rax
+	CWD  // 66 99: ax's sign into dx
+	CDQ  // 99: eax's sign into edx
+	CQO  // REX.W 99: rax's sign into rdx
 	UD2
 	HLT
 	INT3
@@ -70,9 +73,10 @@ const (
 	BSWAP   // byte swap
 	MOVS    // move string ([rdi] ← [rsi]); Rep for rep movs
 	STOS    // store string ([rdi] ← al/rax); Rep for rep stos
+	numMnemonics
 )
 
-var mnNames = map[Mnemonic]string{
+var mnNames = [numMnemonics]string{
 	BAD: "(bad)", MOV: "mov", MOVZX: "movzx", MOVSX: "movsx",
 	MOVSXD: "movsxd", LEA: "lea", ADD: "add", SUB: "sub", ADC: "adc",
 	SBB: "sbb", CMP: "cmp", TEST: "test", AND: "and", OR: "or", XOR: "xor",
@@ -81,7 +85,8 @@ var mnNames = map[Mnemonic]string{
 	SAR: "sar", ROL: "rol", ROR: "ror", PUSH: "push", POP: "pop",
 	CALL: "call", RET: "ret", LEAVE: "leave", JMP: "jmp", JCC: "j",
 	SETCC: "set", CMOVCC: "cmov", NOP: "nop", ENDBR64: "endbr64",
-	XCHG: "xchg", CDQE: "cdqe", CDQ: "cdq", CQO: "cqo", UD2: "ud2",
+	XCHG: "xchg", CBW: "cbw", CWDE: "cwde", CDQE: "cdqe", CWD: "cwd",
+	CDQ: "cdq", CQO: "cqo", UD2: "ud2",
 	HLT: "hlt", INT3: "int3", SYSCALL: "syscall",
 	BT: "bt", BTS: "bts", BTR: "btr", BTC: "btc",
 	BSF: "bsf", BSR: "bsr", POPCNT: "popcnt",
@@ -91,10 +96,25 @@ var mnNames = map[Mnemonic]string{
 
 // String returns the mnemonic text (condition-less for the cc families).
 func (m Mnemonic) String() string {
-	if s, ok := mnNames[m]; ok {
-		return s
+	if m < numMnemonics {
+		return mnNames[m]
 	}
 	return fmt.Sprintf("mn?%d", uint8(m))
+}
+
+// Width returns the operand width in bytes that a mnemonic itself names:
+// 2, 4 or 8 for cbw/cwd, cwde/cdq and cdqe/cqo. Every other mnemonic takes
+// its width from its operands, and Width returns 0.
+func (m Mnemonic) Width() int {
+	switch m {
+	case CBW, CWD:
+		return 2
+	case CWDE, CDQ:
+		return 4
+	case CDQE, CQO:
+		return 8
+	}
+	return 0
 }
 
 // Cond is an x86 condition code in hardware encoding order, as used by the
@@ -220,13 +240,12 @@ func (o Operand) String() string {
 
 // Inst is one decoded instruction.
 type Inst struct {
-	Addr  uint64 // virtual address of the first byte
-	Len   int    // encoded length in bytes
-	Mn    Mnemonic
-	Cond  Cond // JCC / SETCC / CMOVCC condition
-	Rep   bool // REP prefix (MOVS / STOS)
-	Ops   []Operand
-	Bytes []byte // the raw encoding, Len bytes
+	Addr uint64 // virtual address of the first byte
+	Len  int    // encoded length in bytes
+	Mn   Mnemonic
+	Cond Cond // JCC / SETCC / CMOVCC condition
+	Rep  bool // REP prefix (MOVS / STOS)
+	Ops  []Operand
 }
 
 // Next returns the address of the following instruction.

@@ -7,6 +7,16 @@
 // instruction from the binary" — this package is that fetch function, and
 // the encoder is its inverse, used by the synthetic corpus compiler and by
 // round-trip tests.
+//
+// One opcode table (table.go) drives both directions: each row gives an
+// opcode, its ModRM extension, mnemonic, operand layout, operand widths,
+// immediate and the prefixes it admits. Decode takes the first row of the
+// opcode that admits the instruction's prefixes; Encode the first row of
+// the mnemonic that fits the operands. Anything the table does not
+// describe is a DecodeError — including a prefix that no row of the
+// opcode admits, such as one that would select a high-byte register, a
+// 16-bit stack or branch operand, or an fs/gs segment base, and an
+// instruction longer than the processor's 15 bytes.
 package x86
 
 import "fmt"

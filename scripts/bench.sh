@@ -1,5 +1,5 @@
 #!/bin/sh
-# bench.sh — run the interning micro-benchmarks (and, unless -short, the
+# bench.sh — run the micro-benchmarks (and, unless -short, the
 # Table 1 corpus benchmarks) and emit one benchfmt-style JSON file: an array
 # of {name, iters, ns_per_op, B_per_op, allocs_per_op, hit_pct} records plus
 # a small environment header. Run from the repo root:
@@ -52,6 +52,12 @@ go test -run '^$' -count="$count" -benchmem \
 go test -run '^$' -count="$count" -benchmem \
     -bench '^(BenchmarkSolverCompareCached|BenchmarkSolverCompareExact)$' \
     ./internal/solver/ | tee -a "$raw"
+
+# x86 decode and encode, one instruction per op, over every instruction of
+# CoreUtilsSuite(0.17).
+go test -run '^$' -count="$count" -benchmem \
+    -bench '^(BenchmarkDecode|BenchmarkEncode)$' \
+    ./internal/x86/ | tee -a "$raw"
 
 # End-to-end: one serial and one parallel Table 1 directory through the full
 # pipeline (scaled-down corpus; see bench_test.go), plus the warm-store
