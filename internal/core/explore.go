@@ -160,16 +160,19 @@ func (e *explorer) exploreOne(item workItem) {
 	var cur *sem.State
 	switch {
 	case exists && !e.l.Cfg.NoJoin:
+		// The item owns its state (sem.Machine.Step), so the join is
+		// built in it: the item's predicate storage and state record
+		// become the vertex's new state.
 		p := pred.Join(item.st.Pred, v.State.Pred, e.joinVars(v))
 		m := memmodel.Join(item.st.Mem, v.State.Mem)
 		if p.Same(v.State.Pred) && m.Same(v.State.Mem) {
 			return // σ ⊑ σc: no further exploration necessary
 		}
-		joined := &sem.State{Pred: p, Mem: m}
-		v.State = joined
+		item.st.Pred, item.st.Mem = p, m
+		v.State = item.st
 		v.Joins++
 		e.tr.Join(item.rip, string(vid))
-		cur = joined
+		cur = item.st
 	case exists: // NoJoin ablation
 		k := string(vid) + "|" + item.st.Key()
 		if e.seen[k] {

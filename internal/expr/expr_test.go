@@ -83,8 +83,8 @@ func TestNestedLinear(t *testing.T) {
 	// 3·(rsp0 + 2) == 3·rsp0 + 6.
 	e = Mul(Word(3), Add(rsp, Word(2)))
 	l := ToLinear(e)
-	if l.K != 6 || l.Coeff(rsp) != 3 {
-		t.Fatalf("linear of %v: K=%d coeff=%d", e, l.K, l.Coeff(rsp))
+	if atom, c, ok := l.SingleTerm(); l.K != 6 || !ok || atom != rsp || c != 3 {
+		t.Fatalf("linear of %v: K=%d, term %v·%v", e, l.K, c, atom)
 	}
 }
 

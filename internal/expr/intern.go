@@ -149,11 +149,13 @@ func intern(kind Kind, word uint64, v Var, op Op, size uint8, args []*Expr, fp u
 	return e
 }
 
-// internVar returns V(Var(name)) without allocating the name when the
-// variable is already interned: a decoder reads names as bytes, and most
-// of them name variables the process has seen. A hit counts as V's would;
-// a miss falls through to V, which allocates the name and counts the miss.
-func internVar(name []byte) *Expr {
+// InternVar returns V(Var(name)) without allocating the name when the
+// variable is already interned: a decoder reads names as bytes, the join
+// builds its variables' names in a stack buffer, and most of them name
+// variables the process has seen. A hit counts as V's would; a miss falls
+// through to V, which allocates the name and counts the miss. The caller
+// keeps its buffer: the interned name is a copy.
+func InternVar(name []byte) *Expr {
 	fp := fpVar(name)
 	s := &shards[fp&(numShards-1)]
 	s.mu.Lock()

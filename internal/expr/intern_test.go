@@ -111,12 +111,12 @@ func TestInternVarMatchesV(t *testing.T) {
 	miss := InternStats{Misses: 1}
 	hit := InternStats{Hits: 1}
 
-	// A name first seen through internVar, then through V.
+	// A name first seen through InternVar, then through V.
 	buf := []byte(fmt.Sprintf("internvar_probe_%d", TableStats().Misses))
 	name := string(buf)
-	e, d := step(func() *Expr { return internVar(buf) })
+	e, d := step(func() *Expr { return InternVar(buf) })
 	if d != miss {
-		t.Fatalf("internVar miss moved the counters by %+v, want %+v", d, miss)
+		t.Fatalf("InternVar miss moved the counters by %+v, want %+v", d, miss)
 	}
 	buf[0] = 'X' // the interned name must be a copy
 	if e.VarName() != Var(name) {
@@ -124,22 +124,22 @@ func TestInternVarMatchesV(t *testing.T) {
 	}
 	v, d := step(func() *Expr { return V(Var(name)) })
 	if v != e || d != hit {
-		t.Fatalf("V after internVar: same node %v, counters %+v", v == e, d)
+		t.Fatalf("V after InternVar: same node %v, counters %+v", v == e, d)
 	}
-	again, d := step(func() *Expr { return internVar([]byte(name)) })
+	again, d := step(func() *Expr { return InternVar([]byte(name)) })
 	if again != e || d != hit {
-		t.Fatalf("internVar hit: same node %v, counters %+v", again == e, d)
+		t.Fatalf("InternVar hit: same node %v, counters %+v", again == e, d)
 	}
 
-	// A name first seen through V, then through internVar.
+	// A name first seen through V, then through InternVar.
 	name2 := name + "_v"
 	v2, d := step(func() *Expr { return V(Var(name2)) })
 	if d != miss {
 		t.Fatalf("V miss moved the counters by %+v", d)
 	}
-	e2, d := step(func() *Expr { return internVar([]byte(name2)) })
+	e2, d := step(func() *Expr { return InternVar([]byte(name2)) })
 	if e2 != v2 || d != hit {
-		t.Fatalf("internVar after V: same node %v, counters %+v", e2 == v2, d)
+		t.Fatalf("InternVar after V: same node %v, counters %+v", e2 == v2, d)
 	}
 }
 

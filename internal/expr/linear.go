@@ -34,16 +34,6 @@ type term struct {
 // NumTerms returns the number of distinct non-constant terms.
 func (l *Linear) NumTerms() int { return len(l.terms) }
 
-// Coeff returns the coefficient of atom t (0 if absent).
-func (l *Linear) Coeff(t *Expr) uint64 {
-	for _, tm := range l.terms {
-		if tm.atom == t {
-			return tm.coeff
-		}
-	}
-	return 0
-}
-
 // Terms calls f for each (atom, coefficient) pair in canonical key order.
 func (l *Linear) Terms(f func(atom *Expr, coeff uint64)) {
 	for _, tm := range l.terms {
@@ -210,6 +200,31 @@ func (l *Linear) ConstDiff(m *Linear) (uint64, bool) {
 		return 0, false
 	}
 	return l.K - m.K, true
+}
+
+// Ratio returns the scale s with l's non-constant part equal to s times m's,
+// each of l's coefficients an exact multiple of m's, and reports whether
+// there is one; m must have a term. Like ConstDiff it walks the two
+// canonical term lists side by side, allocates nothing, and gives the
+// conservative answer (no ratio) for two atoms that tie in the canonical
+// order.
+func (l *Linear) Ratio(m *Linear) (uint64, bool) {
+	if len(l.terms) != len(m.terms) || len(m.terms) == 0 {
+		return 0, false
+	}
+	var scale uint64
+	for i, mt := range m.terms {
+		lt := l.terms[i]
+		if lt.atom != mt.atom || lt.coeff%mt.coeff != 0 {
+			return 0, false
+		}
+		s := lt.coeff / mt.coeff
+		if i > 0 && s != scale {
+			return 0, false
+		}
+		scale = s
+	}
+	return scale, true
 }
 
 // Const returns the constant value of the linear form and whether it has no

@@ -43,7 +43,7 @@ func TestSubLeavesOperandForm(t *testing.T) {
 	if d := Sub(a, Add(x, y)); d != Sub(Word(8), y) {
 		t.Fatalf("(x+8) - (x+y) = %v", d)
 	}
-	if ToLinear(a) != l || l.K != 8 || l.NumTerms() != 1 || l.Coeff(x) != 1 || l.Coeff(y) != 0 {
+	if atom, c, ok := l.SingleTerm(); ToLinear(a) != l || l.K != 8 || !ok || atom != x || c != 1 {
 		t.Fatalf("Sub changed the minuend's linear form: K=%d terms=%d", l.K, l.NumTerms())
 	}
 	if l.Expr() != a {
@@ -124,5 +124,79 @@ func TestConstDiffMatchesSub(t *testing.T) {
 	la, lb := ToLinear(forms[3]), ToLinear(forms[4])
 	if n := testing.AllocsPerRun(100, func() { la.ConstDiff(lb) }); n != 0 {
 		t.Fatalf("ConstDiff: %v allocs, want 0", n)
+	}
+}
+
+// TestRatio checks Ratio against a per-atom reading of the two forms: it
+// finds the scale s with l's terms s times m's exactly when every atom of
+// m has a coefficient in l that is the same exact multiple of its own, and
+// the two forms have the same atoms; it allocates nothing.
+func TestRatio(t *testing.T) {
+	x, y, z := V("ra_x"), V("ra_y"), V("ra_z")
+	forms := []*Expr{
+		Word(7),
+		Add(x, y),
+		Add(x, y, Word(3)),
+		Add(Mul(Word(2), x), Mul(Word(2), y)),
+		Add(Mul(Word(6), x), Mul(Word(6), y), Word(1)),
+		Add(Mul(Word(2), x), Mul(Word(3), y)),
+		Add(Mul(Word(4), x), Mul(Word(6), y)),
+		Add(x, z),
+		Neg(Add(x, y)),
+		x,
+		Mul(Word(5), x),
+	}
+	coeff := func(l *Linear, t *Expr) uint64 {
+		var c uint64
+		l.Terms(func(atom *Expr, ac uint64) {
+			if atom == t {
+				c = ac
+			}
+		})
+		return c
+	}
+	perAtom := func(l, m *Linear) (uint64, bool) {
+		if l.NumTerms() != m.NumTerms() || m.NumTerms() == 0 {
+			return 0, false
+		}
+		var scale uint64
+		ok := true
+		m.Terms(func(atom *Expr, mc uint64) {
+			lc := coeff(l, atom)
+			if lc == 0 || lc%mc != 0 || scale != 0 && lc/mc != scale {
+				ok = false
+			}
+			if ok {
+				scale = lc / mc
+			}
+		})
+		if !ok {
+			return 0, false
+		}
+		return scale, true
+	}
+	matched := 0
+	for _, a := range forms {
+		for _, b := range forms {
+			la, lb := ToLinear(a), ToLinear(b)
+			want, wantOK := perAtom(la, lb)
+			got, ok := la.Ratio(lb)
+			if ok != wantOK || got != want {
+				t.Errorf("Ratio(%s, %s) = %d, %v; want %d, %v", a, b, got, ok, want, wantOK)
+			}
+			if ok {
+				matched++
+			}
+		}
+	}
+	if matched < 10 {
+		t.Fatalf("only %d pairs have a ratio: the table tests too little", matched)
+	}
+	if s, ok := ToLinear(forms[4]).Ratio(ToLinear(forms[2])); !ok || s != 6 {
+		t.Fatalf("6x+6y+1 over x+y+3: %d, %v, want 6", s, ok)
+	}
+	la, lb := ToLinear(forms[6]), ToLinear(forms[5])
+	if n := testing.AllocsPerRun(100, func() { la.Ratio(lb) }); n != 0 {
+		t.Fatalf("Ratio: %v allocs, want 0", n)
 	}
 }

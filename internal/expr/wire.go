@@ -141,7 +141,7 @@ func DecodeTable(d *wire.Decoder) ([]*Expr, error) {
 		case tagVar:
 			name := d.Bytes(d.Uvarint("var name length"), "var name")
 			if d.Err() == nil {
-				nodes = append(nodes, internVar(name))
+				nodes = append(nodes, InternVar(name))
 			}
 		case tagDeref:
 			size := d.Uvarint("deref size")

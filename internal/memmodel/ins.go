@@ -11,13 +11,13 @@ import (
 // update or invalidate the memory equality clauses of the predicate.
 type RelKind uint8
 
-// The relation kinds recorded per produced model.
+// The relations InsResult.Rel reads off a produced model.
 const (
 	RelSeparate   RelKind = iota // contents unaffected
 	RelAlias                     // same region: contents replaced by the write
 	RelEnclosedIn                // inserted region lies inside the existing one
 	RelEncloses                  // existing region lies inside the inserted one
-	RelDestroyed                 // possibly partially overlapping: contents unknown
+	RelUnknown                   // not in the model (destroyed): contents unknown
 )
 
 // String renders the relation kind.
@@ -32,16 +32,52 @@ func (k RelKind) String() string {
 	case RelEncloses:
 		return "encloses"
 	default:
-		return "destroyed"
+		return "unknown"
 	}
 }
 
-// InsResult is one nondeterministically produced memory model plus the
-// relation of every pre-existing region to the inserted region in that
-// model, keyed by the regions' interned identities.
+// InsResult is one nondeterministically produced memory model of an
+// insertion: the forest, the inserted region, and whether the insertion
+// destroyed some region of the input model (Destroyed is set exactly when
+// a region of the input forest is missing from Forest). How a pre-existing
+// region relates to the inserted one is not stored: Rel reads it off the
+// forest.
 type InsResult struct {
-	Forest Forest
-	Rel    map[RegionID]RelKind
+	Forest    Forest
+	Region    solver.Region
+	Destroyed bool
+}
+
+// Rel returns how the region id relates to the inserted region in this
+// model, read off the forest's structure: id in the inserted region's node
+// is RelAlias; id in a node above it is RelEnclosedIn (the inserted region
+// lies inside id); id in a node below it is RelEncloses; id anywhere else
+// is RelSeparate; and an id the model does not hold, because the insertion
+// destroyed it or it was never inserted, is RelUnknown. The inserted
+// region is its own alias. Rel walks the forest and allocates nothing.
+func (res *InsResult) Rel(id RegionID) RelKind {
+	ins := IDOf(res.Region)
+	f := res.Forest
+	for {
+		i, j := f.treeOf(id), f.treeOf(ins)
+		switch {
+		case i < 0 || j < 0:
+			return RelUnknown
+		case i != j:
+			return RelSeparate
+		}
+		t := f[i]
+		hasSelf, hasIns := hasID(t.Regions, id), hasID(t.Regions, ins)
+		switch {
+		case hasSelf && hasIns:
+			return RelAlias
+		case hasSelf:
+			return RelEnclosedIn
+		case hasIns:
+			return RelEncloses
+		}
+		f = t.Kids
+	}
 }
 
 // Oracle answers necessarily-relation queries between regions; the lifter
@@ -74,51 +110,6 @@ func DefaultConfig() Config {
 	return Config{ForkUnknown: true, AssumePartialImpossible: true, MaxModels: 8}
 }
 
-// RelationsOf derives the relation of region r to every other region from
-// the structure of a model that already contains r. Same node: alias;
-// ancestor: r is enclosed in it; descendant: encloses; otherwise separate.
-func RelationsOf(f Forest, r solver.Region) map[RegionID]RelKind {
-	want := IDOf(r)
-	rel := map[RegionID]RelKind{}
-	f.eachRegion(func(reg solver.Region) {
-		if id := IDOf(reg); id != want {
-			rel[id] = RelSeparate
-		}
-	})
-	path := pathTo(f, want, nil)
-	if len(path) == 0 {
-		return rel
-	}
-	node := path[len(path)-1]
-	for _, reg := range node.Regions {
-		if id := IDOf(reg); id != want {
-			rel[id] = RelAlias
-		}
-	}
-	for _, anc := range path[:len(path)-1] {
-		for _, reg := range anc.Regions {
-			rel[IDOf(reg)] = RelEnclosedIn
-		}
-	}
-	node.Kids.eachRegion(func(reg solver.Region) { rel[IDOf(reg)] = RelEncloses })
-	return rel
-}
-
-// pathTo appends to path the trees from a top-level tree of f down to the
-// first node, depth first, that holds id; it returns nil if none does.
-func pathTo(f Forest, id RegionID, path []*Tree) []*Tree {
-	for _, t := range f {
-		here := append(path, t)
-		if hasID(t.Regions, id) {
-			return here
-		}
-		if found := pathTo(t.Kids, id, here); found != nil {
-			return found
-		}
-	}
-	return nil
-}
-
 // Ins inserts region r into memory model f per Definition 3.7, returning
 // the nondeterministic set of produced models. If the region is already
 // present the model is unchanged and its relations are read off the
@@ -137,13 +128,17 @@ func Ins(r solver.Region, f Forest, o Oracle, cfg Config) []InsResult {
 // (sem.Counters.Fallbacks, obs memmodel.fallback).
 func InsCounted(r solver.Region, f Forest, o Oracle, cfg Config) ([]InsResult, bool) {
 	if f.HasRegion(r) {
-		return []InsResult{{Forest: f, Rel: RelationsOf(f, r)}}, false
+		return []InsResult{{Forest: f, Region: r}}, false
 	}
 	results := insTree(Leaf(r), f, o, cfg)
-	if len(results) == 0 || len(results) > cfg.MaxModels {
-		return []InsResult{destroy(Leaf(r), f, o)}, true
+	fellBack := len(results) == 0 || len(results) > cfg.MaxModels
+	if fellBack {
+		results = []InsResult{destroy(Leaf(r), f, o)}
 	}
-	return results, false
+	for i := range results {
+		results[i].Region = r
+	}
+	return results, fellBack
 }
 
 // treeRel aggregates solver verdicts between the top nodes of t0 and t1.
@@ -198,12 +193,12 @@ func compareTrees(t0, t1 *Tree, o Oracle) treeRel {
 	return agg
 }
 
-// insTree is the recursive ins of Definition 3.7 extended with relation
-// recording. t0 is the tree being inserted; f the current (sub-)model.
-// Produced models share every tree the insertion leaves unchanged.
+// insTree is the recursive ins of Definition 3.7. t0 is the tree being
+// inserted; f the current (sub-)model. Produced models share every tree
+// the insertion leaves unchanged; InsCounted fills in their Region.
 func insTree(t0 *Tree, f Forest, o Oracle, cfg Config) []InsResult {
 	if len(f) == 0 {
-		return []InsResult{{Forest: Forest{t0}, Rel: map[RegionID]RelKind{}}}
+		return []InsResult{{Forest: Forest{t0}}}
 	}
 	t1, rest := f[0], f[1:]
 	rel := compareTrees(t0, t1, o)
@@ -244,45 +239,24 @@ func insTree(t0 *Tree, f Forest, o Oracle, cfg Config) []InsResult {
 }
 
 // insAlias merges the nodes of t0 and t1; the children of both become
-// children of the merged node. Existing top regions alias the write;
-// existing children are enclosed by it.
+// children of the merged node.
 func insAlias(t0, t1 *Tree, rest Forest) InsResult {
-	rel := map[RegionID]RelKind{}
-	merged := &Tree{}
-	seen := map[RegionID]bool{}
-	for _, r := range append(append([]solver.Region{}, t0.Regions...), t1.Regions...) {
-		if id := IDOf(r); !seen[id] {
-			seen[id] = true
-			merged.Regions = append(merged.Regions, r)
+	merged := &Tree{Kids: slices.Concat(t0.Kids, t1.Kids)}
+	for _, rs := range [2][]solver.Region{t0.Regions, t1.Regions} {
+		for _, r := range rs {
+			if !hasID(merged.Regions, IDOf(r)) {
+				merged.Regions = append(merged.Regions, r)
+			}
 		}
 	}
-	for _, r := range t1.Regions {
-		rel[IDOf(r)] = RelAlias
-	}
-	merged.Kids = slices.Concat(t0.Kids, t1.Kids)
-	t1.Kids.eachRegion(func(kid solver.Region) { rel[IDOf(kid)] = RelEncloses })
-	out := append(Forest{merged}, rest...)
-	rest.eachRegion(func(r solver.Region) { rel[IDOf(r)] = RelSeparate })
-	return InsResult{Forest: out, Rel: rel}
+	return InsResult{Forest: append(Forest{merged}, rest...)}
 }
 
 // insSep keeps t1 untouched and recursively inserts t0 into the rest.
 func insSep(t0, t1 *Tree, rest Forest, o Oracle, cfg Config) []InsResult {
-	subResults := insTree(t0, rest, o, cfg)
-	out := make([]InsResult, 0, len(subResults))
-	for _, sub := range subResults {
-		rel := map[RegionID]RelKind{}
-		for k, v := range sub.Rel {
-			rel[k] = v
-		}
-		for _, r := range t1.Regions {
-			rel[IDOf(r)] = RelSeparate
-		}
-		t1.Kids.eachRegion(func(r solver.Region) { rel[IDOf(r)] = RelSeparate })
-		out = append(out, InsResult{
-			Forest: append(Forest{t1}, sub.Forest...),
-			Rel:    rel,
-		})
+	out := insTree(t0, rest, o, cfg)
+	for i := range out {
+		out[i].Forest = append(Forest{t1}, out[i].Forest...)
 	}
 	return out
 }
@@ -292,18 +266,9 @@ func insSep(t0, t1 *Tree, rest Forest, o Oracle, cfg Config) []InsResult {
 // invalidate the enclosing region's contents anyway, so extra sub-models
 // add no precision for the predicate.
 func insEnc(t0, t1 *Tree, rest Forest, o Oracle, cfg Config) InsResult {
-	subResults := insTree(t0, t1.Kids, o, cfg)
-	sub := subResults[0]
-	rel := map[RegionID]RelKind{}
-	for k, v := range sub.Rel {
-		rel[k] = v
-	}
-	for _, r := range t1.Regions {
-		rel[IDOf(r)] = RelEnclosedIn
-	}
+	sub := insTree(t0, t1.Kids, o, cfg)[0]
 	nt := &Tree{Regions: t1.Regions, Kids: sub.Forest}
-	rest.eachRegion(func(r solver.Region) { rel[IDOf(r)] = RelSeparate })
-	return InsResult{Forest: append(Forest{nt}, rest...), Rel: rel}
+	return InsResult{Forest: append(Forest{nt}, rest...), Destroyed: sub.Destroyed}
 }
 
 // insCon makes t1 a child of t0 and recursively inserts the grown t0 into
@@ -311,47 +276,19 @@ func insEnc(t0, t1 *Tree, rest Forest, o Oracle, cfg Config) InsResult {
 // copy with t1 appended.
 func insCon(t0, t1 *Tree, rest Forest, o Oracle, cfg Config) []InsResult {
 	grown := &Tree{Regions: t0.Regions, Kids: slices.Concat(t0.Kids, Forest{t1})}
-	inner := map[RegionID]RelKind{}
-	for _, r := range t1.Regions {
-		inner[IDOf(r)] = RelEncloses
-	}
-	t1.Kids.eachRegion(func(r solver.Region) { inner[IDOf(r)] = RelEncloses })
-	subResults := insTree(grown, rest, o, cfg)
-	out := make([]InsResult, 0, len(subResults))
-	for _, sub := range subResults {
-		rel := map[RegionID]RelKind{}
-		for k, v := range sub.Rel {
-			rel[k] = v
-		}
-		for k, v := range inner {
-			rel[k] = v
-		}
-		out = append(out, InsResult{Forest: sub.Forest, Rel: rel})
-	}
-	return out
+	return insTree(grown, rest, o, cfg)
 }
 
-// destroy removes every tree that is not necessarily separate from t0 and
-// marks its regions destroyed, then adds t0 as a fresh top-level tree
-// (Section 1: partially overlapping regions are destroyed, reads from them
-// produce unconstrained symbolic values).
+// destroy removes every tree that is not necessarily separate from t0,
+// then adds t0 as a fresh top-level tree (Section 1: partially overlapping
+// regions are destroyed, reads from them produce unconstrained symbolic
+// values).
 func destroy(t0 *Tree, f Forest, o Oracle) InsResult {
-	rel := map[RegionID]RelKind{}
 	var kept Forest
 	for _, t := range f {
-		r := compareTrees(t0, t, o)
-		if r.separate == solver.Yes {
+		if compareTrees(t0, t, o).separate == solver.Yes {
 			kept = append(kept, t)
-			for _, reg := range t.Regions {
-				rel[IDOf(reg)] = RelSeparate
-			}
-			t.Kids.eachRegion(func(reg solver.Region) { rel[IDOf(reg)] = RelSeparate })
-			continue
 		}
-		for _, reg := range t.Regions {
-			rel[IDOf(reg)] = RelDestroyed
-		}
-		t.Kids.eachRegion(func(reg solver.Region) { rel[IDOf(reg)] = RelDestroyed })
 	}
-	return InsResult{Forest: append(kept, t0), Rel: rel}
+	return InsResult{Forest: append(kept, t0), Destroyed: len(kept) < len(f)}
 }

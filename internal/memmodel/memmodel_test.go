@@ -55,10 +55,13 @@ func TestInsSeparateStackSlots(t *testing.T) {
 	if len(res) != 1 {
 		t.Fatal("re-insert of present region must be deterministic")
 	}
-	for k, v := range res[0].Rel {
-		if v != RelSeparate {
-			t.Errorf("slot %s relation %v", k, v)
+	for _, off := range []int64{-8, -16} {
+		if v := res[0].Rel(IDOf(reg(rsp(off), 8))); v != RelSeparate {
+			t.Errorf("slot rsp0%d relation %v", off, v)
 		}
+	}
+	if res[0].Destroyed {
+		t.Error("re-insert of a present region destroys nothing")
 	}
 }
 
@@ -88,8 +91,8 @@ func TestInsEnclosure(t *testing.T) {
 	if len(nf) != 1 || len(nf[0].Kids) != 1 {
 		t.Fatalf("expected child: %v", nf)
 	}
-	if res[0].Rel[IDOf(reg(rsp(-16), 8))] != RelEnclosedIn {
-		t.Fatalf("parent relation: %v", res[0].Rel)
+	if v := res[0].Rel(IDOf(reg(rsp(-16), 8))); v != RelEnclosedIn {
+		t.Fatalf("parent relation: %v", v)
 	}
 	// The converse: inserting the big region into a model with the small one.
 	f2 := Forest{Leaf(reg(rsp(-12), 4))}
@@ -101,8 +104,8 @@ func TestInsEnclosure(t *testing.T) {
 	if len(nf2) != 1 || len(nf2[0].Kids) != 1 {
 		t.Fatalf("expected containment: %v", nf2)
 	}
-	if res2[0].Rel[IDOf(reg(rsp(-12), 4))] != RelEncloses {
-		t.Fatalf("child relation: %v", res2[0].Rel)
+	if v := res2[0].Rel(IDOf(reg(rsp(-12), 4))); v != RelEncloses {
+		t.Fatalf("child relation: %v", v)
 	}
 }
 
@@ -118,7 +121,7 @@ func TestInsForkUnknownAlias(t *testing.T) {
 	}
 	var sawAlias, sawSep bool
 	for _, r := range res {
-		switch r.Rel[IDOf(reg(expr.V("rdi0"), 4))] {
+		switch r.Rel(IDOf(reg(expr.V("rdi0"), 4))) {
 		case RelAlias:
 			sawAlias = true
 			if r.Forest.NumRegions() != 2 || len(r.Forest) != 1 {
@@ -235,13 +238,15 @@ func TestDestroyOnNoForkConfig(t *testing.T) {
 	if len(res) != 1 {
 		t.Fatalf("no-fork config must produce exactly one model, got %d", len(res))
 	}
-	rel := res[0].Rel
-	if rel[IDOf(reg(expr.V("rdi0"), 4))] != RelDestroyed {
-		t.Fatalf("unknown-relation region must be destroyed: %v", rel)
+	if !res[0].Destroyed {
+		t.Fatal("the no-fork model destroys regions but does not say so")
 	}
-	if rel[IDOf(reg(rsp(-8), 8))] != RelDestroyed {
+	if v := res[0].Rel(IDOf(reg(expr.V("rdi0"), 4))); v != RelUnknown {
+		t.Fatalf("unknown-relation region must be destroyed: %v", v)
+	}
+	if v := res[0].Rel(IDOf(reg(rsp(-8), 8))); v != RelUnknown {
 		// rsp0-8 vs rsi0 is also unknown; it must be destroyed as well.
-		t.Fatalf("stack region vs unknown pointer: %v", rel)
+		t.Fatalf("stack region vs unknown pointer: %v", v)
 	}
 }
 
@@ -256,16 +261,24 @@ func TestRelationsOf(t *testing.T) {
 		}
 		f = res[0].Forest
 	}
-	rel := RelationsOf(f, reg(rsp(-12), 4))
-	if rel[IDOf(reg(rsp(-16), 8))] != RelEnclosedIn {
-		t.Errorf("parent: %v", rel)
+	// Re-inserting a present region reads its relations off the model.
+	relOf := func(r solver.Region) *InsResult {
+		res := Ins(r, f, o, cfg)
+		if len(res) != 1 || !SameOrdered(res[0].Forest, f) {
+			t.Fatalf("re-insert of %v changed the model: %v", r, res)
+		}
+		return &res[0]
 	}
-	if rel[IDOf(reg(rsp(-24), 8))] != RelSeparate {
-		t.Errorf("sibling: %v", rel)
+	rel := relOf(reg(rsp(-12), 4))
+	if v := rel.Rel(IDOf(reg(rsp(-16), 8))); v != RelEnclosedIn {
+		t.Errorf("parent: %v", v)
 	}
-	rel = RelationsOf(f, reg(rsp(-16), 8))
-	if rel[IDOf(reg(rsp(-12), 4))] != RelEncloses {
-		t.Errorf("child: %v", rel)
+	if v := rel.Rel(IDOf(reg(rsp(-24), 8))); v != RelSeparate {
+		t.Errorf("sibling: %v", v)
+	}
+	rel = relOf(reg(rsp(-16), 8))
+	if v := rel.Rel(IDOf(reg(rsp(-12), 4))); v != RelEncloses {
+		t.Errorf("child: %v", v)
 	}
 }
 
@@ -365,15 +378,14 @@ func TestQuickInsCompleteness(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	o := topOracle()
 	cfg := DefaultConfig()
+	stack := []*expr.Expr{expr.V("rsp0")}
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(4)
 		var regions []solver.Region
 		var f Forest
 		ok := true
 		for i := 0; i < n && ok; i++ {
-			off := -8 * int64(1+rng.Intn(8))
-			size := uint64(1) << uint(rng.Intn(4))
-			r := reg(rsp(off), size)
+			r := quickRegion(rng, stack)
 			res := Ins(r, f, o, cfg)
 			if len(res) != 1 {
 				t.Fatalf("same-base insert must be deterministic: %d models for %v into %v", len(res), r, f)
@@ -391,8 +403,153 @@ func TestQuickInsCompleteness(t *testing.T) {
 	}
 }
 
+// quickRegion is the region generator of the insertion properties: a
+// slot below one of the bases, 8 to 64 bytes down, 1 to 8 bytes wide. With
+// one base it draws no base, so TestQuickInsCompleteness sees the layouts
+// it always has.
+func quickRegion(rng *rand.Rand, bases []*expr.Expr) solver.Region {
+	base := bases[0]
+	if len(bases) > 1 {
+		base = bases[rng.Intn(len(bases))]
+	}
+	off := -8 * int64(1+rng.Intn(8))
+	size := uint64(1) << uint(rng.Intn(4))
+	return reg(expr.Add(base, expr.Word(uint64(off))), size)
+}
+
+// TestQuickInsRelations checks InsResult against concrete geometry over
+// stack and symbolic bases, where insertion forks and destroys. For every
+// produced model and a concrete valuation under which it holds, each
+// relation Rel reports between a region of the input model and the
+// inserted region is true of their two concrete address ranges, and
+// Destroyed is set exactly when a region of the input model is missing.
+func TestQuickInsRelations(t *testing.T) {
+	rng := rand.New(rand.NewSource(311))
+	o := topOracle()
+	bases := []*expr.Expr{expr.V("rsp0"), expr.V("rdi0"), expr.V("rsi0")}
+	const sp = 0x7ffff000
+	// Candidate addresses of the symbolic bases: equal to each other, at
+	// offsets from each other and into the stack frame, or far apart.
+	cands := []uint64{0x10000, 0x10004, 0x10008, 0x20000, sp, sp - 16}
+	holdsUnder := func(f Forest) (func(*expr.Expr) (uint64, bool), bool) {
+		for _, di := range cands {
+			for _, si := range cands {
+				eval := func(e *expr.Expr) (uint64, bool) {
+					e = expr.Subst(e, "rsp0", expr.Word(sp))
+					e = expr.Subst(e, "rdi0", expr.Word(di))
+					return expr.Subst(e, "rsi0", expr.Word(si)).AsWord()
+				}
+				if f.Holds(eval) {
+					return eval, true
+				}
+			}
+		}
+		return nil, false
+	}
+	partial := DefaultConfig()
+	partial.AssumePartialImpossible = false
+	nofork := DefaultConfig()
+	nofork.ForkUnknown = false
+	cfgs := []Config{DefaultConfig(), partial, nofork}
+	seen := map[RelKind]int{}
+	checked, destroyed := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		cfg := cfgs[trial%len(cfgs)]
+		var f Forest
+		for i := 0; i < 2+rng.Intn(5); i++ {
+			r := quickRegion(rng, bases)
+			input := f.AllRegions(nil)
+			results := Ins(r, f, o, cfg)
+			for _, res := range results {
+				absent := false
+				for _, x := range input {
+					if !res.Forest.HasRegion(x) {
+						absent = true
+					}
+				}
+				if res.Destroyed != absent {
+					t.Fatalf("trial %d: Destroyed=%v, but a region of %v is missing: %v (inserted %v into %v)",
+						trial, res.Destroyed, f, absent, r, res.Forest)
+				}
+				if absent {
+					destroyed++
+				}
+				eval, ok := holdsUnder(res.Forest)
+				if !ok {
+					continue
+				}
+				checked++
+				ilo, _ := eval(r.Addr)
+				ihi := ilo + r.Size
+				for _, x := range append(input, r) {
+					rel := res.Rel(IDOf(x))
+					seen[rel]++
+					if rel == RelUnknown {
+						if res.Forest.HasRegion(x) {
+							t.Fatalf("trial %d: %v is in the model but unknown", trial, IDOf(x))
+						}
+						continue
+					}
+					xlo, _ := eval(x.Addr)
+					xhi := xlo + x.Size
+					var holds bool
+					switch rel {
+					case RelAlias:
+						holds = xlo == ilo && xhi == ihi
+					case RelEnclosedIn:
+						holds = xlo <= ilo && ihi <= xhi
+					case RelEncloses:
+						holds = ilo <= xlo && xhi <= ihi
+					case RelSeparate:
+						holds = xhi <= ilo || ihi <= xlo
+					}
+					if !holds {
+						t.Fatalf("trial %d: %v %v inserted %v, but concretely [%#x,%#x) vs [%#x,%#x) in %v",
+							trial, IDOf(x), rel, IDOf(r), xlo, xhi, ilo, ihi, res.Forest)
+					}
+				}
+			}
+			f = results[rng.Intn(len(results))].Forest
+		}
+	}
+	for _, k := range []RelKind{RelSeparate, RelAlias, RelEnclosedIn, RelEncloses, RelUnknown} {
+		if seen[k] < 20 {
+			t.Errorf("only %d %v relations checked", seen[k], k)
+		}
+	}
+	if checked < 1000 || destroyed < 50 {
+		t.Fatalf("too little checked: %d models, %d of them with destroyed regions", checked, destroyed)
+	}
+}
+
+// TestInsRelAllocatesNothing: reading a relation off a produced model,
+// present or absent, deep or shallow, allocates nothing.
+func TestInsRelAllocatesNothing(t *testing.T) {
+	o := topOracle()
+	cfg := DefaultConfig()
+	var f Forest
+	for _, r := range []solver.Region{reg(rsp(-16), 8), reg(rsp(-12), 4), reg(rsp(-24), 8), reg(rsp(-10), 1)} {
+		f = Ins(r, f, o, cfg)[0].Forest
+	}
+	res := Ins(reg(rsp(-12), 4), f, o, cfg)[0]
+	ids := []RegionID{IDOf(reg(rsp(-16), 8)), IDOf(reg(rsp(-10), 1)), IDOf(reg(rsp(-24), 8)), IDOf(reg(expr.V("rdi0"), 8))}
+	want := []RelKind{RelEnclosedIn, RelEncloses, RelSeparate, RelUnknown}
+	for i, id := range ids {
+		if got := res.Rel(id); got != want[i] {
+			t.Fatalf("%v: %v, want %v", id, got, want[i])
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, id := range ids {
+			res.Rel(id)
+		}
+	}); n != 0 {
+		t.Fatalf("Rel: %v allocs, want 0", n)
+	}
+}
+
 func TestRelKindString(t *testing.T) {
-	kinds := []RelKind{RelSeparate, RelAlias, RelEnclosedIn, RelEncloses, RelDestroyed}
+	kinds := []RelKind{RelSeparate, RelAlias, RelEnclosedIn, RelEncloses, RelUnknown}
 	for _, k := range kinds {
 		if k.String() == "" {
 			t.Fatal("empty relation name")
@@ -457,9 +614,12 @@ func TestInsCountedFallback(t *testing.T) {
 	if len(res) != 1 {
 		t.Fatalf("fallback must produce exactly the destroy model, got %d", len(res))
 	}
+	if !res[0].Destroyed {
+		t.Fatal("the fallback model destroys regions but does not say so")
+	}
 	for _, v := range names {
-		if res[0].Rel[IDOf(reg(expr.V(v), 8))] != RelDestroyed {
-			t.Fatalf("fallback must destroy %s: %v", v, res[0].Rel)
+		if rel := res[0].Rel(IDOf(reg(expr.V(v), 8))); rel != RelUnknown {
+			t.Fatalf("fallback must destroy %s: %v", v, rel)
 		}
 	}
 

@@ -155,14 +155,17 @@ func (t *Tree) eachRegion(visit func(solver.Region)) {
 
 // HasRegion reports whether the forest contains a region with the same
 // address and size.
-func (f Forest) HasRegion(r solver.Region) bool {
-	want := IDOf(r)
-	for _, t := range f {
-		if hasID(t.Regions, want) || t.Kids.HasRegion(r) {
-			return true
+func (f Forest) HasRegion(r solver.Region) bool { return f.treeOf(IDOf(r)) >= 0 }
+
+// treeOf returns the index of the tree of f that holds the region id, in
+// its node or below it, or -1.
+func (f Forest) treeOf(id RegionID) int {
+	for i, t := range f {
+		if hasID(t.Regions, id) || t.Kids.treeOf(id) >= 0 {
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // NumRegions counts the regions in the forest.

@@ -50,9 +50,13 @@ func (p *Pred) memIndex(addr *expr.Expr, size int) int {
 	return -1
 }
 
-// rangeIndex returns the index of the interval clause on e, or -1 (scanning
-// by pointer, like memIndex).
+// rangeIndex returns the index of the interval clause on e, or -1. It
+// scans by pointer, like memIndex, unless e's bit of the interval mask is
+// clear: then no clause can be on e.
 func (p *Pred) rangeIndex(e *expr.Expr) int {
+	if p.rmask&rangeBit(e) == 0 {
+		return -1
+	}
 	for i := range p.ranges {
 		if p.ranges[i].E == e {
 			return i
@@ -145,7 +149,6 @@ func (p *Pred) SetRangeClauses(clauses []RangeClause) error {
 			return fmt.Errorf("interval clause %d (%s in [%#x, %#x]) is not in stored form", i, c.E, c.R.Lo, c.R.Hi)
 		}
 	}
-	p.ranges = clauses
-	p.rfpOK = false
+	p.setRanges(clauses)
 	return nil
 }

@@ -1,9 +1,8 @@
 package pred
 
 import (
-	"fmt"
 	"slices"
-	"strings"
+	"strconv"
 
 	"repro/internal/expr"
 	"repro/internal/x86"
@@ -27,19 +26,14 @@ type memKey struct {
 	size int
 }
 
-// regionKey renders the human-readable key of a region that memory join
-// variables embed in their names.
-func regionKey(addr *expr.Expr, size int) string {
-	return fmt.Sprintf("%s#%d", addr.Key(), size)
-}
-
 // NewJoinVars returns the (still empty) join-variable table of the vertex
 // identified by vid.
 func NewJoinVars(vid string) *JoinVars { return &JoinVars{vid: vid} }
 
 func (j *JoinVars) reg(i int) *expr.Expr {
 	if j.regs[i] == nil {
-		j.regs[i] = expr.V(joinVarName(j.vid, x86.Reg(i).String()))
+		var buf [64]byte
+		j.regs[i] = expr.InternVar(append(j.prefix(buf[:0]), x86.Reg(i).String()...))
 	}
 	return j.regs[i]
 }
@@ -52,11 +46,34 @@ func (j *JoinVars) memVar(addr *expr.Expr, size int) *expr.Expr {
 	if j.mem == nil {
 		j.mem = map[memKey]*expr.Expr{}
 	}
-	// The name embeds the human-readable region key: names are part of
-	// the canonical output.
-	v := expr.V(joinVarName(j.vid, "m"+sanitize(regionKey(addr, size))))
+	// The name embeds the region key "<address key>#<size>", sanitized:
+	// names are part of the canonical output.
+	var buf [128]byte
+	name := append(j.prefix(buf[:0]), 'm')
+	name = appendSanitized(name, addr.Key())
+	name = strconv.AppendInt(append(name, '_'), int64(size), 10)
+	v := expr.InternVar(name)
 	j.mem[k] = v
 	return v
+}
+
+// prefix appends the vertex's name prefix "j<vid>_" to b.
+func (j *JoinVars) prefix(b []byte) []byte {
+	return append(append(append(b, 'j'), j.vid...), '_')
+}
+
+// appendSanitized appends k as an identifier fragment: ASCII letters and
+// digits are kept, and every other rune becomes one '_'.
+func appendSanitized(b []byte, k string) []byte {
+	for _, r := range k {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
+			b = append(b, byte(r))
+		default:
+			b = append(b, '_')
+		}
+	}
+	return b
 }
 
 // Join computes P ⊔ Q per Definition 3.3: clauses present in both operands
@@ -72,9 +89,13 @@ func (j *JoinVars) memVar(addr *expr.Expr, size int) *expr.Expr {
 // keep growing across joins are widened away after a bounded number of
 // growth steps, so there is no infinitely ascending chain.
 //
-// Join never modifies p or q, and the result may share clause lists with
-// either. When the join reproduces q, clause for clause, it returns q
-// itself and allocates nothing: that is the fixed-point case.
+// Join consumes p: it may build its result in p's storage, so the caller
+// must not use p afterwards (clone it first to keep it). It never modifies
+// q, and the result may share clause lists with either. When the join
+// reproduces q, clause for clause, it returns q itself and leaves p as it
+// was: that is the fixed-point case, and it allocates nothing. Otherwise
+// the result is p, and a join at a vertex whose variables exist allocates
+// only the clause lists that change.
 func Join(p, q *Pred, vars *JoinVars) *Pred {
 	if p.bot {
 		return q
@@ -173,7 +194,9 @@ func Join(p, q *Pred, vars *JoinVars) *Pred {
 	if regs == q.regs && flags == q.flags && sameCmp(cmp, q.cmp) && memSame && rangesSame {
 		return q
 	}
-	return &Pred{regs: regs, flags: flags, cmp: cmp, mem: memList, ranges: rangeList}
+	*p = Pred{regs: regs, flags: flags, cmp: cmp, mem: memList}
+	p.setRanges(rangeList)
+	return p
 }
 
 // addJoinRange records a join variable's interval clause. Distinct state
@@ -297,22 +320,4 @@ func sideRange(p *Pred, e, jv *expr.Expr) (RangeClause, bool) {
 		return RangeClause{E: jv, R: r, grows: grows}, true
 	}
 	return RangeClause{}, false
-}
-
-func joinVarName(vid, part string) expr.Var {
-	return expr.Var(fmt.Sprintf("j%s_%s", vid, part))
-}
-
-// sanitize turns a region key into an identifier fragment.
-func sanitize(k string) string {
-	var b strings.Builder
-	for _, r := range k {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
 }

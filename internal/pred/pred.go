@@ -68,16 +68,20 @@ type MemEntry struct {
 // (see clauses.go): Clone copies the struct, and a mutation of either
 // predicate builds a new list for itself.
 type Pred struct {
-	bot    bool
 	regs   [17]*expr.Expr // indexed by x86.Reg; nil = unconstrained
 	flags  [x86.NumFlags]*expr.Expr
 	cmp    *Cmp
 	mem    []MemEntry    // in MemEntries order
 	ranges []RangeClause // in Ranges order
 
+	// rmask has bit fp&63 set for the fingerprint fp of every interval
+	// clause's expression, so a clear bit answers rangeIndex at once. It
+	// is set wherever the interval clause list is assigned.
+	rmask uint64
 	// rfp caches RangesFingerprint until the interval clause list changes.
 	rfp   uint64
 	rfpOK bool
+	bot   bool // next to rfpOK: the two flags share a word, and Pred stays 256 bytes
 }
 
 // RangeClause is one interval clause R.Lo ≤ E ≤ R.Hi.
@@ -301,7 +305,20 @@ func (p *Pred) AddRange(e *expr.Expr, r Range) {
 // setRanges installs a new interval clause list.
 func (p *Pred) setRanges(list []RangeClause) {
 	p.ranges = list
+	p.rmask = rangeMask(list)
 	p.rfpOK = false
+}
+
+// rangeBit is e's bit in a predicate's interval mask.
+func rangeBit(e *expr.Expr) uint64 { return 1 << (e.Fingerprint() & 63) }
+
+// rangeMask returns the interval mask of a clause list.
+func rangeMask(list []RangeClause) uint64 {
+	var m uint64
+	for _, c := range list {
+		m |= rangeBit(c.E)
+	}
+	return m
 }
 
 // vacuous reports whether an interval admits every word.
@@ -399,7 +416,7 @@ func (p *Pred) RangeOf(e *expr.Expr) (Range, bool) {
 	// order wins.
 	for _, c := range p.ranges {
 		lk := expr.ToLinear(c.E)
-		scale, matches := linearRatio(l, lk)
+		scale, matches := l.Ratio(lk)
 		if !matches || scale == 0 || scale > 1<<23 || c.R.Hi > 1<<40 {
 			continue
 		}
@@ -411,36 +428,6 @@ func (p *Pred) RangeOf(e *expr.Expr) (Range, bool) {
 		}
 	}
 	return Range{}, false
-}
-
-// linearRatio reports whether the non-constant parts satisfy l = scale·m,
-// returning the scale.
-func linearRatio(l, m *expr.Linear) (uint64, bool) {
-	if l.NumTerms() != m.NumTerms() || m.NumTerms() == 0 {
-		return 0, false
-	}
-	var scale uint64
-	ok := true
-	m.Terms(func(atom *expr.Expr, mc uint64) {
-		if !ok {
-			return
-		}
-		lc := l.Coeff(atom)
-		if lc == 0 || mc == 0 || lc%mc != 0 {
-			ok = false
-			return
-		}
-		s := lc / mc
-		if scale == 0 {
-			scale = s
-		} else if s != scale {
-			ok = false
-		}
-	})
-	if !ok {
-		return 0, false
-	}
-	return scale, true
 }
 
 // intrinsicRange derives an interval from the shape of an expression: a

@@ -163,13 +163,13 @@ func TestJoinIdempotentFixedPoint(t *testing.T) {
 	p.SetReg(x86.RAX, expr.Word(3))
 	q.SetReg(x86.RAX, expr.Word(4))
 	vars := NewJoinVars("v1")
-	j := Join(p, q, vars)
+	j := Join(p.Clone(), q, vars) // Join consumes its first operand
 	// p ⊑ j and q ⊑ j: joining either into j returns j itself.
 	if Join(p, j, vars) != j || Join(q, j, vars) != j {
 		t.Fatal("operands must be below the join")
 	}
 	// j ⊔ j = j.
-	if Join(j, j, vars) != j {
+	if Join(j.Clone(), j, vars) != j {
 		t.Fatal("join must be idempotent")
 	}
 }
@@ -232,7 +232,7 @@ func TestJoinFlagsAndCmp(t *testing.T) {
 	c := &Cmp{Kind: CmpSub, Lhs: expr.V("a"), Rhs: expr.Word(0xc3), Size: 4}
 	p.SetCmp(c)
 	q.SetCmp(&Cmp{Kind: CmpSub, Lhs: expr.V("a"), Rhs: expr.Word(0xc3), Size: 4})
-	j := Join(p, q, NewJoinVars("v1"))
+	j := Join(p.Clone(), q, NewJoinVars("v1"))
 	if j.LastCmp() == nil {
 		t.Fatal("matching comparison descriptor must survive")
 	}
@@ -309,13 +309,18 @@ func TestCloneAllocatesOnce(t *testing.T) {
 }
 
 // TestJoinFixedPointReturnsStored: a join that reproduces the stored state
-// returns that state itself, allocating nothing.
+// returns that state itself, allocating nothing and leaving the first
+// operand as it was (so the loop below may reuse it).
 func TestJoinFixedPointReturnsStored(t *testing.T) {
 	p := benchPred("a")
 	vars := NewJoinVars("v1")
-	q := Join(p, benchPred("a"), vars)
+	q := Join(p.Clone(), benchPred("a"), vars)
+	want := p.Clone()
 	if Join(p, q, vars) != q {
 		t.Fatal("join at the fixed point must return the stored operand")
+	}
+	if !p.Same(want) {
+		t.Fatal("join at the fixed point wrote into its first operand")
 	}
 	if n := testing.AllocsPerRun(100, func() { sink = Join(p, q, vars) }); n != 0 {
 		t.Fatalf("fixed-point join allocates %v objects, want 0", n)
@@ -450,7 +455,7 @@ func TestQuickJoinCommutative(t *testing.T) {
 		} else {
 			q.SetReg(x86.RBX, expr.Word(b))
 		}
-		return Join(p, q, NewJoinVars("vc")).Key() == Join(q, p, NewJoinVars("vc")).Key()
+		return Join(p.Clone(), q, NewJoinVars("vc")).Key() == Join(q, p, NewJoinVars("vc")).Key()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -136,12 +136,9 @@ func (m *Machine) noteIns(results []memmodel.InsResult, fellBack bool) {
 		m.Cfg.Tracer.Fork(m.curAddr, extra)
 	}
 	for _, res := range results {
-		for _, rel := range res.Rel {
-			if rel == memmodel.RelDestroyed {
-				m.counters.Destroys++
-				m.Cfg.Tracer.Destroy(m.curAddr)
-				break
-			}
+		if res.Destroyed {
+			m.counters.Destroys++
+			m.Cfg.Tracer.Destroy(m.curAddr)
 		}
 	}
 }

@@ -65,7 +65,7 @@ func (m *Machine) readMem(st *State, addr *expr.Expr, size int) []valState {
 			s = st.Clone()
 		}
 		s.Mem = res.Forest
-		v := m.valueUnder(s.Pred, addr, size, res.Rel)
+		v := m.valueUnder(s.Pred, addr, size, &res)
 		if v == nil {
 			v = freshVal
 		}
@@ -76,15 +76,16 @@ func (m *Machine) readMem(st *State, addr *expr.Expr, size int) []valState {
 }
 
 // valueUnder derives the read value from existing memory clauses given the
-// relations of this model: an aliasing clause supplies its value directly;
-// an enclosing clause with a computable offset supplies the byte slice.
-func (m *Machine) valueUnder(p *pred.Pred, addr *expr.Expr, size int, rel map[memmodel.RegionID]memmodel.RelKind) *expr.Expr {
+// relations of the produced model: an aliasing clause supplies its value
+// directly; an enclosing clause with a computable offset supplies the byte
+// slice.
+func (m *Machine) valueUnder(p *pred.Pred, addr *expr.Expr, size int, res *memmodel.InsResult) *expr.Expr {
 	var found *expr.Expr
 	p.MemEntries(func(e pred.MemEntry) {
 		if found != nil {
 			return
 		}
-		switch rel[entryID(e)] {
+		switch res.Rel(entryID(e)) {
 		case memmodel.RelAlias:
 			if e.Size == size {
 				found = e.Val
@@ -145,11 +146,7 @@ func (m *Machine) writeMem(st *State, addr *expr.Expr, size int, val *expr.Expr)
 		// slices of the new value; separate clauses survive; everything
 		// else is dropped. One pass builds the model's clause list.
 		s.Pred.WriteMemWith(addr, size, val, func(e pred.MemEntry) *expr.Expr {
-			rel, known := res.Rel[entryID(e)]
-			if !known {
-				return nil // no region in the model: treated as destroyed
-			}
-			switch rel {
+			switch res.Rel(entryID(e)) {
 			case memmodel.RelSeparate:
 				return e.Val
 			case memmodel.RelAlias:

@@ -13,6 +13,14 @@ import (
 // memory regions into the memory model, returning the nondeterministic set
 // of successor symbolic states with their control effects. The input state
 // is never mutated.
+//
+// Every outcome owns its state: its State and its pred.Pred are shared with
+// no other outcome and not with the input (Step clones the input, and each
+// fork clones all of its outcomes but the last; CleanAfterCall clones
+// too). The memory forests and clause lists inside are immutable and may
+// be shared. So a caller may keep an outcome's state, or write into it,
+// without a copy: the explorer builds a join in the state of the work item
+// that brought it.
 func (m *Machine) Step(st *State, inst x86.Inst) ([]Outcome, error) {
 	m.curAddr = inst.Addr
 	m.nfresh = 0

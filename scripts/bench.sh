@@ -63,11 +63,13 @@ go test -run '^$' -count="$count" -benchmem \
 # pipeline (scaled-down corpus; see bench_test.go), plus the warm-store
 # re-run (every task served from a pre-populated HG store, zero lifts) —
 # cold vs warm is the incremental-lifting ratio recorded in BENCH_PR7.json —
-# and one write-through Put into that store (seal, encode, append, fsync).
-# Skipped by -short to keep the CI smoke job fast.
+# one write-through Put into that store (seal, encode, append, fsync), the
+# largest Table 2 binary lifted and checked (Step 1 and Step 2), and raw
+# memory-model insertion into a growing stack frame. Skipped by -short to
+# keep the CI smoke job fast.
 if [ "$short" -eq 0 ]; then
     go test -run '^$' -count="$count" -benchmem \
-        -bench '^(BenchmarkTable1_lib|BenchmarkTable1_lib_parallel|BenchmarkTable1_lib_warmstore|BenchmarkStorePut)$' \
+        -bench '^(BenchmarkTable1_lib|BenchmarkTable1_lib_parallel|BenchmarkTable1_lib_warmstore|BenchmarkStorePut|BenchmarkTable2_tar|BenchmarkMemModelIns)$' \
         . | tee -a "$raw"
 fi
 
@@ -98,9 +100,16 @@ go test -run '^$' -count="$count" -benchmem \
 
 # Fold the go test -bench lines into JSON. Value/unit pairs follow the
 # iteration count; units become keys (ns/op -> ns_per_op, hit% -> hit_pct).
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v go="$(go env GOVERSION)" '
+# The header names the host, its CPU (as go test reports it) and the
+# number of CPUs online, so a number can be compared with one measured on
+# the same machine.
+cpu=$(sed -n 's/^cpu: //p' "$raw" | head -n 1)
+awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v go="$(go env GOVERSION)" \
+    -v host="$(uname -n)" -v cpu="$cpu" -v ncpu="$(getconf _NPROCESSORS_ONLN)" '
 BEGIN {
-    printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"benchmarks\": [", date, go
+    gsub(/["\\]/, "", host)
+    gsub(/["\\]/, "", cpu)
+    printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"host\": \"%s\",\n  \"cpu\": \"%s\",\n  \"ncpu\": %d,\n  \"benchmarks\": [", date, go, host, cpu, ncpu
     sep = ""
 }
 /^Benchmark/ {
