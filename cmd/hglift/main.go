@@ -174,7 +174,7 @@ func main() {
 	}
 	im, err := image.Load(data)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("%s: %w", flag.Arg(0), err))
 	}
 	opts := append([]lift.Option{lift.Jobs(1), lift.Timeout(*timeout), lift.Retry(retry)}, obsv.opts...)
 	if store != nil {
@@ -201,7 +201,7 @@ func main() {
 			printDetails(fr, *dump, *thy)
 		}
 		obsv.flush()
-		exitUnhealthy(res, *keepGoing)
+		exitUnhealthy(flag.Arg(0), res, *keepGoing)
 		return
 	}
 
@@ -245,16 +245,16 @@ func main() {
 		}
 	}
 	obsv.flush()
-	exitUnhealthy(res, *keepGoing)
+	exitUnhealthy(flag.Arg(0), res, *keepGoing)
 }
 
-// exitUnhealthy terminates with a non-zero status when a single lift
-// ended in an infrastructure failure (panic, timeout, error,
-// cancellation) — -keep-going reports it but keeps the zero status — or
-// when its result could not be written to the store, which fails the run
-// even with -keep-going: the lift completed, but a re-run would lift it
-// again.
-func exitUnhealthy(res lift.Result, keepGoing bool) {
+// exitUnhealthy terminates with a non-zero status when a single lift of
+// the binary at path ended in an infrastructure failure (panic, timeout,
+// error, cancellation) — -keep-going reports it but keeps the zero
+// status — or when its result could not be written to the store, which
+// fails the run even with -keep-going: the lift completed, but a re-run
+// would lift it again.
+func exitUnhealthy(path string, res lift.Result, keepGoing bool) {
 	code := 0
 	if res.StoreWriteErr != nil {
 		fmt.Fprintf(os.Stderr, "hglift: store: write-errors=1: %v\n", res.StoreWriteErr)
@@ -262,7 +262,7 @@ func exitUnhealthy(res lift.Result, keepGoing bool) {
 	}
 	switch res.Status {
 	case core.StatusPanic, core.StatusTimeout, core.StatusError, core.StatusCancelled:
-		fmt.Fprintf(os.Stderr, "hglift: lift ended in %s\n", res.Status)
+		fmt.Fprintf(os.Stderr, "hglift: %s: lift ended in %s\n", path, res.Status)
 		if !keepGoing {
 			code = 1
 		}

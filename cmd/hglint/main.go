@@ -66,7 +66,7 @@ func main() {
 	}
 	im, err := image.Load(data)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("%s: %w", flag.Arg(0), err))
 	}
 
 	var opts []hglint.Option
@@ -77,7 +77,7 @@ func main() {
 	// repeat heavily for stack-relative regions.
 	opts = append(opts, hglint.WithCache(solver.NewCache()))
 
-	reports, skipped := collect(im, *hgIn, *funcSpec, opts)
+	reports, skipped := collect(im, flag.Arg(0), *hgIn, *funcSpec, opts)
 	errors := 0
 	for _, rep := range reports {
 		errors += rep.Errors()
@@ -96,8 +96,10 @@ func main() {
 }
 
 // collect produces the lint reports for the requested mode, plus notes
-// about graphs that could not be linted (failed lifts).
-func collect(im *image.Image, hgIn, funcSpec string, opts []hglint.Option) ([]*hglint.Report, []string) {
+// about graphs that could not be linted (failed lifts). An input that
+// cannot be read, parsed or lifted at all is fatal, and the error names
+// it: the graph file under -hg, otherwise the binary at path.
+func collect(im *image.Image, path, hgIn, funcSpec string, opts []hglint.Option) ([]*hglint.Report, []string) {
 	if hgIn != "" {
 		hg, err := os.ReadFile(hgIn)
 		if err != nil {
@@ -105,7 +107,7 @@ func collect(im *image.Image, hgIn, funcSpec string, opts []hglint.Option) ([]*h
 		}
 		g, err := hgstore.LoadGraph(im, hg)
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("%s: %w", hgIn, err))
 		}
 		return []*hglint.Report{hglint.Lint(g, opts...)}, nil
 	}
@@ -128,7 +130,7 @@ func collect(im *image.Image, hgIn, funcSpec string, opts []hglint.Option) ([]*h
 
 	res := lift.One(context.Background(), lift.Binary("binary", im))
 	if res.Binary == nil {
-		fatal(fmt.Errorf("lift binary: %s %s", res.Status, res.PanicMsg))
+		fatal(fmt.Errorf("%s: lift: %s %s", path, res.Status, res.PanicMsg))
 	}
 	var reports []*hglint.Report
 	var skipped []string
@@ -140,7 +142,7 @@ func collect(im *image.Image, hgIn, funcSpec string, opts []hglint.Option) ([]*h
 		reports = append(reports, hglint.Lint(fr.Graph, opts...))
 	}
 	if len(reports) == 0 {
-		fatal(fmt.Errorf("binary: no lifted graph to lint (status %s)", res.Status))
+		fatal(fmt.Errorf("%s: no lifted graph to lint (status %s)", path, res.Status))
 	}
 	return reports, skipped
 }

@@ -57,9 +57,9 @@ func main() {
 	}
 	img, err := image.Load(data)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("%s: %w", flag.Arg(0), err))
 	}
-	title, graphs := load(ctx, img, *funcSpec, *hgIn)
+	title, graphs := load(ctx, img, flag.Arg(0), *funcSpec, *hgIn)
 	// A binary's failures carry their function's name; a single graph's
 	// carry only the vertex.
 	qualify := *funcSpec == "" && *hgIn == ""
@@ -76,7 +76,7 @@ func main() {
 			// opaque failures. An exported one is refused outright; a
 			// lifted one fails its own function, and the check moves on.
 			if *hgIn != "" {
-				fatal(fmt.Errorf("%s: %d hglint errors; not running Step 2", g.FuncName, lrep.Errors()))
+				fatal(fmt.Errorf("%s: %s: %d hglint errors; not running Step 2", *hgIn, g.FuncName, lrep.Errors()))
 			}
 			malformed++
 			failures = append(failures, fmt.Sprintf("%s: malformed graph: %d hglint errors", g.FuncName, lrep.Errors()))
@@ -118,8 +118,10 @@ func main() {
 
 // load returns the graphs one mode checks and the name its summary line
 // carries: the exported graph (-hg), the lifted function (-func), or every
-// function lifted from the entry point of the binary.
-func load(ctx context.Context, img *image.Image, funcSpec, hgIn string) (string, []*hoare.Graph) {
+// function lifted from the entry point of the binary at path. A graph file
+// that cannot be read or parsed, or a binary that does not lift, is fatal,
+// and the error names the file.
+func load(ctx context.Context, img *image.Image, path, funcSpec, hgIn string) (string, []*hoare.Graph) {
 	switch {
 	case hgIn != "":
 		hg, err := os.ReadFile(hgIn)
@@ -128,7 +130,7 @@ func load(ctx context.Context, img *image.Image, funcSpec, hgIn string) (string,
 		}
 		g, err := hgstore.LoadGraph(img, hg)
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("%s: %w", hgIn, err))
 		}
 		return g.FuncName, []*hoare.Graph{g}
 	case funcSpec != "":
@@ -144,7 +146,7 @@ func load(ctx context.Context, img *image.Image, funcSpec, hgIn string) (string,
 	}
 	res := lift.One(ctx, lift.Binary("binary", img))
 	if res.Status != core.StatusLifted {
-		fatal(fmt.Errorf("binary not lifted: %s", res.Status))
+		fatal(fmt.Errorf("%s: binary not lifted: %s", path, res.Status))
 	}
 	var graphs []*hoare.Graph
 	for _, fr := range res.Binary.Funcs {

@@ -1,0 +1,184 @@
+package repro
+
+// The commands that read a binary or a graph report malformed input as
+// an error and an exit status, never a panic.
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/corpus"
+	"repro/internal/hgstore"
+	"repro/internal/hoare"
+	"repro/internal/image"
+	"repro/lift"
+)
+
+// spanningSectionsELF returns a size-byte x86-64 executable whose section
+// table, at the end of the file, holds headers PROGBITS sections at offset
+// 0 that each span the whole file. It loads (the sections overlap but are
+// in range) and has nothing executable at its entry point.
+func spanningSectionsELF(headers, size int) []byte {
+	le := binary.LittleEndian
+	b := make([]byte, size)
+	copy(b, "\x7fELF\x02\x01\x01")
+	shoff := size - headers*64
+	le.PutUint16(b[16:], 2)    // ET_EXEC
+	le.PutUint16(b[18:], 0x3e) // EM_X86_64
+	le.PutUint32(b[20:], 1)    // EV_CURRENT
+	le.PutUint64(b[40:], uint64(shoff))
+	le.PutUint16(b[52:], 64) // e_ehsize
+	le.PutUint16(b[58:], 64) // e_shentsize
+	le.PutUint16(b[60:], uint16(headers))
+	for i := 0; i < headers; i++ {
+		sh := b[shoff+64*i:]
+		le.PutUint32(sh[4:], 1) // SHT_PROGBITS
+		le.PutUint64(sh[32:], uint64(size))
+	}
+	return b
+}
+
+// fuzzSeed reads the []byte value of a native fuzz corpus file.
+func fuzzSeed(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n[]byte(")
+	if !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("%s: not a one-value []byte fuzz seed", path)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
+}
+
+// graphVariants returns truncated and byte-flipped copies of a serialized
+// graph, named by the edit: eight prefixes (the empty one included) and
+// eight single-byte flips spread over the file.
+func graphVariants(b []byte) map[string][]byte {
+	out := map[string][]byte{}
+	for i := 0; i < 8; i++ {
+		n := len(b) * i / 8
+		out[fmt.Sprintf("trunc%d", n)] = b[:n]
+	}
+	for i := 0; i < 8; i++ {
+		off := (len(b) - 1) * i / 7
+		c := bytes.Clone(b)
+		c[off] ^= 0xff
+		out[fmt.Sprintf("flip%d", off)] = c
+	}
+	return out
+}
+
+// TestCommandsRejectHostileInput builds hglift, hgprove and hglint once and
+// runs them on hostile input: the three wrapping header edits of the
+// FuzzImageLoad seeds and a 1,000-header table of file-spanning sections
+// (through all three commands), and truncated and byte-flipped copies of
+// the weird-edge graph in .hg text and compact binary form (through
+// hgprove -hg and hglint -hg). Every run exits 1, and its stderr holds no
+// panic and no goroutine dump. A binary, and a graph file the loader
+// rejects, is reported as exactly one stderr line "<command>: <file>: …".
+// A copy that still loads is a well-formed graph; saved weird-edge graphs
+// fail hglint by design (the resolved indirect jump is not persisted), so
+// those runs exit 1 with their lint findings.
+func TestCommandsRejectHostileInput(t *testing.T) {
+	dir := t.TempDir()
+	build := exec.Command("go", "build", "-o", dir, "./cmd/hglift", "./cmd/hgprove", "./cmd/hglint")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+
+	write := func(name string, b []byte) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// run executes one command and checks the exit status and stderr; it
+	// returns the stderr lines.
+	run := func(cmd string, args ...string) []string {
+		t.Helper()
+		c := exec.Command(filepath.Join(dir, cmd), args...)
+		var stderr bytes.Buffer
+		c.Stderr = &stderr
+		err := c.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s %s: %v, want exit status 1\n%s", cmd, strings.Join(args, " "), err, stderr.Bytes())
+		}
+		if s := stderr.String(); strings.Contains(s, "panic:") || strings.Contains(s, "goroutine ") {
+			t.Errorf("%s %s panicked:\n%s", cmd, strings.Join(args, " "), s)
+		}
+		return strings.Split(strings.TrimSpace(stderr.String()), "\n")
+	}
+	namesInput := func(cmd, path string, lines []string) {
+		t.Helper()
+		if len(lines) != 1 || !strings.HasPrefix(lines[0], cmd+": "+path+": ") {
+			t.Errorf("%s on %s: stderr %q, want one line %q", cmd, filepath.Base(path), lines, cmd+": "+path+": …")
+		}
+	}
+
+	elfs := map[string][]byte{"spanning-sections.elf": spanningSectionsELF(1000, 164064)}
+	for _, name := range []string{"phoff-wrap", "shoff-wrap", "sh-offset-wrap"} {
+		elfs[name+".elf"] = fuzzSeed(t, filepath.Join("internal", "image", "testdata", "fuzz", "FuzzImageLoad", name))
+	}
+	for name, b := range elfs {
+		p := write(name, b)
+		for _, cmd := range []string{"hglift", "hgprove", "hglint"} {
+			namesInput(cmd, p, run(cmd, p))
+		}
+	}
+
+	s, err := corpus.WeirdEdge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := image.Load(s.Raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elf := write("weird-edge.elf", s.Raw)
+	res := lift.One(context.Background(), lift.Func("sub_401000", img, img.Entry()))
+	if res.Func == nil || res.Func.Graph == nil {
+		t.Fatalf("weird-edge did not lift: %s", res.Status)
+	}
+	forms := map[string][]byte{
+		"hg":   hoare.Marshal(res.Func.Graph),
+		"obin": hgstore.MarshalGraph(res.Func.Graph),
+	}
+	runs, rejected := 0, 0
+	for form, b := range forms {
+		for edit, v := range graphVariants(b) {
+			p := write("weird-edge-"+edit+"."+form, v)
+			_, loadErr := hgstore.LoadGraph(img, v)
+			if loadErr != nil {
+				rejected++
+			}
+			for _, cmd := range []string{"hgprove", "hglint"} {
+				lines := run(cmd, "-hg", p, elf)
+				if loadErr != nil {
+					namesInput(cmd, p, lines)
+				}
+				runs++
+			}
+		}
+	}
+	if runs != 64 || rejected < 24 {
+		t.Fatalf("%d graph runs, want 64; %d of 32 copies rejected by the loader, want most", runs, rejected)
+	}
+	t.Logf("%d of 32 graph copies rejected by the loader", rejected)
+}

@@ -133,6 +133,7 @@ type Lifter struct {
 	mach *sem.Machine
 
 	summaries  map[uint64]*FuncResult
+	addrIDs    map[uint64]string // vertexID's address part, formatted once
 	inProgress map[uint64]bool
 	ptrCache   map[uint64]*ptr.Analysis
 }
@@ -144,6 +145,7 @@ func New(img *image.Image, cfg Config) *Lifter {
 		Cfg:        cfg,
 		mach:       sem.NewMachine(img, cfg.Sem),
 		summaries:  map[uint64]*FuncResult{},
+		addrIDs:    map[uint64]string{},
 		inProgress: map[uint64]bool{},
 		ptrCache:   map[uint64]*ptr.Analysis{},
 	}

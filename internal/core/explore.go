@@ -135,7 +135,11 @@ func (e *explorer) fail(st Status, reason string) {
 // holding different immediate pointers into the text section are
 // incompatible and kept apart; Section 4).
 func (l *Lifter) vertexID(rip uint64, st *sem.State) hoare.VertexID {
-	id := strconv.FormatUint(rip, 16)
+	id, ok := l.addrIDs[rip]
+	if !ok {
+		id = strconv.FormatUint(rip, 16)
+		l.addrIDs[rip] = id
+	}
 	if l.Cfg.JoinCodePointers {
 		return hoare.VertexID(id)
 	}
@@ -188,13 +192,18 @@ func (e *explorer) exploreOne(item workItem) {
 	e.res.Steps++
 	e.tr.Step(item.rip)
 
-	inst, err := e.l.Img.Fetch(item.rip)
-	if err != nil {
-		e.g.Annotate(item.rip, hoare.AnnFetchError, err.Error())
-		e.fail(StatusError, fmt.Sprintf("fetch at %#x: %v", item.rip, err))
-		return
+	// A vertex is stepped again after each join that weakens it: the
+	// instruction is fetched on the address's first step only.
+	inst, fetched := e.g.Instrs[item.rip]
+	if !fetched {
+		var err error
+		if inst, err = e.l.Img.Fetch(item.rip); err != nil {
+			e.g.Annotate(item.rip, hoare.AnnFetchError, err.Error())
+			e.fail(StatusError, fmt.Sprintf("fetch at %#x: %v", item.rip, err))
+			return
+		}
+		e.g.Instrs[item.rip] = inst
 	}
-	e.g.Instrs[item.rip] = inst
 
 	outs, err := e.l.mach.Step(cur, inst)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -297,6 +298,81 @@ func TestQuickWriterReaderRoundTrip(t *testing.T) {
 		}
 		if got := len(f.FuncSymbols()); got != nSyms {
 			t.Fatalf("trial %d: symbols %d != %d", trial, got, nSyms)
+		}
+	}
+}
+
+// spanningELF returns a size-byte x86-64 executable header followed by
+// padding and a table of headers section headers at the end of the file,
+// every one a PROGBITS section at offset 0 that spans the whole file.
+func spanningELF(headers, size int) []byte {
+	b := make([]byte, size)
+	copy(b, "\x7fELF\x02\x01\x01")
+	shoff := size - headers*64
+	le.PutUint16(b[16:], ETExec)
+	le.PutUint16(b[18:], EMX8664)
+	le.PutUint32(b[20:], EVCurrent)
+	le.PutUint64(b[40:], uint64(shoff))
+	le.PutUint16(b[52:], 64) // e_ehsize
+	le.PutUint16(b[58:], 64) // e_shentsize
+	le.PutUint16(b[60:], uint16(headers))
+	for i := 0; i < headers; i++ {
+		sh := b[shoff+64*i:]
+		le.PutUint32(sh[4:], SHTProgbits)
+		le.PutUint64(sh[32:], uint64(size))
+	}
+	return b
+}
+
+// TestSpanningSectionsShareOneCopy: a section table whose sections all
+// span the file once made Parse copy the file per header (164 MB for this
+// 164,064-byte file). Parse copies each byte the sections cover once and
+// slices each section's data out of that copy, so the whole parse
+// allocates at most twice the file's size. The slices are capped:
+// appending to one cannot write into the next. Sections whose ranges
+// overlap in other ways, out of file order, read their own bytes.
+func TestSpanningSectionsShareOneCopy(t *testing.T) {
+	b := spanningELF(1000, 164064)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f, err := Parse(b)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 2*uint64(len(b)) {
+		t.Errorf("parsing a %d-byte file allocated %d bytes, want at most %d", len(b), n, 2*len(b))
+	}
+	if len(f.Sections) != 1000 {
+		t.Fatalf("%d sections, want 1000", len(f.Sections))
+	}
+	for i, s := range f.Sections {
+		if !bytes.Equal(s.Data, b) || cap(s.Data) != len(b) {
+			t.Fatalf("section %d: %d bytes (cap %d), want the file's %d", i, len(s.Data), cap(s.Data), len(b))
+		}
+	}
+	b[0] = 0 // the parse holds a copy of its input
+	if f.Sections[0].Data[0] != 0x7f {
+		t.Fatal("section data aliases the caller's buffer")
+	}
+
+	b = spanningELF(1000, 164064)
+	shoff := len(b) - 1000*64
+	for i := 64; i < shoff; i++ {
+		b[i] = byte(i*31 + i>>8)
+	}
+	for i := 0; i < 1000; i++ {
+		off := uint64(i*7919) % uint64(shoff)
+		le.PutUint64(b[shoff+64*i+24:], off)
+		le.PutUint64(b[shoff+64*i+32:], 1+uint64(i*104729)%(uint64(len(b))-off))
+	}
+	if f, err = Parse(b); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range f.Sections {
+		if end := s.Off + s.Size; !bytes.Equal(s.Data, b[s.Off:end]) || uint64(cap(s.Data)) != s.Size {
+			t.Fatalf("section %d [%#x, %#x): wrong bytes or cap %d", i, s.Off, end, cap(s.Data))
 		}
 	}
 }

@@ -1,9 +1,12 @@
 package elf64
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 )
 
 // Sentinel parse failures, for errors.Is dispatch: a truncated image may
@@ -35,7 +38,9 @@ func parseErr(sentinel error, format string, args ...any) error {
 
 var le = binary.LittleEndian
 
-// Parse reads an ELF64 little-endian x86-64 image from memory.
+// Parse reads an ELF64 little-endian x86-64 image from memory. The result
+// does not alias b: the sections' data is copied out, each byte once (see
+// shareSectionData), so the caller may reuse b.
 func Parse(b []byte) (*File, error) {
 	if len(b) < 64 {
 		return nil, parseErr(ErrTruncated, "image too small (%d bytes)", len(b))
@@ -96,12 +101,15 @@ func Parse(b []byte) (*File, error) {
 		})
 	}
 
-	// Section headers (names resolved after reading shstrtab).
-	type rawShdr struct {
-		nameOff uint32
-		sec     Section
+	// Section headers (names resolved after reading shstrtab). The lists
+	// are sized for the headers b can hold, so a hostile count allocates
+	// no more than the file backs.
+	var nameOffs []uint32
+	if h.ShNum > 0 && h.ShOff <= uint64(len(b)) {
+		n := min(uint64(h.ShNum), (uint64(len(b))-h.ShOff)/uint64(h.ShEntSize))
+		f.Sections = make([]Section, 0, n)
+		nameOffs = make([]uint32, 0, n)
 	}
-	var raw []rawShdr
 	for i := 0; i < int(h.ShNum); i++ {
 		off := h.ShOff + uint64(i)*uint64(h.ShEntSize)
 		if !within(b, off, 64) {
@@ -123,19 +131,21 @@ func Parse(b []byte) (*File, error) {
 			if !within(b, sec.Off, sec.Size) {
 				return nil, parseErr(ErrTruncated, "section %d data out of range", i)
 			}
-			sec.Data = append([]byte(nil), b[sec.Off:sec.Off+sec.Size]...)
+			sec.Data = b[sec.Off : sec.Off+sec.Size] // until shareSectionData copies it
 		}
-		raw = append(raw, rawShdr{nameOff: le.Uint32(s), sec: sec})
+		f.Sections = append(f.Sections, sec)
+		nameOffs = append(nameOffs, le.Uint32(s))
 	}
+
+	shareSectionData(b, f.Sections)
 
 	// Resolve section names.
 	var shstr []byte
-	if int(h.ShStrNdx) < len(raw) {
-		shstr = raw[h.ShStrNdx].sec.Data
+	if int(h.ShStrNdx) < len(f.Sections) {
+		shstr = f.Sections[h.ShStrNdx].Data
 	}
-	for _, r := range raw {
-		r.sec.Name = cstr(shstr, r.nameOff)
-		f.Sections = append(f.Sections, r.sec)
+	for i := range f.Sections {
+		f.Sections[i].Name = cstr(shstr, nameOffs[i])
 	}
 
 	// Symbols.
@@ -159,6 +169,51 @@ func Parse(b []byte) (*File, error) {
 		}
 	}
 	return f, nil
+}
+
+// shareSectionData copies the file ranges the sections' data occupies into
+// one buffer and points each section's Data at its bytes there, as a
+// capped subslice. Ranges are merged where they overlap, so a byte is
+// copied once however many sections cover it: a hostile table of sections
+// that all span the file costs one copy of the file, not one per header,
+// and a well-formed file copies what it did with a copy per section. Data
+// is shared between overlapping sections; no reader writes into it.
+func shareSectionData(b []byte, secs []Section) {
+	spans := make([][2]uint64, 0, len(secs)) // [off, end) of each section with data, then merged
+	for _, s := range secs {
+		if s.Data != nil {
+			spans = append(spans, [2]uint64{s.Off, s.Off + s.Size})
+		}
+	}
+	slices.SortFunc(spans, func(x, y [2]uint64) int { return cmp.Compare(x[0], y[0]) })
+	merged := spans[:0]
+	for _, sp := range spans {
+		if n := len(merged); n > 0 && sp[0] <= merged[n-1][1] {
+			merged[n-1][1] = max(merged[n-1][1], sp[1])
+			continue
+		}
+		merged = append(merged, sp)
+	}
+	at := make([]uint64, len(merged)) // where each merged range starts in buf
+	total := uint64(0)
+	for i, sp := range merged {
+		at[i] = total
+		total += sp[1] - sp[0]
+	}
+	buf := make([]byte, total)
+	for i, sp := range merged {
+		copy(buf[at[i]:], b[sp[0]:sp[1]])
+	}
+	for i := range secs {
+		s := &secs[i]
+		if s.Data == nil {
+			continue
+		}
+		// The last merged range starting at or before the section holds it.
+		j := sort.Search(len(merged), func(j int) bool { return merged[j][0] > s.Off }) - 1
+		lo := at[j] + s.Off - merged[j][0]
+		s.Data = buf[lo : lo+s.Size : lo+s.Size]
+	}
 }
 
 // within reports whether the size bytes at offset off lie inside b. It

@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -58,5 +60,55 @@ func BenchmarkSubstAbsent(b *testing.B) {
 		if Subst(e, "absent", Word(1)) != e {
 			b.Fatal("substitution of an absent variable must be identity")
 		}
+	}
+}
+
+var (
+	internSink   *Expr
+	parallelSink atomic.Pointer[Expr]
+)
+
+// BenchmarkIntern measures table hits, the constructors' common case once
+// a lift has warmed up: Word (above the preinterned small words), V and
+// InternVar on terms already in the table, each serially and from
+// GOMAXPROCS goroutines at once. The parallel goroutines walk the same
+// terms from different offsets, as lift workers share a working set
+// without visiting it in step.
+func BenchmarkIntern(b *testing.B) {
+	const n = 256
+	var names [n]Var
+	var bufs [n][]byte
+	for i := range names {
+		names[i] = Var(fmt.Sprintf("j40%04x_mrsp0_%d", i*8, 8))
+		bufs[i] = []byte(names[i])
+		V(names[i])
+		Word(uint64(0x401000 + i))
+	}
+	cases := []struct {
+		name string
+		hit  func(i int) *Expr
+	}{
+		{"Word", func(i int) *Expr { return Word(uint64(0x401000 + i%n)) }},
+		{"V", func(i int) *Expr { return V(names[i%n]) }},
+		{"InternVar", func(i int) *Expr { return InternVar(bufs[i%n]) }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				internSink = c.hit(i)
+			}
+		})
+		b.Run(c.name+"/parallel", func(b *testing.B) {
+			b.ReportAllocs()
+			var worker atomic.Int64
+			b.RunParallel(func(pb *testing.PB) {
+				var e *Expr
+				for i := int(worker.Add(1)) * n / 8; pb.Next(); i++ {
+					e = c.hit(i)
+				}
+				parallelSink.Store(e)
+			})
+		})
 	}
 }

@@ -111,12 +111,12 @@ func Word(w uint64) *Expr {
 			return e
 		}
 	}
-	return intern(KindWord, w, "", 0, 0, nil, fpWord(w))
+	return global.intern(KindWord, w, "", 0, 0, nil, fpWord(w))
 }
 
 // V returns the expression denoting the symbolic variable name.
 func V(name Var) *Expr {
-	return intern(KindVar, 0, name, 0, 0, nil, fpVar(name))
+	return global.intern(KindVar, 0, name, 0, 0, nil, fpVar(name))
 }
 
 // Deref returns the expression *[addr, size]: the value read from the
@@ -124,7 +124,7 @@ func V(name Var) *Expr {
 func Deref(addr *Expr, size int) *Expr {
 	var argv [1]*Expr
 	argv[0] = addr
-	return intern(KindDeref, 0, "", 0, uint8(size), argv[:], fpDeref(uint8(size), addr.fp))
+	return global.intern(KindDeref, 0, "", 0, uint8(size), argv[:], fpDeref(uint8(size), addr.fp))
 }
 
 // Kind reports the form of the expression.
@@ -361,7 +361,7 @@ func (e *Expr) ContainsDeref() bool {
 
 // newOp builds a raw operator application without simplification.
 func newOp(op Op, args ...*Expr) *Expr {
-	return intern(KindOp, 0, "", op, 0, args, fpOp(op, args))
+	return global.intern(KindOp, 0, "", op, 0, args, fpOp(op, args))
 }
 
 // sortArgs returns args sorted by canonical key (for commutative

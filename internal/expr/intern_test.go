@@ -195,3 +195,116 @@ func FuzzInternCanonical(f *testing.F) {
 		}
 	})
 }
+
+// TestInternConcurrentGrowth interns overlapping sequences of fresh terms
+// from eight workers into a private table whose shards start at 8 slots,
+// so every shard's array is replaced several times while other workers
+// probe it without a lock. Each worker walks the whole sequence from its
+// own offset (inserting what no one has yet, hitting what others have)
+// and looks up an earlier term after each one. Equal terms must get one
+// pointer in every worker, every term must be inserted exactly once, and
+// the counters must account for every call.
+func TestInternConcurrentGrowth(t *testing.T) {
+	const (
+		workers = 8
+		terms   = 60000
+		slots   = 8
+	)
+	var tab internTable
+	tab.init(slots)
+
+	// term interns the i-th term of the sequence and returns it with the
+	// number of table calls it made: a word, a variable named through
+	// internVar, or a sum over a word and a variable.
+	term := func(i int) (*Expr, int) {
+		var name [16]byte
+		w := uint64(i) * 0x9e3779b97f4a7c15
+		switch i % 3 {
+		case 0:
+			return tab.intern(KindWord, w, "", 0, 0, nil, fpWord(w)), 1
+		case 1:
+			return tab.internVar(fmt.Appendf(name[:0], "g%d", i)), 1
+		default:
+			args := []*Expr{
+				tab.intern(KindWord, w, "", 0, 0, nil, fpWord(w)),
+				tab.internVar(fmt.Appendf(name[:0], "g%d", i)),
+			}
+			return tab.intern(KindOp, 0, "", OpAdd, 0, args, fpOp(OpAdd, args)), 3
+		}
+	}
+
+	results := make([][]*Expr, workers)
+	calls := make([]int, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			out := make([]*Expr, terms)
+			for k := 0; k < terms; k++ {
+				i := (k + w*terms/workers) % terms
+				e, n := term(i)
+				out[i] = e
+				calls[w] += n
+				if k > 0 {
+					j := (i + terms - 1 - k%97) % terms // an earlier term of this walk
+					if out[j] == nil {
+						continue
+					}
+					e, n := term(j)
+					calls[w] += n
+					if e != out[j] {
+						t.Errorf("worker %d: term %d re-interned to a new pointer", w, j)
+						return
+					}
+				}
+			}
+			results[w] = out
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	distinct := map[*Expr]bool{}
+	for i := 0; i < terms; i++ {
+		e := results[0][i]
+		for w := 1; w < workers; w++ {
+			if results[w][i] != e {
+				t.Fatalf("term %d: worker %d holds %p, worker 0 holds %p", i, w, results[w][i], e)
+			}
+		}
+		distinct[e] = true
+		for _, a := range e.args {
+			distinct[a] = true
+		}
+	}
+	st := tab.stats()
+	total := 0
+	for _, n := range calls {
+		total += n
+	}
+	if st.Entries != st.Misses || st.Misses != uint64(len(distinct)) {
+		t.Errorf("entries %d, misses %d, distinct terms %d", st.Entries, st.Misses, len(distinct))
+	}
+	if st.Hits+st.Misses != uint64(total) {
+		t.Errorf("hits %d + misses %d != %d calls", st.Hits, st.Misses, total)
+	}
+	for i := range tab.shards {
+		s := &tab.shards[i]
+		a := s.arr.Load()
+		if n := len(a.slots); n < 8*slots || 2*s.misses > uint64(n) {
+			t.Errorf("shard %d: %d slots for %d entries, want at least %d slots, at most half full", i, n, s.misses, 8*slots)
+		}
+		held := 0
+		for j := range a.slots {
+			if a.slots[j].e.Load() != nil {
+				held++
+			}
+		}
+		if uint64(held) != s.misses {
+			t.Errorf("shard %d holds %d nodes, inserted %d", i, held, s.misses)
+		}
+	}
+}

@@ -49,11 +49,35 @@ func BenchmarkRangesFingerprint(b *testing.B) {
 // The vertex's join variables are built once, as the explorer keeps them.
 // Join consumes its first operand, so each iteration joins a clone, as the
 // explorer joins the clone a step made.
+//
+// mem=6 is benchPred's shape: one register differs. mem=64 gives both
+// sides 64 memory clauses whose values all differ, so every one is
+// abstracted to its join variable and looked up in the vertex's table on
+// each join: almost six times the most memory variables (11) a vertex of
+// the Table 1, CoreUtils or ptr_ corpora holds.
 func BenchmarkJoin(b *testing.B) {
-	p := benchPred("a")
-	q := benchPred("a")
-	q.SetReg(x86.RCX, expr.Word(0x10))
-	p.SetReg(x86.RCX, expr.Word(0x20))
+	b.Run("mem=6", func(b *testing.B) {
+		p := benchPred("a")
+		q := benchPred("a")
+		q.SetReg(x86.RCX, expr.Word(0x10))
+		p.SetReg(x86.RCX, expr.Word(0x20))
+		benchJoin(b, p, q)
+	})
+	b.Run("mem=64", func(b *testing.B) {
+		p, q := New(), New()
+		rsp := expr.V("rsp0")
+		for i := 0; i < 64; i++ {
+			addr := expr.Add(rsp, expr.Word(-uint64(8*(i+1))))
+			p.WriteMem(addr, 8, expr.Word(uint64(i)))
+			q.WriteMem(addr, 8, expr.Word(uint64(i+100)))
+		}
+		benchJoin(b, p, q)
+	})
+}
+
+// benchJoin measures Join(p.Clone(), q) at a vertex whose join variables
+// the first join made.
+func benchJoin(b *testing.B, p, q *Pred) {
 	vars := NewJoinVars("v1")
 	Join(p.Clone(), q, vars)
 	b.ReportAllocs()

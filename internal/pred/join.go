@@ -11,19 +11,28 @@ import (
 // JoinVars holds the join variables of one Hoare-graph vertex. A state
 // part's variable, "j<vid>_<register>" or "j<vid>_m<region key>", is named
 // and interned the first time a join at the vertex abstracts the part, and
-// reused by every later join there. A JoinVars belongs to one exploration:
-// it is not safe for concurrent use.
+// reused by every later join there. Memory variables are kept in a slice
+// in first-use order and found by a scan on the interned address pointer
+// and the size: a vertex has at most as many as its predicates ever held
+// memory clauses (at most 11 in Table 1 at scale 0.05, seeds 1 and 2,
+// CoreUtilsSuite(1.0) and the ptr_ directory, with and without pointer
+// facts). The scan starts after the last hit and wraps around: a join
+// asks for regions in canonical order, the order in which the first join
+// that abstracted them added them, so a lookup usually matches at once.
+// A JoinVars belongs to one exploration: it is not safe for concurrent
+// use.
 type JoinVars struct {
 	vid  string
 	regs [17]*expr.Expr
-	mem  map[memKey]*expr.Expr // allocated on the first memory variable
+	mem  []memVar
+	next int // where the next memory scan starts, ≤ len(mem)
 }
 
-// memKey identifies a memory region exactly: addresses are interned
-// expressions, so the pair (address pointer, size) is a comparable map key.
-type memKey struct {
+// memVar is the join variable of the memory region [addr, size].
+type memVar struct {
 	addr *expr.Expr
 	size int
+	v    *expr.Expr
 }
 
 // NewJoinVars returns the (still empty) join-variable table of the vertex
@@ -39,12 +48,15 @@ func (j *JoinVars) reg(i int) *expr.Expr {
 }
 
 func (j *JoinVars) memVar(addr *expr.Expr, size int) *expr.Expr {
-	k := memKey{addr, size}
-	if v, ok := j.mem[k]; ok {
-		return v
-	}
-	if j.mem == nil {
-		j.mem = map[memKey]*expr.Expr{}
+	for k, n := 0, len(j.mem); k < n; k++ {
+		i := j.next + k
+		if i >= n {
+			i -= n
+		}
+		if m := &j.mem[i]; m.addr == addr && m.size == size {
+			j.next = i + 1
+			return m.v
+		}
 	}
 	// The name embeds the region key "<address key>#<size>", sanitized:
 	// names are part of the canonical output.
@@ -53,7 +65,13 @@ func (j *JoinVars) memVar(addr *expr.Expr, size int) *expr.Expr {
 	name = appendSanitized(name, addr.Key())
 	name = strconv.AppendInt(append(name, '_'), int64(size), 10)
 	v := expr.InternVar(name)
-	j.mem[k] = v
+	if j.mem == nil {
+		// Room for eight at once: on Table 1 that allocates fewer bytes
+		// than growing the slice from one (BenchmarkTable1_lib).
+		j.mem = make([]memVar, 0, 8)
+	}
+	j.mem = append(j.mem, memVar{addr: addr, size: size, v: v})
+	j.next = len(j.mem)
 	return v
 }
 
@@ -273,8 +291,9 @@ func joinValue(p, q *Pred, pe, qe *expr.Expr, jv func() *expr.Expr) (*expr.Expr,
 		// Identical values are kept as-is — unless they are interval
 		// abstractions (a stored clause constrains them), in which case
 		// they are re-abstracted to this vertex's join variable so the
-		// surviving value can never outlive its interval clause.
-		if p.rangeIndex(pe) < 0 && q.rangeIndex(pe) < 0 {
+		// surviving value can never outlive its interval clause. A clear
+		// bit in both masks rules out a clause on either side at once.
+		if (p.rmask|q.rmask)&rangeBit(pe) == 0 || p.rangeIndex(pe) < 0 && q.rangeIndex(pe) < 0 {
 			return pe, RangeClause{}, true
 		}
 	}

@@ -68,7 +68,7 @@ func TestJoinVarNamingAllocatesNothing(t *testing.T) {
 		t.Errorf("naming an interned register variable: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		delete(v.mem, memKey{addr, 8})
+		v.mem = v.mem[:0]
 		if v.memVar(addr, 8) != mem {
 			t.Fatal("memory variable renamed")
 		}

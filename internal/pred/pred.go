@@ -81,7 +81,11 @@ type Pred struct {
 	// rfp caches RangesFingerprint until the interval clause list changes.
 	rfp   uint64
 	rfpOK bool
-	bot   bool // next to rfpOK: the two flags share a word, and Pred stays 256 bytes
+	bot   bool // next to rfpOK: the flags share a word, and Pred stays 256 bytes
+	// compound is set when some interval clause's expression is not a bare
+	// atom (its linear form is not exactly 1·atom + 0); only then can
+	// RangeOf's compound-clause walk match. Set with the clause list.
+	compound bool
 }
 
 // RangeClause is one interval clause R.Lo ≤ E ≤ R.Hi.
@@ -302,11 +306,21 @@ func (p *Pred) AddRange(e *expr.Expr, r Range) {
 	}
 }
 
-// setRanges installs a new interval clause list.
+// setRanges installs a new interval clause list. It is the one place an
+// interval clause list is assigned, so the mask and the compound flag
+// follow every list.
 func (p *Pred) setRanges(list []RangeClause) {
 	p.ranges = list
 	p.rmask = rangeMask(list)
+	p.compound = slices.ContainsFunc(list, func(c RangeClause) bool { return !bareAtom(c.E) })
 	p.rfpOK = false
+}
+
+// bareAtom reports whether e's linear form is exactly 1·atom + 0.
+func bareAtom(e *expr.Expr) bool {
+	l := expr.ToLinear(e)
+	_, coeff, ok := l.SingleTerm()
+	return ok && coeff == 1 && l.K == 0
 }
 
 // rangeBit is e's bit in a predicate's interval mask.
@@ -359,9 +373,12 @@ func (p *Pred) rangeOf(e *expr.Expr) (RangeClause, bool) {
 
 // RangeOf computes an unsigned interval for e under the predicate's
 // clauses: constants map to point intervals, constrained expressions to
-// their stored intervals, and linear combinations to interval arithmetic
-// over their parts (with overflow checked). The second result reports
-// whether any interval could be derived.
+// their stored intervals, linear combinations to interval arithmetic over
+// their parts (with overflow checked), and constant multiples of a
+// compound clause's expression to that clause's interval scaled. The
+// second result reports whether any interval could be derived. The
+// compound-clause walk runs only on a predicate with a clause that is not
+// on a bare atom: on any other it cannot match (see the comment there).
 func (p *Pred) RangeOf(e *expr.Expr) (Range, bool) {
 	if w, ok := e.AsWord(); ok {
 		return Range{w, w}, true
@@ -414,6 +431,19 @@ func (p *Pred) RangeOf(e *expr.Expr) (Range, bool) {
 	// (e.g. rdi0 + rsi0, from a branch refinement) bounds any constant
 	// multiple of it: e = scale·ek + K. The first match in canonical key
 	// order wins.
+	//
+	// When every clause is on a bare atom, the walk cannot match, so it is
+	// skipped. Linear.Ratio matches only equal term sets, so a value with
+	// several terms matches only a clause with several terms. A value
+	// c·a + K with one term matches a bare clause only on a itself, and
+	// the term loop above has already tried that clause with the same
+	// bounds. It fails there in two cases only, and the walk rejects both:
+	// c > 2³², which the walk's scale cap of 2²³ excludes, or a wrap of
+	// K + c·lo or K + c·hi, which (with the walk's caps keeping c·hi below
+	// 2⁶³, and c·lo ≤ c·hi) wraps K + c·hi and fails the walk's nhi >= base.
+	if !p.compound {
+		return Range{}, false
+	}
 	for _, c := range p.ranges {
 		lk := expr.ToLinear(c.E)
 		scale, matches := l.Ratio(lk)

@@ -97,3 +97,29 @@ func TestOutcomesOwnTheirStates(t *testing.T) {
 	owned("direct jmp", st, states(step(st, jmp)), 1)
 	owned("CleanAfterCall", st, []*State{m.CleanAfterCall(st, jmp.Addr)}, 1)
 }
+
+var stateSink *State
+
+// TestCloneIsOneObject: a cloned state and its predicate are one
+// allocation, and writing the clone's predicate leaves the source's as it
+// was.
+func TestCloneIsOneObject(t *testing.T) {
+	src := InitialState("S_401000")
+	if n := testing.AllocsPerRun(100, func() { stateSink = src.Clone() }); n != 1 {
+		t.Fatalf("State.Clone allocates %v objects, want 1", n)
+	}
+	before := src.Pred.String()
+	c := src.Clone()
+	if c.Pred == src.Pred || !c.Mem.Same(src.Mem) {
+		t.Fatal("clone must own its predicate and share the memory model")
+	}
+	c.Pred.SetReg(x86.RAX, expr.Word(7))
+	c.Pred.WriteMem(expr.V("rsp0"), 8, expr.Word(9))
+	c.Pred.AddRange(expr.V("rdi0"), pred.Range{Lo: 1, Hi: 2})
+	if got := src.Pred.String(); got != before {
+		t.Fatalf("writing the clone changed the source:\n%s\nwas\n%s", got, before)
+	}
+	if c.Pred.String() == before {
+		t.Fatal("the clone's writes were lost")
+	}
+}

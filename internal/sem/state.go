@@ -43,10 +43,20 @@ func InitialState(retSym expr.Var) *State {
 }
 
 // Clone returns a copy of the state whose predicate may be modified
-// independently. The memory model is shared: forests are immutable, and
-// every memory operation installs a new one.
+// independently. The copy and its predicate are one allocation (a
+// clonedState, 288 bytes), and the predicate copy shares its clause lists
+// as pred.Pred.Clone's does. The memory model is shared: forests are
+// immutable, and every memory operation installs a new one.
 func (s *State) Clone() *State {
-	return &State{Pred: s.Pred.Clone(), Mem: s.Mem}
+	c := &clonedState{st: State{Mem: s.Mem}, pred: *s.Pred}
+	c.st.Pred = &c.pred
+	return &c.st
+}
+
+// clonedState holds a cloned State and the predicate its Pred points to.
+type clonedState struct {
+	st   State
+	pred pred.Pred
 }
 
 // Key returns the canonical fingerprint of the state (predicate and

@@ -39,12 +39,12 @@ done
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
-# Micro-benchmarks: expression equality/keys, predicate ranges and joins,
-# solver cache probes (a memo hit, and a constant-offset pair answered
-# before the memo). Each package run separately so a compile error in one
-# doesn't mask the others.
+# Micro-benchmarks: expression equality/keys, intern-table hits (serial
+# and parallel), predicate ranges and joins, solver cache probes (a memo
+# hit, and a constant-offset pair answered before the memo). Each package
+# run separately so a compile error in one doesn't mask the others.
 go test -run '^$' -count="$count" -benchmem \
-    -bench '^(BenchmarkEqual|BenchmarkKeyShared|BenchmarkSubstAbsent)$' \
+    -bench '^(BenchmarkEqual|BenchmarkKeyShared|BenchmarkSubstAbsent|BenchmarkIntern)$' \
     ./internal/expr/ | tee -a "$raw"
 go test -run '^$' -count="$count" -benchmem \
     -bench '^(BenchmarkRangesFingerprint|BenchmarkJoin|BenchmarkJoinFixedPoint)$' \
