@@ -164,19 +164,29 @@ func (e *explorer) exploreOne(item workItem) {
 	var cur *sem.State
 	switch {
 	case exists && !e.l.Cfg.NoJoin:
-		// The item owns its state (sem.Machine.Step), so the join is
-		// built in it: the item's predicate storage and state record
-		// become the vertex's new state.
+		// A state object is held by one work item, then by at most one
+		// vertex: a new vertex takes its item's state (below), and nothing
+		// else keeps a vertex's State pointer (Step clones its input and
+		// never keeps it). So a join that weakens the vertex is written
+		// into the vertex's own State and Pred, which it keeps for its
+		// whole life. The item owns its state (sem.Machine.Step), so the
+		// join is built in the item's predicate; after the join that state
+		// is dead, whether the join weakened the vertex or reached the
+		// fixed point, and goes back to the machine for its next clone.
 		p := pred.Join(item.st.Pred, v.State.Pred, e.joinVars(v))
 		m := memmodel.Join(item.st.Mem, v.State.Mem)
 		if p.Same(v.State.Pred) && m.Same(v.State.Mem) {
+			e.l.mach.Recycle(item.st)
 			return // σ ⊑ σc: no further exploration necessary
 		}
-		item.st.Pred, item.st.Mem = p, m
-		v.State = item.st
+		if p != v.State.Pred {
+			*v.State.Pred = *p
+		}
+		v.State.Mem = m
+		e.l.mach.Recycle(item.st)
 		v.Joins++
 		e.tr.Join(item.rip, string(vid))
-		cur = item.st
+		cur = v.State
 	case exists: // NoJoin ablation
 		k := string(vid) + "|" + item.st.Key()
 		if e.seen[k] {

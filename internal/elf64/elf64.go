@@ -77,7 +77,7 @@ type Section struct {
 	Info      uint32
 	AddrAlign uint64
 	EntSize   uint64
-	Data      []byte // nil for SHT_NOBITS
+	Data      []byte // nil for SHT_NOBITS; read-only when parsed (see Parse)
 }
 
 // Symbol mirrors Elf64_Sym with its resolved name.

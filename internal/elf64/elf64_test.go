@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // buildSample writes a small executable with .text/.rodata/.data and two
@@ -373,6 +374,183 @@ func TestSpanningSectionsShareOneCopy(t *testing.T) {
 	for i, s := range f.Sections {
 		if end := s.Off + s.Size; !bytes.Equal(s.Data, b[s.Off:end]) || uint64(cap(s.Data)) != s.Size {
 			t.Fatalf("section %d [%#x, %#x): wrong bytes or cap %d", i, s.Off, end, cap(s.Data))
+		}
+	}
+}
+
+// sectionNamesELF returns an x86-64 executable whose section 0 is a
+// string table holding one NUL-free run of run bytes, followed by a table
+// of headers section headers whose names start at the first headers
+// offsets of that run, spread by stride: every name runs to the end of the
+// table.
+func sectionNamesELF(headers, run, stride int) []byte {
+	size := 64 + run + 64*headers
+	b := make([]byte, size)
+	copy(b, "\x7fELF\x02\x01\x01")
+	le.PutUint16(b[16:], ETExec)
+	le.PutUint16(b[18:], EMX8664)
+	le.PutUint32(b[20:], EVCurrent)
+	le.PutUint64(b[40:], uint64(64+run)) // e_shoff
+	le.PutUint16(b[52:], 64)             // e_ehsize
+	le.PutUint16(b[58:], 64)             // e_shentsize
+	le.PutUint16(b[60:], uint16(headers))
+	for i := 64; i < 64+run; i++ {
+		b[i] = 'a' + byte(i%26)
+	}
+	for i := 0; i < headers; i++ {
+		sh := b[64+run+64*i:]
+		le.PutUint32(sh, uint32((i*stride)%run))
+	}
+	sh := b[64+run:] // section 0, the names' table (e_shstrndx 0)
+	le.PutUint32(sh[4:], SHTStrtab)
+	le.PutUint64(sh[24:], 64)
+	le.PutUint64(sh[32:], uint64(run))
+	return b
+}
+
+// symbolNamesELF returns an x86-64 executable with a symbol table of
+// symbols entries that all name one NUL-free run of run bytes: the whole
+// string table.
+func symbolNamesELF(symbols, run int) []byte {
+	shstr := "\x00.symtab\x00.strtab\x00.shstrtab\x00"
+	symOff := 64 + run
+	shstrOff := symOff + 24*symbols
+	shOff := shstrOff + len(shstr)
+	b := make([]byte, shOff+4*64)
+	copy(b, "\x7fELF\x02\x01\x01")
+	le.PutUint16(b[16:], ETExec)
+	le.PutUint16(b[18:], EMX8664)
+	le.PutUint32(b[20:], EVCurrent)
+	le.PutUint64(b[40:], uint64(shOff))
+	le.PutUint16(b[52:], 64)
+	le.PutUint16(b[58:], 64)
+	le.PutUint16(b[60:], 4)
+	le.PutUint16(b[62:], 3) // e_shstrndx
+	for i := 64; i < symOff; i++ {
+		b[i] = 'a' + byte(i%26)
+	}
+	copy(b[shstrOff:], shstr)
+	for i, s := range []struct {
+		name, typ, link uint32
+		off, size       int
+	}{
+		{},
+		{1, SHTSymtab, 2, symOff, 24 * symbols},
+		{9, SHTStrtab, 0, 64, run},
+		{17, SHTStrtab, 0, shstrOff, len(shstr)},
+	} {
+		sh := b[shOff+64*i:]
+		le.PutUint32(sh, s.name)
+		le.PutUint32(sh[4:], s.typ)
+		le.PutUint64(sh[24:], uint64(s.off))
+		le.PutUint64(sh[32:], uint64(s.size))
+		le.PutUint32(sh[40:], s.link)
+	}
+	return b
+}
+
+// parseAllocs parses b and returns the file and the bytes the parse
+// allocated.
+func parseAllocs(t *testing.T, b []byte) (*File, uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f, err := Parse(b)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestHostileNamesShareOneCopy: names that all start in one long NUL-free
+// run of a string table once cost a scan and a copy of up to the run's
+// length each (about 107 MB for each of these files). Parse copies and
+// scans the run once, and every name is a substring of that copy, so each
+// file parses in at most twice its size.
+func TestHostileNamesShareOneCopy(t *testing.T) {
+	b := sectionNamesELF(1000, 100000, 1)
+	f, n := parseAllocs(t, b)
+	if n > 2*uint64(len(b)) {
+		t.Errorf("section names: parsing a %d-byte file allocated %d bytes, want at most %d", len(b), n, 2*len(b))
+	}
+	t.Logf("section names: %d-byte file, %d bytes allocated", len(b), n)
+	for i, s := range f.Sections {
+		if want := string(b[64+i : 64+100000]); s.Name != want {
+			t.Fatalf("section %d: name of %d bytes, want %d", i, len(s.Name), len(want))
+		}
+	}
+
+	b = symbolNamesELF(1002, 100000)
+	f, n = parseAllocs(t, b)
+	if n > 2*uint64(len(b)) {
+		t.Errorf("symbol names: parsing a %d-byte file allocated %d bytes, want at most %d", len(b), n, 2*len(b))
+	}
+	t.Logf("symbol names: %d-byte file, %d bytes allocated", len(b), n)
+	if len(f.Symbols) != 1002 || f.Section(".symtab") == nil || f.Section(".shstrtab") == nil {
+		t.Fatalf("%d symbols; sections %+v", len(f.Symbols), f.Sections)
+	}
+	for i, s := range f.Symbols {
+		if s.Name != string(b[64:64+100000]) {
+			t.Fatalf("symbol %d: name of %d bytes", i, len(s.Name))
+		}
+	}
+}
+
+// TestManySectionNamesParseFast: 65,535 section headers whose names point
+// into a 1 MB NUL-free run once scanned (and copied) about 65,535 MB; each
+// byte is now scanned once, and the parse takes milliseconds.
+func TestManySectionNamesParseFast(t *testing.T) {
+	const run = 1 << 20
+	b := sectionNamesELF(65535, run, 16)
+	start := time.Now()
+	f, n := parseAllocs(t, b)
+	elapsed := time.Since(start)
+	if elapsed > 3*time.Second {
+		t.Errorf("parsing %d section names took %v", len(f.Sections), elapsed)
+	}
+	if s := f.Sections[65534]; len(s.Name) != run-(65534*16)%run {
+		t.Fatalf("last section: name of %d bytes", len(s.Name))
+	}
+	t.Logf("%d section names, %d-byte file: %v, %d bytes allocated", len(f.Sections), len(b), elapsed, n)
+}
+
+// cstr is the name reader Parse used before names: a scan and a copy per
+// name. It is the reference for names.
+func cstr(tab []byte, off uint32) string {
+	if int(off) >= len(tab) {
+		return ""
+	}
+	end := int(off)
+	for end < len(tab) && tab[end] != 0 {
+		end++
+	}
+	return string(tab[off:end])
+}
+
+// TestNamesMatchesCstr: on random tables (NULs sparse or dense, a last
+// name with or without its NUL) and random offsets (repeated, unsorted,
+// on a NUL, past the end), names reads what cstr reads.
+func TestNamesMatchesCstr(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		tab := make([]byte, rng.Intn(64))
+		for i := range tab {
+			if rng.Intn(1+trial%8) != 0 {
+				tab[i] = 'a' + byte(rng.Intn(26))
+			}
+		}
+		offs := make([]uint32, rng.Intn(16))
+		for i := range offs {
+			offs[i] = uint32(rng.Intn(len(tab) + 4))
+		}
+		got := make([]string, len(offs))
+		names(tab, offs, func(i int, s string) { got[i] = s })
+		for i, off := range offs {
+			if want := cstr(tab, off); got[i] != want {
+				t.Fatalf("trial %d: name at %d of %q is %q, want %q", trial, off, tab, got[i], want)
+			}
 		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
+	"unsafe"
 )
 
 // Sentinel parse failures, for errors.Is dispatch: a truncated image may
@@ -40,7 +42,9 @@ var le = binary.LittleEndian
 
 // Parse reads an ELF64 little-endian x86-64 image from memory. The result
 // does not alias b: the sections' data is copied out, each byte once (see
-// shareSectionData), so the caller may reuse b.
+// shareSectionData), so the caller may reuse b. The section and symbol
+// names are substrings of that copy (see names), so nothing may write into
+// a section's Data.
 func Parse(b []byte) (*File, error) {
 	if len(b) < 64 {
 		return nil, parseErr(ErrTruncated, "image too small (%d bytes)", len(b))
@@ -144,9 +148,7 @@ func Parse(b []byte) (*File, error) {
 	if int(h.ShStrNdx) < len(f.Sections) {
 		shstr = f.Sections[h.ShStrNdx].Data
 	}
-	for i := range f.Sections {
-		f.Sections[i].Name = cstr(shstr, nameOffs[i])
-	}
+	names(shstr, nameOffs, func(i int, name string) { f.Sections[i].Name = name })
 
 	// Symbols.
 	symtab := f.Section(".symtab")
@@ -155,11 +157,12 @@ func Parse(b []byte) (*File, error) {
 		if int(symtab.Link) < len(f.Sections) {
 			strtab = f.Sections[symtab.Link].Data
 		}
-		n := len(symtab.Data) / 24
-		for i := 0; i < n; i++ {
+		offs := make([]uint32, len(symtab.Data)/24)
+		f.Symbols = make([]Symbol, 0, len(offs))
+		for i := range offs {
 			s := symtab.Data[i*24:]
+			offs[i] = le.Uint32(s)
 			f.Symbols = append(f.Symbols, Symbol{
-				Name:  cstr(strtab, le.Uint32(s)),
 				Info:  s[4],
 				Other: s[5],
 				Shndx: le.Uint16(s[6:]),
@@ -167,6 +170,7 @@ func Parse(b []byte) (*File, error) {
 				Size:  le.Uint64(s[16:]),
 			})
 		}
+		names(strtab, offs, func(i int, name string) { f.Symbols[i].Name = name })
 	}
 	return f, nil
 }
@@ -226,14 +230,34 @@ func within(b []byte, off, size uint64) bool {
 	return off <= n && size <= n-off
 }
 
-// cstr reads a NUL-terminated string at the given offset of a string table.
-func cstr(tab []byte, off uint32) string {
-	if int(off) >= len(tab) {
-		return ""
+// names calls set(i, name) with the NUL-terminated string at offs[i] in
+// the string table tab, for every offset inside it (a name without a NUL
+// runs to the end of the table). tab must be part of the parse's private copy (shareSectionData),
+// which nothing writes into: the table is read as one string without a
+// copy, and every name is a substring of it. Each table byte is scanned
+// for a NUL at most once: the offsets are visited in ascending order, and
+// the NUL found for one offset ends the next name too while it lies at or
+// beyond it. So N names that start in one NUL-free run of L bytes cost one
+// scan of the run and no copy, not N scans and copies of up to L bytes.
+func names(tab []byte, offs []uint32, set func(i int, name string)) {
+	s := unsafe.String(unsafe.SliceData(tab), len(tab))
+	order := make([]int32, len(offs)) // 2³¹ names would take a 48 GB file
+	for i := range order {
+		order[i] = int32(i)
 	}
-	end := int(off)
-	for end < len(tab) && tab[end] != 0 {
-		end++
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(offs[a], offs[b]) })
+	end := -1 // where the last name found ends: its NUL, or len(s)
+	for _, i := range order {
+		off := int(offs[i])
+		if off >= len(s) {
+			break // so are all later offsets
+		}
+		if end < off {
+			end = len(s)
+			if n := strings.IndexByte(s[off:], 0); n >= 0 {
+				end = off + n
+			}
+		}
+		set(int(i), s[off:end])
 	}
-	return string(tab[off:end])
 }

@@ -80,9 +80,11 @@ const maxFetches = 1 << 12
 // FuzzImageLoad: for any bytes, image.Load returns an image or an error,
 // never a panic, and so does Fetch at every address a linear sweep of the
 // loaded text range reaches. The seeds in testdata/fuzz/FuzzImageLoad are
-// the weird-edge binary, its three hostile edits, and a table of 200
-// section headers whose sections each span the whole 12,928-byte file
-// (which Parse once copied per header).
+// the weird-edge binary, its three hostile edits, a table of 200 section
+// headers whose sections each span the whole 12,928-byte file (which
+// Parse once copied per header), and a table of 200 section headers whose
+// names all start in one 8,000-byte NUL-free run (which Parse once scanned
+// and copied per name).
 func FuzzImageLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		im, err := image.Load(data)

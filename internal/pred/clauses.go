@@ -50,19 +50,31 @@ func (p *Pred) memIndex(addr *expr.Expr, size int) int {
 	return -1
 }
 
-// rangeIndex returns the index of the interval clause on e, or -1. It
-// scans by pointer, like memIndex, unless e's bit of the interval mask is
-// clear: then no clause can be on e.
-func (p *Pred) rangeIndex(e *expr.Expr) int {
+// rangeIndex returns the list that holds the interval clause on e and the
+// clause's index in it, or index -1. It scans both lists by pointer, like
+// memIndex, unless e's bit of the interval mask is clear: then no clause
+// can be on e.
+func (p *Pred) rangeIndex(e *expr.Expr) (*[]RangeClause, int) {
 	if p.rmask&rangeBit(e) == 0 {
-		return -1
+		return nil, -1
 	}
-	for i := range p.ranges {
-		if p.ranges[i].E == e {
-			return i
+	for i := range p.own {
+		if p.own[i].E == e {
+			return &p.own, i
 		}
 	}
-	return -1
+	for i := range p.rest {
+		if p.rest[i].E == e {
+			return &p.rest, i
+		}
+	}
+	return nil, -1
+}
+
+// hasRange reports whether some interval clause is on e.
+func (p *Pred) hasRange(e *expr.Expr) bool {
+	_, i := p.rangeIndex(e)
+	return i >= 0
 }
 
 // withEntry returns a copy of list with x at index i, replacing the element
@@ -136,8 +148,8 @@ func (p *Pred) SetMemClauses(entries []MemEntry) error {
 
 // SetRangeClauses replaces the interval clauses with clauses, which must be
 // in Ranges order without repeating an expression, each one a clause
-// AddRange stores as given; the predicate keeps the slice, so the caller
-// must not modify it afterwards. It is the one-pass install of a decoder:
+// AddRange stores as given; the predicate keeps the slice as its rest (no
+// clause is its own list's), so the caller must not modify it afterwards. It is the one-pass install of a decoder:
 // a list out of order, or a clause AddRange would drop, reduce to ⊥ or
 // move onto its atom, is an error, not a predicate.
 func (p *Pred) SetRangeClauses(clauses []RangeClause) error {
@@ -149,6 +161,6 @@ func (p *Pred) SetRangeClauses(clauses []RangeClause) error {
 			return fmt.Errorf("interval clause %d (%s in [%#x, %#x]) is not in stored form", i, c.E, c.R.Lo, c.R.Hi)
 		}
 	}
-	p.setRanges(clauses)
+	p.setRanges(nil, clauses)
 	return nil
 }

@@ -107,13 +107,24 @@ func appendSanitized(b []byte, k string) []byte {
 // keep growing across joins are widened away after a bounded number of
 // growth steps, so there is no infinitely ascending chain.
 //
+// The result's own interval clauses are the join variables' intervals,
+// and its rest holds the hulls of q's other clauses with p's clause on the
+// same expression (see Pred). The own list is q's own list itself when the
+// two agree clause for clause, and the rest is q's rest itself when no
+// hull changed, so a join that only moves join-variable intervals copies
+// only the short own list. A clause of q's own list that no join variable
+// supersedes (on a vertex's first join, q's own list is another vertex's)
+// joins like the rest and moves into it.
+//
 // Join consumes p: it may build its result in p's storage, so the caller
 // must not use p afterwards (clone it first to keep it). It never modifies
 // q, and the result may share clause lists with either. When the join
-// reproduces q, clause for clause, it returns q itself and leaves p as it
-// was: that is the fixed-point case, and it allocates nothing. Otherwise
-// the result is p, and a join at a vertex whose variables exist allocates
-// only the clause lists that change.
+// reproduces q, clause for clause and list for list, it returns q itself
+// and leaves p as it was: that is the fixed-point case, and it allocates
+// nothing. Otherwise the result is p, and a join at a vertex whose
+// variables exist allocates only the clause lists that change. A result
+// that holds q's clauses split differently between the two lists is p,
+// and Same reports it equal to q.
 func Join(p, q *Pred, vars *JoinVars) *Pred {
 	if p.bot {
 		return q
@@ -173,48 +184,69 @@ func Join(p, q *Pred, vars *JoinVars) *Pred {
 		}
 	}
 
-	// Interval clauses: the join variables' intervals, merged in canonical
-	// order with the hulls of the clauses present on both sides. Hulls that
-	// keep growing are widened away.
+	// Interval clauses. The own list is the join variables' intervals.
 	slices.SortFunc(jranges, cmpRange)
-	ranges := lazyList[RangeClause]{base: q.ranges}
-	i, k := 0, 0
-	for _, qc := range q.ranges {
-		for k < len(jranges) && cmpRange(jranges[k], qc) < 0 {
-			ranges.add(jranges[k])
-			k++
-		}
-		if k < len(jranges) && jranges[k].E == qc.E {
-			ranges.add(jranges[k]) // the join variable's interval wins
-			k++
-			continue
-		}
-		for i < len(p.ranges) && cmpRange(p.ranges[i], qc) < 0 {
-			i++
-		}
-		if i == len(p.ranges) || p.ranges[i].E != qc.E {
-			continue
-		}
-		pc := p.ranges[i]
-		hull := Range{Lo: min(pc.R.Lo, qc.R.Lo), Hi: max(pc.R.Hi, qc.R.Hi)}
-		widened, grows, ok := growHull(hull, qc.R, max(pc.grows, qc.grows))
-		if !ok || vacuous(widened) {
-			continue // dropped or vacuous
-		}
-		ranges.add(RangeClause{E: qc.E, R: widened, grows: grows})
+	own, ownSame := q.own, slices.Equal(jranges, q.own)
+	if !ownSame {
+		own = append([]RangeClause(nil), jranges...) // a copy: jranges is in a stack buffer
 	}
-	for ; k < len(jranges); k++ {
-		ranges.add(jranges[k])
+	// The rest: q's other clauses hulled with p's. A clause of q on a join
+	// variable that has an interval here is superseded by it; the mask
+	// skips the scan for all other clauses.
+	jmask := rangeMask(jranges)
+	hulled := func(qc RangeClause) (RangeClause, bool) {
+		if jmask&rangeBit(qc.E) != 0 && slices.ContainsFunc(jranges, func(c RangeClause) bool { return c.E == qc.E }) {
+			return RangeClause{}, false
+		}
+		return joinRange(p, qc)
+	}
+	// Leftover own clauses of q, hulled, merge into the rest in canonical
+	// order; only they cost key comparisons.
+	var lbuf [8]RangeClause
+	left := lbuf[:0]
+	for _, qc := range q.own {
+		if c, ok := hulled(qc); ok {
+			left = append(left, c)
+		}
+	}
+	rest := lazyList[RangeClause]{base: q.rest}
+	for _, qc := range q.rest {
+		for len(left) > 0 && cmpRange(left[0], qc) < 0 {
+			rest.add(left[0])
+			left = left[1:]
+		}
+		if c, ok := hulled(qc); ok {
+			rest.add(c)
+		}
+	}
+	for _, c := range left {
+		rest.add(c)
 	}
 
 	memList, memSame := mem.result()
-	rangeList, rangesSame := ranges.result()
-	if regs == q.regs && flags == q.flags && sameCmp(cmp, q.cmp) && memSame && rangesSame {
+	restList, restSame := rest.result()
+	if regs == q.regs && flags == q.flags && sameCmp(cmp, q.cmp) && memSame && ownSame && restSame {
 		return q
 	}
 	*p = Pred{regs: regs, flags: flags, cmp: cmp, mem: memList}
-	p.setRanges(rangeList)
+	p.setRanges(own, restList)
 	return p
+}
+
+// joinRange joins q's interval clause qc with p's clause on the same
+// expression: their hull, passed through the widening stages. It reports
+// false when p has no clause there, or when the hull is dropped or vacuous.
+func joinRange(p *Pred, qc RangeClause) (RangeClause, bool) {
+	pc, ok := p.rangeOf(qc.E)
+	if !ok {
+		return RangeClause{}, false
+	}
+	hull := Range{Lo: min(pc.R.Lo, qc.R.Lo), Hi: max(pc.R.Hi, qc.R.Hi)}
+	widened, grows, ok := growHull(hull, qc.R, max(pc.grows, qc.grows))
+	if !ok || vacuous(widened) {
+		return RangeClause{}, false
+	}
+	return RangeClause{E: qc.E, R: widened, grows: grows}, true
 }
 
 // addJoinRange records a join variable's interval clause. Distinct state
@@ -293,7 +325,7 @@ func joinValue(p, q *Pred, pe, qe *expr.Expr, jv func() *expr.Expr) (*expr.Expr,
 		// they are re-abstracted to this vertex's join variable so the
 		// surviving value can never outlive its interval clause. A clear
 		// bit in both masks rules out a clause on either side at once.
-		if (p.rmask|q.rmask)&rangeBit(pe) == 0 || p.rangeIndex(pe) < 0 && q.rangeIndex(pe) < 0 {
+		if (p.rmask|q.rmask)&rangeBit(pe) == 0 || !p.hasRange(pe) && !q.hasRange(pe) {
 			return pe, RangeClause{}, true
 		}
 	}

@@ -77,17 +77,21 @@ func TestJoinVarNamingAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestPredSize pins the predicate at 256 bytes, a malloc size class: a
-// field that grows it costs every step's clone the next class up.
+// TestPredSize pins the predicate at 280 bytes: 256 plus the second
+// interval list's slice header. A cloned sem.State (32 bytes) and its
+// predicate are one 312-byte object in the 320-byte malloc size class, so
+// a field that grows the predicate by more than 8 bytes costs every clone
+// that finds no recycled state the next class up.
 func TestPredSize(t *testing.T) {
-	if n := unsafe.Sizeof(Pred{}); n != 256 {
-		t.Fatalf("Pred is %d bytes, want 256", n)
+	if n := unsafe.Sizeof(Pred{}); n != 280 {
+		t.Fatalf("Pred is %d bytes, want 280", n)
 	}
 }
 
 // TestRangeMaskFollowsClauses: every way an interval clause list is
 // installed (AddRange, a decoder's SetRangeClauses, a join) keeps the mask
-// in step, so lookups through it find each clause.
+// in step with both lists, so lookups through it find each clause, in
+// the own list or the rest.
 func TestRangeMaskFollowsClauses(t *testing.T) {
 	x, y := expr.V("mask_x"), expr.V("mask_y")
 	p := New()
@@ -113,7 +117,20 @@ func TestRangeMaskFollowsClauses(t *testing.T) {
 	if r, ok := j.RangeOf(jv); !ok || r != (Range{5, 9}) {
 		t.Fatalf("join: %+v %v", r, ok)
 	}
-	if j.rmask != rangeMask(j.ranges) || d.rmask != rangeMask(d.ranges) {
-		t.Fatal("mask out of step with the clause list")
+	if len(j.own) != 1 || len(d.own) != 0 {
+		t.Fatalf("the join's variable belongs in its own list, a decoded clause in the rest: %+v, %+v", j.own, d.own)
+	}
+	j.AddRange(jv, Range{6, 8}) // narrows the own clause
+	j.AddRange(y, Range{3, 4})  // a new clause, into the rest
+	if r, ok := j.RangeOf(jv); !ok || r != (Range{6, 8}) {
+		t.Fatalf("AddRange on an own clause: %+v %v", r, ok)
+	}
+	if r, ok := j.RangeOf(y); !ok || r != (Range{3, 4}) || len(j.rest) != 1 {
+		t.Fatalf("AddRange of a new clause: %+v %v, rest %+v", r, ok, j.rest)
+	}
+	for _, x := range []*Pred{p, d, j} {
+		if x.rmask != rangeMask(x.own)|rangeMask(x.rest) {
+			t.Fatal("mask out of step with the clause lists")
+		}
 	}
 }

@@ -67,24 +67,34 @@ type MemEntry struct {
 // The memory and interval clause lists are shared, never written in place
 // (see clauses.go): Clone copies the struct, and a mutation of either
 // predicate builds a new list for itself.
+//
+// The interval clauses are kept in two lists, each in Ranges order, and no
+// expression has a clause in both. own holds the clauses that the join
+// which built the predicate derived for its vertex's join variables (the
+// range abstraction of Example 3.4); rest holds every other clause. The
+// next join at that vertex rewrites the join variables' intervals far more
+// often than any other clause, so with the lists apart it copies only the
+// short own list and shares the rest. Every reader sees one clause set in
+// one canonical order, however it is split.
 type Pred struct {
-	regs   [17]*expr.Expr // indexed by x86.Reg; nil = unconstrained
-	flags  [x86.NumFlags]*expr.Expr
-	cmp    *Cmp
-	mem    []MemEntry    // in MemEntries order
-	ranges []RangeClause // in Ranges order
+	regs  [17]*expr.Expr // indexed by x86.Reg; nil = unconstrained
+	flags [x86.NumFlags]*expr.Expr
+	cmp   *Cmp
+	mem   []MemEntry    // in MemEntries order
+	own   []RangeClause // in Ranges order: the join's own clauses
+	rest  []RangeClause // in Ranges order: every other interval clause
 
 	// rmask has bit fp&63 set for the fingerprint fp of every interval
-	// clause's expression, so a clear bit answers rangeIndex at once. It
-	// is set wherever the interval clause list is assigned.
+	// clause's expression, in either list, so a clear bit answers
+	// rangeIndex at once. setRanges and AddRange keep it in step.
 	rmask uint64
-	// rfp caches RangesFingerprint until the interval clause list changes.
+	// rfp caches RangesFingerprint until an interval clause list changes.
 	rfp   uint64
 	rfpOK bool
-	bot   bool // next to rfpOK: the flags share a word, and Pred stays 256 bytes
+	bot   bool // next to rfpOK: the flags share a word
 	// compound is set when some interval clause's expression is not a bare
 	// atom (its linear form is not exactly 1·atom + 0); only then can
-	// RangeOf's compound-clause walk match. Set with the clause list.
+	// RangeOf's compound-clause walk match. Kept in step with the mask.
 	compound bool
 }
 
@@ -287,33 +297,45 @@ func (p *Pred) AddRange(e *expr.Expr, r Range) {
 		p.AddRange(atom, ar)
 		return
 	}
-	i := p.rangeIndex(e)
+	list, i := p.rangeIndex(e)
 	if i < 0 {
-		i, _ = slices.BinarySearchFunc(p.ranges, RangeClause{E: e}, cmpRange)
-		p.setRanges(withEntry(p.ranges, i, RangeClause{E: e, R: r}, false))
+		// A new clause goes into the rest; it adds its own bit to the mask
+		// and can only set the compound flag.
+		i, _ = slices.BinarySearchFunc(p.rest, RangeClause{E: e}, cmpRange)
+		p.rest = withEntry(p.rest, i, RangeClause{E: e, R: r}, false)
+		p.rmask |= rangeBit(e)
+		p.compound = p.compound || !bareAtom(e)
+		p.rfpOK = false
 		return
 	}
-	// Intersect.
-	c := p.ranges[i]
+	// Intersect, in the list that holds the clause: refining a join
+	// variable copies only the own list.
+	c := (*list)[i]
 	c.R.Lo = max(c.R.Lo, r.Lo)
 	c.R.Hi = min(c.R.Hi, r.Hi)
 	if c.R.Lo > c.R.Hi {
 		p.bot = true
 		return
 	}
-	if c != p.ranges[i] {
-		p.setRanges(withEntry(p.ranges, i, c, true))
+	if c != (*list)[i] {
+		*list = withEntry(*list, i, c, true)
+		p.rfpOK = false
 	}
 }
 
-// setRanges installs a new interval clause list. It is the one place an
-// interval clause list is assigned, so the mask and the compound flag
-// follow every list.
-func (p *Pred) setRanges(list []RangeClause) {
-	p.ranges = list
-	p.rmask = rangeMask(list)
-	p.compound = slices.ContainsFunc(list, func(c RangeClause) bool { return !bareAtom(c.E) })
+// setRanges installs new interval clause lists, recomputing the mask and
+// the compound flag over both. AddRange, which only narrows or adds one
+// clause, updates them for that clause instead.
+func (p *Pred) setRanges(own, rest []RangeClause) {
+	p.own, p.rest = own, rest
+	p.rmask = rangeMask(own) | rangeMask(rest)
+	p.compound = hasCompound(own) || hasCompound(rest)
 	p.rfpOK = false
+}
+
+// hasCompound reports whether some clause of list is not on a bare atom.
+func hasCompound(list []RangeClause) bool {
+	return slices.ContainsFunc(list, func(c RangeClause) bool { return !bareAtom(c.E) })
 }
 
 // bareAtom reports whether e's linear form is exactly 1·atom + 0.
@@ -364,11 +386,11 @@ func storedAsGiven(e *expr.Expr, r Range) bool {
 
 // rangeOf returns the stored interval clause on e.
 func (p *Pred) rangeOf(e *expr.Expr) (RangeClause, bool) {
-	i := p.rangeIndex(e)
+	list, i := p.rangeIndex(e)
 	if i < 0 {
 		return RangeClause{}, false
 	}
-	return p.ranges[i], true
+	return (*list)[i], true
 }
 
 // RangeOf computes an unsigned interval for e under the predicate's
@@ -441,10 +463,24 @@ func (p *Pred) RangeOf(e *expr.Expr) (Range, bool) {
 	// c > 2³², which the walk's scale cap of 2²³ excludes, or a wrap of
 	// K + c·lo or K + c·hi, which (with the walk's caps keeping c·hi below
 	// 2⁶³, and c·lo ≤ c·hi) wraps K + c·hi and fails the walk's nhi >= base.
+	//
+	// Each list is in canonical order, so the first match overall is the
+	// earlier of the two lists' first matches.
 	if !p.compound {
 		return Range{}, false
 	}
-	for _, c := range p.ranges {
+	r, at, ok := scaledMatch(l, p.own)
+	if rr, rat, rok := scaledMatch(l, p.rest); rok && (!ok || cmpExpr(rat, at) < 0) {
+		return rr, true
+	}
+	return r, ok
+}
+
+// scaledMatch returns the interval of l = scale·E + K bounded by the first
+// clause of list (in list order) that l is a constant multiple of, and the
+// expression of that clause.
+func scaledMatch(l *expr.Linear, list []RangeClause) (Range, *expr.Expr, bool) {
+	for _, c := range list {
 		lk := expr.ToLinear(c.E)
 		scale, matches := l.Ratio(lk)
 		if !matches || scale == 0 || scale > 1<<23 || c.R.Hi > 1<<40 {
@@ -454,10 +490,10 @@ func (p *Pred) RangeOf(e *expr.Expr) (Range, bool) {
 		nlo := base + scale*c.R.Lo
 		nhi := base + scale*c.R.Hi
 		if nlo <= nhi && nhi >= base {
-			return Range{nlo, nhi}, true
+			return Range{nlo, nhi}, c.E, true
 		}
 	}
-	return Range{}, false
+	return Range{}, nil, false
 }
 
 // intrinsicRange derives an interval from the shape of an expression: a
@@ -478,8 +514,27 @@ func intrinsicRange(e *expr.Expr) (Range, bool) {
 // Ranges calls f for every interval clause in canonical order: by key, the
 // fingerprint ordering two expressions that render alike.
 func (p *Pred) Ranges(f func(e *expr.Expr, r Range)) {
-	for _, c := range p.ranges {
-		f(c.E, c.R)
+	p.eachRange(func(c RangeClause) { f(c.E, c.R) })
+}
+
+// eachRange calls f for every interval clause in canonical order: the
+// merge of the own list and the rest.
+func (p *Pred) eachRange(f func(RangeClause)) {
+	a, b := p.own, p.rest
+	for len(a) > 0 && len(b) > 0 {
+		if cmpRange(a[0], b[0]) < 0 {
+			f(a[0])
+			a = a[1:]
+		} else {
+			f(b[0])
+			b = b[1:]
+		}
+	}
+	for _, c := range a {
+		f(c)
+	}
+	for _, c := range b {
+		f(c)
 	}
 }
 
@@ -536,10 +591,10 @@ func (p *Pred) Clauses() []string {
 	p.MemEntries(func(m MemEntry) {
 		out = append(out, fmt.Sprintf("*[%s,%d] == %s", m.Addr, m.Size, m.Val))
 	})
-	for _, c := range p.ranges {
+	p.eachRange(func(c RangeClause) {
 		out = append(out, fmt.Sprintf("%s >= 0x%x", c.E, c.R.Lo))
 		out = append(out, fmt.Sprintf("%s <= 0x%x", c.E, c.R.Hi))
-	}
+	})
 	return out
 }
 
@@ -552,35 +607,57 @@ func (p *Pred) Key() string {
 // RangesFingerprint returns a 64-bit fingerprint of the interval clause set,
 // the key of the solver's memo table: Compare consults the predicate only
 // through RangeOf, i.e. through the interval clauses. Each clause hashes to
-// MixFP(MixFP(fp(e), lo), hi) and the clauses combine by wrapping addition.
-// Cached until the interval clause list changes.
+// MixFP(MixFP(fp(e), lo), hi) and the clauses combine by wrapping addition,
+// so the split of the clauses between the two lists does not show.
+// Cached until an interval clause list changes.
 func (p *Pred) RangesFingerprint() uint64 {
 	if p.rfpOK {
 		return p.rfp
 	}
-	var h uint64
-	for _, c := range p.ranges {
-		h += expr.MixFP(expr.MixFP(c.E.Fingerprint(), c.R.Lo), c.R.Hi)
-	}
+	h := rangesHash(p.own) + rangesHash(p.rest)
 	p.rfp = h
 	p.rfpOK = true
 	return h
 }
 
+// rangesHash sums the clause hashes of one list.
+func rangesHash(list []RangeClause) uint64 {
+	var h uint64
+	for _, c := range list {
+		h += expr.MixFP(expr.MixFP(c.E.Fingerprint(), c.R.Lo), c.R.Hi)
+	}
+	return h
+}
+
 // SameRanges reports whether two predicates carry the same interval
-// clauses in the same order, compared clause by clause and pointer by
-// pointer. The solver reads a predicate only through these clauses, so
-// predicates with the same ranges get the same Compare verdicts.
+// clauses, compared pointer by pointer, however each splits them between
+// its two lists. The solver reads a predicate only through these clauses,
+// so predicates with the same ranges get the same Compare verdicts.
 func (p *Pred) SameRanges(q *Pred) bool {
-	return slices.EqualFunc(p.ranges, q.ranges, func(a, b RangeClause) bool {
-		return a.E == b.E && a.R == b.R
-	})
+	same := func(a, b RangeClause) bool { return a.E == b.E && a.R == b.R }
+	if slices.EqualFunc(p.own, q.own, same) && slices.EqualFunc(p.rest, q.rest, same) {
+		return true
+	}
+	// Split differently, or different: equal sets have equal sizes and
+	// masks, and then every clause of p must be found in q.
+	if len(p.own)+len(p.rest) != len(q.own)+len(q.rest) || p.rmask != q.rmask {
+		return false
+	}
+	for _, list := range [2][]RangeClause{p.own, p.rest} {
+		for _, c := range list {
+			if d, ok := q.rangeOf(c.E); !ok || d.R != c.R {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Same reports exact semantic equality of two predicates: equal clause sets
 // up to the canonical Key rendering, ignoring the widening counters (which
-// Key also ignores). Both clause lists are in canonical order and clauses
-// are interned, so it compares position by position, pointer by pointer.
+// Key also ignores) and how the interval clauses are split between the
+// two lists. Clause lists are in canonical order and clauses are interned,
+// so it compares position by position, pointer by pointer.
 func (p *Pred) Same(q *Pred) bool {
 	if p == q {
 		return true

@@ -104,7 +104,7 @@ func TestRangeOfLinear(t *testing.T) {
 func TestAddRangeOnWord(t *testing.T) {
 	p := New()
 	p.AddRange(expr.Word(5), Range{0, 10}) // satisfied, no clause
-	if p.IsBot() || len(p.ranges) != 0 {
+	if p.IsBot() || len(p.own)+len(p.rest) != 0 {
 		t.Fatal("in-range word must be a no-op")
 	}
 	p.AddRange(expr.Word(50), Range{0, 10})

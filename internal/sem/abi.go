@@ -24,7 +24,7 @@ func stackBased(a *expr.Expr) bool { return a.ContainsVar("rsp0") }
 func (m *Machine) CleanAfterCall(st *State, callAddr uint64) *State {
 	m.curAddr = callAddr
 	m.nfresh = 100 // distinct namespace from the call instruction's own step
-	s := st.Clone()
+	s := m.clone(st)
 	for _, r := range x86.CallerSaved {
 		s.Pred.SetReg(r, m.fresh())
 	}

@@ -58,7 +58,8 @@ func DefaultConfig() Config {
 // Machine symbolically executes instructions over symbolic states. It
 // accumulates the implicit assumptions made (separation between pointer
 // provenances) — "each and any implicit assumption made during HG
-// generation is formalized and exported" (§5.2).
+// generation is formalized and exported" (§5.2). A machine belongs to one
+// goroutine.
 type Machine struct {
 	Img *image.Image
 	Cfg Config
@@ -67,6 +68,7 @@ type Machine struct {
 	curAddr     uint64
 	nfresh      int
 	counters    Counters
+	free        []*State // handed back by Recycle, reused by clone
 }
 
 // Counters tallies the solver and memory-model activity of one machine —
@@ -146,6 +148,32 @@ func (m *Machine) noteIns(results []memmodel.InsResult, fellBack bool) {
 // NewMachine returns a machine over the image.
 func NewMachine(img *image.Image, cfg Config) *Machine {
 	return &Machine{Img: img, Cfg: cfg, assumptions: map[string]bool{}}
+}
+
+// Recycle hands a dead state back to the machine, whose next clone (in
+// Step or CleanAfterCall) is built in it instead of a new allocation. The
+// caller gives up st and st.Pred: nothing may refer to either afterwards.
+// Recycle drops the state's clauses and memory model at once, so a state
+// waiting for reuse keeps no clause list or forest alive.
+func (m *Machine) Recycle(st *State) {
+	*st.Pred = pred.Pred{}
+	st.Mem = nil
+	m.free = append(m.free, st)
+}
+
+// clone returns a copy of st that the caller owns, as State.Clone does,
+// built in a recycled state when one is free.
+func (m *Machine) clone(st *State) *State {
+	n := len(m.free)
+	if n == 0 {
+		return st.Clone()
+	}
+	c := m.free[n-1]
+	m.free[n-1] = nil // c is the caller's now: the slot must not keep it alive
+	m.free = m.free[:n-1]
+	*c.Pred = *st.Pred
+	c.Mem = st.Mem
+	return c
 }
 
 // Assumptions returns the recorded separation assumptions, sorted.

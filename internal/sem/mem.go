@@ -37,7 +37,7 @@ func (m *Machine) readMem(st *State, addr *expr.Expr, size int) []valState {
 		for i, v := range vals {
 			s := st
 			if i < len(vals)-1 {
-				s = st.Clone()
+				s = m.clone(st)
 			}
 			out = append(out, valState{s, expr.Word(v)})
 		}
@@ -62,7 +62,7 @@ func (m *Machine) readMem(st *State, addr *expr.Expr, size int) []valState {
 	for i, res := range results {
 		s := st
 		if i < len(results)-1 {
-			s = st.Clone()
+			s = m.clone(st)
 		}
 		s.Mem = res.Forest
 		v := m.valueUnder(s.Pred, addr, size, &res)
@@ -137,7 +137,7 @@ func (m *Machine) writeMem(st *State, addr *expr.Expr, size int, val *expr.Expr)
 	for i, res := range results {
 		s := st
 		if i < len(results)-1 {
-			s = st.Clone()
+			s = m.clone(st)
 		}
 		s.Mem = res.Forest
 		// Update or invalidate each clause per its relation to the write:

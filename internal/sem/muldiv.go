@@ -264,7 +264,7 @@ func (m *Machine) stepBits(st *State, inst x86.Inst, fall func(...*State) []Outc
 					continue
 				}
 				// Undecided: fork both outcomes (overapproximation).
-				eq := s.Clone()
+				eq := m.clone(s)
 				setFlagsCmp(eq, acc, dv.v, size)
 				out = append(out, fall(m.writeOp(eq, ops[0], sv.v)...)...)
 				ne := s

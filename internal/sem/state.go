@@ -44,9 +44,11 @@ func InitialState(retSym expr.Var) *State {
 
 // Clone returns a copy of the state whose predicate may be modified
 // independently. The copy and its predicate are one allocation (a
-// clonedState, 288 bytes), and the predicate copy shares its clause lists
+// clonedState, 312 bytes), and the predicate copy shares its clause lists
 // as pred.Pred.Clone's does. The memory model is shared: forests are
-// immutable, and every memory operation installs a new one.
+// immutable, and every memory operation installs a new one. The machine
+// clones through Machine.clone, which reuses a recycled state when it
+// has one.
 func (s *State) Clone() *State {
 	c := &clonedState{st: State{Mem: s.Mem}, pred: *s.Pred}
 	c.st.Pred = &c.pred

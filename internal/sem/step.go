@@ -20,11 +20,12 @@ import (
 // too). The memory forests and clause lists inside are immutable and may
 // be shared. So a caller may keep an outcome's state, or write into it,
 // without a copy: the explorer builds a join in the state of the work item
-// that brought it.
+// that brought it. A clone is built in a state handed back by Recycle when
+// one is free, and allocated otherwise; either way it owns its state.
 func (m *Machine) Step(st *State, inst x86.Inst) ([]Outcome, error) {
 	m.curAddr = inst.Addr
 	m.nfresh = 0
-	st = st.Clone()
+	st = m.clone(st)
 	ops := inst.Ops
 
 	fall := func(states ...*State) []Outcome {
@@ -293,7 +294,7 @@ func (m *Machine) Step(st *State, inst x86.Inst) ([]Outcome, error) {
 			return out, nil
 		}
 		// Undecided: fork, refining each side.
-		moved := st.Clone()
+		moved := m.clone(st)
 		refineBranch(moved, inst.Cond, true)
 		refineBranch(st, inst.Cond, false)
 		out := fall(st)
@@ -320,7 +321,7 @@ func (m *Machine) Step(st *State, inst x86.Inst) ([]Outcome, error) {
 		case solver.No:
 			return fall(st), nil
 		}
-		taken := st.Clone()
+		taken := m.clone(st)
 		refineBranch(taken, inst.Cond, true)
 		refineBranch(st, inst.Cond, false)
 		return []Outcome{

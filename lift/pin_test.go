@@ -1,0 +1,93 @@
+package lift_test
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/corpus"
+	"repro/internal/hoare"
+	"repro/lift"
+)
+
+// TestLiftedGraphsPinned pins what Step 1 produces on three corpora, each
+// lifted with and without pointer facts: one SHA-256 per corpus and
+// configuration over every function's name, status and step count and its
+// graph's hoare.Marshal text, in request and function order. A change
+// meant to keep every lift byte for byte (a performance change) keeps
+// these digests; a change that alters a lift on purpose updates them and
+// says why.
+func TestLiftedGraphsPinned(t *testing.T) {
+	coreutils, err := corpus.CoreUtilsSuite(0.17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptrDir, err := corpus.PtrPathology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var table1 []*corpus.Unit
+	for _, shape := range corpus.XenSuite(0.02) {
+		dir, err := corpus.BuildDirectory(shape, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table1 = append(table1, dir.Units...)
+	}
+	for _, c := range []struct {
+		name  string
+		units []*corpus.Unit
+		facts bool
+		want  string
+	}{
+		{"CoreUtilsSuite(0.17)", coreutils, false,
+			"6dc4ed8733cabbf46b67df82032e76f0d07e9df82ba7a9e4c622cfce02c6a2f0"},
+		{"CoreUtilsSuite(0.17)", coreutils, true,
+			"6dc4ed8733cabbf46b67df82032e76f0d07e9df82ba7a9e4c622cfce02c6a2f0"},
+		{"ptr_", ptrDir.Units, false,
+			"800ef9a463d057445a7010cd8ea9ebfcc039d681d646465f24e520da87d1650d"},
+		{"ptr_", ptrDir.Units, true,
+			"1d03ef9281a6c62e6a8aca5a55c3ca6a0132d14785195e2bbfbb41452ef17d52"},
+		{"XenSuite(0.02) seed 1", table1, false,
+			"05d2d14e0075b0f7262de323be0cb6838569734c0cbddc79bde6ebbe46ec4acb"},
+		{"XenSuite(0.02) seed 1", table1, true,
+			"05d2d14e0075b0f7262de323be0cb6838569734c0cbddc79bde6ebbe46ec4acb"},
+	} {
+		opts := []lift.Option{lift.Jobs(2)}
+		if c.facts {
+			opts = append(opts, lift.PointerFacts())
+		}
+		sum := lift.Run(context.Background(), lift.UnitRequests(c.units), opts...)
+		h := sha256.New()
+		n := 0
+		for _, r := range sum.Results {
+			fmt.Fprintf(h, "task %s %s\n", r.Name, r.Status)
+			if r.Func != nil {
+				n += digestFunc(h, r.Func)
+			}
+			if r.Binary != nil {
+				for _, f := range r.Binary.Funcs {
+					n += digestFunc(h, f)
+				}
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%s, facts=%v: %d graphs digest to %s, want %s", c.name, c.facts, n, got, c.want)
+		}
+	}
+}
+
+// digestFunc writes one function's name, status, step count and graph
+// text to h, and returns 1 when it has a graph.
+func digestFunc(h hash.Hash, f *core.FuncResult) int {
+	fmt.Fprintf(h, "func %s %s %d\n", f.Name, f.Status, f.Steps)
+	if f.Graph == nil {
+		return 0
+	}
+	h.Write(hoare.Marshal(f.Graph))
+	return 1
+}
