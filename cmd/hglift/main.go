@@ -36,7 +36,8 @@
 // -ptr enables the pointer-analysis pre-pass: a per-function fact table of
 // proven region relations and separation hypotheses is computed before
 // exploring, so undecided pointer pairs stop forking the memory model.
-// Separation hypotheses appear in the graph's assumption list.
+// Separation hypotheses appear in the graph's assumption list, which is
+// what hgprove -hg checks a saved graph under.
 //
 // -o writes the single-function graph as .hg text; -obin writes the
 // compact binary container that hgprove/hglint auto-detect.

@@ -1,5 +1,5 @@
 // Command reprovet is a go vet -vettool driver for the repo's custom
-// analyzers (internal/analysis): ctxless, exprnew, obsnil, and pkgdoc. It reimplements
+// analyzers (internal/analysis): ctxless, envread, exprnew, obsnil, and pkgdoc. It reimplements
 // the small slice of the x/tools unitchecker protocol that cmd/go
 // speaks, on the standard library alone, so the repo stays free of
 // external dependencies.
@@ -60,7 +60,7 @@ func main() {
 		case "-V=full":
 			// cmd/go keys its cache on this line; bump the version when
 			// analyzer behaviour changes to invalidate cached results.
-			fmt.Println("reprovet version v1.4.0")
+			fmt.Println("reprovet version v1.5.0")
 			return
 		case "-flags":
 			fmt.Println("[]")

@@ -28,9 +28,9 @@
 // -ptr enables the pointer-analysis pre-pass on every lift: per-function
 // fact tables of proven region relations and separation hypotheses answer
 // pointer comparisons before the decision procedure, so undecided pairs
-// stop forking the memory model. Step 2 (lift.Check under the same
-// options) recomputes each function's facts so re-checks see the same
-// verdicts the lift did.
+// stop forking the memory model. Every hypothesis a lift rests on is in
+// its graph's assumption list, and Step 2 (lift.Check) checks each graph
+// under that list, so it needs no facts of its own.
 //
 // Robustness flags make long sweeps survivable:
 //
@@ -418,8 +418,6 @@ func runTable2(ctx context.Context, rn *runner) {
 		}
 		var proven, assumed, failed, skipped int
 		for _, fr := range r.Binary.Funcs {
-			// The run's options carry -ptr, so Step 2 re-checks under the
-			// facts the lift explored with.
 			rep := lift.Check(ctx, units[i].Image, fr.Graph, opts...)
 			proven += rep.Proven
 			assumed += rep.Assumed

@@ -83,8 +83,8 @@ func graphVariants(b []byte) map[string][]byte {
 	return out
 }
 
-// TestCommandsRejectHostileInput builds hglift, hgprove and hglint once and
-// runs them on hostile input: the three wrapping header edits of the
+// TestCommandsRejectHostileInput runs hglift, hgprove and hglint on
+// hostile input: the three wrapping header edits of the
 // FuzzImageLoad seeds and a 1,000-header table of file-spanning sections
 // (through all three commands), and truncated and byte-flipped copies of
 // the weird-edge graph in .hg text and compact binary form (through
@@ -95,11 +95,8 @@ func graphVariants(b []byte) map[string][]byte {
 // fail hglint by design (the resolved indirect jump is not persisted), so
 // those runs exit 1 with their lint findings.
 func TestCommandsRejectHostileInput(t *testing.T) {
+	bin := commands(t)
 	dir := t.TempDir()
-	build := exec.Command("go", "build", "-o", dir, "./cmd/hglift", "./cmd/hgprove", "./cmd/hglint")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
 
 	write := func(name string, b []byte) string {
 		p := filepath.Join(dir, name)
@@ -112,7 +109,7 @@ func TestCommandsRejectHostileInput(t *testing.T) {
 	// returns the stderr lines.
 	run := func(cmd string, args ...string) []string {
 		t.Helper()
-		c := exec.Command(filepath.Join(dir, cmd), args...)
+		c := exec.Command(filepath.Join(bin, cmd), args...)
 		var stderr bytes.Buffer
 		c.Stderr = &stderr
 		err := c.Run()

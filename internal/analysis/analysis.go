@@ -4,7 +4,7 @@
 // repo can ship custom vet passes without a dependency on x/tools — the
 // driver side of the go vet -vettool protocol lives in cmd/reprovet.
 //
-// Four analyzers are registered:
+// Five analyzers are registered:
 //
 //	ctxless — forbids reintroducing exported non-context Lift*/Run*/Check*
 //	          entrypoints in the core/pipeline/triple packages and the
@@ -13,6 +13,9 @@
 //	          them deleted) and flags calls to any wrapper registered as
 //	          Deprecated (none at present — the checkpoint wrappers
 //	          finished their one compatibility release and are deleted).
+//	envread — flags os.Getenv, os.LookupEnv and os.Environ in the
+//	          non-test files of library packages: a setting that changes
+//	          a lift or a check is an option, a flag or a config field.
 //	exprnew — flags expr.Expr composite literals outside package expr;
 //	          hand-built expressions bypass the intern table and break
 //	          the pointer-identity invariant behind expr.Equal.
@@ -62,7 +65,7 @@ type Analyzer struct {
 }
 
 // All returns every registered analyzer.
-func All() []*Analyzer { return []*Analyzer{Ctxless, Exprnew, Obsnil, Pkgdoc} }
+func All() []*Analyzer { return []*Analyzer{Ctxless, Envread, Exprnew, Obsnil, Pkgdoc} }
 
 // Run applies the analyzers to the pass, drops directive-suppressed
 // findings, and returns the rest ordered by position then analyzer.

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -80,6 +81,13 @@ func (t *Tracer) Step(addr uint64) {
 }
 `
 
+const osSrc = `package os
+func Getenv(key string) string { return "" }
+func LookupEnv(key string) (string, bool) { return "", false }
+func Environ() []string { return nil }
+func Getpid() int { return 0 }
+`
+
 type mapImporter map[string]*types.Package
 
 func (m mapImporter) Import(path string) (*types.Package, error) {
@@ -120,6 +128,7 @@ type Context interface{}
 func Background() Context { return nil }
 `, imp)
 	imp["context"] = ctxPass.Pkg
+	imp["os"] = typecheck(t, "os", osSrc, imp).Pkg
 	for path, src := range map[string]string{
 		"repro/internal/core":     coreSrc,
 		"repro/internal/pipeline": pipelineSrc,
@@ -301,6 +310,63 @@ func TestExprnewExemptsPackageExpr(t *testing.T) {
 	pass := typecheck(t, "repro/internal/expr", exprSrc, imp)
 	if diags := Run(pass, []*Analyzer{Exprnew}); len(diags) != 0 {
 		t.Fatalf("interning constructors themselves must be exempt: %v", diags)
+	}
+}
+
+func TestEnvreadFlagsLibraryReads(t *testing.T) {
+	imp := stubImporter(t)
+	src := `package lib
+import "os"
+var getenv = os.Getenv // envread: a function value reads too
+func f() {
+	_ = os.Getenv("A")       // envread
+	_, _ = os.LookupEnv("A") // envread
+	_ = os.Environ()         // envread
+	_ = os.Getpid()          // fine: not the environment
+	_ = os.Getenv("B") //reprovet:ignore envread
+}
+`
+	pass := typecheck(t, "example.com/lib", src, imp)
+	diags := Run(pass, []*Analyzer{Envread})
+	var lines []int
+	for _, d := range diags {
+		lines = append(lines, pass.Fset.Position(d.Pos).Line)
+	}
+	if want := []int{3, 5, 6, 7}; fmt.Sprint(lines) != fmt.Sprint(want) {
+		t.Fatalf("diagnostics at lines %v, want %v: %v", lines, want, diags)
+	}
+	if !strings.Contains(diags[0].Msg, "os.Getenv") {
+		t.Errorf("message %q does not name the call", diags[0].Msg)
+	}
+	// A command reads its own environment.
+	main := typecheck(t, "example.com/cmd", strings.Replace(src, "package lib", "package main", 1), imp)
+	if diags := Run(main, []*Analyzer{Envread}); len(diags) != 0 {
+		t.Fatalf("package main flagged: %v", diags)
+	}
+}
+
+func TestEnvreadExemptsTestFiles(t *testing.T) {
+	imp := stubImporter(t)
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for name, src := range map[string]string{
+		"lib.go":      "package lib\nfunc f() {}\n",
+		"lib_test.go": "package lib\nimport \"os\"\nvar stress = os.Getenv(\"STRESS\") == \"1\"\n",
+	} {
+		f, err := parser.ParseFile(fset, name, src, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	pkg, err := (&types.Config{Importer: imp}).Check("example.com/lib", fset, files, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := &Pass{Fset: fset, Files: files, Pkg: pkg, Info: info}
+	if diags := Run(pass, []*Analyzer{Envread}); len(diags) != 0 {
+		t.Fatalf("a test file's environment read flagged: %v", diags)
 	}
 }
 

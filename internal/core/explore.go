@@ -56,6 +56,11 @@ func (l *Lifter) explore(ctx context.Context, addr uint64, name string) *FuncRes
 	for _, a := range l.mach.Assumptions() {
 		e.before[a] = true
 	}
+	// The hypotheses this exploration's own steps make; a callee explored
+	// meanwhile tracks its own, and the defer restores the caller's set.
+	own := map[string]bool{}
+	prevOwn := l.mach.TrackAssumptions(own)
+	defer l.mach.TrackAssumptions(prevOwn)
 
 	// Pointer pre-pass: install this function's fact table for the duration
 	// of the exploration. Facts are keyed on the function's own initial-state
@@ -92,10 +97,19 @@ func (l *Lifter) explore(ctx context.Context, addr uint64, name string) *FuncRes
 		e.exploreOne(item)
 	}
 
-	// Per-function assumptions: everything the machine recorded that was
-	// not present before this exploration.
+	// Per-function assumptions: everything the machine first recorded
+	// during this exploration (the callees explored meanwhile included),
+	// and every hypothesis this exploration's own steps made although the
+	// machine had recorded it before: a tail jump into code lifted earlier
+	// makes that code's hypotheses again, and Step 2 assumes only what the
+	// graph lists.
 	for _, a := range l.mach.Assumptions() {
 		if !e.before[a] {
+			g.Assumptions = append(g.Assumptions, a)
+		}
+	}
+	for a := range own {
+		if e.before[a] {
 			g.Assumptions = append(g.Assumptions, a)
 		}
 	}

@@ -18,9 +18,10 @@ func runPtrDir(t *testing.T, dir *Directory, facts bool) *pipeline.Summary {
 		if u.Budget > 0 {
 			cfg.MaxStates = u.Budget
 		}
+		cfg.PointerFacts = facts
 		tasks = append(tasks, pipeline.Task{Name: u.Name, Img: u.Image, Addr: u.FuncAddr, Cfg: &cfg})
 	}
-	return pipeline.RunCtx(context.Background(), tasks, pipeline.Options{Jobs: 1, PointerFacts: facts})
+	return pipeline.RunCtx(context.Background(), tasks, pipeline.Options{Jobs: 1})
 }
 
 // TestPtrPathology pins the directory's double life: without facts the

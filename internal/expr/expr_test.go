@@ -266,6 +266,11 @@ func TestParseLocal(t *testing.T) {
 	for _, k := range []string{
 		"0x2a", "rsp0", "add(rdi0,0x8)", "*[rsp0,8]",
 		"mul(0x8,j401064_rcx)", "sar(sext32(and(rax0,0xffffffff)),0x3f)",
+		// Join variables of vertices that hold code pointers.
+		"j40129c/rax=40129e_rsi",
+		"add(j40100f/madd(rsp0,0xfffffffffffffff0)=401027/rax=401027_rdi,0x8)",
+		"*[j401000/m*[rdi0,8]=401010_madd_rsp0_0x8__8,4]",
+		"j401000/mj400ff0/rcx=401010_rdi=401027_rsi",
 	} {
 		e, err := Parse(k)
 		if err != nil {
@@ -280,6 +285,11 @@ func TestParseLocal(t *testing.T) {
 	}
 	if _, err := Parse("0xzz"); err == nil {
 		t.Fatal("bad hex must fail")
+	}
+	for _, k := range []string{"j401000/", "j401000/=40_rsi", "j401000/rax_rsi", "j401000/rax=_rsi", "j401000/madd(rsp0=40_rsi"} {
+		if _, err := Parse(k); err == nil {
+			t.Errorf("malformed code-pointer part %q must fail", k)
+		}
 	}
 }
 

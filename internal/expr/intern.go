@@ -117,7 +117,7 @@ func init() {
 // interning makes structural equality coincide with pointer identity, and
 // under EXPRDEBUG=1 every Equal verifies that invariant and every cached
 // ToLinear recomputes its form, each panicking on a mismatch.
-var debugEqual = os.Getenv("EXPRDEBUG") != ""
+var debugEqual = os.Getenv("EXPRDEBUG") != "" //reprovet:ignore envread
 
 // mix64 is the splitmix64 finalizer: a full-avalanche bijection on 64-bit
 // words. Raw FNV-style folding correlates structured inputs (constant

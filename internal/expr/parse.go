@@ -13,6 +13,13 @@ import (
 //	add(rdi0,0x8)      operator application
 //	*[rsp0,8]          region read
 //
+// A join variable's name embeds its vertex's ID, and the ID of a vertex
+// holding code pointers carries one part per pointer after the address
+// (pred.CodePointerParts): "/<reg>=<hex>" for a register and
+// "/m<expression>=<hex>" for a memory clause, as in
+// j40129c/rax=40129e_rsi or j40100f/madd(rsp0,0xfffffffffffffff0)=401027_rdi.
+// Register names never start with 'm'.
+//
 // Parsing re-applies the smart constructors, so Parse(e.Key()).Key() ==
 // e.Key(): the serialised form round-trips.
 func Parse(s string) (*Expr, error) {
@@ -114,8 +121,12 @@ func (p *parser) expr() (*Expr, error) {
 
 	case isIdent(p.peek()):
 		start := p.pos
-		for p.pos < len(p.s) && isIdent(p.s[p.pos]) {
-			p.pos++
+		p.ident()
+		for p.peek() == '/' { // a vertex ID's part, then the rest of the name
+			if err := p.codePointerPart(); err != nil {
+				return nil, err
+			}
+			p.ident()
 		}
 		name := p.s[start:p.pos]
 		if p.peek() != '(' {
@@ -149,6 +160,41 @@ func (p *parser) expr() (*Expr, error) {
 		return App(op, args...), nil
 	}
 	return nil, p.fail("unexpected input")
+}
+
+// ident reads an identifier, possibly empty.
+func (p *parser) ident() {
+	for p.pos < len(p.s) && isIdent(p.s[p.pos]) {
+		p.pos++
+	}
+}
+
+// codePointerPart reads one part of a vertex ID: "/", a register name or
+// "m" and an expression, "=", and the pointer in hex.
+func (p *parser) codePointerPart() error {
+	p.pos++ // '/'
+	if p.peek() == 'm' {
+		p.pos++
+		if _, err := p.expr(); err != nil {
+			return err
+		}
+	} else {
+		start := p.pos
+		if p.ident(); p.pos == start {
+			return p.fail("expected a register or memory part")
+		}
+	}
+	if err := p.eat('='); err != nil {
+		return err
+	}
+	start := p.pos
+	for p.pos < len(p.s) && isHex(p.s[p.pos]) {
+		p.pos++
+	}
+	if p.pos == start {
+		return p.fail("expected a code pointer")
+	}
+	return nil
 }
 
 // opArity gives the argument counts the canonical syntax allows per

@@ -5,7 +5,7 @@
 //
 // Grammar (one record per line; indented lines are clauses of the most
 // recent vertex; blank lines are ignored; EXPR is the canonical expression
-// syntax of expr.Parse, e.g. "(add rsp0 0xfffffffffffffff8)"):
+// syntax of expr.Parse, e.g. "add(rsp0,0xfffffffffffffff8)"):
 //
 //	file       = header entry vertex* edge* annotation* obligation* assumption*
 //	header     = "hg" ADDR NAME RETSYM
@@ -25,26 +25,30 @@
 //	obligation = "obligation" TEXT
 //	assumption = "assumption" TEXT
 //
-// Worked example — a two-instruction function "push rbp; ret" at 0x401000
-// (the entry vertex binds rsp and the saved rbp; the ret vertex has popped
-// the stack back and still satisfies return address integrity):
+// Worked example — "mov qword [rdi], 1; ret" at 0x401000, lifted as f.
+// The lines "…" stand for the registers bound to their initial values
+// (rcx0, …, r150). The write rests on the frame rule's hypothesis that
+// [rdi0, 8] misses the return-address slot, and Step 2 assumes the
+// separation only because the assumption line lists it:
 //
-//	hg 0x401000 f retsym
+//	hg 0x401000 f S_401000
 //	entry 401000
-//	vertex 401000 0x401000
-//	 reg rbp rbp0
-//	 reg rsp rsp0
-//	 range rsp0 0x10000 0x7fffffffffff
-//	 model ((add rsp0 -8)#8 ())
-//	vertex 401001 0x401001
-//	 reg rbp rbp0
-//	 reg rsp (add rsp0 -8)
-//	 mem (add rsp0 -8) 8 rbp0
-//	 model ((add rsp0 -8)#8 ())
 //	vertex exit 0x0
-//	edge 401000 401001 0 0x401000 -
-//	edge 401001 exit 3 0x401001 -
-//	assumption @401000 : [rsp0, 8] READABLE
+//	vertex halt 0x0
+//	vertex 401000 0x401000
+//	 reg rax rax0
+//	 …
+//	 mem rsp0 8 S_401000
+//	 model (rsp0#8 ())
+//	vertex 401007 0x401007
+//	 reg rax rax0
+//	 …
+//	 mem rdi0 8 0x1
+//	 mem rsp0 8 S_401000
+//	 model (rsp0#8 ()) (rdi0#8 ())
+//	edge 401000 401007 0 0x401000 -
+//	edge 401007 exit 3 0x401007 -
+//	assumption @401000 : [rdi0, 8] ASSUMED SEPARATE FROM [rsp0, 8]
 //
 // Vertex clause order is canonical (registers in GPR order, then flags,
 // cmp, memory, ranges, model), so Marshal∘Load∘Marshal is the identity on

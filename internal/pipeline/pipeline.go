@@ -97,13 +97,6 @@ type Options struct {
 	// Production runs leave it nil; tests and the CI smoke job use it to
 	// prove the retry and resume machinery.
 	Faults *faultinject.Injector
-	// PointerFacts enables the pointer-analysis pre-pass
-	// (core.Config.PointerFacts) on every task of the run, overriding the
-	// per-task configuration. The flag participates in the store's
-	// configuration fingerprint — the same task with and without facts
-	// occupies two distinct store entries — because the pre-pass changes
-	// which functions lift and what assumptions their graphs carry.
-	PointerFacts bool
 	// Store, when non-nil, is the content-addressed Hoare-graph cache: a
 	// task whose (code hash, config fingerprint, lifter version) key has a
 	// valid entry skips Step-1 lifting entirely — the result (graphs,
@@ -427,11 +420,8 @@ func runOne(ctx context.Context, t Task, idx int, opts Options) Result {
 		if t.Binary {
 			addr = 0
 		}
-		// Key on the effective configuration — the one lift() will run
-		// under, with run-level options folded in — never on the raw task
-		// override, or a -ptr run could answer from (and poison) the
-		// factless entries.
-		cfg := effectiveConfig(t, opts)
+		// Key on the configuration lift() will run under.
+		cfg := effectiveConfig(t)
 		storeKey = hgstore.TaskKey(t.Img, addr, t.Binary, &cfg)
 		if e, n, wall, reason := opts.Store.Lookup(storeKey, t.Img); e != nil {
 			tr.StoreHit(t.Name, uint64(n), wall)
@@ -543,23 +533,19 @@ func runAttempt(ctx context.Context, t Task, idx int, opts Options, tr *obs.Trac
 }
 
 // effectiveConfig materialises the lifter configuration a task runs under:
-// the task's override (or the default) with the run-level semantic options
-// folded in. Both the store key and the lift use this one function, so a
-// store entry is always keyed on the configuration that produced it.
-func effectiveConfig(t Task, opts Options) core.Config {
-	cfg := core.DefaultConfig()
+// the task's override, or the default. Both the store key and the lift use
+// this one function, so a store entry is always keyed on the
+// configuration that produced it.
+func effectiveConfig(t Task) core.Config {
 	if t.Cfg != nil {
-		cfg = *t.Cfg
+		return *t.Cfg
 	}
-	if opts.PointerFacts {
-		cfg.PointerFacts = true
-	}
-	return cfg
+	return core.DefaultConfig()
 }
 
 // lift runs the task's lifter and collects its statistics.
 func lift(ctx context.Context, t Task, idx int, opts Options, tr *obs.Tracer) Result {
-	cfg := effectiveConfig(t, opts)
+	cfg := effectiveConfig(t)
 	cfg.Sem.SolverCache = opts.Cache
 	cfg.Sem.Tracer = tr
 	l := core.New(t.Img, cfg)

@@ -2,6 +2,7 @@ package sem
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/expr"
@@ -23,7 +24,8 @@ type Config struct {
 	// AssumeBaseSeparation enables the paper's implicit assumptions:
 	// regions whose addresses share no symbolic base (stack vs arguments
 	// vs globals) are assumed separate, and each such assumption is
-	// recorded and exported as a proof obligation.
+	// recorded and exported as a proof obligation. Step 1 only: a machine
+	// from NewCheckMachine assumes what its graph lists instead.
 	AssumeBaseSeparation bool
 	// SolverCache, when non-nil, memoizes solver verdicts across machines
 	// (and, being concurrency-safe, across the pipeline's lift workers).
@@ -38,7 +40,8 @@ type Config struct {
 	// (rsp0, rdi0, …), so they live here — in the per-lift config — and
 	// never in the cross-function SolverCache. Assumed facts (separation
 	// hypotheses) are recorded as assumptions exactly like the machine's
-	// own AssumeBaseSeparation ones.
+	// own AssumeBaseSeparation ones. Step 1 only, like
+	// AssumeBaseSeparation.
 	Facts *solver.Facts
 	// Tracer, when non-nil, receives a structured event per solver query
 	// and per memory-model fork/destroy. Emission is nil-safe, so the
@@ -64,7 +67,9 @@ type Machine struct {
 	Img *image.Image
 	Cfg Config
 
-	assumptions map[string]bool
+	assumptions map[string]bool // made on the first assumption
+	own         map[string]bool // set by TrackAssumptions
+	hyps        []string        // sorted; the hypotheses of NewCheckMachine
 	curAddr     uint64
 	nfresh      int
 	counters    Counters
@@ -147,7 +152,20 @@ func (m *Machine) noteIns(results []memmodel.InsResult, fellBack bool) {
 
 // NewMachine returns a machine over the image.
 func NewMachine(img *image.Image, cfg Config) *Machine {
-	return &Machine{Img: img, Cfg: cfg, assumptions: map[string]bool{}}
+	return &Machine{Img: img, Cfg: cfg}
+}
+
+// NewCheckMachine returns a Step-2 machine over the image, checking a graph
+// under the hypotheses it exports. It records no assumption and applies
+// neither the frame rule (cfg.AssumeBaseSeparation) nor a fact table
+// (cfg.Facts): a region pair the decision procedure leaves undecided is
+// separate exactly when hyps, which must be sorted, lists the
+// SeparationAssumption of the pair at the current instruction. An empty
+// list assumes nothing.
+func NewCheckMachine(img *image.Image, cfg Config, hyps []string) *Machine {
+	cfg.AssumeBaseSeparation = false
+	cfg.Facts = nil
+	return &Machine{Img: img, Cfg: cfg, hyps: hyps}
 }
 
 // Recycle hands a dead state back to the machine, whose next clone (in
@@ -186,11 +204,43 @@ func (m *Machine) Assumptions() []string {
 	return out
 }
 
-// ResetAssumptions clears the recorded assumptions (used between
-// functions).
-func (m *Machine) ResetAssumptions() { m.assumptions = map[string]bool{} }
+// TrackAssumptions makes the machine add every assumption it makes from
+// now on to own as well, recorded before or not (nil stops), and returns
+// the set it added them to until now. The lifter gives each exploration
+// its own set, so a graph lists every hypothesis its own steps make, also
+// one that an earlier exploration of the same code recorded first.
+func (m *Machine) TrackAssumptions(own map[string]bool) map[string]bool {
+	prev := m.own
+	m.own = own
+	return prev
+}
 
-func (m *Machine) assume(text string) { m.assumptions[text] = true }
+func (m *Machine) assume(text string) {
+	if m.assumptions == nil {
+		m.assumptions = map[string]bool{}
+	}
+	m.assumptions[text] = true
+	if m.own != nil {
+		m.own[text] = true
+	}
+}
+
+// listed reports whether the hypotheses of a check machine list the
+// separation of r0 and r1 at the current instruction.
+func (m *Machine) listed(r0, r1 solver.Region) bool {
+	if len(m.hyps) == 0 {
+		return false
+	}
+	_, ok := slices.BinarySearch(m.hyps, SeparationAssumption(m.curAddr, r0, r1))
+	return ok
+}
+
+// SeparationAssumption renders the hypothesis that the regions r0 and r1,
+// compared at the instruction at addr, are separate: the text Step 1
+// records in a graph's assumption list and Step 2 looks up there.
+func SeparationAssumption(addr uint64, r0, r1 solver.Region) string {
+	return fmt.Sprintf("@%x : [%s, %d] ASSUMED SEPARATE FROM [%s, %d]", addr, r0.Addr, r0.Size, r1.Addr, r1.Size)
+}
 
 // fresh returns a deterministic fresh variable: names depend only on the
 // instruction address and the allocation sequence within the step, so an
@@ -209,40 +259,45 @@ type oracle struct {
 	s *State
 }
 
-// Compare answers a necessarily-relation query; undecided cross-provenance
-// pairs are assumed separate (recorded as a proof obligation). The pointer
-// pre-pass fact table, when present, is consulted first: proven facts are
+// Compare answers a necessarily-relation query; an undecided pair is
+// assumed separate when a hypothesis covers it. The pointer pre-pass fact
+// table, when present, is consulted first: proven facts are
 // predicate-independent (they short-circuit the cache and the decision
 // procedure), and assumed facts record the same separation-assumption
 // obligation AssumeBaseSeparation would, so the graph's assumption list
-// stays honest about every hypothesis the lift rests on.
+// stays honest about every hypothesis the lift rests on. A check machine
+// has no facts and no frame rule; it assumes only what its list holds.
 func (o oracle) Compare(r0, r1 solver.Region) solver.Result {
 	if f, ok := o.m.Cfg.Facts.Lookup(r0, r1); ok {
 		o.m.counters.FactHits++
 		o.m.Cfg.Tracer.FactHit(o.m.curAddr)
 		if f.Assumed {
-			o.m.assume(fmt.Sprintf("@%x : [%s, %d] ASSUMED SEPARATE FROM [%s, %d]",
-				o.m.curAddr, r0.Addr, r0.Size, r1.Addr, r1.Size))
+			o.m.assume(SeparationAssumption(o.m.curAddr, r0, r1))
 		}
 		return f.Res
 	}
 	res := o.m.compare(o.s.Pred, r0, r1)
-	if res.Decided() || !o.m.Cfg.AssumeBaseSeparation {
+	switch {
+	case res.Decided():
 		return res
-	}
+	case o.m.listed(r0, r1):
+		return separate
 	// The paper's implicit assumption covers only the local stack frame:
 	// pointers not derived from rsp0 (arguments, globals, loaded values)
 	// are assumed not to reach into it. Two non-stack pointers (e.g. the
 	// rdi/rsi pair of Section 2) are never assumed apart — their unknown
 	// relation forks the memory model.
-	if stackBased(r0.Addr) != stackBased(r1.Addr) && disjointAtoms(r0.Addr, r1.Addr) {
-		o.m.assume(fmt.Sprintf("@%x : [%s, %d] ASSUMED SEPARATE FROM [%s, %d]",
-			o.m.curAddr, r0.Addr, r0.Size, r1.Addr, r1.Size))
-		return solver.Result{Separate: solver.Yes,
-			Alias: solver.No, Enclosed: solver.No, Encloses: solver.No, Partial: solver.No}
+	case o.m.Cfg.AssumeBaseSeparation && stackBased(r0.Addr) != stackBased(r1.Addr) &&
+		disjointAtoms(r0.Addr, r1.Addr):
+		o.m.assume(SeparationAssumption(o.m.curAddr, r0, r1))
+		return separate
 	}
 	return res
 }
+
+// separate is the verdict of an assumed separation.
+var separate = solver.Result{Separate: solver.Yes,
+	Alias: solver.No, Enclosed: solver.No, Encloses: solver.No, Partial: solver.No}
 
 // disjointAtoms reports whether the linear forms of the two addresses share
 // no symbolic atom. Addresses sharing a base (e.g. rsp0 and rsp0+8·i) are

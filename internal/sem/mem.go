@@ -1,16 +1,11 @@
 package sem
 
 import (
-	"fmt"
-	"os"
-
 	"repro/internal/expr"
 	"repro/internal/memmodel"
 	"repro/internal/pred"
 	"repro/internal/solver"
 )
-
-var dbgKills = os.Getenv("HGDBG") != ""
 
 // readMem reads the region [addr, size], forking the state per produced
 // memory model. Reads of bounded symbolic addresses into read-only data
@@ -119,13 +114,6 @@ func (m *Machine) writeMem(st *State, addr *expr.Expr, size int, val *expr.Expr)
 		st.Pred.WriteMemWith(addr, size, val, func(e pred.MemEntry) *expr.Expr {
 			if o.Compare(w, solver.Region{Addr: e.Addr, Size: uint64(e.Size)}).Separate == solver.Yes {
 				return e.Val
-			}
-			if dbgKills {
-				fmt.Printf("DBGW @%x [%s,%d] kills [%s,%d]\n", m.curAddr, addr, size, e.Addr, e.Size)
-				expr.ToLinear(addr).Terms(func(atom *expr.Expr, c uint64) {
-					r, ok := st.Pred.RangeOf(atom)
-					fmt.Printf("   atom %s c=%d r=%+v ok=%v\n", atom, c, r, ok)
-				})
 			}
 			return nil
 		})

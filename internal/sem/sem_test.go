@@ -1,6 +1,7 @@
 package sem
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -466,9 +467,59 @@ func TestAssumptionsRecorded(t *testing.T) {
 	if !found {
 		t.Fatalf("assumption not recorded: %v", m.Assumptions())
 	}
-	m.ResetAssumptions()
-	if len(m.Assumptions()) != 0 {
-		t.Fatal("reset failed")
+	// Stepping the write again makes the assumption again: a tracking set
+	// receives it although the machine recorded it before.
+	own := map[string]bool{}
+	if prev := m.TrackAssumptions(own); prev != nil {
+		t.Fatalf("a new machine tracks into %v", prev)
+	}
+	if _, err := m.Step(InitialState("a_r"), inst); err != nil {
+		t.Fatal(err)
+	}
+	if m.TrackAssumptions(nil); len(own) != 1 || !own[m.Assumptions()[0]] {
+		t.Fatalf("tracked %v, want the recorded %v", own, m.Assumptions())
+	}
+}
+
+// TestCheckMachineAssumesOnlyItsList steps the write of
+// TestAssumptionsRecorded on check machines. Listing the assumption Step 1
+// recorded reproduces Step 1's single outcome; an empty list, or one that
+// lists the pair at another address, assumes nothing, so the write no
+// longer has one outcome. A check machine records nothing.
+func TestCheckMachineAssumesOnlyItsList(t *testing.T) {
+	asm := func(a *x86.Asm) {
+		a.I(x86.MOV, x86.MemOp(x86.RDI, x86.RegNone, 1, 0, 8), x86.ImmOp(1, 4))
+	}
+	step1 := newMachine(t, asm, nil)
+	inst, _ := step1.Img.Fetch(textBase)
+	if _, err := step1.Step(InitialState("a_r"), inst); err != nil {
+		t.Fatal(err)
+	}
+	listed := step1.Assumptions()
+	if len(listed) != 1 {
+		t.Fatalf("Step 1 recorded %v, want one assumption", listed)
+	}
+	moved := []string{strings.Replace(listed[0], fmt.Sprintf("@%x ", textBase), fmt.Sprintf("@%x ", textBase+1), 1)}
+	for _, c := range []struct {
+		name  string
+		hyps  []string
+		outs1 bool
+	}{
+		{"listed", listed, true},
+		{"empty", nil, false},
+		{"other address", moved, false},
+	} {
+		m := NewCheckMachine(step1.Img, DefaultConfig(), c.hyps)
+		outs, err := m.Step(InitialState("a_r"), inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (len(outs) == 1) != c.outs1 {
+			t.Errorf("%s: %d outcomes", c.name, len(outs))
+		}
+		if len(m.Assumptions()) != 0 {
+			t.Errorf("%s: check machine recorded %v", c.name, m.Assumptions())
+		}
 	}
 }
 

@@ -118,6 +118,10 @@ func ErrorBudget(n int) CheckOption {
 // cancelled report never claims AllProven. An ErrorBudget likewise
 // degrades gracefully: once the budget is exhausted the remaining
 // theorems report Skipped instead of being attempted.
+//
+// The graph's assumption list is the only source of separation
+// hypotheses: each theorem is checked by sem.NewCheckMachine under that
+// list, so cfg's AssumeBaseSeparation and Facts do not apply in Step 2.
 func Check(ctx context.Context, img *image.Image, g *hoare.Graph, cfg sem.Config, opts ...CheckOption) *Report {
 	cc := checkCfg{workers: 1}
 	for _, o := range opts {
@@ -125,6 +129,12 @@ func Check(ctx context.Context, img *image.Image, g *hoare.Graph, cfg sem.Config
 	}
 	if cc.workers < 1 {
 		cc.workers = 1
+	}
+	// Step 1 sorts the list; a loaded file keeps its own order.
+	hyps := g.Assumptions
+	if !slices.IsSorted(hyps) {
+		hyps = slices.Clone(hyps)
+		slices.Sort(hyps)
 	}
 	vertices := g.SortedVertices()
 	succs := successors(g)
@@ -140,7 +150,7 @@ func Check(ctx context.Context, img *image.Image, g *hoare.Graph, cfg sem.Config
 			rep.Theorems[i] = Theorem{Vertex: v.ID, Addr: v.Addr, Verdict: Skipped,
 				Reason: fmt.Sprintf("not checked: error budget (%d) exhausted", cc.budget)}
 		default:
-			rep.Theorems[i] = checkVertex(img, g, cfg, v, succs[v.ID])
+			rep.Theorems[i] = checkVertex(img, g, cfg, hyps, v, succs[v.ID])
 			if rep.Theorems[i].Verdict == Failed {
 				failures.Add(1)
 			}
@@ -210,8 +220,8 @@ func annotatedAt(g *hoare.Graph, addr uint64) bool {
 // checkVertex proves the one-step-inductive theorem of a single vertex:
 // {inv(v)} inst(v) {∨ inv(succ)}. Every shared artefact is recomputed: the
 // instruction is re-fetched from the binary's bytes and re-executed by a
-// fresh machine.
-func checkVertex(img *image.Image, g *hoare.Graph, cfg sem.Config, v *hoare.Vertex, succs []succ) Theorem {
+// fresh machine, which assumes the separations hyps lists and no others.
+func checkVertex(img *image.Image, g *hoare.Graph, cfg sem.Config, hyps []string, v *hoare.Vertex, succs []succ) Theorem {
 	th := Theorem{Vertex: v.ID, Addr: v.Addr}
 	if v.ID == hoare.ExitID || v.ID == hoare.HaltID {
 		th.Verdict = Proven
@@ -225,7 +235,7 @@ func checkVertex(img *image.Image, g *hoare.Graph, cfg sem.Config, v *hoare.Vert
 		return th
 	}
 
-	m := sem.NewMachine(img, cfg)
+	m := sem.NewCheckMachine(img, cfg, hyps)
 	outs, err := m.Step(v.State, inst)
 	if err != nil {
 		th.Verdict = Failed

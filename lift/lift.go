@@ -24,6 +24,11 @@
 // Every command and example lifts and checks through this package; only
 // the scheduler itself constructs a lifter.
 //
+// Check has one configuration. It assumes the separations the graph's
+// assumption list holds and no others, whatever options lifted the graph,
+// so a graph saved to a file and loaded elsewhere checks exactly as it did
+// in the process that lifted it.
+//
 // One persistence surface composes with a Run: WithStore(st) makes
 // lifting incremental. Lifted Hoare graphs are cached content-addressed by
 // (code bytes, config, lifter version), so a re-run over an unchanged
@@ -47,7 +52,6 @@ import (
 	"repro/internal/image"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/ptr"
 	"repro/internal/sem"
 	"repro/internal/solver"
 	"repro/internal/triple"
@@ -142,6 +146,7 @@ type settings struct {
 	popts   pipeline.Options
 	baseCfg core.Config
 	cfgMod  bool
+	facts   bool // PointerFacts: set on every request's configuration
 }
 
 // Option tunes a Run (functional options over the unified settings).
@@ -219,12 +224,6 @@ func MaxStates(n int) Option {
 	return func(s *settings) { s.baseCfg.MaxStates = n; s.cfgMod = true }
 }
 
-// NoJoin disables state joining (ablation: every visit explores a fresh
-// state).
-func NoJoin() Option {
-	return func(s *settings) { s.baseCfg.NoJoin = true; s.cfgMod = true }
-}
-
 // JoinCodePointers joins states holding different code-pointer immediates
 // (ablation: loses indirection resolution).
 func JoinCodePointers() Option {
@@ -234,13 +233,13 @@ func JoinCodePointers() Option {
 // PointerFacts enables the pointer-analysis pre-pass on every request: a
 // per-function fact table of proven region relations and separation
 // hypotheses is computed before exploring, answering comparisons without
-// the decision procedure and without forking the memory model. Set at the
-// run level (pipeline.Options) so it also folds into per-request Config
-// overrides and the store's configuration fingerprint. Check recomputes
-// the same table for the graph's function, so Step 2 re-checks under the
-// facts the lift explored with.
+// the decision procedure and without forking the memory model. Run sets
+// core.Config.PointerFacts on the base configuration and on a copy of
+// each per-request Config override, so the store keys every task on the
+// configuration it lifts under. The hypotheses a lift rests on are in its
+// graph's assumption list, which is all Check needs to prove the graph.
 func PointerFacts() Option {
-	return func(s *settings) { s.popts.PointerFacts = true }
+	return func(s *settings) { s.facts = true }
 }
 
 // Config replaces the base lifter configuration outright for every
@@ -270,6 +269,14 @@ func Run(ctx context.Context, reqs []Request, opts ...Option) *Summary {
 			c := s.baseCfg
 			cfg = &c
 		}
+		if s.facts {
+			c := s.baseCfg
+			if cfg != nil {
+				c = *cfg
+			}
+			c.PointerFacts = true
+			cfg = &c
+		}
 		tasks[i] = pipeline.Task{
 			Name:   r.Name,
 			Img:    r.Img,
@@ -289,20 +296,18 @@ func One(ctx context.Context, req Request, opts ...Option) Result {
 // Check runs Step 2 on one lifted graph: every vertex's Hoare triple is
 // re-verified independently against the image's bytes, fanned out over
 // Jobs workers. It is the one place that fixes Step 2's semantic
-// configuration — the default machine, plus the function's pointer facts
-// under PointerFacts — so every command checks under the same one. Check
-// honours Jobs, Tracer/Observe and PointerFacts and ignores the lifting
-// options. Cancelling ctx reports the theorems not yet checked as
-// Skipped, so a cancelled report never claims AllProven.
+// configuration — the default machine, which assumes the separations the
+// graph's assumption list holds and no others — so every command checks
+// under the same one, and a graph checks the same in the process that
+// lifted it and after a round trip through a file. Check honours Jobs and
+// Tracer/Observe and ignores the lifting options. Cancelling ctx reports
+// the theorems not yet checked as Skipped, so a cancelled report never
+// claims AllProven.
 func Check(ctx context.Context, img *image.Image, g *hoare.Graph, opts ...Option) *triple.Report {
 	s := resolve(opts)
-	cfg := sem.DefaultConfig()
-	if s.popts.PointerFacts {
-		cfg.Facts = ptr.Analyze(img, g.FuncAddr).Facts
-	}
 	jobs := s.popts.Jobs
 	if jobs <= 0 {
 		jobs = runtime.NumCPU()
 	}
-	return triple.Check(ctx, img, g, cfg, triple.Workers(jobs), triple.WithTracer(s.popts.Tracer))
+	return triple.Check(ctx, img, g, sem.DefaultConfig(), triple.Workers(jobs), triple.WithTracer(s.popts.Tracer))
 }

@@ -1,6 +1,7 @@
 package lift_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/hoare"
+	"repro/internal/image"
 	"repro/lift"
 )
 
@@ -20,7 +22,8 @@ import (
 // graph's hoare.Marshal text, in request and function order. A change
 // meant to keep every lift byte for byte (a performance change) keeps
 // these digests; a change that alters a lift on purpose updates them and
-// says why.
+// says why. Every text must also load back (hoare.Load) into a graph that
+// marshals to the same bytes.
 func TestLiftedGraphsPinned(t *testing.T) {
 	coreutils, err := corpus.CoreUtilsSuite(0.17)
 	if err != nil {
@@ -64,14 +67,15 @@ func TestLiftedGraphsPinned(t *testing.T) {
 		sum := lift.Run(context.Background(), lift.UnitRequests(c.units), opts...)
 		h := sha256.New()
 		n := 0
-		for _, r := range sum.Results {
+		for i, r := range sum.Results {
 			fmt.Fprintf(h, "task %s %s\n", r.Name, r.Status)
+			img := c.units[i].Image
 			if r.Func != nil {
-				n += digestFunc(h, r.Func)
+				n += digestFunc(t, h, img, r.Func)
 			}
 			if r.Binary != nil {
 				for _, f := range r.Binary.Funcs {
-					n += digestFunc(h, f)
+					n += digestFunc(t, h, img, f)
 				}
 			}
 		}
@@ -82,12 +86,20 @@ func TestLiftedGraphsPinned(t *testing.T) {
 }
 
 // digestFunc writes one function's name, status, step count and graph
-// text to h, and returns 1 when it has a graph.
-func digestFunc(h hash.Hash, f *core.FuncResult) int {
+// text to h, checks that the text loads back against img into a graph
+// with the same text, and returns 1 when it has a graph.
+func digestFunc(t *testing.T, h hash.Hash, img *image.Image, f *core.FuncResult) int {
+	t.Helper()
 	fmt.Fprintf(h, "func %s %s %d\n", f.Name, f.Status, f.Steps)
 	if f.Graph == nil {
 		return 0
 	}
-	h.Write(hoare.Marshal(f.Graph))
+	text := hoare.Marshal(f.Graph)
+	h.Write(text)
+	if g, err := hoare.Load(img, text); err != nil {
+		t.Errorf("%s: %v", f.Name, err)
+	} else if !bytes.Equal(hoare.Marshal(g), text) {
+		t.Errorf("%s: the loaded graph marshals to other text", f.Name)
+	}
 	return 1
 }

@@ -113,3 +113,46 @@ func TestStoreSingleFunctionInvalidation(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreKeysPointerFacts runs the ptr_ units, which carry their own
+// budget configurations, against one store without pointer facts and then
+// with PointerFacts. PointerFacts must reach each per-request override, and
+// with it the store key: the first facts run misses every task, and
+// repeating it hits every task.
+func TestStoreKeysPointerFacts(t *testing.T) {
+	dir, err := corpus.PtrPathology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := lift.UnitRequests(dir.Units)
+	overrides := 0
+	for _, r := range reqs {
+		if r.Config != nil {
+			overrides++
+		}
+	}
+	if overrides == 0 {
+		t.Fatal("no ptr_ unit carries its own configuration")
+	}
+	st, err := lift.OpenStore(filepath.Join(t.TempDir(), "graphs.hgcs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts ...lift.Option) *lift.Summary {
+		return lift.Run(context.Background(), reqs, append([]lift.Option{lift.Jobs(2), lift.WithStore(st)}, opts...)...)
+	}
+	if off := run(); off.StoreMisses != len(reqs) {
+		t.Fatalf("run without facts: hits=%d misses=%d, want 0/%d", off.StoreHits, off.StoreMisses, len(reqs))
+	}
+	on := run(lift.PointerFacts())
+	if on.StoreHits != 0 || on.StoreMisses != len(reqs) {
+		t.Fatalf("first run with facts: hits=%d misses=%d, want 0/%d", on.StoreHits, on.StoreMisses, len(reqs))
+	}
+	again := run(lift.PointerFacts())
+	if again.StoreHits != len(reqs) || again.StoreMisses != 0 {
+		t.Fatalf("second run with facts: hits=%d misses=%d, want %d/0", again.StoreHits, again.StoreMisses, len(reqs))
+	}
+	if got, want := again.Canonical(), on.Canonical(); got != want {
+		t.Fatalf("warm facts run diverges from cold:\n--- warm ---\n%s--- cold ---\n%s", got, want)
+	}
+}
