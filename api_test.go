@@ -148,8 +148,13 @@ func TestOptionsAblations(t *testing.T) {
 	if res, _ := liftSample(t, "main", lift.JoinCodePointers()); res.Stats.Graph.UnresolvedJump == 0 {
 		t.Fatalf("ablation must lose the indirection: %+v", res.Stats.Graph)
 	}
-	// A tiny budget times out.
-	if res, _ := liftSample(t, "main", lift.MaxStates(2)); res.Status != core.StatusTimeout {
+	// A tiny budget, set on the request's configuration, times out.
+	bin, img := compileSample(t)
+	cfg := core.DefaultConfig()
+	cfg.MaxStates = 2
+	req := lift.Func("main", img, bin.Funcs["main"])
+	req.Config = &cfg
+	if res := lift.One(context.Background(), req); res.Status != core.StatusTimeout {
 		t.Fatalf("budget: %s", res.Status)
 	}
 }

@@ -341,7 +341,7 @@ func liftBatch(ctx context.Context, paths []string, cfg batchConfig, obsv *obser
 		fmt.Fprintf(os.Stderr, "hglift: store: write-errors=%d\n", sum.StoreWriteErrors)
 		code = 1
 	}
-	if sum.Lifted < len(sum.Results) || sum.Quarantined > 0 || sum.LintErrors > 0 {
+	if sum.Lifted < len(sum.Results) || sum.Quarantined > 0 {
 		if sum.Lifted < len(sum.Results) {
 			fmt.Fprintf(os.Stderr, "hglift: %d of %d binaries did not lift\n",
 				len(sum.Results)-sum.Lifted, len(sum.Results))

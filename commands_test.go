@@ -76,3 +76,35 @@ func TestCommandsProvePointerFactsGraphs(t *testing.T) {
 		}
 	}
 }
+
+// TestCommandsCheckSavedWeirdEdge saves the Section 2 weird-edge graph,
+// whose indirect jump resolves to the instruction inside another, with
+// hglift -func … -o (.hg text) and -obin (binary container). hgprove -hg
+// and hglint -hg must exit 0 on both files: a saved graph records its
+// resolved jump as the edges that leave it, so it lints and proves as the
+// lifted graph does.
+func TestCommandsCheckSavedWeirdEdge(t *testing.T) {
+	bin := commands(t)
+	dir := t.TempDir()
+	s, err := corpus.WeirdEdge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	elf := filepath.Join(dir, "weird-edge.elf")
+	if err := os.WriteFile(elf, s.Raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, form := range []string{"-o", "-obin"} {
+		graph := filepath.Join(dir, "weird-edge"+form)
+		lift := exec.Command(filepath.Join(bin, "hglift"), "-func", fmt.Sprintf("%#x", s.FuncAddr), form, graph, elf)
+		if out, err := lift.CombinedOutput(); err != nil {
+			t.Errorf("hglift %s: %v\n%s", form, err, out)
+			continue
+		}
+		for _, cmd := range []string{"hgprove", "hglint"} {
+			if out, err := exec.Command(filepath.Join(bin, cmd), "-hg", graph, elf).CombinedOutput(); err != nil {
+				t.Errorf("%s -hg on the hglift %s file: %v\n%s", cmd, form, err, out)
+			}
+		}
+	}
+}

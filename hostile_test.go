@@ -7,7 +7,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -17,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/hglint"
 	"repro/internal/hgstore"
 	"repro/internal/hoare"
 	"repro/internal/image"
@@ -88,12 +88,13 @@ func graphVariants(b []byte) map[string][]byte {
 // FuzzImageLoad seeds and a 1,000-header table of file-spanning sections
 // (through all three commands), and truncated and byte-flipped copies of
 // the weird-edge graph in .hg text and compact binary form (through
-// hgprove -hg and hglint -hg). Every run exits 1, and its stderr holds no
-// panic and no goroutine dump. A binary, and a graph file the loader
-// rejects, is reported as exactly one stderr line "<command>: <file>: …".
-// A copy that still loads is a well-formed graph; saved weird-edge graphs
-// fail hglint by design (the resolved indirect jump is not persisted), so
-// those runs exit 1 with their lint findings.
+// hgprove -hg and hglint -hg). No stderr holds a panic or a goroutine
+// dump. Every binary, and every graph file the loader rejects, makes the
+// command exit 1 with exactly one stderr line "<command>: <file>: …". A
+// copy that still loads is a graph like any other, so its exit statuses
+// are computed from it: hglint exits 1 exactly when hglint.Lint reports an
+// error, and hgprove exits 1 unless the graph is lint-clean and lift.Check
+// proves every theorem.
 func TestCommandsRejectHostileInput(t *testing.T) {
 	bin := commands(t)
 	dir := t.TempDir()
@@ -105,17 +106,16 @@ func TestCommandsRejectHostileInput(t *testing.T) {
 		}
 		return p
 	}
-	// run executes one command and checks the exit status and stderr; it
-	// returns the stderr lines.
-	run := func(cmd string, args ...string) []string {
+	// run executes one command and checks its exit status against want
+	// and its stderr; it returns the stderr lines.
+	run := func(want int, cmd string, args ...string) []string {
 		t.Helper()
 		c := exec.Command(filepath.Join(bin, cmd), args...)
 		var stderr bytes.Buffer
 		c.Stderr = &stderr
 		err := c.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("%s %s: %v, want exit status 1\n%s", cmd, strings.Join(args, " "), err, stderr.Bytes())
+		if got := c.ProcessState.ExitCode(); got != want {
+			t.Errorf("%s %s: %v, want exit status %d\n%s", cmd, strings.Join(args, " "), err, want, stderr.Bytes())
 		}
 		if s := stderr.String(); strings.Contains(s, "panic:") || strings.Contains(s, "goroutine ") {
 			t.Errorf("%s %s panicked:\n%s", cmd, strings.Join(args, " "), s)
@@ -136,7 +136,7 @@ func TestCommandsRejectHostileInput(t *testing.T) {
 	for name, b := range elfs {
 		p := write(name, b)
 		for _, cmd := range []string{"hglift", "hgprove", "hglint"} {
-			namesInput(cmd, p, run(cmd, p))
+			namesInput(cmd, p, run(1, cmd, p))
 		}
 	}
 
@@ -157,21 +157,30 @@ func TestCommandsRejectHostileInput(t *testing.T) {
 		"hg":   hoare.Marshal(res.Func.Graph),
 		"obin": hgstore.MarshalGraph(res.Func.Graph),
 	}
+	status := func(fails bool) int {
+		if fails {
+			return 1
+		}
+		return 0
+	}
 	runs, rejected := 0, 0
 	for form, b := range forms {
 		for edit, v := range graphVariants(b) {
 			p := write("weird-edge-"+edit+"."+form, v)
-			_, loadErr := hgstore.LoadGraph(img, v)
-			if loadErr != nil {
+			runs += 2
+			g, err := hgstore.LoadGraph(img, v)
+			if err != nil {
 				rejected++
-			}
-			for _, cmd := range []string{"hgprove", "hglint"} {
-				lines := run(cmd, "-hg", p, elf)
-				if loadErr != nil {
-					namesInput(cmd, p, lines)
+				for _, cmd := range []string{"hgprove", "hglint"} {
+					namesInput(cmd, p, run(1, cmd, "-hg", p, elf))
 				}
-				runs++
+				continue
 			}
+			lintFails := hglint.Lint(g).HasErrors()
+			proves := !lintFails && lift.Check(context.Background(), img, g).AllProven()
+			run(status(lintFails), "hglint", "-hg", p, elf)
+			run(status(!proves), "hgprove", "-hg", p, elf)
+			t.Logf("%s loads: hglint fails %t, hgprove proves %t", filepath.Base(p), lintFails, proves)
 		}
 	}
 	if runs != 64 || rejected < 24 {

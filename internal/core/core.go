@@ -64,8 +64,6 @@ type Config struct {
 	// exceeded the function is reported as a timeout (the paper used a
 	// 4-hour wall-clock limit; a step budget is deterministic).
 	MaxStates int
-	// Timeout is an optional wall-clock limit per function.
-	Timeout time.Duration
 	// NoJoin disables state joining entirely (ablation: every visit
 	// explores a fresh state; MaxStates then bounds the blow-up).
 	NoJoin bool

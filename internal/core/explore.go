@@ -27,17 +27,16 @@ type workItem struct {
 
 // explorer holds the per-function exploration state.
 type explorer struct {
-	l      *Lifter
-	ctx    context.Context
-	tr     *obs.Tracer
-	g      *hoare.Graph
-	res    *FuncResult
-	bag    []workItem
-	seen   map[string]bool                  // NoJoin ablation: vertexID+stateKey dedup
-	vars   map[*hoare.Vertex]*pred.JoinVars // made on a vertex's first join
-	fatal  bool
-	t0     time.Time
-	before map[string]bool // machine assumptions snapshot
+	l     *Lifter
+	ctx   context.Context
+	tr    *obs.Tracer
+	g     *hoare.Graph
+	res   *FuncResult
+	bag   []workItem
+	seen  map[string]bool                  // NoJoin ablation: vertexID+stateKey dedup
+	vars  map[*hoare.Vertex]*pred.JoinVars // made on a vertex's first join
+	fatal bool
+	t0    time.Time
 }
 
 // explore runs Algorithm 1 from a function entry.
@@ -48,14 +47,10 @@ func (l *Lifter) explore(ctx context.Context, addr uint64, name string) *FuncRes
 	e := &explorer{
 		l: l, ctx: ctx, tr: l.Cfg.Sem.Tracer,
 		g: g, res: res,
-		seen:   map[string]bool{},
-		t0:     time.Now(),
-		before: map[string]bool{},
+		seen: map[string]bool{},
+		t0:   time.Now(),
 	}
 	e.tr.LiftStart(name, addr)
-	for _, a := range l.mach.Assumptions() {
-		e.before[a] = true
-	}
 	// The hypotheses this exploration's own steps make; a callee explored
 	// meanwhile tracks its own, and the defer restores the caller's set.
 	own := map[string]bool{}
@@ -87,8 +82,7 @@ func (l *Lifter) explore(ctx context.Context, addr uint64, name string) *FuncRes
 			e.fail(st, fmt.Sprintf("after %d steps: %v", res.Steps, err))
 			break
 		}
-		if res.Steps >= l.Cfg.MaxStates ||
-			(l.Cfg.Timeout > 0 && time.Since(e.t0) > l.Cfg.Timeout) {
+		if res.Steps >= l.Cfg.MaxStates {
 			e.fail(StatusTimeout, fmt.Sprintf("exploration budget exhausted after %d steps", res.Steps))
 			break
 		}
@@ -97,21 +91,13 @@ func (l *Lifter) explore(ctx context.Context, addr uint64, name string) *FuncRes
 		e.exploreOne(item)
 	}
 
-	// Per-function assumptions: everything the machine first recorded
-	// during this exploration (the callees explored meanwhile included),
-	// and every hypothesis this exploration's own steps made although the
-	// machine had recorded it before: a tail jump into code lifted earlier
-	// makes that code's hypotheses again, and Step 2 assumes only what the
-	// graph lists.
-	for _, a := range l.mach.Assumptions() {
-		if !e.before[a] {
-			g.Assumptions = append(g.Assumptions, a)
-		}
-	}
+	// Per-function assumptions: the recursion assumptions handleCall
+	// appended, and every hypothesis this exploration's own steps made,
+	// also one an earlier exploration made first (a tail jump into code
+	// lifted earlier makes that code's hypotheses again). A callee's
+	// hypotheses are listed by the callee's graph only.
 	for a := range own {
-		if e.before[a] {
-			g.Assumptions = append(g.Assumptions, a)
-		}
+		g.Assumptions = append(g.Assumptions, a)
 	}
 	sort.Strings(g.Assumptions)
 	res.Duration = time.Since(e.t0)
@@ -257,12 +243,6 @@ func (e *explorer) joinVars(v *hoare.Vertex) *pred.JoinVars {
 	return jv
 }
 
-// isIndirect reports whether the instruction computes its target
-// dynamically (r/m operand rather than an immediate).
-func isIndirect(inst x86.Inst) bool {
-	return len(inst.Ops) == 1 && inst.Ops[0].Kind != x86.OpImm
-}
-
 // handleOutcome processes one element of stepΣ(σ).
 func (e *explorer) handleOutcome(v *hoare.Vertex, inst x86.Inst, o sem.Outcome) {
 	switch o.Kind {
@@ -282,9 +262,6 @@ func (e *explorer) handleOutcome(v *hoare.Vertex, inst x86.Inst, o sem.Outcome) 
 			e.g.Annotate(inst.Addr, hoare.AnnUnresolvedJump,
 				fmt.Sprintf("target %#x outside executable sections", tgt))
 			return
-		}
-		if o.Kind == sem.KJump && isIndirect(inst) {
-			e.g.Resolved[inst.Addr] = true
 		}
 		tid := e.l.vertexID(tgt, o.State)
 		e.g.AddEdge(hoare.Edge{From: v.ID, To: tid, Inst: inst, Kind: o.Kind})
@@ -313,11 +290,8 @@ func (e *explorer) handleCall(v *hoare.Vertex, inst x86.Inst, o sem.Outcome) {
 		// overapproximatively as an unknown external function.
 		e.g.Annotate(inst.Addr, hoare.AnnUnresolvedCall,
 			fmt.Sprintf("call target evaluates to %v", o.Target))
-		e.continueAfterCall(v, inst, o, "<unresolved>")
+		e.continueAfterCall(v, inst, o, hoare.UnresolvedCallee)
 		return
-	}
-	if isIndirect(inst) {
-		e.g.Resolved[inst.Addr] = true
 	}
 
 	if name, isPLT := l.Img.PLTName(tgt); isPLT {

@@ -9,8 +9,6 @@
 package hglint
 
 import (
-	"sort"
-
 	"repro/internal/expr"
 	"repro/internal/hoare"
 	"repro/internal/pred"
@@ -125,26 +123,17 @@ func checkRetIntegrity(ctx *Ctx) {
 
 // checkUnboundedJump enforces bounded control flow per instruction:
 // every indirect jmp/call in the recovered disassembly either had its
-// target set bounded (g.Resolved) or the graph admits the unsoundness
-// with an annotation at that address.
+// target set bounded (an edge leaves it, see hoare.Graph.Indirections) or
+// the graph admits the unsoundness with an annotation at that address.
 func checkUnboundedJump(ctx *Ctx) {
 	g := ctx.Graph
 	annotated := map[uint64]bool{}
 	for _, a := range g.Annotations {
 		annotated[a.Addr] = true
 	}
-	addrs := make([]uint64, 0, len(g.Instrs))
-	for a := range g.Instrs {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		inst := g.Instrs[a]
-		if !isIndirect(inst) {
-			continue
-		}
-		if !g.Resolved[a] && !annotated[a] {
-			ctx.Reportf("", a, "indirect %s @%#x is neither resolved nor annotated", inst.Mn, a)
+	for a, resolved := range g.Indirections() {
+		if !resolved && !annotated[a] {
+			ctx.Reportf("", a, "indirect %s @%#x is neither resolved nor annotated", g.Instrs[a].Mn, a)
 		}
 	}
 }

@@ -9,7 +9,6 @@ package hglint
 import (
 	"repro/internal/hoare"
 	"repro/internal/sem"
-	"repro/internal/x86"
 )
 
 func init() {
@@ -145,13 +144,4 @@ func checkUnreachable(ctx *Ctx) {
 
 func isTerminal(id hoare.VertexID) bool {
 	return id == hoare.ExitID || id == hoare.HaltID
-}
-
-// isIndirect mirrors the explorer's classification: a jmp/call through a
-// register or memory operand (not an immediate).
-func isIndirect(inst x86.Inst) bool {
-	if inst.Mn != x86.JMP && inst.Mn != x86.CALL {
-		return false
-	}
-	return len(inst.Ops) == 1 && inst.Ops[0].Kind != x86.OpImm
 }

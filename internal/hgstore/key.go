@@ -30,8 +30,11 @@ import (
 // store holds. Bump it whenever a change to the lifter, the semantics, or
 // the wire formats could alter a lift's outcome or its encoding: entries
 // stamped with another version are dropped on open (a miss, not an
-// error), so a stale store heals itself by re-lifting.
-const LifterVersion = "hg-lifter/3"
+// error), so a stale store heals itself by re-lifting. Version 4: a graph
+// lists only the hypotheses its own exploration makes, not those of the
+// callees explored inside its lift, whose graphs list them (version 3:
+// the opcode table changed what some bytes decode to).
+const LifterVersion = "hg-lifter/4"
 
 // Key addresses one cached lift outcome. Two lifts with equal keys read
 // the same primary code bytes under the same configuration and lifter
@@ -118,11 +121,8 @@ func CodeHash(img *image.Image, addr uint64, binary bool) uint64 {
 }
 
 // ConfigFingerprint hashes every configuration field that can change a
-// lift's outcome. Wall-clock fields (core.Config.Timeout) are excluded:
-// outcomes that depend on them are never stored (see entry.go), so two
-// runs differing only in wall budget share entries. The solver cache and
-// tracer are excluded for the same reason — they are observers, not
-// semantics.
+// lift's outcome. The solver cache and tracer are excluded — they are
+// observers, not semantics.
 func ConfigFingerprint(cfg *core.Config) uint64 {
 	c := core.DefaultConfig()
 	if cfg != nil {

@@ -46,6 +46,10 @@ type Edge struct {
 	Callee string
 }
 
+// UnresolvedCallee is the Callee of the continuation edge of a call whose
+// target did not evaluate to an address (column C of Table 1).
+const UnresolvedCallee = "<unresolved>"
+
 // AnnKind classifies unsoundness annotations (Line 13 of Algorithm 1).
 type AnnKind uint8
 
@@ -96,9 +100,6 @@ type Graph struct {
 
 	// Instrs is the recovered disassembly: every instruction lifted.
 	Instrs map[uint64]x86.Inst
-	// Resolved counts indirect control transfers whose target sets were
-	// bounded (column A of Table 1), keyed by instruction address.
-	Resolved map[uint64]bool
 
 	edgeSet map[edgeKey]struct{}
 }
@@ -125,7 +126,6 @@ func newGraphSized(addr uint64, name string, retSym expr.Var, vertices, edges in
 		RetSym:   retSym,
 		Vertices: make(map[VertexID]*Vertex, vertices),
 		Instrs:   make(map[uint64]x86.Inst, edges),
-		Resolved: map[uint64]bool{},
 		edgeSet:  make(map[edgeKey]struct{}, edges),
 	}
 	if edges > 0 {
@@ -184,8 +184,8 @@ func (g *Graph) Stats() Stats {
 	for _, v := range g.Vertices {
 		s.Joins += v.Joins
 	}
-	for _, ok := range g.Resolved {
-		if ok {
+	for _, resolved := range g.Indirections() {
+		if resolved {
 			s.ResolvedInd++
 		}
 	}
@@ -201,6 +201,31 @@ func (g *Graph) Stats() Stats {
 		s.WeirdVertices += len(g.VerticesAt(addr))
 	}
 	return s
+}
+
+// Indirections maps every indirect jmp and call of the recovered
+// disassembly (a target in a register or memory operand) to whether it is
+// resolved, which is Table 1's column A: an edge leaves it that is not an
+// unresolved call's continuation (Callee UnresolvedCallee). Read off the
+// edges, it answers for a graph loaded from a file as for the lifted one.
+// It differs from what the explorer saw in one case only: a failed lift
+// whose fatal step was a resolved indirect call (the callee failed, or it
+// is a concurrency function) stopped before adding that call's edge.
+func (g *Graph) Indirections() map[uint64]bool {
+	out := map[uint64]bool{}
+	for a, inst := range g.Instrs {
+		indirect := (inst.Mn == x86.JMP || inst.Mn == x86.CALL) &&
+			len(inst.Ops) == 1 && inst.Ops[0].Kind != x86.OpImm
+		if indirect {
+			out[a] = false
+		}
+	}
+	for _, e := range g.Edges {
+		if _, ok := out[e.Inst.Addr]; ok && e.Callee != UnresolvedCallee {
+			out[e.Inst.Addr] = true
+		}
+	}
+	return out
 }
 
 // WeirdAddresses returns the lifted instruction addresses that lie

@@ -47,13 +47,23 @@ func TestAnnotateDedup(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	g := sampleGraph()
-	g.Resolved[0x401000] = true
-	g.Annotate(0x401010, AnnUnresolvedJump, "b")
+	// An indirect jmp with an edge is resolved; an indirect call whose
+	// only edge is an unresolved call's continuation is not.
+	jmp := x86.Inst{Addr: 0x401010, Mn: x86.JMP, Ops: []x86.Operand{x86.RegOp(x86.RAX, 8)}}
+	call := x86.Inst{Addr: 0x401020, Mn: x86.CALL, Ops: []x86.Operand{x86.RegOp(x86.RAX, 8)}}
+	g.Instrs[jmp.Addr] = jmp
+	g.Instrs[call.Addr] = call
+	g.AddEdge(Edge{From: "401010", To: "401005", Inst: jmp, Kind: sem.KJump})
+	g.AddEdge(Edge{From: "401020", To: "401022", Inst: call, Kind: sem.KCall, Callee: UnresolvedCallee})
+	g.Annotate(0x401030, AnnUnresolvedJump, "b")
 	g.Annotate(0x401020, AnnUnresolvedCall, "c")
 	g.Obligations = append(g.Obligations, "ob")
 	g.Assumptions = append(g.Assumptions, "as")
+	if ind := g.Indirections(); len(ind) != 2 || !ind[jmp.Addr] || ind[call.Addr] {
+		t.Fatalf("indirections: %v", ind)
+	}
 	s := g.Stats()
-	if s.Instructions != 2 || s.States != 3 || s.Edges != 2 {
+	if s.Instructions != 4 || s.States != 3 || s.Edges != 4 {
 		t.Fatalf("stats: %+v", s)
 	}
 	if s.ResolvedInd != 1 || s.UnresolvedJump != 1 || s.UnresolvedCall != 1 {
@@ -65,7 +75,7 @@ func TestStats(t *testing.T) {
 	var sum Stats
 	sum.Add(s)
 	sum.Add(s)
-	if sum.Instructions != 4 || sum.ResolvedInd != 2 {
+	if sum.Instructions != 8 || sum.ResolvedInd != 2 {
 		t.Fatalf("sum: %+v", sum)
 	}
 }

@@ -159,8 +159,6 @@ func (m *Metrics) Emit(e Event) {
 		m.Counter("watchdog.abandoned").Add(1)
 	case KTheorem:
 		m.Counter("theorem." + e.Status).Add(1)
-	case KLint:
-		m.Counter("lint." + e.Status).Add(1)
 	case KRetry:
 		m.Counter("task.retries").Add(1)
 	case KQuarantine:

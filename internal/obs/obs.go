@@ -46,7 +46,6 @@ const (
 	KSolver                 // sem: one solver comparison (Hit = answered from memo)
 	KObligation             // core: a proof obligation over an external call was emitted
 	KTheorem                // triple: a Step-2 theorem verdict (Status, Vertex)
-	KLint                   // hglint: a static-analysis diagnostic (Status = severity, Detail = rule: msg)
 	KRetry                  // pipeline: a failed lift attempt was re-scheduled (Status = attempt's outcome, N = attempt)
 	KQuarantine             // pipeline: a task exhausted its retry budget (Status = final outcome, N = attempts)
 	KStore                  // hgstore: graph-store activity (Status = hit | miss | write | write-error | flush; N = payload bytes or flushed entries, Wall = decode/flush latency, Detail = miss reason / error)
@@ -70,7 +69,6 @@ var kindNames = [...]string{
 	KSolver:     "solver",
 	KObligation: "obligation",
 	KTheorem:    "theorem",
-	KLint:       "lint",
 	KRetry:      "retry",
 	KQuarantine: "quarantine",
 	KStore:      "store",
@@ -400,14 +398,4 @@ func (t *Tracer) ServeDone(id, tenant, status string, wall time.Duration) {
 		return
 	}
 	t.Emit(Event{Kind: KServe, Func: id, Status: status, Detail: tenant, Wall: wall})
-}
-
-// Lint marks one hglint diagnostic against the graph of fn: severity
-// rides in Status, the rule name and message in Detail.
-func (t *Tracer) Lint(fn, vertex string, addr uint64, severity, rule, msg string) {
-	if t == nil {
-		return
-	}
-	t.Emit(Event{Kind: KLint, Func: fn, Vertex: vertex, Addr: addr,
-		Status: severity, Detail: rule + ": " + msg})
 }

@@ -32,7 +32,6 @@ func TestNilTracer(t *testing.T) {
 	tr.Solver(1, true)
 	tr.Obligation(1, "ob")
 	tr.Theorem("f", "v", 1, "proven")
-	tr.Lint("f", "v", 1, "error", "hg-entry", "missing")
 	tr.Fallback(1)
 	tr.PtrAnalyze("f", 1, 2, 3, time.Second)
 	tr.FactHit(1)
@@ -146,8 +145,6 @@ func TestMetricsAggregation(t *testing.T) {
 	tr.TaskFinish("t", "timeout", time.Second)
 	tr.Watchdog("t", time.Second)
 	tr.Theorem("f", "v", 1, "proven")
-	tr.Lint("f", "v1", 1, "error", "hg-dangling-edge", "edge to nowhere")
-	tr.Lint("f", "v2", 2, "warn", "hg-unreachable", "unreachable")
 	tr.Fallback(3)
 	tr.PtrAnalyze("f", 1, 5, 2, time.Millisecond)
 	tr.FactHit(4)
@@ -166,8 +163,6 @@ func TestMetricsAggregation(t *testing.T) {
 		"task.timeout":       1,
 		"watchdog.abandoned": 1,
 		"theorem.proven":     1,
-		"lint.error":         1,
-		"lint.warn":          1,
 		"ptr.analyses":       1,
 		"ptr.facts":          5,
 		"ptr.hypotheses":     2,

@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/hglint"
 	"repro/internal/hgstore"
 	"repro/internal/hoare"
 	"repro/internal/image"
@@ -55,7 +54,7 @@ type Task struct {
 	Binary bool
 	// Cfg overrides the lifter configuration (nil = core.DefaultConfig()).
 	// The scheduler copies it before installing the shared solver cache
-	// and the per-lift timeout.
+	// and the tracer.
 	Cfg *core.Config
 }
 
@@ -78,13 +77,6 @@ type Options struct {
 	// memory-model event the lift emits. nil disables observation for the
 	// cost of a pointer check per event site.
 	Tracer *obs.Tracer
-	// Lint, when true, runs the hglint static analyzer over every
-	// successfully lifted graph right after its lift, through the run's
-	// shared solver cache. Reports land on each Result (and their
-	// diagnostics on the tracer as lint events); the Summary counts the
-	// error-severity findings, so schedulers and tests can fail fast on a
-	// malformed graph without paying for Step 2.
-	Lint bool
 	// Retry re-schedules lifts that end in StatusPanic or StatusTimeout —
 	// the two statuses that can arise from infrastructure faults rather
 	// than properties of the binary. Every lift is context-free and starts
@@ -100,14 +92,14 @@ type Options struct {
 	// Store, when non-nil, is the content-addressed Hoare-graph cache: a
 	// task whose (code hash, config fingerprint, lifter version) key has a
 	// valid entry skips Step-1 lifting entirely — the result (graphs,
-	// statistics replay) is decoded from the store, optionally re-linted,
-	// and reported with FromStore set. Misses lift as usual and append
-	// their outcome when Storable. The store is also how an interrupted
-	// run resumes: re-running it against the same store answers every
-	// stored task without lifting, and because a store survives corpus
-	// changes, only the tasks whose code bytes drifted re-lift. A Put
-	// that fails leaves the task uncached; Result.StoreWriteErr and
-	// Summary.StoreWriteErrors report it.
+	// statistics replay) is decoded from the store and reported with
+	// FromStore set. Misses lift as usual and append their outcome when
+	// Storable. The store is also how an interrupted run resumes:
+	// re-running it against the same store answers every stored task
+	// without lifting, and because a store survives corpus changes, only
+	// the tasks whose code bytes drifted re-lift. A Put that fails leaves
+	// the task uncached; Result.StoreWriteErr and Summary.StoreWriteErrors
+	// report it.
 	Store *hgstore.Store
 }
 
@@ -209,9 +201,6 @@ type Result struct {
 	Stats  Stats
 	// PanicMsg carries the recovered panic value for StatusPanic results.
 	PanicMsg string
-	// Lint holds one hglint report per successfully lifted graph (in
-	// Funcs order for binary tasks); nil unless Options.Lint was set.
-	Lint []*hglint.Report
 	// Attempts is the number of attempts this task consumed (1 = no
 	// retry; 0 = cancelled before its first attempt started).
 	Attempts int
@@ -233,16 +222,6 @@ type Result struct {
 	// lift completed, but its graphs were not cached, so a re-run lifts
 	// the task again. nil when the write succeeded or none was attempted.
 	StoreWriteErr error
-}
-
-// LintErrors sums the error-severity diagnostics across the result's
-// lint reports.
-func (r *Result) LintErrors() int {
-	n := 0
-	for _, rep := range r.Lint {
-		n += rep.Errors()
-	}
-	return n
 }
 
 // Summary aggregates a Run. Results are in task order regardless of the
@@ -272,9 +251,6 @@ type Summary struct {
 	// result could not be written back (Result.StoreWriteErr); the run
 	// is complete, but a re-run will lift them again.
 	StoreHits, StoreMisses, StoreWriteErrors int
-	// LintErrors sums error-severity hglint diagnostics across every
-	// result (0 unless Options.Lint was set).
-	LintErrors int
 	// Wall is the wall-clock time of the whole Run.
 	Wall time.Duration
 	// Cache is the Run's solver cache (shared or per-Run), for corpus-wide
@@ -301,17 +277,17 @@ func (s *Summary) Canonical() string {
 	}
 	for _, r := range s.Results {
 		g := r.Stats.Graph
-		app("%s status=%s attempts=%d quarantined=%t lint=%d instrs=%d states=%d joins=%d edges=%d A=%d B=%d C=%d obl=%d asm=%d weird=%d queries=%d forks=%d destroys=%d\n",
-			r.Name, r.Status, r.Attempts, r.Quarantined, r.LintErrors(),
+		app("%s status=%s attempts=%d quarantined=%t instrs=%d states=%d joins=%d edges=%d A=%d B=%d C=%d obl=%d asm=%d weird=%d queries=%d forks=%d destroys=%d\n",
+			r.Name, r.Status, r.Attempts, r.Quarantined,
 			g.Instructions, g.States, g.Joins, g.Edges,
 			g.ResolvedInd, g.UnresolvedJump, g.UnresolvedCall,
 			g.Obligations, g.Assumptions, g.WeirdVertices,
 			r.Stats.Sem.SolverQueries, r.Stats.Sem.Forks, r.Stats.Sem.Destroys)
 	}
 	tg := s.Stats.Graph
-	app("total lifted=%d unprovable=%d concurrency=%d timeouts=%d errors=%d panics=%d cancelled=%d retried=%d quarantined=%d lint=%d\n",
+	app("total lifted=%d unprovable=%d concurrency=%d timeouts=%d errors=%d panics=%d cancelled=%d retried=%d quarantined=%d\n",
 		s.Lifted, s.Unprovable, s.Concurrency, s.Timeouts, s.Errors, s.Panics,
-		s.Cancelled, s.Retried, s.Quarantined, s.LintErrors)
+		s.Cancelled, s.Retried, s.Quarantined)
 	app("stats instrs=%d states=%d joins=%d edges=%d A=%d B=%d C=%d obl=%d asm=%d weird=%d queries=%d forks=%d destroys=%d\n",
 		tg.Instructions, tg.States, tg.Joins, tg.Edges,
 		tg.ResolvedInd, tg.UnresolvedJump, tg.UnresolvedCall,
@@ -349,7 +325,6 @@ func RunCtx(ctx context.Context, tasks []Task, opts Options) *Summary {
 		r := &sum.Results[i]
 		sum.Stats.Add(r.Stats)
 		sum.RetryStats.Add(r.RetryStats)
-		sum.LintErrors += r.LintErrors()
 		if r.Attempts > 1 {
 			sum.Retried++
 		}
@@ -425,7 +400,7 @@ func runOne(ctx context.Context, t Task, idx int, opts Options) Result {
 		storeKey = hgstore.TaskKey(t.Img, addr, t.Binary, &cfg)
 		if e, n, wall, reason := opts.Store.Lookup(storeKey, t.Img); e != nil {
 			tr.StoreHit(t.Name, uint64(n), wall)
-			return finish(resultFromEntry(t, idx, e, opts, tr))
+			return finish(resultFromEntry(t, idx, e))
 		} else {
 			tr.StoreMiss(t.Name, reason)
 		}
@@ -507,7 +482,7 @@ func runAttempt(ctx context.Context, t Task, idx int, opts Options, tr *obs.Trac
 		if opts.Faults.LiftPanic(t.Name, attempt) {
 			panic(fmt.Sprintf("faultinject: injected panic in lift %q attempt %d", t.Name, attempt))
 		}
-		done <- lift(lctx, t, idx, opts, tr)
+		done <- lift(lctx, t, idx, opts.Cache, tr)
 	}()
 	var watchdog <-chan time.Time
 	if budget > 0 {
@@ -544,9 +519,9 @@ func effectiveConfig(t Task) core.Config {
 }
 
 // lift runs the task's lifter and collects its statistics.
-func lift(ctx context.Context, t Task, idx int, opts Options, tr *obs.Tracer) Result {
+func lift(ctx context.Context, t Task, idx int, cache *solver.Cache, tr *obs.Tracer) Result {
 	cfg := effectiveConfig(t)
-	cfg.Sem.SolverCache = opts.Cache
+	cfg.Sem.SolverCache = cache
 	cfg.Sem.Tracer = tr
 	l := core.New(t.Img, cfg)
 	res := Result{Name: t.Name, Index: idx}
@@ -564,18 +539,13 @@ func lift(ctx context.Context, t Task, idx int, opts Options, tr *obs.Tracer) Re
 	}
 	res.Stats.Wall = time.Since(start)
 	res.Stats.Sem = l.Counters()
-	if opts.Lint {
-		lintResult(&res, opts.Cache, tr)
-	}
 	return res
 }
 
 // resultFromEntry reconstructs the Result a cold lift would have produced
 // from a decoded store entry: statuses and statistics replay the recorded
-// values, the graphs are the decoded (pointer-canonical) ones, and — like
-// a fresh lift — the result is re-linted when the run asks for it, so a
-// corrupted-but-checksum-valid graph cannot sneak past the analyzer.
-func resultFromEntry(t Task, idx int, e *hgstore.Entry, opts Options, tr *obs.Tracer) Result {
+// values, and the graphs are the decoded (pointer-canonical) ones.
+func resultFromEntry(t Task, idx int, e *hgstore.Entry) Result {
 	res := Result{
 		Name:      t.Name,
 		Index:     idx,
@@ -598,9 +568,6 @@ func resultFromEntry(t Task, idx int, e *hgstore.Entry, opts Options, tr *obs.Tr
 		res.Binary = br
 	} else if len(e.Funcs) > 0 {
 		res.Func = e.Funcs[0]
-	}
-	if opts.Lint {
-		lintResult(&res, opts.Cache, tr)
 	}
 	return res
 }
@@ -628,28 +595,4 @@ func entryFromResult(r Result) *hgstore.Entry {
 		e.Funcs = []*core.FuncResult{r.Func}
 	}
 	return e
-}
-
-// lintResult runs the static analyzer over every successfully lifted
-// graph of one result, through the run's shared solver memo cache, and
-// forwards each diagnostic to the tracer. Failed lifts stop exploring
-// mid-graph, so only StatusLifted graphs are expected to be well-formed.
-func lintResult(res *Result, cache *solver.Cache, tr *obs.Tracer) {
-	var frs []*core.FuncResult
-	switch {
-	case res.Binary != nil:
-		frs = res.Binary.Funcs
-	case res.Func != nil:
-		frs = []*core.FuncResult{res.Func}
-	}
-	for _, fr := range frs {
-		if fr.Status != core.StatusLifted || fr.Graph == nil {
-			continue
-		}
-		rep := hglint.Lint(fr.Graph, hglint.WithCache(cache))
-		res.Lint = append(res.Lint, rep)
-		for _, d := range rep.Diagnostics {
-			tr.Lint(fr.Name, d.Vertex, d.Addr, d.Severity.String(), d.Rule, d.Msg)
-		}
-	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/hglint"
-	"repro/internal/obs"
 	"repro/internal/solver"
 )
 
@@ -273,52 +272,22 @@ func statuses(sum *Summary) []core.Status {
 	return out
 }
 
-// TestRunLint turns on the scheduler's hglint pass: every successfully
-// lifted graph gets a report, the corpus graphs are error-free, and the
-// diagnostics ride the tracer as lint events.
+// TestRunLint lints what the scheduler lifts: every successfully lifted
+// graph of the corpus, linted through the run's shared solver cache, is
+// error-free.
 func TestRunLint(t *testing.T) {
-	tasks := smallDir(t)
-	ring := obs.NewRing(4096)
-	sum := RunCtx(context.Background(), tasks, Options{
-		Jobs: 2, Lint: true, Tracer: obs.NewTracer(ring),
-	})
-	if sum.LintErrors != 0 {
-		for _, r := range sum.Results {
-			for _, rep := range r.Lint {
-				t.Errorf("%s:\n%s", r.Name, rep)
-			}
-		}
-		t.Fatalf("corpus graphs should be hglint-clean, got %d errors", sum.LintErrors)
-	}
+	sum := RunCtx(context.Background(), smallDir(t), Options{Jobs: 2})
 	reports := 0
 	for _, r := range sum.Results {
-		if r.Status == core.StatusLifted && len(r.Lint) == 0 {
-			t.Errorf("%s: lifted but no lint report", r.Name)
+		if r.Status != core.StatusLifted || r.Func == nil {
+			continue
 		}
-		reports += len(r.Lint)
+		if rep := hglint.Lint(r.Func.Graph, hglint.WithCache(sum.Cache)); rep.HasErrors() {
+			t.Errorf("%s:\n%s", r.Name, rep)
+		}
+		reports++
 	}
 	if reports == 0 {
-		t.Fatal("no lint reports at all")
-	}
-	// Error diagnostics would have been mirrored onto the tracer.
-	for _, e := range ring.Events() {
-		if e.Kind == obs.KLint && e.Status == hglint.SevError.String() {
-			t.Errorf("lint event: %s %s", e.Func, e.Detail)
-		}
-	}
-}
-
-// TestRunLintOff is the default-off contract: without Options.Lint no
-// result carries a report.
-func TestRunLintOff(t *testing.T) {
-	tasks := smallDir(t)[:2]
-	sum := RunCtx(context.Background(), tasks, Options{Jobs: 1})
-	for _, r := range sum.Results {
-		if r.Lint != nil {
-			t.Fatalf("%s: lint report without Options.Lint", r.Name)
-		}
-	}
-	if sum.LintErrors != 0 {
-		t.Fatalf("LintErrors = %d without Options.Lint", sum.LintErrors)
+		t.Fatal("no lifted graph to lint")
 	}
 }

@@ -3,7 +3,6 @@ package sem
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/expr"
 	"repro/internal/image"
@@ -59,21 +58,20 @@ func DefaultConfig() Config {
 }
 
 // Machine symbolically executes instructions over symbolic states. It
-// accumulates the implicit assumptions made (separation between pointer
-// provenances) — "each and any implicit assumption made during HG
-// generation is formalized and exported" (§5.2). A machine belongs to one
-// goroutine.
+// records the implicit assumptions it makes (separation between pointer
+// provenances) into the set TrackAssumptions installed — "each and any
+// implicit assumption made during HG generation is formalized and
+// exported" (§5.2). A machine belongs to one goroutine.
 type Machine struct {
 	Img *image.Image
 	Cfg Config
 
-	assumptions map[string]bool // made on the first assumption
-	own         map[string]bool // set by TrackAssumptions
-	hyps        []string        // sorted; the hypotheses of NewCheckMachine
-	curAddr     uint64
-	nfresh      int
-	counters    Counters
-	free        []*State // handed back by Recycle, reused by clone
+	own      map[string]bool // set by TrackAssumptions
+	hyps     []string        // sorted; the hypotheses of NewCheckMachine
+	curAddr  uint64
+	nfresh   int
+	counters Counters
+	free     []*State // handed back by Recycle, reused by clone
 }
 
 // Counters tallies the solver and memory-model activity of one machine —
@@ -194,21 +192,12 @@ func (m *Machine) clone(st *State) *State {
 	return c
 }
 
-// Assumptions returns the recorded separation assumptions, sorted.
-func (m *Machine) Assumptions() []string {
-	out := make([]string, 0, len(m.assumptions))
-	for a := range m.assumptions {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TrackAssumptions makes the machine add every assumption it makes from
-// now on to own as well, recorded before or not (nil stops), and returns
-// the set it added them to until now. The lifter gives each exploration
-// its own set, so a graph lists every hypothesis its own steps make, also
-// one that an earlier exploration of the same code recorded first.
+// TrackAssumptions makes the machine record every assumption it makes
+// from now on into own (nil records none), and returns the set it
+// recorded them into until now. The lifter gives each exploration its own
+// set, so a graph lists every hypothesis its own steps make, also one an
+// earlier exploration of the same code made first, and none that only a
+// callee's steps make.
 func (m *Machine) TrackAssumptions(own map[string]bool) map[string]bool {
 	prev := m.own
 	m.own = own
@@ -216,10 +205,6 @@ func (m *Machine) TrackAssumptions(own map[string]bool) map[string]bool {
 }
 
 func (m *Machine) assume(text string) {
-	if m.assumptions == nil {
-		m.assumptions = map[string]bool{}
-	}
-	m.assumptions[text] = true
 	if m.own != nil {
 		m.own[text] = true
 	}

@@ -449,35 +449,42 @@ func TestAssumptionsRecorded(t *testing.T) {
 	m := newMachine(t, func(a *x86.Asm) {
 		a.I(x86.MOV, x86.MemOp(x86.RDI, x86.RegNone, 1, 0, 8), x86.ImmOp(1, 4))
 	}, nil)
-	st := InitialState("a_r") // memory model already has [rsp0, 8]
 	inst, _ := m.Img.Fetch(textBase)
-	outs, err := m.Step(st, inst)
+	own := map[string]bool{}
+	if prev := m.TrackAssumptions(own); prev != nil {
+		t.Fatalf("a new machine tracks into %v", prev)
+	}
+	// The memory model already has [rsp0, 8].
+	outs, err := m.Step(InitialState("a_r"), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(outs) != 1 {
 		t.Fatalf("assumed-separate write must not fork: %d", len(outs))
 	}
-	found := false
-	for _, a := range m.Assumptions() {
-		if strings.Contains(a, "ASSUMED SEPARATE") && strings.Contains(a, "rdi0") {
-			found = true
-		}
+	var made string
+	for a := range own {
+		made = a
 	}
-	if !found {
-		t.Fatalf("assumption not recorded: %v", m.Assumptions())
+	if len(own) != 1 || !strings.Contains(made, "ASSUMED SEPARATE") || !strings.Contains(made, "rdi0") {
+		t.Fatalf("assumption not recorded: %v", own)
 	}
-	// Stepping the write again makes the assumption again: a tracking set
-	// receives it although the machine recorded it before.
-	own := map[string]bool{}
-	if prev := m.TrackAssumptions(own); prev != nil {
-		t.Fatalf("a new machine tracks into %v", prev)
+	// Stepping the write again makes the assumption again: the next
+	// exploration's set receives it although the last one holds it, and
+	// no set receives it while none is installed.
+	again := map[string]bool{}
+	if prev := m.TrackAssumptions(again); len(prev) != 1 || !prev[made] {
+		t.Fatalf("tracked into %v, want the set holding %q", prev, made)
 	}
 	if _, err := m.Step(InitialState("a_r"), inst); err != nil {
 		t.Fatal(err)
 	}
-	if m.TrackAssumptions(nil); len(own) != 1 || !own[m.Assumptions()[0]] {
-		t.Fatalf("tracked %v, want the recorded %v", own, m.Assumptions())
+	m.TrackAssumptions(nil)
+	if _, err := m.Step(InitialState("a_r"), inst); err != nil {
+		t.Fatal(err)
+	}
+	if len(again) != 1 || !again[made] || len(own) != 1 {
+		t.Fatalf("tracked %v then %v, want %q once in each", own, again, made)
 	}
 }
 
@@ -492,10 +499,15 @@ func TestCheckMachineAssumesOnlyItsList(t *testing.T) {
 	}
 	step1 := newMachine(t, asm, nil)
 	inst, _ := step1.Img.Fetch(textBase)
+	made := map[string]bool{}
+	step1.TrackAssumptions(made)
 	if _, err := step1.Step(InitialState("a_r"), inst); err != nil {
 		t.Fatal(err)
 	}
-	listed := step1.Assumptions()
+	var listed []string
+	for a := range made {
+		listed = append(listed, a)
+	}
 	if len(listed) != 1 {
 		t.Fatalf("Step 1 recorded %v, want one assumption", listed)
 	}
@@ -510,6 +522,8 @@ func TestCheckMachineAssumesOnlyItsList(t *testing.T) {
 		{"other address", moved, false},
 	} {
 		m := NewCheckMachine(step1.Img, DefaultConfig(), c.hyps)
+		recorded := map[string]bool{}
+		m.TrackAssumptions(recorded)
 		outs, err := m.Step(InitialState("a_r"), inst)
 		if err != nil {
 			t.Fatal(err)
@@ -517,8 +531,8 @@ func TestCheckMachineAssumesOnlyItsList(t *testing.T) {
 		if (len(outs) == 1) != c.outs1 {
 			t.Errorf("%s: %d outcomes", c.name, len(outs))
 		}
-		if len(m.Assumptions()) != 0 {
-			t.Errorf("%s: check machine recorded %v", c.name, m.Assumptions())
+		if len(recorded) != 0 {
+			t.Errorf("%s: check machine recorded %v", c.name, recorded)
 		}
 	}
 }

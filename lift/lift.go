@@ -4,10 +4,10 @@
 // set threaded end to end by a context.Context:
 //
 //	metrics := obs.NewMetrics()
-//	sum := lift.Run(ctx, lift.Requests(
+//	sum := lift.Run(ctx, []lift.Request{
 //	        lift.Binary("a.elf", imgA),
 //	        lift.Func("strlen", imgB, 0x401000),
-//	    ),
+//	    },
 //	    lift.Jobs(8),
 //	    lift.Timeout(30*time.Second),
 //	    lift.Observe(metrics),
@@ -105,22 +105,6 @@ func Func(name string, img *image.Image, addr uint64) Request {
 	return Request{Name: name, Img: img, Addr: addr}
 }
 
-// Requests collects its arguments — a literal-friendly alternative to
-// building the slice by hand.
-func Requests(reqs ...Request) []Request { return reqs }
-
-// WithMaxStates returns a copy of the request with a per-request step
-// budget (corpus units carry their own).
-func (r Request) WithMaxStates(n int) Request {
-	cfg := core.DefaultConfig()
-	if r.Config != nil {
-		cfg = *r.Config
-	}
-	cfg.MaxStates = n
-	r.Config = &cfg
-	return r
-}
-
 // UnitRequests maps generated corpus units onto requests, honouring each
 // unit's step budget — the one translation cmd/xenbench and the benchmark
 // harness used to duplicate.
@@ -134,7 +118,9 @@ func UnitRequests(units []*corpus.Unit) []Request {
 			IsBin: u.Kind == corpus.KindBinary,
 		}
 		if u.Budget > 0 {
-			r = r.WithMaxStates(u.Budget)
+			cfg := core.DefaultConfig()
+			cfg.MaxStates = u.Budget
+			r.Config = &cfg
 		}
 		reqs = append(reqs, r)
 	}
@@ -143,10 +129,10 @@ func UnitRequests(units []*corpus.Unit) []Request {
 
 // settings is the resolved option set of one Run.
 type settings struct {
-	popts   pipeline.Options
-	baseCfg core.Config
-	cfgMod  bool
-	facts   bool // PointerFacts: set on every request's configuration
+	popts pipeline.Options
+	// Set on every request's configuration.
+	joinCodePointers bool // JoinCodePointers
+	facts            bool // PointerFacts
 }
 
 // Option tunes a Run (functional options over the unified settings).
@@ -211,45 +197,26 @@ func Faults(inj *faultinject.Injector) Option {
 	return func(s *settings) { s.popts.Faults = inj }
 }
 
-// Lint runs the hglint static analyzer over every successfully lifted
-// graph, through the run's shared solver cache; reports land on each
-// Result and diagnostics on the tracer as lint events.
-func Lint() Option {
-	return func(s *settings) { s.popts.Lint = true }
-}
-
-// MaxStates bounds per-function exploration for every request without its
-// own Config.
-func MaxStates(n int) Option {
-	return func(s *settings) { s.baseCfg.MaxStates = n; s.cfgMod = true }
-}
-
 // JoinCodePointers joins states holding different code-pointer immediates
-// (ablation: loses indirection resolution).
+// on every request (ablation: loses indirection resolution).
 func JoinCodePointers() Option {
-	return func(s *settings) { s.baseCfg.JoinCodePointers = true; s.cfgMod = true }
+	return func(s *settings) { s.joinCodePointers = true }
 }
 
 // PointerFacts enables the pointer-analysis pre-pass on every request: a
 // per-function fact table of proven region relations and separation
 // hypotheses is computed before exploring, answering comparisons without
 // the decision procedure and without forking the memory model. Run sets
-// core.Config.PointerFacts on the base configuration and on a copy of
-// each per-request Config override, so the store keys every task on the
-// configuration it lifts under. The hypotheses a lift rests on are in its
-// graph's assumption list, which is all Check needs to prove the graph.
+// core.Config.PointerFacts on a copy of each request's configuration, so
+// the store keys every task on the configuration it lifts under. The
+// hypotheses a lift rests on are in its graph's assumption list, which is
+// all Check needs to prove the graph.
 func PointerFacts() Option {
 	return func(s *settings) { s.facts = true }
 }
 
-// Config replaces the base lifter configuration outright for every
-// request without its own override.
-func Config(cfg core.Config) Option {
-	return func(s *settings) { s.baseCfg = cfg; s.cfgMod = true }
-}
-
 func resolve(opts []Option) settings {
-	s := settings{baseCfg: core.DefaultConfig()}
+	var s settings
 	for _, o := range opts {
 		o(&s)
 	}
@@ -265,16 +232,13 @@ func Run(ctx context.Context, reqs []Request, opts ...Option) *Summary {
 	tasks := make([]pipeline.Task, len(reqs))
 	for i, r := range reqs {
 		cfg := r.Config
-		if cfg == nil && s.cfgMod {
-			c := s.baseCfg
-			cfg = &c
-		}
-		if s.facts {
-			c := s.baseCfg
+		if s.joinCodePointers || s.facts {
+			c := core.DefaultConfig()
 			if cfg != nil {
 				c = *cfg
 			}
-			c.PointerFacts = true
+			c.JoinCodePointers = c.JoinCodePointers || s.joinCodePointers
+			c.PointerFacts = c.PointerFacts || s.facts
 			cfg = &c
 		}
 		tasks[i] = pipeline.Task{

@@ -7,10 +7,14 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/hglint"
+	"repro/internal/hgstore"
 	"repro/internal/hoare"
 	"repro/internal/image"
 	"repro/lift"
@@ -23,7 +27,10 @@ import (
 // meant to keep every lift byte for byte (a performance change) keeps
 // these digests; a change that alters a lift on purpose updates them and
 // says why. Every text must also load back (hoare.Load) into a graph that
-// marshals to the same bytes.
+// marshals to the same bytes, and every graph must be whole: loaded back
+// from its .hg text and from the binary container, it lints exactly as
+// the lifted graph does, and each separation hypothesis it lists is made
+// at one of its own instructions.
 func TestLiftedGraphsPinned(t *testing.T) {
 	coreutils, err := corpus.CoreUtilsSuite(0.17)
 	if err != nil {
@@ -48,17 +55,17 @@ func TestLiftedGraphsPinned(t *testing.T) {
 		want  string
 	}{
 		{"CoreUtilsSuite(0.17)", coreutils, false,
-			"6dc4ed8733cabbf46b67df82032e76f0d07e9df82ba7a9e4c622cfce02c6a2f0"},
+			"86d308675d5500a55a899888399a58e0da2b573aada4a31431db4c77222b5646"},
 		{"CoreUtilsSuite(0.17)", coreutils, true,
-			"6dc4ed8733cabbf46b67df82032e76f0d07e9df82ba7a9e4c622cfce02c6a2f0"},
+			"86d308675d5500a55a899888399a58e0da2b573aada4a31431db4c77222b5646"},
 		{"ptr_", ptrDir.Units, false,
 			"800ef9a463d057445a7010cd8ea9ebfcc039d681d646465f24e520da87d1650d"},
 		{"ptr_", ptrDir.Units, true,
 			"1d03ef9281a6c62e6a8aca5a55c3ca6a0132d14785195e2bbfbb41452ef17d52"},
 		{"XenSuite(0.02) seed 1", table1, false,
-			"05d2d14e0075b0f7262de323be0cb6838569734c0cbddc79bde6ebbe46ec4acb"},
+			"a459e89d1e1b4890383ee96ea11d5b7d840c23756314853af01eb994f3efa184"},
 		{"XenSuite(0.02) seed 1", table1, true,
-			"05d2d14e0075b0f7262de323be0cb6838569734c0cbddc79bde6ebbe46ec4acb"},
+			"a459e89d1e1b4890383ee96ea11d5b7d840c23756314853af01eb994f3efa184"},
 	} {
 		opts := []lift.Option{lift.Jobs(2)}
 		if c.facts {
@@ -87,7 +94,10 @@ func TestLiftedGraphsPinned(t *testing.T) {
 
 // digestFunc writes one function's name, status, step count and graph
 // text to h, checks that the text loads back against img into a graph
-// with the same text, and returns 1 when it has a graph.
+// with the same text, that the graph loaded from either file format lints
+// as the lifted one does, and that each separation hypothesis the graph
+// lists sits at one of its instructions. It returns 1 when the function
+// has a graph.
 func digestFunc(t *testing.T, h hash.Hash, img *image.Image, f *core.FuncResult) int {
 	t.Helper()
 	fmt.Fprintf(h, "func %s %s %d\n", f.Name, f.Status, f.Steps)
@@ -100,6 +110,24 @@ func digestFunc(t *testing.T, h hash.Hash, img *image.Image, f *core.FuncResult)
 		t.Errorf("%s: %v", f.Name, err)
 	} else if !bytes.Equal(hoare.Marshal(g), text) {
 		t.Errorf("%s: the loaded graph marshals to other text", f.Name)
+	}
+	lint := hglint.Lint(f.Graph).JSON()
+	for form, b := range map[string][]byte{".hg": text, "binary": hgstore.MarshalGraph(f.Graph)} {
+		if g, err := hgstore.LoadGraph(img, b); err != nil {
+			t.Errorf("%s: %s: %v", f.Name, form, err)
+		} else if got := hglint.Lint(g).JSON(); !bytes.Equal(got, lint) {
+			t.Errorf("%s: loaded from %s it lints\n%s\nlifted it lints\n%s", f.Name, form, got, lint)
+		}
+	}
+	for _, a := range f.Graph.Assumptions {
+		if !strings.Contains(a, " ASSUMED SEPARATE FROM ") {
+			continue
+		}
+		at, _, _ := strings.Cut(strings.TrimPrefix(a, "@"), " ")
+		addr, err := strconv.ParseUint(at, 16, 64)
+		if _, ok := f.Graph.Instrs[addr]; err != nil || !ok {
+			t.Errorf("%s lists a hypothesis at no instruction of its own: %s", f.Name, a)
+		}
 	}
 	return 1
 }

@@ -1,24 +1,22 @@
 package repro
 
 // Integration tests for the hglint static analyzer through the lift
-// facade: lifted scenario graphs pass the analyzer, lint reports ride the
-// pipeline results, diagnostics ride the trace as lint events, and the
-// precheck hgprove runs ahead of the theorem checker passes on a
-// well-formed lift.
+// facade: lifted scenario graphs pass the analyzer, and the precheck
+// hgprove runs ahead of the theorem checker passes on a well-formed lift.
 
 import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/hglint"
-	"repro/internal/obs"
 	"repro/lift"
 )
 
-// TestFacadeLint lifts every scenario with lint enabled: each lifted
-// graph must carry an error-free report, and diagnostics (if any) must
-// appear as lint events on the trace.
+// TestFacadeLint lifts every scenario through the facade: each lifted
+// graph, linted through the run's solver cache, must be free of
+// error-severity diagnostics.
 func TestFacadeLint(t *testing.T) {
 	scenarios, err := corpus.AllScenarios()
 	if err != nil {
@@ -28,29 +26,19 @@ func TestFacadeLint(t *testing.T) {
 	for _, s := range scenarios {
 		reqs = append(reqs, lift.Func(s.Name, s.Image, s.FuncAddr))
 	}
-	ring := obs.NewRing(1 << 16)
-	sum := lift.Run(context.Background(), reqs, lift.Jobs(2), lift.Lint(), lift.Observe(ring))
-	if sum.LintErrors != 0 {
-		for _, r := range sum.Results {
-			for _, rep := range r.Lint {
-				t.Errorf("%s:\n%s", r.Name, rep)
-			}
-		}
-		t.Fatalf("scenario graphs should be hglint-clean, got %d errors", sum.LintErrors)
-	}
+	sum := lift.Run(context.Background(), reqs, lift.Jobs(2))
 	lifted := 0
 	for _, r := range sum.Results {
-		if len(r.Lint) > 0 {
-			lifted++
+		if r.Status != core.StatusLifted || r.Func == nil {
+			continue
 		}
+		if rep := hglint.Lint(r.Func.Graph, hglint.WithCache(sum.Cache)); rep.HasErrors() {
+			t.Errorf("%s:\n%s", r.Name, rep)
+		}
+		lifted++
 	}
 	if lifted == 0 {
-		t.Fatal("no scenario produced a lint report")
-	}
-	for _, e := range ring.Events() {
-		if e.Kind == obs.KLint && e.Status == hglint.SevError.String() {
-			t.Errorf("error-severity lint event on a lifted scenario: %s %s", e.Func, e.Detail)
-		}
+		t.Fatal("no scenario lifted")
 	}
 }
 
