@@ -26,6 +26,7 @@ import (
 	"repro/internal/cgen"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/hoare"
 	"repro/internal/image"
 	"repro/internal/triple"
 	"repro/lift"
@@ -101,8 +102,8 @@ func TestLiftFunctionAPI(t *testing.T) {
 	if fr.Status != core.StatusLifted || !fr.Returns || fr.Name != "helper" {
 		t.Fatalf("%q: %s returns=%t", fr.Name, fr.Status, fr.Returns)
 	}
-	if dump := fr.Graph.Dump(); !strings.Contains(dump, "vertex") || !strings.Contains(dump, "edge") {
-		t.Fatal("graph dump missing")
+	if text := string(hoare.Marshal(fr.Graph)); !strings.Contains(text, "vertex") || !strings.Contains(text, "edge") {
+		t.Fatal("graph text missing")
 	}
 	if !strings.Contains(triple.ExportTheory(fr.Graph, fr.Name), "lemma hoare_") {
 		t.Fatal("theory export missing")

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	hglift [-func addr|name] [-dump] [-thy] [-stats] binary.elf ...
+//	hglift [-func addr|name [-o graph.hgcs] [-dot graph.dot]] [-dump] [-thy] [-disasm] binary.elf ...
 //
 // Without -func the binary is lifted from its entry point, exploring every
 // reachable instruction including internal calls. With -func, the single
@@ -39,8 +39,9 @@
 // Separation hypotheses appear in the graph's assumption list, which is
 // what hgprove -hg checks a saved graph under.
 //
-// -o writes the single-function graph as .hg text; -obin writes the
-// compact binary container that hgprove/hglint auto-detect.
+// -o saves the single-function graph as an HGCS graph file, the one form
+// hgprove -hg and hglint -hg read; -dump prints a graph as .hg text. -o
+// and -dot without -func are usage errors.
 //
 // Observability flags apply to every form:
 //
@@ -115,11 +116,10 @@ func (o *observer) flush() {
 
 func main() {
 	funcSpec := flag.String("func", "", "lift a single function: hex address or symbol name")
-	dump := flag.Bool("dump", false, "print the Hoare graph (vertices, invariants, edges)")
+	dump := flag.Bool("dump", false, "print the Hoare graph as .hg text (vertices, invariants, edges)")
 	thy := flag.Bool("thy", false, "print the Isabelle/HOL-style theory export")
 	disasm := flag.Bool("disasm", false, "print the recovered disassembly")
-	hgOut := flag.String("o", "", "write the lifted graph to this .hg file (requires -func)")
-	binOut := flag.String("obin", "", "write the lifted graph to this file in the compact binary format (requires -func)")
+	hgOut := flag.String("o", "", "save the lifted graph to this HGCS graph file (requires -func)")
 	dotOut := flag.String("dot", "", "write a Graphviz rendering to this file (requires -func)")
 	jobs := flag.Int("jobs", 0, "batch mode: parallel lift workers (0 = all CPUs)")
 	timeout := flag.Duration("timeout", 0, "per-lift wall-clock budget (0 = none)")
@@ -132,8 +132,8 @@ func main() {
 	showMetrics := flag.Bool("metrics", false, "print the aggregated metrics registry on exit")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: hglift [-func addr|name] [-dump] [-thy] [-disasm] [-jobs N] [-timeout d] [-retries N] [-store f] [-ptr] [-keep-going] [-trace f] [-metrics] [-pprof addr] binary.elf ...")
+	if flag.NArg() < 1 || *funcSpec == "" && (*hgOut != "" || *dotOut != "") {
+		fmt.Fprintln(os.Stderr, "usage: hglift [-func addr|name [-o graph.hgcs] [-dot graph.dot]] [-dump] [-thy] [-disasm] [-jobs N] [-timeout d] [-retries N] [-store f] [-ptr] [-keep-going] [-trace f] [-metrics] [-pprof addr] binary.elf ...")
 		os.Exit(2)
 	}
 	if *pprofAddr != "" {
@@ -159,7 +159,7 @@ func main() {
 	}
 
 	if flag.NArg() > 1 {
-		if *funcSpec != "" || *dump || *thy || *disasm || *hgOut != "" || *binOut != "" || *dotOut != "" {
+		if *funcSpec != "" || *dump || *thy || *disasm {
 			fmt.Fprintln(os.Stderr, "hglift: detail flags apply to a single binary only")
 			os.Exit(2)
 		}
@@ -217,16 +217,10 @@ func main() {
 		fatal(fmt.Errorf("lift %s: %s %s", name, res.Status, res.PanicMsg))
 	}
 	if fr.Graph != nil && *hgOut != "" {
-		if err := os.WriteFile(*hgOut, hoare.Marshal(fr.Graph), 0o644); err != nil {
+		if err := os.WriteFile(*hgOut, hgstore.MarshalGraph(fr.Graph), 0o644); err != nil {
 			fatal(err)
 		}
 		fmt.Println("graph written to", *hgOut)
-	}
-	if fr.Graph != nil && *binOut != "" {
-		if err := os.WriteFile(*binOut, hgstore.MarshalGraph(fr.Graph), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Println("binary graph written to", *binOut)
 	}
 	if fr.Graph != nil && *dotOut != "" {
 		if err := os.WriteFile(*dotOut, []byte(fr.Graph.ToDOT()), 0o644); err != nil {
@@ -371,7 +365,7 @@ func printDetails(fr *core.FuncResult, dump, thy bool) {
 		fmt.Printf("  assumption: %s\n", a)
 	}
 	if dump {
-		fmt.Println(fr.Graph.Dump())
+		os.Stdout.Write(hoare.Marshal(fr.Graph))
 	}
 	if thy {
 		fmt.Println(triple.ExportTheory(fr.Graph, fr.Name))

@@ -8,15 +8,15 @@
 //
 // Usage:
 //
-//	hglint [-func addr|name] [-hg graph.hg] [-json] [-rules r1,r2] [-list] binary.elf
+//	hglint [-func addr|name | -hg graph.hgcs] [-json] [-rules r1,r2] [-list] binary.elf
 //
 // Without flags the binary is lifted end to end from its entry point and
 // every successfully lifted graph is linted. With -func only that
-// function is lifted; with -hg a previously exported graph — .hg text or
-// the compact binary container, auto-detected by magic — is loaded
-// against the binary and linted without lifting. -json emits the
-// machine-readable report; -rules restricts the run to a comma-separated
-// rule subset; -list prints the rule catalog and exits.
+// function is lifted; with -hg a graph saved by hglift -o (an HGCS graph
+// file) is loaded against the binary and linted without lifting. -hg and
+// -func together are a usage error. -json emits the machine-readable
+// report; -rules restricts the run to a comma-separated rule subset;
+// -list prints the rule catalog and exits.
 //
 // Exit status: 0 when no error-severity diagnostic fired, 1 otherwise
 // (or on any I/O failure), 2 on usage errors.
@@ -39,7 +39,7 @@ import (
 
 func main() {
 	funcSpec := flag.String("func", "", "lint a single function: hex address or symbol name")
-	hgIn := flag.String("hg", "", "lint a previously exported graph (.hg text or compact binary, auto-detected) against the binary")
+	hgIn := flag.String("hg", "", "lint a graph saved by hglift -o (an HGCS graph file) against the binary")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON reports")
 	ruleList := flag.String("rules", "", "comma-separated rule subset (default: all)")
 	list := flag.Bool("list", false, "print the rule catalog and exit")
@@ -52,7 +52,7 @@ func main() {
 		return
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: hglint [-func addr|name] [-hg graph.hg] [-json] [-rules r1,r2] [-list] binary.elf")
+		fmt.Fprintln(os.Stderr, "usage: hglint [-func addr|name | -hg graph.hgcs] [-json] [-rules r1,r2] [-list] binary.elf")
 		os.Exit(2)
 	}
 	if *hgIn != "" && *funcSpec != "" {

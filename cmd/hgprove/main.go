@@ -1,19 +1,20 @@
 // Command hgprove runs Step 2 of the paper: it lifts a binary (or one
 // function) and independently re-verifies every vertex of the extracted
 // Hoare graph as a Hoare triple — one mutually independent theorem per
-// vertex, checked in parallel. With -func and -thy it also writes the
-// Isabelle/HOL-style theory export.
+// vertex, checked in parallel. In the one-graph modes, -thy also writes
+// the graph's Isabelle/HOL-style theory export.
 //
 // Usage:
 //
-//	hgprove [-func addr|name] [-thy out.thy] binary.elf
-//	hgprove -hg graph binary.elf
+//	hgprove binary.elf
+//	hgprove -func addr|name [-thy out.thy] binary.elf
+//	hgprove -hg graph.hgcs [-thy out.thy] binary.elf
 //
-// With -hg it re-verifies a previously exported graph instead of lifting:
-// the .hg text format or the compact binary container (hglift -obin),
-// detected by magic. The three modes share one path: the graphs are lifted
+// With -hg it re-verifies a saved graph instead of lifting: the HGCS graph
+// file hglift -o writes. -hg and -func together, and -thy without either,
+// are usage errors. The three modes share one path: the graphs are lifted
 // through lift.One (or loaded), each is linted by hglint, and lift.Check
-// proves its theorems. An exported graph with hglint errors is refused
+// proves its theorems. A saved graph with hglint errors is refused
 // before Step 2 runs; a lifted one counts as a failure of its function,
 // and the check moves on to the next function.
 //
@@ -42,11 +43,12 @@ import (
 
 func main() {
 	funcSpec := flag.String("func", "", "verify a single function: hex address or symbol name")
-	thyOut := flag.String("thy", "", "write the theory export to this file")
-	hgIn := flag.String("hg", "", "verify a previously exported graph (.hg text or compact binary, auto-detected) against the binary")
+	thyOut := flag.String("thy", "", "write the theory export to this file (requires -func or -hg)")
+	hgIn := flag.String("hg", "", "verify a graph saved by hglift -o (an HGCS graph file) against the binary")
 	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: hgprove [-func addr|name] [-thy out.thy] [-hg graph] binary.elf")
+	oneGraph := *funcSpec != "" || *hgIn != ""
+	if flag.NArg() != 1 || *funcSpec != "" && *hgIn != "" || *thyOut != "" && !oneGraph {
+		fmt.Fprintln(os.Stderr, "usage: hgprove binary.elf\n       hgprove -func addr|name [-thy out.thy] binary.elf\n       hgprove -hg graph.hgcs [-thy out.thy] binary.elf")
 		os.Exit(2)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -62,7 +64,7 @@ func main() {
 	title, graphs := load(ctx, img, flag.Arg(0), *funcSpec, *hgIn)
 	// A binary's failures carry their function's name; a single graph's
 	// carry only the vertex.
-	qualify := *funcSpec == "" && *hgIn == ""
+	qualify := !oneGraph
 
 	var proven, assumed, failed, skipped, malformed int
 	var failures []string
@@ -73,7 +75,7 @@ func main() {
 		}
 		if lrep.HasErrors() {
 			// A malformed graph would only surface inside the checker as
-			// opaque failures. An exported one is refused outright; a
+			// opaque failures. A saved one is refused outright; a
 			// lifted one fails its own function, and the check moves on.
 			if *hgIn != "" {
 				fatal(fmt.Errorf("%s: %s: %d hglint errors; not running Step 2", *hgIn, g.FuncName, lrep.Errors()))
@@ -105,7 +107,7 @@ func main() {
 	if skipped > 0 {
 		fmt.Printf("  SKIPPED %d theorems: %v\n", skipped, ctx.Err())
 	}
-	if *thyOut != "" && *funcSpec != "" {
+	if *thyOut != "" {
 		if err := os.WriteFile(*thyOut, []byte(triple.ExportTheory(graphs[0], graphs[0].FuncName)), 0o644); err != nil {
 			fatal(err)
 		}
@@ -117,7 +119,7 @@ func main() {
 }
 
 // load returns the graphs one mode checks and the name its summary line
-// carries: the exported graph (-hg), the lifted function (-func), or every
+// carries: the saved graph (-hg), the lifted function (-func), or every
 // function lifted from the entry point of the binary at path. A graph file
 // that cannot be read or parsed, or a binary that does not lift, is fatal,
 // and the error names the file.

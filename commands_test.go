@@ -5,10 +5,13 @@ package repro
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -48,8 +51,43 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
+// run executes one of the commands and returns its exit status and stderr.
+func run(t *testing.T, cmd string, args ...string) (int, string) {
+	t.Helper()
+	c := exec.Command(filepath.Join(commands(t), cmd), args...)
+	var stderr bytes.Buffer
+	c.Stderr = &stderr
+	if err := c.Run(); err != nil {
+		if _, ok := err.(*exec.ExitError); !ok {
+			t.Fatalf("%s: %v", cmd, err)
+		}
+	}
+	return c.ProcessState.ExitCode(), stderr.String()
+}
+
+// saveWeirdEdge writes the Section 2 weird-edge binary into dir and saves
+// its function's graph with hglift -func … -o. It returns the binary's
+// path, the function's address and the graph file's path.
+func saveWeirdEdge(t *testing.T, dir string) (elf, fn, graph string) {
+	t.Helper()
+	s, err := corpus.WeirdEdge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	elf = filepath.Join(dir, "weird-edge.elf")
+	if err := os.WriteFile(elf, s.Raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fn = fmt.Sprintf("%#x", s.FuncAddr)
+	graph = filepath.Join(dir, "weird-edge.hgcs")
+	if code, stderr := run(t, "hglift", "-func", fn, "-o", graph, elf); code != 0 {
+		t.Fatalf("hglift -o: exit %d\n%s", code, stderr)
+	}
+	return elf, fn, graph
+}
+
 // TestCommandsProvePointerFactsGraphs saves each ptr_ unit's graph lifted
-// with pointer facts (hglift -ptr -func … -obin) and checks the saved file
+// with pointer facts (hglift -ptr -func … -o) and checks the saved file
 // (hgprove -hg). Each check must exit 0 with 0 failed theorems: the saved
 // assumption list carries every hypothesis the lift rests on.
 func TestCommandsProvePointerFactsGraphs(t *testing.T) {
@@ -64,8 +102,8 @@ func TestCommandsProvePointerFactsGraphs(t *testing.T) {
 		if err := os.WriteFile(elf, u.Image.Raw(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		graph := filepath.Join(dir, u.Name+".obin")
-		lift := exec.Command(filepath.Join(bin, "hglift"), "-ptr", "-func", fmt.Sprintf("%#x", u.FuncAddr), "-obin", graph, elf)
+		graph := filepath.Join(dir, u.Name+".hgcs")
+		lift := exec.Command(filepath.Join(bin, "hglift"), "-ptr", "-func", fmt.Sprintf("%#x", u.FuncAddr), "-o", graph, elf)
 		if out, err := lift.CombinedOutput(); err != nil {
 			t.Errorf("hglift -ptr %s: %v\n%s", u.Name, err, out)
 			continue
@@ -79,32 +117,75 @@ func TestCommandsProvePointerFactsGraphs(t *testing.T) {
 
 // TestCommandsCheckSavedWeirdEdge saves the Section 2 weird-edge graph,
 // whose indirect jump resolves to the instruction inside another, with
-// hglift -func … -o (.hg text) and -obin (binary container). hgprove -hg
-// and hglint -hg must exit 0 on both files: a saved graph records its
-// resolved jump as the edges that leave it, so it lints and proves as the
-// lifted graph does.
+// hglift -func … -o. hgprove -hg and hglint -hg must exit 0 on the file:
+// a saved graph records its resolved jump as the edges that leave it, so
+// it lints and proves as the lifted graph does.
 func TestCommandsCheckSavedWeirdEdge(t *testing.T) {
-	bin := commands(t)
+	elf, _, graph := saveWeirdEdge(t, t.TempDir())
+	for _, cmd := range []string{"hgprove", "hglint"} {
+		if code, stderr := run(t, cmd, "-hg", graph, elf); code != 0 {
+			t.Errorf("%s -hg on the hglift -o file: exit %d\n%s", cmd, code, stderr)
+		}
+	}
+}
+
+// TestCommandsLiftOutputsNeedFunc: hglift's -o and -dot write one
+// function's graph, so without -func they are usage errors (exit 2, the
+// usage line) and no file is written.
+func TestCommandsLiftOutputsNeedFunc(t *testing.T) {
 	dir := t.TempDir()
-	s, err := corpus.WeirdEdge()
+	elf, _, _ := saveWeirdEdge(t, dir)
+	graph, dot := filepath.Join(dir, "no-func.hgcs"), filepath.Join(dir, "no-func.dot")
+	for _, flags := range [][]string{{"-o", graph}, {"-dot", dot}, {"-o", graph, "-dot", dot}} {
+		if code, stderr := run(t, "hglift", append(flags, elf)...); code != 2 || !strings.HasPrefix(stderr, "usage: hglift ") {
+			t.Errorf("hglift %s without -func: exit %d, want 2 and the usage line\n%s", strings.Join(flags, " "), code, stderr)
+		}
+	}
+	for _, p := range []string{graph, dot} {
+		if _, err := os.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: written without -func (%v)", filepath.Base(p), err)
+		}
+	}
+}
+
+// TestCommandsProveTheoryOfOneGraph: hgprove -thy writes the theory of
+// the one graph it checks, lifted (-func) or saved (-hg), and the two are
+// the same text; with neither, -thy is a usage error and writes nothing.
+func TestCommandsProveTheoryOfOneGraph(t *testing.T) {
+	dir := t.TempDir()
+	elf, fn, graph := saveWeirdEdge(t, dir)
+	lifted, saved, binary := filepath.Join(dir, "lifted.thy"), filepath.Join(dir, "saved.thy"), filepath.Join(dir, "binary.thy")
+	for _, args := range [][]string{{"-func", fn, "-thy", lifted, elf}, {"-hg", graph, "-thy", saved, elf}} {
+		if code, stderr := run(t, "hgprove", args...); code != 0 {
+			t.Fatalf("hgprove %s: exit %d\n%s", strings.Join(args, " "), code, stderr)
+		}
+	}
+	a, err := os.ReadFile(lifted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	elf := filepath.Join(dir, "weird-edge.elf")
-	if err := os.WriteFile(elf, s.Raw, 0o644); err != nil {
+	b, err := os.ReadFile(saved)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, form := range []string{"-o", "-obin"} {
-		graph := filepath.Join(dir, "weird-edge"+form)
-		lift := exec.Command(filepath.Join(bin, "hglift"), "-func", fmt.Sprintf("%#x", s.FuncAddr), form, graph, elf)
-		if out, err := lift.CombinedOutput(); err != nil {
-			t.Errorf("hglift %s: %v\n%s", form, err, out)
-			continue
-		}
-		for _, cmd := range []string{"hgprove", "hglint"} {
-			if out, err := exec.Command(filepath.Join(bin, cmd), "-hg", graph, elf).CombinedOutput(); err != nil {
-				t.Errorf("%s -hg on the hglift %s file: %v\n%s", cmd, form, err, out)
-			}
+	if !bytes.Contains(a, []byte("lemma hoare_")) || !bytes.Equal(a, b) {
+		t.Errorf("theory of the saved graph differs from the lifted one's:\n--- lifted\n%s\n--- saved\n%s", a, b)
+	}
+	if code, stderr := run(t, "hgprove", "-thy", binary, elf); code != 2 || !strings.HasPrefix(stderr, "usage: hgprove ") {
+		t.Errorf("hgprove -thy without -func or -hg: exit %d, want 2 and the usage\n%s", code, stderr)
+	}
+	if _, err := os.Stat(binary); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("hgprove -thy wrote a theory in binary mode (%v)", err)
+	}
+}
+
+// TestCommandsRejectGraphWithFunc: -hg checks a saved graph and -func
+// lifts one, so hgprove and hglint refuse the two together (exit 2).
+func TestCommandsRejectGraphWithFunc(t *testing.T) {
+	elf, fn, graph := saveWeirdEdge(t, t.TempDir())
+	for _, cmd := range []string{"hgprove", "hglint"} {
+		if code, stderr := run(t, cmd, "-hg", graph, "-func", fn, elf); code != 2 {
+			t.Errorf("%s -hg -func: exit %d, want 2\n%s", cmd, code, stderr)
 		}
 	}
 }

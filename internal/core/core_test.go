@@ -133,7 +133,7 @@ func TestLiftLeafFunction(t *testing.T) {
 		t.Fatalf("states: %d", st.States)
 	}
 	if !r.Graph.HasEdge(r.Graph.EntryID, hoare.VertexID("401001")) {
-		t.Fatalf("missing entry edge; edges:\n%s", r.Graph.Dump())
+		t.Fatalf("missing entry edge; graph:\n%s", hoare.Marshal(r.Graph))
 	}
 }
 

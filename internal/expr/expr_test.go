@@ -261,58 +261,3 @@ func TestPrettyPrinting(t *testing.T) {
 		}
 	}
 }
-
-func TestParseLocal(t *testing.T) {
-	for _, k := range []string{
-		"0x2a", "rsp0", "add(rdi0,0x8)", "*[rsp0,8]",
-		"mul(0x8,j401064_rcx)", "sar(sext32(and(rax0,0xffffffff)),0x3f)",
-		// Join variables of vertices that hold code pointers.
-		"j40129c/rax=40129e_rsi",
-		"add(j40100f/madd(rsp0,0xfffffffffffffff0)=401027/rax=401027_rdi,0x8)",
-		"*[j401000/m*[rdi0,8]=401010_madd_rsp0_0x8__8,4]",
-		"j401000/mj400ff0/rcx=401010_rdi=401027_rsi",
-	} {
-		e, err := Parse(k)
-		if err != nil {
-			t.Fatalf("parse %q: %v", k, err)
-		}
-		if e.Key() != k {
-			t.Fatalf("round trip %q → %q", k, e.Key())
-		}
-	}
-	if _, err := Parse("nope("); err == nil {
-		t.Fatal("unterminated call must fail")
-	}
-	if _, err := Parse("0xzz"); err == nil {
-		t.Fatal("bad hex must fail")
-	}
-	for _, k := range []string{"j401000/", "j401000/=40_rsi", "j401000/rax_rsi", "j401000/rax=_rsi", "j401000/madd(rsp0=40_rsi"} {
-		if _, err := Parse(k); err == nil {
-			t.Errorf("malformed code-pointer part %q must fail", k)
-		}
-	}
-}
-
-// Property: Parse inverts Key on randomly built expressions.
-func TestQuickParseRoundTrip(t *testing.T) {
-	f := func(a, b uint64, pick uint8) bool {
-		var e *Expr
-		switch pick % 5 {
-		case 0:
-			e = Add(V("x"), Word(a))
-		case 1:
-			e = Mul(Word(a|1), V("y"))
-		case 2:
-			e = Deref(Add(V("rsp0"), Word(b)), 8)
-		case 3:
-			e = And(V("z"), Word(a))
-		default:
-			e = SExt(V("w"), 4)
-		}
-		got, err := Parse(e.Key())
-		return err == nil && got.Key() == e.Key()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}

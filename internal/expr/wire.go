@@ -115,6 +115,20 @@ func AppendTable(buf []byte, t *Table) []byte {
 	return wire.AppendUint64(buf, sum)
 }
 
+// opArity gives the argument counts an operator node may have (max -1 =
+// unbounded). App assumes these hold; a decoded node is checked here
+// before reaching it.
+func opArity(op Op) (min, max int) {
+	switch op {
+	case OpAdd, OpMul:
+		return 1, -1
+	case OpNot, OpNeg, OpSExt8, OpSExt16, OpSExt32:
+		return 1, 1
+	default:
+		return 2, 2
+	}
+}
+
 // DecodeTable decodes one table from the cursor, returning the rebuilt
 // (pointer-canonical) nodes in index order.
 func DecodeTable(d *wire.Decoder) ([]*Expr, error) {
@@ -155,7 +169,9 @@ func DecodeTable(d *wire.Decoder) ([]*Expr, error) {
 			}
 		case tagOp:
 			op := Op(d.Uvarint("op"))
-			argc := d.Uvarint("op arity")
+			// Each argument takes at least one byte, so Len's bound on the
+			// remaining input bounds the allocation below.
+			argc := d.Len("op argument")
 			if d.Err() != nil {
 				break
 			}
@@ -163,12 +179,12 @@ func DecodeTable(d *wire.Decoder) ([]*Expr, error) {
 				d.Failf("unknown operator %d", op)
 				break
 			}
-			if min, max := opArity(op); argc < uint64(min) || (max >= 0 && argc > uint64(max)) {
+			if min, max := opArity(op); argc < min || (max >= 0 && argc > max) {
 				d.Failf("operator %s applied to %d arguments", op, argc)
 				break
 			}
 			args := make([]*Expr, 0, argc)
-			for j := uint64(0); j < argc && d.Err() == nil; j++ {
+			for j := 0; j < argc && d.Err() == nil; j++ {
 				args = append(args, child("op child"))
 			}
 			if d.Err() == nil {

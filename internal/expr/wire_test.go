@@ -157,6 +157,14 @@ func TestDecodeTableRejectsMalformedNodes(t *testing.T) {
 			b = wire.AppendUvarint(b, uint64(OpNot))
 			return wire.AppendUvarint(b, 5)
 		}(),
+		// count 1, variadic op whose arity exceeds the input (a decoder
+		// that allocated for it before reading would ask for 8 TiB)
+		"variadic arity": func() []byte {
+			b := wire.AppendUvarint(nil, 1)
+			b = append(b, tagOp)
+			b = wire.AppendUvarint(b, uint64(OpAdd))
+			return wire.AppendUvarint(b, 1<<40)
+		}(),
 		// count 1, unknown operator id
 		"unknown op": func() []byte {
 			b := wire.AppendUvarint(nil, 1)

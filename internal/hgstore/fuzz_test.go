@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/expr"
+	"repro/internal/hglint"
 	"repro/internal/hgstore"
 	"repro/internal/hoare"
 	"repro/internal/pred"
@@ -213,8 +214,10 @@ func swappedClauseStore(f *testing.F, s *corpus.Scenario, dir string) []byte {
 }
 
 // FuzzLoadGraph: for any bytes, LoadGraph returns a graph or an error,
-// never a panic, and a binary graph file it accepts re-marshals to a file
-// that loads back to the same bytes. Seeded with the marshal of a lifted
+// never a panic. A graph it accepts re-marshals to a file that loads back
+// to the same bytes, and hglint reports the same on both loads (the
+// analyzer is a deterministic, panic-free function of the loaded graph);
+// the lifted seed lints clean. Seeded with the marshal of a lifted
 // scenario graph, its truncations, a version-1 file (testdata) and files
 // whose record names a tree, forest, expression or vertex out of range.
 func FuzzLoadGraph(f *testing.F) {
@@ -223,8 +226,8 @@ func FuzzLoadGraph(f *testing.F) {
 		f.Fatal(err)
 	}
 	fr := core.New(s.Image, core.DefaultConfig()).LiftFuncCtx(context.Background(), s.FuncAddr, s.Name)
-	if fr.Graph == nil || fr.Graph.EntryID == "" {
-		f.Fatalf("%s: no graph", s.Name)
+	if fr.Status != core.StatusLifted || fr.Graph == nil {
+		f.Fatalf("%s: %s, no lifted graph", s.Name, fr.Status)
 	}
 	full := hgstore.MarshalGraph(fr.Graph)
 	f.Add(full)
@@ -246,8 +249,8 @@ func FuzzLoadGraph(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := hgstore.LoadGraph(s.Image, data)
-		if err != nil || !hgstore.IsBinaryGraph(data) {
-			return
+		if err != nil {
+			return // rejected inputs are fine; crashes are not
 		}
 		out := hgstore.MarshalGraph(g)
 		g2, err := hgstore.LoadGraph(s.Image, out)
@@ -256,6 +259,13 @@ func FuzzLoadGraph(f *testing.F) {
 		}
 		if !bytes.Equal(hgstore.MarshalGraph(g2), out) {
 			t.Fatal("marshal of an accepted graph is not a fixed point")
+		}
+		rep, rep2 := hglint.Lint(g), hglint.Lint(g2)
+		if !bytes.Equal(rep.JSON(), rep2.JSON()) {
+			t.Fatalf("lint differs across the round trip:\n--- first\n%s\n--- second\n%s", rep.JSON(), rep2.JSON())
+		}
+		if bytes.Equal(data, full) && rep.HasErrors() {
+			t.Fatalf("the lifted seed graph must lint clean:\n%s", rep)
 		}
 	})
 }

@@ -1,16 +1,14 @@
 package hgstore
 
-// Standalone compact graph files: the binary sibling of the .hg text
-// format, so store entries exported by hglift are directly provable and
-// lintable by hgprove/hglint.
+// Standalone graph files: one graph in the HGCS container, so the graph
+// hglift -o saves is provable and lintable by hgprove/hglint -hg.
 //
 //	graphfile = "HGCS" version(uvarint) filekind(byte 'G')
 //	            body(length-prefixed bytes) checksum(u64 raw)
 //	body      = EXPR-TABLE GRAPH
 //
-// Like the text form, instructions are stored by address only and
-// re-fetched from the binary image on load, so a serialised graph cannot
-// silently drift from its binary.
+// Instructions are stored by address only and re-fetched from the binary
+// image on load, so a saved graph cannot silently drift from its binary.
 
 import (
 	"fmt"
@@ -21,13 +19,7 @@ import (
 	"repro/internal/wire"
 )
 
-// IsBinaryGraph reports whether data starts with the HGCS magic —
-// the dispatch test for loaders that accept both graph formats.
-func IsBinaryGraph(data []byte) bool {
-	return len(data) >= len(Magic) && string(data[:len(Magic)]) == Magic
-}
-
-// MarshalGraph renders one graph in the compact binary format.
+// MarshalGraph renders one graph as a standalone graph file.
 func MarshalGraph(g *hoare.Graph) []byte {
 	t := expr.NewTable()
 	hoare.CollectWireExprs(t, g)
@@ -41,10 +33,10 @@ func MarshalGraph(g *hoare.Graph) []byte {
 	return wire.AppendUint64(buf, hashBytes(hashSeed, body))
 }
 
-// LoadBinaryGraph decodes a compact graph file against the image. Unlike
-// store lookups, a standalone file the user named explicitly fails loudly:
+// LoadGraph decodes a standalone graph file against the image. Unlike
+// store lookups, a file the user named explicitly fails loudly:
 // corruption here is an input error, not a cache miss.
-func LoadBinaryGraph(img *image.Image, data []byte) (*hoare.Graph, error) {
+func LoadGraph(img *image.Image, data []byte) (*hoare.Graph, error) {
 	d := wire.NewDecoder(data)
 	if string(d.Bytes(uint64(len(Magic)), "magic")) != Magic {
 		return nil, fmt.Errorf("hgstore: not an HGCS graph file")
@@ -76,14 +68,4 @@ func LoadBinaryGraph(img *image.Image, data []byte) (*hoare.Graph, error) {
 		return nil, fmt.Errorf("hgstore: %d trailing bytes after graph record", len(bd.Rest()))
 	}
 	return g, nil
-}
-
-// LoadGraph loads a Hoare graph in either format, dispatching on the HGCS
-// magic: compact binary files decode through LoadBinaryGraph, everything
-// else parses as the .hg text grammar.
-func LoadGraph(img *image.Image, data []byte) (*hoare.Graph, error) {
-	if IsBinaryGraph(data) {
-		return LoadBinaryGraph(img, data)
-	}
-	return hoare.Load(img, data)
 }

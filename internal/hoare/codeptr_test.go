@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/elf64"
+	"repro/internal/hgstore"
 	"repro/internal/hoare"
 	"repro/internal/image"
 	"repro/internal/x86"
@@ -55,11 +56,10 @@ func slotPointerFunc(t testing.TB) *image.Image {
 	return img
 }
 
-// TestCodePointerJoinVariablesLoad lifts slotPointerFunc and loads its .hg
-// text back. Its join variables embed a vertex ID whose memory part holds
-// parentheses and a comma, so the text only loads if the expression
-// parser reads those parts; the loaded graph must marshal to the same
-// bytes.
+// TestCodePointerJoinVariablesLoad lifts slotPointerFunc, saves its graph
+// as a graph file and loads it back. Its join variables embed a vertex ID
+// whose memory part holds parentheses and a comma; the loaded graph must
+// render to the same .hg text.
 func TestCodePointerJoinVariablesLoad(t *testing.T) {
 	img := slotPointerFunc(t)
 	fr := core.New(img, core.DefaultConfig()).LiftFuncCtx(context.Background(), slotPointerBase, "slot_pointer")
@@ -70,7 +70,7 @@ func TestCodePointerJoinVariablesLoad(t *testing.T) {
 	if !bytes.Contains(text, []byte("/madd(rsp0,")) || !bytes.Contains(text, []byte(" j")) {
 		t.Fatalf("no join variable of a vertex with a memory code-pointer part:\n%s", text)
 	}
-	g, err := hoare.Load(img, text)
+	g, err := hgstore.LoadGraph(img, hgstore.MarshalGraph(fr.Graph))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/expr"
 	"repro/internal/sem"
@@ -309,7 +308,9 @@ func (g *Graph) SortedEdges() []Edge {
 	return out
 }
 
-// Successors returns the target vertex IDs of edges leaving from.
+// Successors returns the target vertex IDs of edges leaving from, in ID
+// order: the lifter adds edges in exploration order, a loaded graph holds
+// them sorted, and both must answer alike.
 func (g *Graph) Successors(from VertexID) []VertexID {
 	var out []VertexID
 	for _, e := range g.Edges {
@@ -317,6 +318,7 @@ func (g *Graph) Successors(from VertexID) []VertexID {
 			out = append(out, e.To)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -340,37 +342,4 @@ func (g *Graph) VerticesAt(addr uint64) []*Vertex {
 		}
 	}
 	return out
-}
-
-// Dump renders the graph as text: vertices with their invariants, then
-// edges. The format is stable, suitable for golden tests and export.
-func (g *Graph) Dump() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "hoare graph of %s @ %#x (retsym %s)\n", g.FuncName, g.FuncAddr, g.RetSym)
-	for _, v := range g.SortedVertices() {
-		fmt.Fprintf(&b, "vertex %s @ %#x\n", v.ID, v.Addr)
-		if v.State != nil {
-			for _, c := range v.State.Pred.Clauses() {
-				fmt.Fprintf(&b, "  inv %s\n", c)
-			}
-			fmt.Fprintf(&b, "  mem %s\n", v.State.Mem)
-		}
-	}
-	for _, e := range g.SortedEdges() {
-		label := e.Inst.String()
-		if e.Callee != "" {
-			label += " ; " + e.Callee
-		}
-		fmt.Fprintf(&b, "edge %s -> %s : %s\n", e.From, e.To, label)
-	}
-	for _, a := range g.Annotations {
-		fmt.Fprintf(&b, "annotation @%#x %s: %s\n", a.Addr, a.Kind, a.Text)
-	}
-	for _, o := range g.Obligations {
-		fmt.Fprintf(&b, "obligation %s\n", o)
-	}
-	for _, a := range g.Assumptions {
-		fmt.Fprintf(&b, "assumption %s\n", a)
-	}
-	return b.String()
 }

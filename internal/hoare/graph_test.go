@@ -107,22 +107,27 @@ func TestSortedAndQueries(t *testing.T) {
 	}
 }
 
+// TestDump: the text hglift -dump prints for a graph (Marshal) names the
+// function, each vertex with its invariant, each edge with its kind and
+// instruction address, and each annotation, obligation and assumption.
 func TestDump(t *testing.T) {
 	g := sampleGraph()
 	g.Vertices["401000"].State.Pred.SetReg(x86.RAX, expr.Word(7))
 	g.Annotate(0x401010, AnnUnresolvedJump, "why")
 	g.Obligations = append(g.Obligations, "@1 : f(...) MUST PRESERVE [...]")
 	g.Assumptions = append(g.Assumptions, "@2 : ASSUMED SEPARATE")
-	d := g.Dump()
+	d := string(Marshal(g))
 	for _, want := range []string{
-		"hoare graph of f",
-		"vertex 401000",
-		"inv rax == 0x7",
-		"edge 401000 -> 401005 : mov rax, 0x1",
-		"edge 401005 -> exit : ret",
-		"annotation @0x401010 unresolved-jump: why",
-		"obligation @1",
-		"assumption @2",
+		"hg 0x401000 f S_401000\n",
+		"entry 401000\n",
+		"vertex 401000 0x401000\n reg rax 0x7\n",
+		"vertex 401005 0x401005\n",
+		"vertex exit 0x0\n",
+		"edge 401000 401005 0 0x401000 -\n",
+		"edge 401005 exit 3 0x401005 -\n",
+		"annotation 0x401010 0 why\n",
+		"obligation @1 : f(...) MUST PRESERVE [...]\n",
+		"assumption @2 : ASSUMED SEPARATE\n",
 	} {
 		if !strings.Contains(d, want) {
 			t.Errorf("dump missing %q:\n%s", want, d)

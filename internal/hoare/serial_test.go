@@ -11,55 +11,27 @@ import (
 	"repro/internal/x86"
 )
 
-func TestExprParseRoundTrip(t *testing.T) {
-	keys := []string{
-		"0x0",
-		"0xdeadbeef",
-		"rdi0",
-		"S_401000",
-		"add(rdi0,0x8)",
-		"add(mul(0x8,j401064_rcx),rsp0,0xffffffffffffffc0)",
-		"*[rsp0,8]",
-		"*[add(rsp0,0xfffffffffffffff8),8]",
-		"and(rax0,0xffffffff)",
-		"sext32(and(rax0,0xffffffff))",
-		"not(v401000_0)",
-		"udiv(rax0,0x7)",
-	}
-	for _, k := range keys {
-		e, err := expr.Parse(k)
-		if err != nil {
-			t.Errorf("parse %q: %v", k, err)
-			continue
-		}
-		if e.Key() != k {
-			t.Errorf("round trip %q → %q", k, e.Key())
-		}
-	}
-}
-
-func TestExprParseErrors(t *testing.T) {
-	for _, bad := range []string{
-		"", "(", "0x", "add(", "add(a,", "*[a]", "*[a,b]", "frob(a)", "a b",
-	} {
-		if _, err := expr.Parse(bad); err == nil {
-			t.Errorf("parse %q must fail", bad)
-		}
-	}
-}
-
+// TestMarshalContainsClauses renders the sample graph, given a clause of
+// every kind, as .hg text: each appears in the grammar's syntax.
 func TestMarshalContainsClauses(t *testing.T) {
 	g := sampleGraph()
+	p := g.Vertices["401000"].State.Pred
+	p.SetCmp(&pred.Cmp{Kind: pred.CmpSub, Lhs: expr.V("rdi0"), Rhs: expr.Word(7), Size: 8})
+	p.SetFlag(x86.CF, expr.Word(1)) // after SetCmp, which clears flags
+	p.AddRange(expr.V("idx"), pred.Range{Lo: 1, Hi: 9})
 	data := string(Marshal(g))
 	for _, want := range []string{
-		"hg 0x401000 f S_401000",
-		"entry 401000",
-		"vertex 401000 0x401000",
-		" reg rsp rsp0",
-		" mem rsp0 8 S_401000",
-		" model (rsp0#8 ())",
-		"edge 401000 401005 0 0x401000 -",
-		"edge 401005 exit 3 0x401005 -",
+		"hg 0x401000 f S_401000\n",
+		"entry 401000\n",
+		"vertex 401000 0x401000\n",
+		" reg rsp rsp0\n",
+		" flag cf 0x1\n",
+		" cmp sub 8 rdi0 0x7\n",
+		" range idx 0x1 0x9\n",
+		" mem rsp0 8 S_401000\n",
+		" model (rsp0#8 ())\n",
+		"edge 401000 401005 0 0x401000 -\n",
+		"edge 401005 exit 3 0x401005 -\n",
 	} {
 		if !strings.Contains(data, want) {
 			t.Errorf("marshal missing %q:\n%s", want, data)
@@ -67,7 +39,7 @@ func TestMarshalContainsClauses(t *testing.T) {
 	}
 }
 
-// buildTestImage assembles a two-instruction image for Load tests.
+// buildTestImage assembles a two-instruction image for decoder tests.
 func buildTestImage(t *testing.T) *image.Image {
 	t.Helper()
 	a := x86.NewAsm(0x401000)
@@ -88,63 +60,6 @@ func buildTestImage(t *testing.T) *image.Image {
 		t.Fatal(err)
 	}
 	return im
-}
-
-func TestMarshalLoadRoundTrip(t *testing.T) {
-	im := buildTestImage(t)
-	g := sampleGraph()
-	// Decorate with every clause kind.
-	v := g.Vertices["401000"]
-	v.State.Pred.SetFlag(x86.CF, expr.Word(1))
-	v.State.Pred.SetCmp(&pred.Cmp{Kind: pred.CmpSub,
-		Lhs: expr.V("rdi0"), Rhs: expr.Word(7), Size: 8})
-	v.State.Pred.SetFlag(x86.CF, expr.Word(1)) // re-set after SetCmp cleared it
-	v.State.Pred.AddRange(expr.V("idx"), pred.Range{Lo: 1, Hi: 9})
-	g.Annotate(0x401005, AnnUnresolvedCall, "some callback")
-	g.Obligations = append(g.Obligations, "@1 : f(rdi := rsp0 - 0x8) MUST PRESERVE [x]")
-	g.Assumptions = append(g.Assumptions, "@2 : [a, 8] ASSUMED SEPARATE FROM [b, 8]")
-
-	data := Marshal(g)
-	loaded, err := Load(im, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv := loaded.Vertices["401000"]
-	if lv == nil || lv.State == nil {
-		t.Fatal("vertex lost")
-	}
-	if lv.State.Pred.Key() != v.State.Pred.Key() {
-		t.Fatalf("predicate mismatch:\n%s\nvs\n%s", lv.State.Pred.Key(), v.State.Pred.Key())
-	}
-	if lv.State.Mem.Key() != v.State.Mem.Key() {
-		t.Fatalf("model mismatch: %s vs %s", lv.State.Mem, v.State.Mem)
-	}
-	if len(loaded.Obligations) != 1 || len(loaded.Assumptions) != 1 || len(loaded.Annotations) != 1 {
-		t.Fatalf("metadata: %d/%d/%d", len(loaded.Obligations), len(loaded.Assumptions), len(loaded.Annotations))
-	}
-	if string(Marshal(loaded)) != string(data) {
-		t.Fatal("marshal not idempotent")
-	}
-}
-
-func TestLoadErrors(t *testing.T) {
-	im := buildTestImage(t)
-	cases := []string{
-		"",
-		"bogus header",
-		"hg 0x1 f S\nvertex",
-		"hg 0x1 f S\n reg rax rdi0", // clause before vertex
-		"hg 0x1 f S\nvertex v 0x401000\n reg zz rdi0",
-		"hg 0x1 f S\nvertex v 0x401000\n flag qq 0x1",
-		"hg 0x1 f S\nvertex v 0x401000\n model (broken",
-		"hg 0x1 f S\nedge a b 0 0xdead -", // unmapped instruction
-		"hg 0x1 f S\nfrobnicate",
-	}
-	for _, c := range cases {
-		if _, err := Load(im, []byte(c)); err == nil {
-			t.Errorf("Load(%q) must fail", c)
-		}
-	}
 }
 
 func TestDOTFromSample(t *testing.T) {

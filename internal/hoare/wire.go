@@ -1,11 +1,12 @@
-// This file implements the binary Hoare-graph record used by the
-// Hoare-graph store and the standalone binary graph file (internal/hgstore):
-// the same graph content as the .hg text form of serial.go, but with every
-// expression replaced by an index into a shared interned-expression table
-// (expr.Table), so shared subterms are emitted once per container rather
-// than re-rendered at every occurrence. Like the text form, instructions are stored by address only
-// and re-fetched from the binary image on decode, so a serialised graph
-// cannot silently drift from its binary.
+// This file implements the binary Hoare-graph record, the one form in
+// which a graph is saved: the Hoare-graph store and the standalone graph
+// file (internal/hgstore) both hold it. It carries the content the .hg
+// text of serial.go renders, with every expression replaced by an index
+// into a shared interned-expression table (expr.Table), so shared subterms
+// are emitted once per container rather than re-rendered at every
+// occurrence. Instructions are stored by address only and re-fetched from
+// the binary image on decode, so a saved graph cannot silently drift from
+// its binary.
 //
 // Record format (integers are uvarints; EXPR is a table index; clause
 // order is canonical — registers in GPR order, then flags, cmp, memory,
@@ -51,6 +52,8 @@
 package hoare
 
 import (
+	"slices"
+
 	"repro/internal/expr"
 	"repro/internal/image"
 	"repro/internal/memmodel"
@@ -301,10 +304,11 @@ func (e *entryTable) add(b []byte) uint64 {
 }
 
 // DecodeWire decodes one binary graph record from the cursor against the
-// decoded expression table, re-fetching every edge's instruction from the
-// image (exactly like the text loader, the record stores addresses only).
-// Every index is bounds-checked, so a corrupt record is an error, never a
-// panic; the decoded vertices share the record's trees and forests.
+// decoded expression table, re-fetching from the image the instruction of
+// every edge and of every vertex with a state (the record stores
+// addresses only). Every index is bounds-checked, so a corrupt record is
+// an error, never a panic; the decoded vertices share the record's trees
+// and forests.
 func DecodeWire(d *wire.Decoder, nodes []*expr.Expr, img *image.Image) (*Graph, error) {
 	node := func(what string) *expr.Expr {
 		i := d.Uvarint(what)
@@ -415,7 +419,45 @@ func DecodeWire(d *wire.Decoder, nodes []*expr.Expr, img *image.Image) (*Graph, 
 		d.Failf("graph has no entry vertex")
 		return nil, d.Err()
 	}
+	// The lifter fetches a vertex's instruction in the step that creates
+	// the vertex, so every vertex with a state has its instruction in
+	// Instrs, edges or not (a failed lift's fatal step leaves none), unless
+	// that fetch failed, which it annotates at the address.
+	for _, v := range vertices {
+		if _, ok := g.Instrs[v.Addr]; ok || v.State == nil {
+			continue
+		}
+		inst, err := img.Fetch(v.Addr)
+		if err != nil {
+			if !slices.ContainsFunc(g.Annotations, func(a Annotation) bool {
+				return a.Addr == v.Addr && a.Kind == AnnFetchError
+			}) {
+				d.Failf("vertex %s instruction: %v", v.ID, err)
+				return nil, d.Err()
+			}
+			continue
+		}
+		g.Instrs[v.Addr] = inst
+	}
 	return g, nil
+}
+
+// snapshotFlags returns the state's flag clauses, which SetCmp clears.
+func snapshotFlags(st *sem.State) map[x86.Flag]*expr.Expr {
+	out := map[x86.Flag]*expr.Expr{}
+	for f := x86.Flag(0); f < x86.NumFlags; f++ {
+		if e := st.Pred.Flag(f); e != nil {
+			out[f] = e
+		}
+	}
+	return out
+}
+
+// restoreFlags sets the flag clauses snapshotFlags returned.
+func restoreFlags(st *sem.State, fl map[x86.Flag]*expr.Expr) {
+	for f, e := range fl {
+		st.Pred.SetFlag(f, e)
+	}
 }
 
 // decodeTrees reads the tree table. A kid must name an earlier tree, so
@@ -529,8 +571,7 @@ func decodeState(d *wire.Decoder, st *sem.State, node func(string) *expr.Expr, f
 		}
 		c := &pred.Cmp{Kind: pred.CmpKind(kind), Lhs: lhs, Rhs: rhs, Size: int(size)}
 		// SetCmp clears the flag clauses; the record stores flags before
-		// cmp (canonical clause order), so snapshot and restore them,
-		// exactly like the text loader.
+		// cmp (canonical clause order), so snapshot and restore them.
 		flags := snapshotFlags(st)
 		st.Pred.SetCmp(c)
 		restoreFlags(st, flags)

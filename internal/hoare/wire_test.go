@@ -339,7 +339,7 @@ func TestWireEdgeToMissingVertex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !loaded.HasEdge("401005", ExitID) || loaded.Vertices[ExitID] != nil {
-		t.Fatalf("edge to the missing exit vertex lost:\n%s", loaded.Dump())
+		t.Fatalf("edge to the missing exit vertex lost:\n%s", Marshal(loaded))
 	}
 	if _, again := encodeGraph(loaded); !bytes.Equal(record, again) {
 		t.Fatal("record re-serialization differs")
@@ -363,5 +363,55 @@ func TestWireEdgeToMissingVertex(t *testing.T) {
 	}
 	if _, err := DecodeWire(d, nodes, im); err == nil || !strings.Contains(err.Error(), "not named by index") {
 		t.Fatalf("an inline name of a vertex: %v, want a non-canonical error", err)
+	}
+}
+
+// TestDecodeWireFetchesVertexInstructions decodes graphs with a vertex no
+// edge leaves, as a failed lift's fatal step leaves one. Its instruction
+// must come back in Instrs. An address that does not fetch loads only
+// when the graph carries a fetch-error annotation there, as the lifter
+// writes when its own fetch fails; any other annotation does not excuse it.
+func TestDecodeWireFetchesVertexInstructions(t *testing.T) {
+	im := buildTestImage(t)
+	decode := func(g *Graph) (*Graph, error) {
+		table, record := encodeGraph(g)
+		d := wire.NewDecoder(append(table, record...))
+		nodes, err := expr.DecodeTable(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return DecodeWire(d, nodes, im)
+	}
+
+	g := sampleGraph()
+	g.Vertices["401007"] = &Vertex{ID: "401007", Addr: 0x401007, State: sem.NewState()}
+	loaded, err := decode(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inst, ok := loaded.Instrs[0x401007]; !ok || inst.Mn != x86.RET {
+		t.Fatalf("edgeless vertex at 0x401007: instruction %v (%t), want ret", inst, ok)
+	}
+
+	for _, c := range []struct {
+		anns []AnnKind // annotated at the vertex's address
+		want bool      // loads
+	}{{nil, false}, {[]AnnKind{AnnUnresolvedJump}, false}, {[]AnnKind{AnnFetchError}, true}} {
+		g := sampleGraph()
+		g.Vertices["dead"] = &Vertex{ID: "dead", Addr: 0xdead, State: sem.NewState()}
+		for _, k := range c.anns {
+			g.Annotate(0xdead, k, "fetch at 0xdead")
+		}
+		loaded, err := decode(g)
+		if got := err == nil; got != c.want {
+			t.Fatalf("unfetchable vertex annotated %v: load error %v, want loads=%t", c.anns, err, c.want)
+		}
+		if err == nil {
+			if _, ok := loaded.Instrs[0xdead]; ok || len(loaded.Instrs) != 2 {
+				t.Fatalf("unfetchable vertex: instructions %v", loaded.Disasm())
+			}
+		} else if !strings.Contains(err.Error(), "vertex dead instruction") {
+			t.Fatalf("unfetchable vertex: error %v, want one naming the vertex", err)
+		}
 	}
 }

@@ -56,35 +56,29 @@ type imageGraph struct {
 	g   *hoare.Graph
 }
 
-// roundTrips returns the graph after a round trip through each file
-// format: the .hg text and the compact binary container.
-func roundTrips(t *testing.T, img *image.Image, g *hoare.Graph) map[string]*hoare.Graph {
+// roundTrip returns the graph after a round trip through its graph file.
+func roundTrip(t *testing.T, img *image.Image, g *hoare.Graph) *hoare.Graph {
 	t.Helper()
-	text, err := hoare.Load(img, hoare.Marshal(g))
+	loaded, err := hgstore.LoadGraph(img, hgstore.MarshalGraph(g))
 	if err != nil {
-		t.Fatalf("%s: .hg: %v", g.FuncName, err)
+		t.Fatalf("%s: %v", g.FuncName, err)
 	}
-	bin, err := hgstore.LoadGraph(img, hgstore.MarshalGraph(g))
-	if err != nil {
-		t.Fatalf("%s: binary: %v", g.FuncName, err)
-	}
-	return map[string]*hoare.Graph{"hg": text, "obin": bin}
+	return loaded
 }
 
 // TestCheckPointerFacts lifts the ptr_ directory and the weird-edge
-// function with pointer facts, saves each graph in both file formats and
-// loads it back: Check with no options must prove every theorem of every
-// loaded graph, and of the graph with its list reversed, as a hand-edited
-// file may hold it. The graphs rest on the pointer pre-pass's separation
+// function with pointer facts, saves each graph as a graph file and loads
+// it back: Check with no options must prove every theorem of every loaded
+// graph, and of the graph with its list reversed, as an edited file may
+// hold it. The graphs rest on the pointer pre-pass's separation
 // hypotheses, and their assumption lists are all Step 2 learns of them.
 func TestCheckPointerFacts(t *testing.T) {
 	ctx := context.Background()
 	for name, ig := range liftedWithFacts(t) {
-		graphs := roundTrips(t, ig.img, ig.g)
 		reversed := *ig.g
 		reversed.Assumptions = slices.Clone(ig.g.Assumptions)
 		slices.Reverse(reversed.Assumptions)
-		graphs["reversed"] = &reversed
+		graphs := map[string]*hoare.Graph{"saved": roundTrip(t, ig.img, ig.g), "reversed": &reversed}
 		for form, g := range graphs {
 			rep := lift.Check(ctx, ig.img, g)
 			if !rep.AllProven() || rep.Proven == 0 {
@@ -198,7 +192,7 @@ func sharedCodeBinary(t *testing.T) *image.Image {
 // TestCheckSharedCode lifts sharedCodeBinary with one lifter for the
 // whole binary: every function's graph must list the hypotheses its own
 // exploration makes, so Check proves every theorem of each, in process
-// and after a round trip through either file format.
+// and after a round trip through its graph file.
 func TestCheckSharedCode(t *testing.T) {
 	img := sharedCodeBinary(t)
 	ctx := context.Background()
@@ -210,8 +204,7 @@ func TestCheckSharedCode(t *testing.T) {
 		t.Fatalf("shared: %d functions lifted, want 3", n)
 	}
 	for _, fr := range res.Binary.Funcs {
-		graphs := roundTrips(t, img, fr.Graph)
-		graphs["lifted"] = fr.Graph
+		graphs := map[string]*hoare.Graph{"saved": roundTrip(t, img, fr.Graph), "lifted": fr.Graph}
 		for form, g := range graphs {
 			if rep := lift.Check(ctx, img, g); !rep.AllProven() || rep.Proven == 0 {
 				t.Errorf("%s (%s) with %q: %d proven, %d failed, %d skipped",

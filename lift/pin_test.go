@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/hgstore"
 	"repro/internal/hoare"
 	"repro/internal/image"
+	"repro/internal/triple"
 	"repro/lift"
 )
 
@@ -26,11 +28,9 @@ import (
 // graph's hoare.Marshal text, in request and function order. A change
 // meant to keep every lift byte for byte (a performance change) keeps
 // these digests; a change that alters a lift on purpose updates them and
-// says why. Every text must also load back (hoare.Load) into a graph that
-// marshals to the same bytes, and every graph must be whole: loaded back
-// from its .hg text and from the binary container, it lints exactly as
-// the lifted graph does, and each separation hypothesis it lists is made
-// at one of its own instructions.
+// says why. Every graph must also be whole: saved as a graph file and
+// loaded back, it must be the lifted graph (see digestFunc), and each
+// separation hypothesis it lists is made at one of its own instructions.
 func TestLiftedGraphsPinned(t *testing.T) {
 	coreutils, err := corpus.CoreUtilsSuite(0.17)
 	if err != nil {
@@ -93,11 +93,12 @@ func TestLiftedGraphsPinned(t *testing.T) {
 }
 
 // digestFunc writes one function's name, status, step count and graph
-// text to h, checks that the text loads back against img into a graph
-// with the same text, that the graph loaded from either file format lints
-// as the lifted one does, and that each separation hypothesis the graph
-// lists sits at one of its instructions. It returns 1 when the function
-// has a graph.
+// text to h, and checks that the graph loaded back from its graph file
+// against img is the lifted graph: the same .hg text, instruction
+// addresses, Stats (but Joins, which counts the exploration's weakenings
+// and is not saved), disassembly, theory export and lint report. It also
+// checks that each separation hypothesis the graph lists sits at one of
+// its instructions. It returns 1 when the function has a graph.
 func digestFunc(t *testing.T, h hash.Hash, img *image.Image, f *core.FuncResult) int {
 	t.Helper()
 	fmt.Fprintf(h, "func %s %s %d\n", f.Name, f.Status, f.Steps)
@@ -106,18 +107,10 @@ func digestFunc(t *testing.T, h hash.Hash, img *image.Image, f *core.FuncResult)
 	}
 	text := hoare.Marshal(f.Graph)
 	h.Write(text)
-	if g, err := hoare.Load(img, text); err != nil {
+	if g, err := hgstore.LoadGraph(img, hgstore.MarshalGraph(f.Graph)); err != nil {
 		t.Errorf("%s: %v", f.Name, err)
-	} else if !bytes.Equal(hoare.Marshal(g), text) {
-		t.Errorf("%s: the loaded graph marshals to other text", f.Name)
-	}
-	lint := hglint.Lint(f.Graph).JSON()
-	for form, b := range map[string][]byte{".hg": text, "binary": hgstore.MarshalGraph(f.Graph)} {
-		if g, err := hgstore.LoadGraph(img, b); err != nil {
-			t.Errorf("%s: %s: %v", f.Name, form, err)
-		} else if got := hglint.Lint(g).JSON(); !bytes.Equal(got, lint) {
-			t.Errorf("%s: loaded from %s it lints\n%s\nlifted it lints\n%s", f.Name, form, got, lint)
-		}
+	} else {
+		sameLoaded(t, f.Name, f.Graph, g)
 	}
 	for _, a := range f.Graph.Assumptions {
 		if !strings.Contains(a, " ASSUMED SEPARATE FROM ") {
@@ -130,4 +123,35 @@ func digestFunc(t *testing.T, h hash.Hash, img *image.Image, f *core.FuncResult)
 		}
 	}
 	return 1
+}
+
+// sameLoaded reports where a graph loaded from its graph file differs from
+// the lifted graph it was saved from.
+func sameLoaded(t *testing.T, name string, lifted, g *hoare.Graph) {
+	t.Helper()
+	if !bytes.Equal(hoare.Marshal(g), hoare.Marshal(lifted)) {
+		t.Errorf("%s: the loaded graph marshals to other text", name)
+	}
+	for a := range lifted.Instrs {
+		if _, ok := g.Instrs[a]; !ok {
+			t.Errorf("%s: the loaded graph lacks the instruction at %#x", name, a)
+		}
+	}
+	if len(g.Instrs) != len(lifted.Instrs) {
+		t.Errorf("%s: loaded with %d instructions, lifted with %d", name, len(g.Instrs), len(lifted.Instrs))
+	}
+	want := lifted.Stats()
+	want.Joins = 0
+	if got := g.Stats(); got != want {
+		t.Errorf("%s: loaded stats %+v, lifted %+v", name, got, want)
+	}
+	if got, want := g.Disasm(), lifted.Disasm(); !slices.Equal(got, want) {
+		t.Errorf("%s: loaded disassembly\n%s\nlifted\n%s", name, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if got, want := triple.ExportTheory(g, name), triple.ExportTheory(lifted, name); got != want {
+		t.Errorf("%s: the loaded graph's theory export differs from the lifted one's", name)
+	}
+	if got, want := hglint.Lint(g).JSON(), hglint.Lint(lifted).JSON(); !bytes.Equal(got, want) {
+		t.Errorf("%s: loaded it lints\n%s\nlifted it lints\n%s", name, got, want)
+	}
 }
