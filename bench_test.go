@@ -19,6 +19,7 @@ package repro
 
 import (
 	"context"
+	"math/rand"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -406,6 +407,49 @@ func BenchmarkMemModelIns(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMemModelJoin measures the memory-model join (Definition 3.12)
+// off its fast path: 32 pairs of forests over one stack frame and three
+// pointer arguments, each built by inserting the same regions in its own
+// order and taking its own forks, so the pairs hold reordered, one-sided
+// and nested classes. One op joins every pair.
+func BenchmarkMemModelJoin(b *testing.B) {
+	cfg := memmodel.DefaultConfig()
+	o := benchOracle{p: pred.New()}
+	var regions []solver.Region
+	for s := 0; s < 8; s++ {
+		regions = append(regions, benchRegion(int64(-8*(s+1))))
+	}
+	regions = append(regions, solver.Region{Addr: benchRegion(-16).Addr, Size: 16})
+	for _, v := range []expr.Var{"rdi0", "rsi0", "rdx0"} {
+		regions = append(regions, solver.Region{Addr: expr.V(v), Size: 8})
+	}
+	rng := rand.New(rand.NewSource(1))
+	build := func() memmodel.Forest {
+		var f memmodel.Forest
+		pick := rng.Intn(3)
+		for _, i := range rng.Perm(len(regions)) {
+			res := memmodel.Ins(regions[i], f, o, cfg)
+			f = res[pick%len(res)].Forest
+		}
+		return f
+	}
+	var pairs [][2]memmodel.Forest
+	for len(pairs) < 32 {
+		if m0, m1 := build(), build(); !memmodel.SameOrdered(m0, m1) {
+			pairs = append(pairs, [2]memmodel.Forest{m0, m1})
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range pairs {
+			benchForest = memmodel.Join(p[0], p[1])
+		}
+	}
+}
+
+// benchForest keeps BenchmarkMemModelJoin's result live.
+var benchForest memmodel.Forest
 
 type benchOracle struct{ p *pred.Pred }
 

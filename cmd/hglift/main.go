@@ -41,7 +41,9 @@
 //
 // -o saves the single-function graph as an HGCS graph file, the one form
 // hgprove -hg and hglint -hg read; -dump prints a graph as .hg text. -o
-// and -dot without -func are usage errors.
+// and -dot without -func are usage errors. With -dump or -thy, standard
+// output carries only the graph text and the theory, so either can be
+// redirected to a file, and the report goes to standard error.
 //
 // Observability flags apply to every form:
 //
@@ -54,6 +56,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -78,10 +81,11 @@ type observer struct {
 	jsonl   *obs.JSONL
 	file    *os.File
 	metrics *obs.Metrics
+	report  io.Writer // where the metrics dump goes
 }
 
-func newObserver(tracePath string, withMetrics bool) *observer {
-	o := &observer{}
+func newObserver(tracePath string, withMetrics bool, report io.Writer) *observer {
+	o := &observer{report: report}
 	var sinks []obs.Sink
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
@@ -110,7 +114,7 @@ func (o *observer) flush() {
 		o.file.Close()
 	}
 	if o.metrics != nil {
-		fmt.Print(o.metrics.Dump())
+		fmt.Fprint(o.report, o.metrics.Dump())
 	}
 }
 
@@ -145,7 +149,11 @@ func main() {
 	}
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	obsv := newObserver(*traceOut, *showMetrics)
+	report := io.Writer(os.Stdout)
+	if *dump || *thy {
+		report = os.Stderr
+	}
+	obsv := newObserver(*traceOut, *showMetrics, report)
 	retry := lift.RetryPolicy{MaxAttempts: *retries, Backoff: *retryBackoff}
 	var store *lift.Store
 	if *storePath != "" {
@@ -192,14 +200,14 @@ func main() {
 			obsv.flush()
 			fatal(fmt.Errorf("lift %s: %s %s", flag.Arg(0), res.Status, res.PanicMsg))
 		}
-		fmt.Printf("binary: %s\n", br.Status)
-		printStats(br.Stats)
+		fmt.Fprintf(report, "binary: %s\n", br.Status)
+		printStats(report, br.Stats)
 		for _, fr := range br.Funcs {
 			st := fr.Stats()
-			fmt.Printf("  %-24s %-28s instrs=%-5d states=%-5d A=%d B=%d C=%d\n",
+			fmt.Fprintf(report, "  %-24s %-28s instrs=%-5d states=%-5d A=%d B=%d C=%d\n",
 				fr.Name, fr.Status, st.Instructions, st.States,
 				st.ResolvedInd, st.UnresolvedJump, st.UnresolvedCall)
-			printDetails(fr, *dump, *thy)
+			printDetails(report, fr, *dump, *thy)
 		}
 		obsv.flush()
 		exitUnhealthy(flag.Arg(0), res, *keepGoing)
@@ -220,23 +228,23 @@ func main() {
 		if err := os.WriteFile(*hgOut, hgstore.MarshalGraph(fr.Graph), 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Println("graph written to", *hgOut)
+		fmt.Fprintln(report, "graph written to", *hgOut)
 	}
 	if fr.Graph != nil && *dotOut != "" {
 		if err := os.WriteFile(*dotOut, []byte(fr.Graph.ToDOT()), 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Println("dot written to", *dotOut)
+		fmt.Fprintln(report, "dot written to", *dotOut)
 	}
-	fmt.Printf("%s @ %#x: %s\n", fr.Name, fr.Addr, fr.Status)
+	fmt.Fprintf(report, "%s @ %#x: %s\n", fr.Name, fr.Addr, fr.Status)
 	for _, r := range fr.Reasons {
-		fmt.Printf("  reason: %s\n", r)
+		fmt.Fprintf(report, "  reason: %s\n", r)
 	}
-	printStats(fr.Stats())
-	printDetails(fr, *dump, *thy)
+	printStats(report, fr.Stats())
+	printDetails(report, fr, *dump, *thy)
 	if *disasm && fr.Graph != nil {
 		for _, line := range fr.Graph.Disasm() {
-			fmt.Println(line)
+			fmt.Fprintln(report, line)
 		}
 	}
 	obsv.flush()
@@ -349,20 +357,22 @@ func liftBatch(ctx context.Context, paths []string, cfg batchConfig, obsv *obser
 	}
 }
 
-func printStats(s hoare.Stats) {
-	fmt.Printf("  instructions=%d states=%d edges=%d resolved=%d unresolved-jumps=%d unresolved-calls=%d\n",
+func printStats(w io.Writer, s hoare.Stats) {
+	fmt.Fprintf(w, "  instructions=%d states=%d edges=%d resolved=%d unresolved-jumps=%d unresolved-calls=%d\n",
 		s.Instructions, s.States, s.Edges, s.ResolvedInd, s.UnresolvedJump, s.UnresolvedCall)
 }
 
-func printDetails(fr *core.FuncResult, dump, thy bool) {
+// printDetails writes a graph's obligations and assumptions to the report,
+// and its .hg text (dump) and theory (thy) to standard output.
+func printDetails(report io.Writer, fr *core.FuncResult, dump, thy bool) {
 	if fr.Graph == nil {
 		return
 	}
 	for _, o := range fr.Graph.Obligations {
-		fmt.Printf("  obligation: %s\n", o)
+		fmt.Fprintf(report, "  obligation: %s\n", o)
 	}
 	for _, a := range fr.Graph.Assumptions {
-		fmt.Printf("  assumption: %s\n", a)
+		fmt.Fprintf(report, "  assumption: %s\n", a)
 	}
 	if dump {
 		os.Stdout.Write(hoare.Marshal(fr.Graph))

@@ -5,6 +5,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -16,6 +17,8 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/hoare"
+	"repro/lift"
 )
 
 var (
@@ -187,5 +190,40 @@ func TestCommandsRejectGraphWithFunc(t *testing.T) {
 		if code, stderr := run(t, cmd, "-hg", graph, "-func", fn, elf); code != 2 {
 			t.Errorf("%s -hg -func: exit %d, want 2\n%s", cmd, code, stderr)
 		}
+	}
+}
+
+// TestCommandsDumpIsTheGraphText: hglift -func … -dump writes the lifted
+// graph's .hg text to stdout and nothing else, byte for byte the text
+// hoare.Marshal renders for the graph lifted in process, so the output can
+// be redirected to a file; the status line goes to stderr.
+func TestCommandsDumpIsTheGraphText(t *testing.T) {
+	dir := t.TempDir()
+	elf, fn, _ := saveWeirdEdge(t, dir)
+	s, err := corpus.WeirdEdge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, name, err := s.Image.ResolveFunc(fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := lift.One(context.Background(), lift.Func(name, s.Image, addr))
+	if res.Func == nil || res.Func.Graph == nil {
+		t.Fatalf("lift %s: %s", name, res.Status)
+	}
+	want := hoare.Marshal(res.Func.Graph)
+
+	c := exec.Command(filepath.Join(commands(t), "hglift"), "-func", fn, "-dump", elf)
+	var stdout, stderr bytes.Buffer
+	c.Stdout, c.Stderr = &stdout, &stderr
+	if err := c.Run(); err != nil {
+		t.Fatalf("hglift -func %s -dump: %v\n%s", fn, err, stderr.String())
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("hglift -dump stdout is not the graph's .hg text:\n--- stdout\n%s\n--- hoare.Marshal\n%s", stdout.Bytes(), want)
+	}
+	if status := fmt.Sprintf("%s @ %#x: %s\n", name, addr, res.Func.Status); !strings.HasPrefix(stderr.String(), status) {
+		t.Errorf("hglift -dump stderr does not start with the status line %q:\n%s", status, stderr.String())
 	}
 }

@@ -356,13 +356,15 @@ func DecodeWire(d *wire.Decoder, nodes []*expr.Expr, img *image.Image) (*Graph, 
 		g.Vertices[v.ID] = v
 	}
 
-	ref := func(what string) VertexID {
+	// ref reads an edge endpoint; idWhat names the endpoint's ID when it is
+	// not a vertex of the record ("edge from id" for "edge from").
+	ref := func(what, idWhat string) VertexID {
 		i := d.Uvarint(what)
 		if d.Err() != nil {
 			return ""
 		}
 		if i == 0 {
-			id := VertexID(d.String(what + " id"))
+			id := VertexID(d.String(idWhat))
 			if _, ok := g.Vertices[id]; ok && d.Err() == nil {
 				d.Failf("%s %q is a vertex but is not named by index", what, id)
 			}
@@ -375,8 +377,8 @@ func DecodeWire(d *wire.Decoder, nodes []*expr.Expr, img *image.Image) (*Graph, 
 		return vertices[i-1].ID
 	}
 	for i := 0; i < nEdges && d.Err() == nil; i++ {
-		from := ref("edge from")
-		to := ref("edge to")
+		from := ref("edge from", "edge from id")
+		to := ref("edge to", "edge to id")
 		kind := d.Uvarint("edge kind")
 		addr := d.Uvarint("edge address")
 		callee := d.String("edge callee")
@@ -519,7 +521,7 @@ func decodeIndexed(d *wire.Decoder, what string, trees []*memmodel.Tree, sizes [
 	f := make(memmodel.Forest, 0, n)
 	size := 0
 	for j := 0; j < n && d.Err() == nil; j++ {
-		i := d.Uvarint(what + " index")
+		i := d.UvarintOf(what, "index")
 		if d.Err() != nil {
 			break
 		}

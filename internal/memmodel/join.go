@@ -1,9 +1,18 @@
 package memmodel
 
 import (
+	"slices"
+
 	"repro/internal/pred"
 	"repro/internal/solver"
 )
+
+// joinStack is how many trees, m0's and m1's together, Join classifies in
+// stack buffers; a larger join takes its scratch from the heap. The largest
+// join of Table 1 at scale 0.3 (seeds 1 to 3) has 33 trees, and the largest
+// of CoreUtilsSuite(1.0), the ptr_ directory and the scenarios, with or
+// without pointer facts, 30.
+const joinStack = 64
 
 // Join computes M0 ⊔ M1 per Definition 3.12. Memory trees from both models
 // are partitioned into equivalence classes by the transitive closure of
@@ -19,100 +28,118 @@ import (
 // appears in m0 ++ m1, node regions in the order of the class's first tree.
 // Two models with the same trees in the same order join to m1 itself, the
 // common case at the exploration's fixed point; trees are immutable, so the
-// result shares them.
+// result shares them. Otherwise the result is a new forest, nil when no
+// class survives, and the classes are found in scratch on the stack.
 func Join(m0, m1 Forest) Forest {
 	if SameOrdered(m0, m1) {
 		return m1
 	}
-	trees := append(append([]*Tree{}, m0...), m1...)
-	if len(trees) == 0 {
-		return nil
+	n := len(m0) + len(m1)
+	tree := func(i int) *Tree {
+		if i < len(m0) {
+			return m0[i]
+		}
+		return m1[i-len(m0)]
 	}
+	var parentBuf [joinStack]int
+	var classBuf, outBuf, oneSidedBuf [joinStack]*Tree
+	parent, class, out, oneSided := parentBuf[:0], classBuf[:0], outBuf[:0], oneSidedBuf[:0]
+	if n > joinStack {
+		parent, class, out, oneSided = make([]int, 0, n), make([]*Tree, 0, n), make(Forest, 0, n), make([]*Tree, 0, n)
+	}
+	parent = parent[:n]
 
-	// Union-find over trees keyed by shared top-level regions.
-	parent := make([]int, len(trees))
+	// Union-find over trees linked by a shared top-level region, found by
+	// scanning the earlier trees. A class's root is its smallest index,
+	// so every parent index is at most its child's.
 	for i := range parent {
 		parent[i] = i
-	}
-	var find func(int) int
-	find = func(i int) int {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
-		}
-		return i
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
-	byRegion := map[RegionID]int{}
-	for i, t := range trees {
-		for _, r := range t.Regions {
-			id := IDOf(r)
-			if j, ok := byRegion[id]; ok {
-				union(i, j)
-			} else {
-				byRegion[id] = i
+		for j := 0; j < i; j++ {
+			if sharesRegion(tree(i), tree(j)) {
+				ri, rj := find(parent, i), find(parent, j)
+				parent[max(ri, rj)] = min(ri, rj)
 			}
 		}
 	}
-
-	// Classes in first-appearance order, each remembering which operands
-	// back it.
-	type class struct {
-		trees []*Tree
-		sides [2]bool
-	}
-	var classes []class
-	index := make([]int, len(trees)) // union-find root → 1 + class index
-	for i, t := range trees {
-		root := find(i)
-		if index[root] == 0 {
-			classes = append(classes, class{})
-			index[root] = len(classes)
-		}
-		c := &classes[index[root]-1]
-		c.trees = append(c.trees, t)
-		if i < len(m0) {
-			c.sides[0] = true
-		} else {
-			c.sides[1] = true
-		}
+	for i := range parent {
+		parent[i] = parent[parent[i]] // the parent's parent is a root by now
 	}
 
-	var out Forest
-	var oneSided []*Tree
-	for _, c := range classes {
-		if !c.sides[0] || !c.sides[1] {
+	// Classes in first-appearance order: a class starts at its root.
+	for first := range parent {
+		if parent[first] != first {
+			continue
+		}
+		class = class[:0]
+		var sides [2]bool
+		for i := first; i < n; i++ {
+			if parent[i] == first {
+				class = append(class, tree(i))
+				if i < len(m0) {
+					sides[0] = true
+				} else {
+					sides[1] = true
+				}
+			}
+		}
+		if !sides[0] || !sides[1] {
 			// A class backed by only one operand encodes contingent
 			// relations the other disjunct need not satisfy — unless the
 			// relations are geometric tautologies (Example 3.13's two
 			// same-base children), in which case they hold in every
 			// state and may be kept.
-			if t := joinClass(c.trees); t != nil && treeNecessary(t) {
+			if t := joinClass(class); t != nil && treeNecessary(t) {
 				oneSided = append(oneSided, t)
 			}
 			continue
 		}
-		if t := joinClass(c.trees); t != nil {
+		if t := joinClass(class); t != nil {
 			out = append(out, t)
 		}
 	}
+
+	// A one-sided tree is kept when it is necessarily separate from every
+	// two-sided tree and every other one-sided candidate.
+	twoSided := len(out)
 	for _, t := range oneSided {
-		ok := true
-		for _, u := range append(append(Forest{}, out...), oneSided...) {
-			if u == t {
-				continue
-			}
-			if !necessarilySeparate(t, u) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if separateFromAll(t, out[:twoSided]) && separateFromAll(t, oneSided) {
 			out = append(out, t)
 		}
 	}
-	return out
+	if len(out) == 0 {
+		return nil
+	}
+	return slices.Clone(out)
+}
+
+// find returns the root of i's class, halving the path on the way.
+func find(parent []int, i int) int {
+	for parent[i] != i {
+		parent[i] = parent[parent[i]]
+		i = parent[i]
+	}
+	return i
+}
+
+// sharesRegion reports whether t and u have a top-level region in common.
+func sharesRegion(t, u *Tree) bool {
+	for _, r := range t.Regions {
+		if hasID(u.Regions, IDOf(r)) {
+			return true
+		}
+	}
+	return false
+}
+
+// separateFromAll reports whether t is necessarily separate from every tree
+// of us but itself.
+func separateFromAll(t *Tree, us []*Tree) bool {
+	for _, u := range us {
+		if u != t && !necessarilySeparate(t, u) {
+			return false
+		}
+	}
+	return true
 }
 
 // emptyPred answers relation queries with no predicate knowledge: only
@@ -154,16 +181,15 @@ func treeNecessary(t *Tree) bool {
 // necessarilySeparate reports whether every region of t is geometrically
 // separate from every region of u.
 func necessarilySeparate(t, u *Tree) bool {
-	tr := t.Kids.AllRegions(append([]solver.Region(nil), t.Regions...))
-	ur := u.Kids.AllRegions(append([]solver.Region(nil), u.Regions...))
-	for _, a := range tr {
-		for _, b := range ur {
-			if solver.Compare(emptyPred, a, b).Separate != solver.Yes {
-				return false
+	sep := true
+	t.eachRegion(func(a solver.Region) {
+		u.eachRegion(func(b solver.Region) {
+			if sep && solver.Compare(emptyPred, a, b).Separate != solver.Yes {
+				sep = false
 			}
-		}
-	}
-	return true
+		})
+	})
+	return sep
 }
 
 // joinClass implements joint(T): intersect the region sets, join the child

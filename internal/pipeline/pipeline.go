@@ -316,7 +316,7 @@ func RunCtx(ctx context.Context, tasks []Task, opts Options) *Summary {
 	}
 	sum := &Summary{Results: make([]Result, len(tasks)), Cache: opts.Cache}
 	start := time.Now()
-	pool.ForEach(opts.Jobs, len(tasks), func(i int) {
+	pool.ForEach(opts.Jobs, len(tasks), func(_, i int) {
 		sum.Results[i] = runOne(ctx, tasks[i], i, opts)
 		opts.Faults.TaskCompleted()
 	})

@@ -10,17 +10,21 @@ import (
 	"sync/atomic"
 )
 
-// ForEach runs fn(0) … fn(n−1) across a bounded pool of workers and waits
-// for all of them. jobs ≤ 0 selects runtime.NumCPU(). With jobs == 1 the
-// calls run in order on the calling goroutine (no scheduling overhead, and
-// a deterministic execution order for debugging).
+// ForEach runs fn(w, 0) … fn(w, n−1) across a bounded pool of workers and
+// waits for all of them. jobs ≤ 0 selects runtime.NumCPU(). With jobs == 1
+// the calls run in order on the calling goroutine (no scheduling overhead,
+// and a deterministic execution order for debugging).
+//
+// w is the number of the worker making the call, below jobs (or
+// runtime.NumCPU()). A worker makes its calls one after another, so fn may
+// keep scratch that outlives a call in a slot indexed by w.
 //
 // Both workloads are embarrassingly parallel — per-lift and per-vertex
 // obligations are mutually independent — so a work-stealing counter over
 // a fixed index range is all that is needed. fn must confine writes to
-// its own index's slot; panics are NOT recovered here (the scheduler
-// layers per-lift recovery on top).
-func ForEach(jobs, n int, fn func(int)) {
+// its own index's slot and its worker's; panics are NOT recovered here
+// (the scheduler layers per-lift recovery on top).
+func ForEach(jobs, n int, fn func(w, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -32,7 +36,7 @@ func ForEach(jobs, n int, fn func(int)) {
 	}
 	if jobs == 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -47,7 +51,7 @@ func ForEach(jobs, n int, fn func(int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}

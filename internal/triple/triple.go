@@ -120,8 +120,9 @@ func ErrorBudget(n int) CheckOption {
 // theorems report Skipped instead of being attempted.
 //
 // The graph's assumption list is the only source of separation
-// hypotheses: each theorem is checked by sem.NewCheckMachine under that
-// list, so cfg's AssumeBaseSeparation and Facts do not apply in Step 2.
+// hypotheses: each worker checks its theorems on one sem.NewCheckMachine
+// under that list, so cfg's AssumeBaseSeparation and Facts do not apply in
+// Step 2.
 func Check(ctx context.Context, img *image.Image, g *hoare.Graph, cfg sem.Config, opts ...CheckOption) *Report {
 	cc := checkCfg{workers: 1}
 	for _, o := range opts {
@@ -140,7 +141,8 @@ func Check(ctx context.Context, img *image.Image, g *hoare.Graph, cfg sem.Config
 	succs := successors(g)
 	rep := &Report{Func: g.FuncName, Theorems: make([]Theorem, len(vertices))}
 	var failures atomic.Int64
-	pool.ForEach(cc.workers, len(vertices), func(i int) {
+	machines := make([]*sem.Machine, cc.workers)
+	pool.ForEach(cc.workers, len(vertices), func(w, i int) {
 		v := vertices[i]
 		switch {
 		case ctx.Err() != nil:
@@ -150,7 +152,10 @@ func Check(ctx context.Context, img *image.Image, g *hoare.Graph, cfg sem.Config
 			rep.Theorems[i] = Theorem{Vertex: v.ID, Addr: v.Addr, Verdict: Skipped,
 				Reason: fmt.Sprintf("not checked: error budget (%d) exhausted", cc.budget)}
 		default:
-			rep.Theorems[i] = checkVertex(img, g, cfg, hyps, v, succs[v.ID])
+			if machines[w] == nil {
+				machines[w] = sem.NewCheckMachine(img, cfg, hyps)
+			}
+			rep.Theorems[i] = checkVertex(machines[w], g, v, succs[v.ID])
 			if rep.Theorems[i].Verdict == Failed {
 				failures.Add(1)
 			}
@@ -219,23 +224,25 @@ func annotatedAt(g *hoare.Graph, addr uint64) bool {
 
 // checkVertex proves the one-step-inductive theorem of a single vertex:
 // {inv(v)} inst(v) {∨ inv(succ)}. Every shared artefact is recomputed: the
-// instruction is re-fetched from the binary's bytes and re-executed by a
-// fresh machine, which assumes the separations hyps lists and no others.
-func checkVertex(img *image.Image, g *hoare.Graph, cfg sem.Config, hyps []string, v *hoare.Vertex, succs []succ) Theorem {
+// instruction is re-fetched from the binary's bytes and re-executed by the
+// worker's check machine, which assumes the separations the graph lists and
+// no others. Step and CleanAfterCall reset the machine's per-instruction
+// state, so the theorems a machine checks stay independent; the outcome
+// states die with the theorem and go back to the machine for the next one.
+func checkVertex(m *sem.Machine, g *hoare.Graph, v *hoare.Vertex, succs []succ) Theorem {
 	th := Theorem{Vertex: v.ID, Addr: v.Addr}
 	if v.ID == hoare.ExitID || v.ID == hoare.HaltID {
 		th.Verdict = Proven
 		th.Reason = "terminal vertex"
 		return th
 	}
-	inst, err := img.Fetch(v.Addr)
+	inst, err := m.Img.Fetch(v.Addr)
 	if err != nil {
 		th.Verdict = Failed
 		th.Reason = fmt.Sprintf("re-fetch: %v", err)
 		return th
 	}
 
-	m := sem.NewCheckMachine(img, cfg, hyps)
 	outs, err := m.Step(v.State, inst)
 	if err != nil {
 		th.Verdict = Failed
@@ -243,20 +250,23 @@ func checkVertex(img *image.Image, g *hoare.Graph, cfg sem.Config, hyps []string
 		return th
 	}
 
+	th.Verdict = Proven
 	for _, o := range outs {
 		ok, reason := outcomeEntailsSuccessor(g, m, inst.Addr, inst.Next(), o, succs)
 		if !ok {
 			if annotatedAt(g, v.Addr) {
 				th.Verdict = Assumed
 				th.Reason = "annotated: " + reason
-				return th
+			} else {
+				th.Verdict = Failed
+				th.Reason = reason
 			}
-			th.Verdict = Failed
-			th.Reason = reason
-			return th
+			break
 		}
 	}
-	th.Verdict = Proven
+	for _, o := range outs {
+		m.Recycle(o.State)
+	}
 	return th
 }
 
@@ -282,6 +292,7 @@ func outcomeEntailsSuccessor(g *hoare.Graph, m *sem.Machine, addr, next uint64, 
 		// A call edge's postcondition is the ABI-cleaned continuation —
 		// or a terminal edge when the callee never returns.
 		post := m.CleanAfterCall(o.State, addr)
+		defer m.Recycle(post)
 		for _, s := range succs {
 			if s.id == hoare.HaltID {
 				return true, "" // callee proven non-returning in Step 1

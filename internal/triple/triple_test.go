@@ -3,11 +3,13 @@ package triple
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/elf64"
 	"repro/internal/expr"
 	"repro/internal/hgstore"
@@ -337,5 +339,84 @@ func TestTamperedMemoryModelFails(t *testing.T) {
 	rep := Check(context.Background(), im, r.Graph, sem.DefaultConfig(), Workers(1))
 	if rep.AllProven() {
 		t.Fatal("bogus aliasing claim must fail verification")
+	}
+}
+
+// TestCheckMachineReuseIsIndependent: a Step-2 worker checks theorem after
+// theorem on one machine and recycles each theorem's outcome states into
+// the next one's clones. Every theorem must come out as it does on a fresh
+// machine, whatever the machine checked before, and so must the outcomes
+// of the step behind it: each graph's vertices are checked in reverse
+// order on one machine and compared with a fresh machine per vertex, under
+// the graph's hypotheses and under none (which fails theorems, so reasons
+// are compared too).
+func TestCheckMachineReuseIsIndependent(t *testing.T) {
+	cus, err := corpus.CoreUtilsSuite(0.17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptrDir, err := corpus.PtrPathology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var graphs []*hoare.Graph
+	var imgs []*image.Image
+	for _, u := range append(cus, ptrDir.Units...) {
+		l := core.New(u.Image, core.DefaultConfig())
+		var frs []*core.FuncResult
+		if u.Kind == corpus.KindBinary {
+			frs = l.LiftBinaryCtx(context.Background(), u.Name).Funcs
+		} else {
+			frs = []*core.FuncResult{l.LiftFuncCtx(context.Background(), u.FuncAddr, u.Name)}
+		}
+		for _, fr := range frs {
+			if fr.Graph != nil {
+				graphs = append(graphs, fr.Graph)
+				imgs = append(imgs, u.Image)
+			}
+		}
+	}
+	render := func(outs []sem.Outcome) string {
+		var b strings.Builder
+		for _, o := range outs {
+			fmt.Fprintf(&b, "%d %v %v\n", o.Kind, o.Target, o.State)
+		}
+		return b.String()
+	}
+	checked, failed := 0, 0
+	for gi, g := range graphs {
+		succs := successors(g)
+		vertices := g.SortedVertices()
+		for _, hyps := range [][]string{g.Assumptions, nil} {
+			shared := sem.NewCheckMachine(imgs[gi], sem.DefaultConfig(), hyps)
+			fresh := func() *sem.Machine { return sem.NewCheckMachine(imgs[gi], sem.DefaultConfig(), hyps) }
+			for i := len(vertices) - 1; i >= 0; i-- {
+				v := vertices[i]
+				got := checkVertex(shared, g, v, succs[v.ID])
+				if want := checkVertex(fresh(), g, v, succs[v.ID]); got != want {
+					t.Fatalf("%s %s: on a reused machine %+v, on a fresh one %+v", g.FuncName, v.ID, got, want)
+				}
+				checked++
+				if got.Verdict == Failed {
+					failed++
+				}
+				inst, err := imgs[gi].Fetch(v.Addr)
+				if err != nil || v.ID == hoare.ExitID || v.ID == hoare.HaltID {
+					continue
+				}
+				outs, errShared := shared.Step(v.State, inst)
+				want, errFresh := fresh().Step(v.State, inst)
+				if (errShared == nil) != (errFresh == nil) || render(outs) != render(want) {
+					t.Fatalf("%s %s: a reused machine steps to\n%s(%v), a fresh one to\n%s(%v)",
+						g.FuncName, v.ID, render(outs), errShared, render(want), errFresh)
+				}
+				for _, o := range outs {
+					shared.Recycle(o.State)
+				}
+			}
+		}
+	}
+	if checked < 1000 || failed < 10 {
+		t.Fatalf("too little checked: %d theorems, %d failed", checked, failed)
 	}
 }

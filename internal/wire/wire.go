@@ -99,12 +99,21 @@ func (d *Decoder) Byte(what string) byte {
 }
 
 // Uvarint reads one unsigned varint.
-func (d *Decoder) Uvarint(what string) uint64 {
+func (d *Decoder) Uvarint(what string) uint64 { return d.UvarintOf(what, "") }
+
+// UvarintOf reads one unsigned varint holding a part of the field what (its
+// length, an index into a table), which an error names "what part". The
+// name is joined only when the read fails, so a decode loop builds no label
+// per item.
+func (d *Decoder) UvarintOf(what, part string) uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.data[d.pos:])
 	if n <= 0 {
+		if part != "" {
+			what += " " + part
+		}
 		d.Failf("bad uvarint %s", what)
 		return 0
 	}
@@ -144,12 +153,12 @@ func (d *Decoder) Bytes(n uint64, what string) []byte {
 
 // String reads a length-prefixed string.
 func (d *Decoder) String(what string) string {
-	return string(d.Bytes(d.Uvarint(what+" length"), what))
+	return string(d.Bytes(d.UvarintOf(what, "length"), what))
 }
 
 // ByteSlice reads a length-prefixed byte slice, copied out of the input.
 func (d *Decoder) ByteSlice(what string) []byte {
-	b := d.Bytes(d.Uvarint(what+" length"), what)
+	b := d.Bytes(d.UvarintOf(what, "length"), what)
 	if d.err != nil {
 		return nil
 	}

@@ -115,3 +115,36 @@ func TestFailfMentionsOffset(t *testing.T) {
 		t.Fatalf("error: %v", err)
 	}
 }
+
+// TestDecoderErrorsNameTheField: a failed read names its field, and a
+// length or an index as part of it ("… length", "… index"); a read that
+// succeeds builds no such name.
+func TestDecoderErrorsNameTheField(t *testing.T) {
+	for _, c := range []struct {
+		data []byte
+		read func(d *Decoder)
+		want string
+	}{
+		{nil, func(d *Decoder) { d.Uvarint("edge kind") }, "wire: offset 0: bad uvarint edge kind"},
+		{nil, func(d *Decoder) { d.UvarintOf("forest tree", "index") }, "wire: offset 0: bad uvarint forest tree index"},
+		{nil, func(d *Decoder) { d.String("function name") }, "wire: offset 0: bad uvarint function name length"},
+		{[]byte{5, 'a'}, func(d *Decoder) { d.String("function name") }, "wire: offset 1: truncated function name (5 bytes)"},
+		{nil, func(d *Decoder) { d.ByteSlice("payload") }, "wire: offset 0: bad uvarint payload length"},
+	} {
+		d := NewDecoder(c.data)
+		c.read(d)
+		if d.Err() == nil || d.Err().Error() != c.want {
+			t.Errorf("error %v, want %q", d.Err(), c.want)
+		}
+	}
+
+	buf := AppendString(AppendUvarint(nil, 7), "hello")
+	what := strings.Repeat("w", 40) // a name no concatenation fits on the stack
+	if n := testing.AllocsPerRun(100, func() {
+		d := NewDecoder(buf)
+		d.UvarintOf(what, "index")
+		d.String(what)
+	}); n != 1 {
+		t.Errorf("reading an index and a string: %v allocations, want 1 (the string)", n)
+	}
+}

@@ -64,12 +64,13 @@ go test -run '^$' -count="$count" -benchmem \
 # re-run (every task served from a pre-populated HG store, zero lifts) —
 # cold vs warm is the incremental-lifting ratio recorded in BENCH_PR7.json —
 # one write-through Put into that store (seal, encode, append, fsync), the
-# largest Table 2 binary lifted and checked (Step 1 and Step 2), and raw
-# memory-model insertion into a growing stack frame. Skipped by -short to
-# keep the CI smoke job fast.
+# largest Table 2 binary lifted and checked (Step 1 and Step 2), raw
+# memory-model insertion into a growing stack frame, and memory-model joins
+# off their fast path (reordered, one-sided and nested classes). Skipped by
+# -short to keep the CI smoke job fast.
 if [ "$short" -eq 0 ]; then
     go test -run '^$' -count="$count" -benchmem \
-        -bench '^(BenchmarkTable1_lib|BenchmarkTable1_lib_parallel|BenchmarkTable1_lib_warmstore|BenchmarkStorePut|BenchmarkTable2_tar|BenchmarkMemModelIns)$' \
+        -bench '^(BenchmarkTable1_lib|BenchmarkTable1_lib_parallel|BenchmarkTable1_lib_warmstore|BenchmarkStorePut|BenchmarkTable2_tar|BenchmarkMemModelIns|BenchmarkMemModelJoin)$' \
         . | tee -a "$raw"
 fi
 
