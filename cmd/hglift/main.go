@@ -12,17 +12,20 @@
 // functions.
 //
 // Several binaries may be given at once; they are lifted as a batch through
-// the pipeline scheduler, fanned out across -jobs workers (0 = all CPUs),
+// lift.Run, fanned out across -jobs workers (0 = all CPUs),
 // each under the -timeout wall-clock budget, and summarised one line per
 // binary. The detail flags (-func, -dump, -thy, -disasm, -o, -dot) apply to
 // the single-binary form only.
 //
-// The exit status is non-zero when any lift panicked, timed out, errored,
-// was cancelled or was quarantined (and, in batch mode, when any binary
-// failed to lift); -keep-going reports the trouble but exits 0 anyway.
-// Retry and store flags make long batches survivable:
+// The exit status is non-zero when any lift panicked, passed its -timeout
+// deadline, errored, was cancelled or was quarantined (and, in batch mode,
+// when any binary failed to lift); -keep-going reports the trouble but
+// exits 0 anyway. A spent step budget is an analysis outcome like an
+// unprovable return address, not trouble. Retry and store flags make long
+// batches survivable:
 //
-//	-retries N         attempts per lift (retries panicked/timed-out lifts)
+//	-retries N         attempts per lift (retries panicked lifts and
+//	                   expired deadlines)
 //	-retry-backoff d   delay before the first retry (doubles per retry)
 //	-store f           cache lifted Hoare graphs in the content-addressed
 //	                   store at f; re-lifting an unchanged binary decodes
@@ -127,11 +130,11 @@ func main() {
 	dotOut := flag.String("dot", "", "write a Graphviz rendering to this file (requires -func)")
 	jobs := flag.Int("jobs", 0, "batch mode: parallel lift workers (0 = all CPUs)")
 	timeout := flag.Duration("timeout", 0, "per-lift wall-clock budget (0 = none)")
-	retries := flag.Int("retries", 1, "attempts per lift (>1 retries panicked/timed-out lifts)")
+	retries := flag.Int("retries", 1, "attempts per lift (>1 retries panicked lifts and expired deadlines)")
 	retryBackoff := flag.Duration("retry-backoff", 0, "delay before the first retry (doubles per retry)")
 	storePath := flag.String("store", "", "cache lifted Hoare graphs in the store at this file")
 	ptrFacts := flag.Bool("ptr", false, "run the pointer-analysis pre-pass before each lift")
-	keepGoing := flag.Bool("keep-going", false, "exit 0 even when lifts panicked, timed out, errored or were quarantined")
+	keepGoing := flag.Bool("keep-going", false, "exit 0 even when lifts panicked, passed their deadline, errored or were quarantined")
 	traceOut := flag.String("trace", "", "write a JSONL event trace to this file")
 	showMetrics := flag.Bool("metrics", false, "print the aggregated metrics registry on exit")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -252,8 +255,8 @@ func main() {
 }
 
 // exitUnhealthy terminates with a non-zero status when a single lift of
-// the binary at path ended in an infrastructure failure (panic, timeout,
-// error, cancellation) — -keep-going reports it but keeps the zero
+// the binary at path ended in an infrastructure failure (panic, expired
+// deadline, error, cancellation) — -keep-going reports it but keeps the zero
 // status — or when its result could not be written to the store, which
 // fails the run even with -keep-going: the lift completed, but a re-run
 // would lift it again.
@@ -264,7 +267,7 @@ func exitUnhealthy(path string, res lift.Result, keepGoing bool) {
 		code = 1
 	}
 	switch res.Status {
-	case core.StatusPanic, core.StatusTimeout, core.StatusError, core.StatusCancelled:
+	case core.StatusPanic, core.StatusDeadline, core.StatusError, core.StatusCancelled:
 		fmt.Fprintf(os.Stderr, "hglift: %s: lift ended in %s\n", path, res.Status)
 		if !keepGoing {
 			code = 1
@@ -329,8 +332,8 @@ func liftBatch(ctx context.Context, paths []string, cfg batchConfig, obsv *obser
 		}
 	}
 	cs := sum.Cache.Stats()
-	fmt.Printf("%d lifted, %d unprovable, %d concurrency, %d timeout, %d error, %d panic in %s; solver memo %.0f%% of %d queries, %d exact\n",
-		sum.Lifted, sum.Unprovable, sum.Concurrency, sum.Timeouts, sum.Errors, sum.Panics,
+	fmt.Printf("%d lifted, %d unprovable, %d concurrency, %d timeout, %d deadline, %d error, %d panic in %s; solver memo %.0f%% of %d queries, %d exact\n",
+		sum.Lifted, sum.Unprovable, sum.Concurrency, sum.Timeouts, sum.Deadlines, sum.Errors, sum.Panics,
 		sum.Wall.Round(time.Millisecond), 100*cs.HitRate(), cs.Queries, cs.Exact)
 	if sum.Retried > 0 || sum.Quarantined > 0 {
 		fmt.Printf("%d retried, %d quarantined\n", sum.Retried, sum.Quarantined)

@@ -13,7 +13,7 @@
 // -scale shrinks the Table 1 unit counts (1.0 = the paper's 63 binaries
 // and 2151 library functions; the default keeps runtimes laptop-friendly).
 //
-// -jobs N fans the lifts of each sweep out across N pipeline workers
+// -jobs N fans the lifts of each sweep out across N lift.Run workers
 // (default: all CPUs). Lifts are context-free and mutually independent, so
 // every count is identical at any job count; only wall time changes. All
 // workers share one solver memo cache, and the tables report its per-row
@@ -34,14 +34,23 @@
 //
 // Robustness flags make long sweeps survivable:
 //
-//	-timeout d         per-lift wall-clock budget (0 = none)
-//	-retries N         attempts per lift (retries panicked/timed-out lifts)
+//	-timeout d         per-lift wall-clock budget (0 = none); a lift past it
+//	                   reports "deadline"
+//	-retries N         attempts per lift (retries panicked lifts and
+//	                   expired deadlines)
 //	-retry-backoff d   delay before the first retry (doubles per retry)
 //	-store f           cache lifted Hoare graphs in the content-addressed
 //	                   store at f; a warm re-run decodes instead of lifting
 //	                   (stderr reports the hit/miss split)
-//	-keep-going        exit 0 even when lifts panicked, timed out, errored,
-//	                   were cancelled or were quarantined
+//	-keep-going        exit 0 even when lifts panicked, passed their
+//	                   deadline, errored, were cancelled or were quarantined
+//
+// A spent step budget (Table 1's z column: units that exhaust their
+// MaxStates by design) is an analysis outcome like unprovable and
+// concurrency: it is never retried, it is stored like any outcome, and it
+// leaves the exit status alone. An expired wall-clock deadline is a fault
+// of the machine and the moment: Table 1 still counts it in z, but it is
+// retried, never stored, and fails the run.
 //
 // The run stops cleanly on SIGINT/SIGTERM: in-flight lifts report
 // cancelled, the trace and metrics still flush, and the exit status is
@@ -49,7 +58,7 @@
 // same -store resumes it: every lift sweep (-table1, -table2, -fig3,
 // -ptrbench) answers the tasks the store holds without lifting, and lifts
 // only what it does not keep — unfinished tasks, panics, quarantines and
-// wall-clock timeouts. Table 2 checks Step 2 on the stored graphs. A store
+// expired deadlines. Table 2 checks Step 2 on the stored graphs. A store
 // write that fails is counted in the stderr tally and makes the exit
 // status non-zero, with or without -keep-going.
 //
@@ -96,18 +105,18 @@ type runner struct {
 	flip    string
 	ptr     bool
 	faults  *faultinject.Injector
-	tr      *obs.Tracer
+	sinks   []obs.Sink
 
-	panics, timeouts, errors, cancelled, quarantined int
-	storeHits, storeMisses, storeWriteErrors         int
-	storeWriteErr                                    error // the first failed store write
+	panics, deadlines, errors, cancelled, quarantined int
+	storeHits, storeMisses, storeWriteErrors          int
+	storeWriteErr                                     error // the first failed store write
 }
 
 // opts assembles the facade options every lift sweep shares.
 func (rn *runner) opts() []lift.Option {
 	opts := []lift.Option{
 		lift.Jobs(rn.jobs), lift.Timeout(rn.timeout),
-		lift.Tracer(rn.tr), lift.Retry(rn.retry), lift.Faults(rn.faults),
+		lift.Observe(rn.sinks...), lift.Retry(rn.retry), lift.Faults(rn.faults),
 	}
 	if rn.store != nil {
 		opts = append(opts, lift.WithStore(rn.store))
@@ -119,11 +128,12 @@ func (rn *runner) opts() []lift.Option {
 }
 
 // absorb folds one Summary's infrastructure outcomes into the health
-// counters. Unprovable and concurrency results are analysis outcomes, not
-// failures — Table 1 reports them as its x and y columns.
+// counters. Unprovable, concurrency and spent-step-budget results are
+// analysis outcomes, not failures — Table 1 reports them as its x, y and
+// z columns.
 func (rn *runner) absorb(sum *lift.Summary) {
 	rn.panics += sum.Panics
-	rn.timeouts += sum.Timeouts
+	rn.deadlines += sum.Deadlines
 	rn.errors += sum.Errors
 	rn.cancelled += sum.Cancelled
 	rn.quarantined += sum.Quarantined
@@ -140,7 +150,7 @@ func (rn *runner) absorb(sum *lift.Summary) {
 // healthy reports whether every lift completed without infrastructure
 // trouble.
 func (rn *runner) healthy() bool {
-	return rn.panics == 0 && rn.timeouts == 0 && rn.errors == 0 &&
+	return rn.panics == 0 && rn.deadlines == 0 && rn.errors == 0 &&
 		rn.cancelled == 0 && rn.quarantined == 0
 }
 
@@ -156,12 +166,12 @@ func main() {
 	seed := flag.Int64("seed", 1, "corpus generation seed")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel lift workers (1 = serial)")
 	timeout := flag.Duration("timeout", 0, "per-lift wall-clock budget (0 = none)")
-	retries := flag.Int("retries", 1, "attempts per lift (>1 retries panicked/timed-out lifts)")
+	retries := flag.Int("retries", 1, "attempts per lift (>1 retries panicked lifts and expired deadlines)")
 	retryBackoff := flag.Duration("retry-backoff", 0, "delay before the first retry (doubles per retry)")
 	storePath := flag.String("store", "", "cache lifted Hoare graphs in the store at this file")
 	ptrFacts := flag.Bool("ptr", false, "run the pointer-analysis pre-pass before each lift")
 	flipUnit := flag.String("flip", "", "flip one immediate byte in the named corpus unit's function before lifting (store-invalidation smoke)")
-	keepGoing := flag.Bool("keep-going", false, "exit 0 even when lifts panicked, timed out, errored or were quarantined")
+	keepGoing := flag.Bool("keep-going", false, "exit 0 even when lifts panicked, passed their deadline, errored or were quarantined")
 	faultSeed := flag.Int64("fault-seed", 0, "fault injector decision seed (CI smoke)")
 	faultPanic := flag.Float64("fault-panic", 0, "probability a lift attempt panics (CI smoke)")
 	faultStall := flag.Float64("fault-stall", 0, "probability a lift attempt stalls until the watchdog (CI smoke)")
@@ -203,9 +213,9 @@ func main() {
 		jobs:    *jobs,
 		timeout: *timeout,
 		retry:   lift.RetryPolicy{MaxAttempts: *retries, Backoff: *retryBackoff},
-		// tr is nil when no sink is selected: every emission site reduces
-		// to one pointer check.
-		tr: obs.NewTracer(sinks...),
+		// With no sink selected lift.Observe leaves tracing off: every
+		// emission site reduces to one pointer check.
+		sinks: sinks,
 	}
 	if *faultPanic > 0 || *faultStall > 0 {
 		rn.faults = faultinject.New(faultinject.Config{
@@ -235,10 +245,10 @@ func main() {
 		runFig3(ctx, *scale, *seed, rn)
 	}
 	if *weird {
-		runWeird(ctx, rn.tr)
+		runWeird(ctx, rn.sinks)
 	}
 	if *failures {
-		runFailures(ctx, rn.tr)
+		runFailures(ctx, rn.sinks)
 	}
 	if *ptrBench {
 		runPtrBench(ctx, rn)
@@ -270,8 +280,8 @@ func main() {
 	}
 	if !rn.healthy() {
 		fmt.Fprintf(os.Stderr,
-			"xenbench: unhealthy run: %d panics, %d timeouts, %d errors, %d cancelled, %d quarantined\n",
-			rn.panics, rn.timeouts, rn.errors, rn.cancelled, rn.quarantined)
+			"xenbench: unhealthy run: %d panics, %d deadlines, %d errors, %d cancelled, %d quarantined\n",
+			rn.panics, rn.deadlines, rn.errors, rn.cancelled, rn.quarantined)
 		if !*keepGoing {
 			code = 1
 		}
@@ -304,7 +314,7 @@ func (r *dirResult) hitRate() string {
 }
 
 // liftDirectory generates one Table 1 directory and lifts every unit
-// through the pipeline.
+// through lift.Run.
 func liftDirectory(ctx context.Context, shape corpus.DirShape, seed int64, cache *solver.Cache, rn *runner) (*dirResult, error) {
 	dir, err := corpus.BuildDirectory(shape, seed)
 	if err != nil {
@@ -338,7 +348,7 @@ func liftDirectory(ctx context.Context, shape corpus.DirShape, seed int64, cache
 			res.unprov++
 		case core.StatusConcurrency:
 			res.conc++
-		case core.StatusTimeout:
+		case core.StatusTimeout, core.StatusDeadline:
 			res.timeout++
 		}
 	}
@@ -486,13 +496,13 @@ func runFig3(ctx context.Context, scale float64, seed int64, rn *runner) {
 	fmt.Println()
 }
 
-func runWeird(ctx context.Context, tr *obs.Tracer) {
+func runWeird(ctx context.Context, sinks []obs.Sink) {
 	fmt.Println("Section 2: the weird-edge binary")
 	s, err := corpus.WeirdEdge()
 	if err != nil {
 		fatal(err)
 	}
-	res := lift.One(ctx, lift.Func(s.Name, s.Image, s.FuncAddr), lift.Tracer(tr))
+	res := lift.One(ctx, lift.Func(s.Name, s.Image, s.FuncAddr), lift.Observe(sinks...))
 	r := res.Func
 	if r == nil || r.Graph == nil {
 		fatal(fmt.Errorf("%s: %s", s.Name, res.Status))
@@ -510,12 +520,12 @@ func runWeird(ctx context.Context, tr *obs.Tracer) {
 		}
 		fmt.Printf("  %s -> %s : %s%s\n", e.From, e.To, label, marker)
 	}
-	rep := lift.Check(ctx, s.Image, r.Graph, lift.Jobs(2), lift.Tracer(tr))
+	rep := lift.Check(ctx, s.Image, r.Graph, lift.Jobs(2), lift.Observe(sinks...))
 	fmt.Printf("Step 2: %d proven, %d assumed, %d failed\n", rep.Proven, rep.Assumed, rep.Failed)
 	fmt.Println()
 }
 
-func runFailures(ctx context.Context, tr *obs.Tracer) {
+func runFailures(ctx context.Context, sinks []obs.Sink) {
 	fmt.Println("Section 5.3: failure case studies")
 	scenarios := []func() (*corpus.Scenario, error){
 		corpus.Ret2Win, corpus.StackProbe, corpus.NonStdRSP, corpus.Overflow,
@@ -530,7 +540,7 @@ func runFailures(ctx context.Context, tr *obs.Tracer) {
 		reqs[i] = lift.Func(s.Name, s.Image, s.FuncAddr)
 		descs[i] = s.Describe
 	}
-	for i, res := range lift.Run(ctx, reqs, lift.Tracer(tr)).Results {
+	for i, res := range lift.Run(ctx, reqs, lift.Observe(sinks...)).Results {
 		fmt.Printf("%-12s status=%s\n", res.Name, res.Status)
 		fmt.Printf("             %s\n", descs[i])
 		if r := res.Func; r != nil {
@@ -552,8 +562,8 @@ func runFailures(ctx context.Context, tr *obs.Tracer) {
 // without and with -ptr — and compare: the counters line quantifies the
 // pre-pass's fork+destroy reduction, and the verdict lines (deliberately
 // free of timings) let CI diff the two runs byte-for-byte on the functions
-// both modes lift. Without -ptr the forkbomb unit times out by design, so
-// the factless run needs -keep-going to exit 0.
+// both modes lift. Without -ptr the forkbomb unit exhausts its step budget
+// by design, an outcome that leaves the exit status alone.
 func runPtrBench(ctx context.Context, rn *runner) {
 	mode := "off"
 	if rn.ptr {

@@ -7,12 +7,9 @@
 // Five analyzers are registered:
 //
 //	ctxless — forbids reintroducing exported non-context Lift*/Run*/Check*
-//	          entrypoints in the core/pipeline/triple packages and the
-//	          repro/lift front door (the four deprecated context-less
-//	          wrappers were deleted once callers migrated; the rule keeps
-//	          them deleted) and flags calls to any wrapper registered as
-//	          Deprecated (none at present — the checkpoint wrappers
-//	          finished their one compatibility release and are deleted).
+//	          entrypoints in the core and triple packages and the
+//	          repro/lift front door (the four context-less wrappers were
+//	          deleted once callers migrated; the rule keeps them deleted).
 //	envread — flags os.Getenv, os.LookupEnv and os.Environ in the
 //	          non-test files of library packages: a setting that changes
 //	          a lift or a check is an option, a flag or a config field.

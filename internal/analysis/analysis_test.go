@@ -22,46 +22,15 @@ func (l *Lifter) LiftFuncCtx(ctx context.Context, addr uint64, name string) int 
 func (l *Lifter) LiftBinaryCtx(ctx context.Context, name string) int { return 0 }
 `
 
-const pipelineSrc = `package pipeline
-import "context"
-func RunCtx(ctx context.Context) int { return 0 }
-`
-
 const tripleSrc = `package triple
 import "context"
 func Check(ctx context.Context) int { return 0 }
 `
 
-// The stub lift package keeps synthetic NewCheckpoint/ResumeCheckpoint
-// declarations: the real wrappers are deleted and the real deprecation
-// map is empty, but the flagging mechanism stays covered by registering
-// these names via withDeprecated.
 const liftSrc = `package lift
-type Checkpoint struct{}
-func OpenCheckpoint(path string) (*Checkpoint, error) { return &Checkpoint{}, nil }
-func NewCheckpoint(path string) (*Checkpoint, error) { return OpenCheckpoint(path) }
-func ResumeCheckpoint(path string) (*Checkpoint, error) { return OpenCheckpoint(path) }
+import "context"
+func Run(ctx context.Context) int { return 0 }
 `
-
-// withDeprecated installs test-only entries in the ctxless deprecation
-// map for the duration of one test, restoring the real (currently empty)
-// map afterwards.
-func withDeprecated(t *testing.T, entries map[string]string) {
-	t.Helper()
-	saved := deprecatedEntrypoints
-	deprecatedEntrypoints = entries
-	t.Cleanup(func() { deprecatedEntrypoints = saved })
-}
-
-// stubDeprecations marks the stub lift wrappers deprecated, mirroring how
-// the map looked while the PR 7 wrappers were in their compatibility
-// release.
-func stubDeprecations(t *testing.T) {
-	withDeprecated(t, map[string]string{
-		"repro/lift.NewCheckpoint":    "OpenCheckpoint",
-		"repro/lift.ResumeCheckpoint": "OpenCheckpoint",
-	})
-}
 
 const exprSrc = `package expr
 type Expr struct{}
@@ -130,12 +99,11 @@ func Background() Context { return nil }
 	imp["context"] = ctxPass.Pkg
 	imp["os"] = typecheck(t, "os", osSrc, imp).Pkg
 	for path, src := range map[string]string{
-		"repro/internal/core":     coreSrc,
-		"repro/internal/pipeline": pipelineSrc,
-		"repro/internal/triple":   tripleSrc,
-		"repro/internal/obs":      obsSrc,
-		"repro/internal/expr":     exprSrc,
-		"repro/lift":              liftSrc,
+		"repro/internal/core":   coreSrc,
+		"repro/internal/triple": tripleSrc,
+		"repro/internal/obs":    obsSrc,
+		"repro/internal/expr":   exprSrc,
+		"repro/lift":            liftSrc,
 	} {
 		imp[path] = typecheck(t, path, src, imp).Pkg
 	}
@@ -143,32 +111,29 @@ func Background() Context { return nil }
 }
 
 func TestAnalyzers(t *testing.T) {
-	stubDeprecations(t)
 	imp := stubImporter(t)
 	pass := typecheck(t, "example.com/use", `package use
 
 import (
 	"context"
+	"os"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/triple"
 	"repro/lift"
 )
 
 func use(l *core.Lifter, tr *obs.Tracer) {
-	_, _ = lift.NewCheckpoint("a")    // ctxless
-	_, _ = lift.ResumeCheckpoint("a") // ctxless
-	_, _ = lift.OpenCheckpoint("a")
+	_ = os.Getenv("A") // envread
 	_ = l.LiftFuncCtx(context.Background(), 1, "f")
-	_ = pipeline.RunCtx(context.Background())
+	_ = lift.Run(context.Background())
 	_ = triple.Check(context.Background())
 	_ = tr.Sink // obsnil
 	tr.Step(1)
-	_, _ = lift.NewCheckpoint("a") //reprovet:ignore ctxless
+	_ = os.Getenv("A") //reprovet:ignore envread
 	//reprovet:ignore
 	_ = tr.Sink
-	_, _ = lift.NewCheckpoint("a") //reprovet:ignore obsnil
+	_ = os.Getenv("A") //reprovet:ignore obsnil
 }
 `, imp)
 	diags := Run(pass, All())
@@ -182,9 +147,9 @@ func use(l *core.Lifter, tr *obs.Tracer) {
 	}
 	want := []finding{
 		{1, "pkgdoc"}, // the test package deliberately has no package doc
-		{13, "ctxless"}, {14, "ctxless"},
-		{19, "obsnil"},
-		{24, "ctxless"}, // the obsnil-only directive must not hide ctxless
+		{13, "envread"},
+		{17, "obsnil"},
+		{22, "envread"}, // the obsnil-only directive must not hide envread
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d diagnostics %v, want %d %v", len(got), got, len(want), want)
@@ -196,28 +161,12 @@ func use(l *core.Lifter, tr *obs.Tracer) {
 	}
 }
 
-func TestCtxlessMessageNamesReplacement(t *testing.T) {
-	stubDeprecations(t)
-	imp := stubImporter(t)
-	pass := typecheck(t, "example.com/msg", `package msg
-import "repro/lift"
-func f() { _, _ = lift.ResumeCheckpoint("x") }
-`, imp)
-	diags := Run(pass, []*Analyzer{Ctxless})
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want 1", len(diags))
-	}
-	if !strings.Contains(diags[0].Msg, "OpenCheckpoint") {
-		t.Fatalf("message %q does not name the replacement", diags[0].Msg)
-	}
-}
-
 func TestCtxlessDeclarationRule(t *testing.T) {
 	imp := stubImporter(t)
 	// The rule covers the entrypoint packages, the front door included,
 	// and their internal test variants: exported Lift*/Run*/Check*
 	// declarations must take a context.Context.
-	src := `package pipeline
+	src := `package lift
 import "context"
 func Run(n int) int { return n }
 func RunCtx(ctx context.Context) int { return 0 }
@@ -228,9 +177,9 @@ func (T) CheckAll() {}
 func (T) CheckAllCtx(ctx context.Context) {}
 `
 	for _, path := range []string{
-		"repro/internal/pipeline",
-		"repro/internal/pipeline [repro/internal/pipeline.test]",
 		"repro/lift",
+		"repro/lift [repro/lift.test]",
+		"repro/internal/core",
 	} {
 		pass := typecheck(t, path, src, imp)
 		diags := Run(pass, []*Analyzer{Ctxless})
@@ -428,35 +377,16 @@ func TestPkgdocAnyFileSuffices(t *testing.T) {
 	}
 }
 
-// TestCtxlessDeprecationMapEmpty pins the post-deletion state: no
-// deprecated wrappers remain registered, so the use-site rule is silent
-// until the next deprecation cycle populates the map.
-func TestCtxlessDeprecationMapEmpty(t *testing.T) {
-	if len(deprecatedEntrypoints) != 0 {
-		t.Fatalf("deprecatedEntrypoints holds %d entries, want 0 (the PR 7 wrappers are deleted): %v",
-			len(deprecatedEntrypoints), deprecatedEntrypoints)
-	}
-	imp := stubImporter(t)
-	pass := typecheck(t, "example.com/clean", `package clean
-import "repro/lift"
-func f() { _, _ = lift.NewCheckpoint("x") }
-`, imp)
-	if diags := Run(pass, []*Analyzer{Ctxless}); len(diags) != 0 {
-		t.Fatalf("empty map still flagged a use: %v", diags)
-	}
-}
-
 func TestRunOrdersDeterministically(t *testing.T) {
-	stubDeprecations(t)
 	imp := stubImporter(t)
 	src := `package ord
 import (
+	"os"
 	"repro/internal/obs"
-	"repro/lift"
 )
 func f(tr *obs.Tracer) {
 	_ = tr.Sink
-	_, _ = lift.NewCheckpoint("x")
+	_ = os.Getenv("x")
 	_ = tr.Sink
 }
 `

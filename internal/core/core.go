@@ -30,10 +30,11 @@ const (
 	StatusLifted        Status = iota // an HG was produced (w)
 	StatusUnprovableRet               // return address integrity or calling convention failed (x)
 	StatusConcurrency                 // calls multithreading primitives, out of scope (y)
-	StatusTimeout                     // exploration budget exhausted (z)
+	StatusTimeout                     // exploration step budget exhausted (z)
 	StatusError                       // decode/fetch failure
-	StatusPanic                       // the lift panicked (recovered by the pipeline)
+	StatusPanic                       // the lift panicked (recovered by the scheduler)
 	StatusCancelled                   // the lift's context was cancelled mid-exploration
+	StatusDeadline                    // the lift's wall-clock deadline expired (also z)
 )
 
 // String renders the status as in Table 1's legend.
@@ -51,6 +52,8 @@ func (s Status) String() string {
 		return "panic"
 	case StatusCancelled:
 		return "cancelled"
+	case StatusDeadline:
+		return "deadline"
 	default:
 		return "error"
 	}
@@ -193,8 +196,8 @@ func RetSymFor(addr uint64) expr.Var {
 // start in the exact same state and therefore exploration happens only
 // once"). Cancelling the context stops the exploration cooperatively at
 // its next step: a cancelled context yields StatusCancelled, an expired
-// deadline StatusTimeout — the same mechanism the pipeline's per-lift
-// budget uses.
+// deadline StatusDeadline — the same mechanism the scheduler's per-lift
+// wall-clock budget uses.
 func (l *Lifter) LiftFuncCtx(ctx context.Context, addr uint64, name string) *FuncResult {
 	if r, ok := l.summaries[addr]; ok {
 		return r

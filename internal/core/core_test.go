@@ -625,7 +625,7 @@ func TestLiftBinaryAggregates(t *testing.T) {
 }
 
 func TestStatusStrings(t *testing.T) {
-	for _, s := range []Status{StatusLifted, StatusUnprovableRet, StatusConcurrency, StatusTimeout, StatusError} {
+	for _, s := range []Status{StatusLifted, StatusUnprovableRet, StatusConcurrency, StatusTimeout, StatusError, StatusDeadline} {
 		if s.String() == "" {
 			t.Fatal("empty status name")
 		}

@@ -77,7 +77,7 @@ func (l *Lifter) explore(ctx context.Context, addr uint64, name string) *FuncRes
 		if err := e.ctxErr(); err != nil {
 			st := StatusCancelled
 			if errors.Is(err, context.DeadlineExceeded) {
-				st = StatusTimeout
+				st = StatusDeadline
 			}
 			e.fail(st, fmt.Sprintf("after %d steps: %v", res.Steps, err))
 			break

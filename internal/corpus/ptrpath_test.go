@@ -1,27 +1,25 @@
-package corpus
+package corpus_test
+
+// An external test: it lifts through repro/lift, which imports corpus.
 
 import (
 	"context"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/pipeline"
+	"repro/internal/corpus"
+	"repro/lift"
 )
 
 // runPtrDir lifts the ptr_ directory with or without the pointer pre-pass
 // (Jobs 1 keeps summaries deterministic; each unit's budget is honoured).
-func runPtrDir(t *testing.T, dir *Directory, facts bool) *pipeline.Summary {
+func runPtrDir(t *testing.T, dir *corpus.Directory, facts bool) *lift.Summary {
 	t.Helper()
-	var tasks []pipeline.Task
-	for _, u := range dir.Units {
-		cfg := core.DefaultConfig()
-		if u.Budget > 0 {
-			cfg.MaxStates = u.Budget
-		}
-		cfg.PointerFacts = facts
-		tasks = append(tasks, pipeline.Task{Name: u.Name, Img: u.Image, Addr: u.FuncAddr, Cfg: &cfg})
+	opts := []lift.Option{lift.Jobs(1)}
+	if facts {
+		opts = append(opts, lift.PointerFacts())
 	}
-	return pipeline.RunCtx(context.Background(), tasks, pipeline.Options{Jobs: 1})
+	return lift.Run(context.Background(), lift.UnitRequests(dir.Units), opts...)
 }
 
 // TestPtrPathology pins the directory's double life: without facts the
@@ -29,7 +27,7 @@ func runPtrDir(t *testing.T, dir *Directory, facts bool) *pipeline.Summary {
 // fork+destroy totals collapse and the forkbomb lifts inside the same
 // budget. This is the in-tree version of the CI ptr-smoke gate.
 func TestPtrPathology(t *testing.T) {
-	dir, err := PtrPathology()
+	dir, err := corpus.PtrPathology()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +87,7 @@ func TestPtrPathology(t *testing.T) {
 // here instead of flaking in CI: the fact-assisted exploration must finish
 // comfortably inside the budget, the factless one must exceed it.
 func TestPtrPathologyBudgetMargin(t *testing.T) {
-	dir, err := PtrPathology()
+	dir, err := corpus.PtrPathology()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +95,11 @@ func TestPtrPathologyBudgetMargin(t *testing.T) {
 	if fb.Name != "ptr_forkbomb" {
 		t.Fatalf("forkbomb unit moved: %s", fb.Name)
 	}
-	on := runPtrDir(t, &Directory{Name: "ptr", Units: []*Unit{fb}}, true)
+	on := runPtrDir(t, &corpus.Directory{Name: "ptr", Units: []*corpus.Unit{fb}}, true)
 	steps := on.Results[0].Func.Steps
-	if steps*5 > forkbombBudget*4 {
+	if steps*5 > fb.Budget*4 {
 		t.Errorf("fact-assisted forkbomb used %d of %d steps — margin too thin, raise the budget",
-			steps, forkbombBudget)
+			steps, fb.Budget)
 	}
-	t.Logf("fact-assisted forkbomb: %d steps of %d budget", steps, forkbombBudget)
+	t.Logf("fact-assisted forkbomb: %d steps of %d budget", steps, fb.Budget)
 }

@@ -21,9 +21,6 @@ func NewExec(entry uint64) *Builder { return &Builder{typ: ETExec, entry: entry}
 // NewShared returns a builder for an ET_DYN image (a shared object).
 func NewShared() *Builder { return &Builder{typ: ETDyn} }
 
-// SetEntry sets the entry point.
-func (b *Builder) SetEntry(addr uint64) { b.entry = addr }
-
 // AddSection registers an allocated progbits section at a fixed virtual
 // address. Sections must not overlap.
 func (b *Builder) AddSection(name string, flags uint64, addr uint64, data []byte) {

@@ -77,19 +77,17 @@ type depRun struct {
 	size uint64
 }
 
-// Storable reports whether a lift outcome may be cached. Panics and
-// cancellations are infrastructure accidents, not properties of the
-// binary. Timeouts are stored only when no wall-clock budget was in force:
-// a step-budget timeout (core.Config.MaxStates) is deterministic, which is
-// what lets a warm Table 1 — whose corpus includes budget-exhausted units
-// by design — hit on every task; a wall-clock timeout is a property of the
-// machine and the moment.
-func Storable(status core.Status, wallBudget bool) bool {
+// Storable reports whether a lift outcome may be cached. Panics,
+// cancellations and expired wall-clock deadlines are accidents of the
+// process, the machine and the moment, not properties of the binary. A
+// step-budget timeout (core.Config.MaxStates) is deterministic, so it is
+// stored like any analysis outcome: that is what lets a warm Table 1 —
+// whose corpus includes budget-exhausted units by design — hit on every
+// task, with or without a wall-clock budget.
+func Storable(status core.Status) bool {
 	switch status {
-	case core.StatusPanic, core.StatusCancelled:
+	case core.StatusPanic, core.StatusCancelled, core.StatusDeadline:
 		return false
-	case core.StatusTimeout:
-		return !wallBudget
 	default:
 		return true
 	}

@@ -161,10 +161,6 @@ func (t *Tracer) WithLift(name string) *Tracer {
 	return &Tracer{lift: name, sinks: t.sinks}
 }
 
-// Enabled reports whether the tracer emits anywhere. Instrumented code
-// only needs it to skip building expensive Detail strings.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Emit labels and fans out one event.
 func (t *Tracer) Emit(e Event) {
 	if t == nil {

@@ -1,5 +1,5 @@
 // Package pool is the one bounded worker pool of the repo: the lift
-// scheduler (internal/pipeline) fans lifts out over it and the Step-2
+// scheduler (repro/lift's Run) fans lifts out over it and the Step-2
 // checker (internal/triple) fans out theorems. It is a leaf, so the
 // checker links none of the lifter's packages through it.
 package pool

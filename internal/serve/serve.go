@@ -1,8 +1,8 @@
 // Package serve is the lifting-as-a-service engine behind cmd/hgserved:
 // an HTTP/JSON front end over the repro/lift facade. Clients POST ELF
 // binaries (single or batch) to /v1/lift; the engine schedules the lifts
-// on internal/pipeline and streams progress, per-task verdicts and a
-// final canonical summary back as NDJSON.
+// through lift.Run and streams progress, per-task verdicts and a final
+// canonical summary back as NDJSON.
 //
 // Admission is bounded on two axes. Globally, at most Parallel
 // submissions run pipelines concurrently and at most QueueDepth more may
@@ -13,7 +13,7 @@
 // EWMA — the queue never grows without bound.
 //
 // Deduplication is the content-addressed Hoare-graph store: every run
-// goes through Options.Store (lookup-before-lift in the pipeline), so a
+// goes through Options.Store (lookup-before-lift in lift.Run), so a
 // duplicate submission is answered entirely from cache — zero lifts, and
 // a summary whose Canonical rendering is byte-identical to the original
 // run's. The engine owns the store's flush cycle: it switches the store
@@ -430,11 +430,9 @@ func (e *Engine) handleLift(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	sink := newStreamSink(w)
-	tr := obs.NewTracer(append(append([]obs.Sink{}, e.sinks...), sink)...)
-
 	opts := []lift.Option{
 		lift.Jobs(e.opts.Jobs),
-		lift.Tracer(tr),
+		lift.Observe(append(append([]obs.Sink{}, e.sinks...), sink)...),
 	}
 	if e.opts.Timeout > 0 {
 		opts = append(opts, lift.Timeout(e.opts.Timeout))
@@ -461,7 +459,7 @@ func (e *Engine) handleLift(w http.ResponseWriter, r *http.Request) {
 		Type:        LineSummary,
 		Lifted:      sum.Lifted,
 		Cancelled:   sum.Cancelled,
-		Failed:      sum.Unprovable + sum.Concurrency + sum.Timeouts + sum.Errors + sum.Panics,
+		Failed:      sum.Unprovable + sum.Concurrency + sum.Timeouts + sum.Deadlines + sum.Errors + sum.Panics,
 		StoreHits:   sum.StoreHits,
 		StoreMisses: sum.StoreMisses,
 		WallNS:      int64(sum.Wall),

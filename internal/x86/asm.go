@@ -126,11 +126,6 @@ func (a *Asm) CallAbs(target uint64) {
 	a.emit(Inst{Mn: CALL, Ops: []Operand{ImmOp(int64(target), 4)}, Addr: a.PC()})
 }
 
-// JmpAbs emits jmp rel32 to an absolute address.
-func (a *Asm) JmpAbs(target uint64) {
-	a.emit(Inst{Mn: JMP, Ops: []Operand{ImmOp(int64(target), 4)}, Addr: a.PC()})
-}
-
 // Finish resolves all forward references and returns the machine code.
 func (a *Asm) Finish() ([]byte, error) {
 	if a.err != nil {

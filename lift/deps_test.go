@@ -1,4 +1,4 @@
-package pipeline
+package lift
 
 import (
 	"go/build"
@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// TestDependencyClosure pins what the scheduler links: it lifts, retries
-// and stores, and linting a lifted graph is its caller's business (hgprove
-// and perfbench call hglint themselves), so its non-test import closure
-// must not link the linter.
+// TestDependencyClosure pins what the front door links: it lifts,
+// retries, stores and checks, and linting a lifted graph is its caller's
+// business (hgprove and perfbench call hglint themselves), so its non-test
+// import closure must not link the linter.
 func TestDependencyClosure(t *testing.T) {
 	seen := map[string]bool{}
 	var walk func(path string)
@@ -19,7 +19,7 @@ func TestDependencyClosure(t *testing.T) {
 			return
 		}
 		seen[path] = true
-		pkg, err := build.ImportDir(filepath.Join("..", "..", strings.TrimPrefix(path, "repro/")), 0)
+		pkg, err := build.ImportDir(filepath.Join("..", strings.TrimPrefix(path, "repro/")), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -27,11 +27,11 @@ func TestDependencyClosure(t *testing.T) {
 			walk(imp)
 		}
 	}
-	walk("repro/internal/pipeline")
+	walk("repro/lift")
 	if !seen["repro/internal/core"] {
 		t.Fatalf("closure walk missed the lifter: %v", seen)
 	}
 	if seen["repro/internal/hglint"] {
-		t.Error("pipeline links repro/internal/hglint")
+		t.Error("lift links repro/internal/hglint")
 	}
 }

@@ -1,7 +1,7 @@
 // Package lift is the front door to both steps of the paper: Run and One
-// lift requests through the scheduler (Step 1), and Check re-verifies a
-// lifted graph (Step 2), with one request type and one functional-option
-// set threaded end to end by a context.Context:
+// schedule lifts of requests (Step 1), and Check re-verifies a lifted
+// graph (Step 2), with one request type and one functional-option set
+// threaded end to end by a context.Context:
 //
 //	metrics := obs.NewMetrics()
 //	sum := lift.Run(ctx, []lift.Request{
@@ -19,10 +19,11 @@
 //
 // Cancelling ctx stops in-flight lifts cooperatively (they report
 // core.StatusCancelled) and skips tasks not yet started; the per-lift
-// Timeout is a deadline on the same context, so the two budgets share one
-// mechanism. A cancelled Check reports its unchecked theorems as Skipped.
-// Every command and example lifts and checks through this package; only
-// the scheduler itself constructs a lifter.
+// Timeout is a deadline on the same context (an expired one reports
+// core.StatusDeadline), so the two budgets share one mechanism. A
+// cancelled Check reports its unchecked theorems as Skipped. Every command
+// and example lifts and checks through this package; only Run constructs
+// a lifter.
 //
 // Check has one configuration. It assumes the separations the graph's
 // assumption list holds and no others, whatever options lifted the graph,
@@ -36,7 +37,7 @@
 // re-lifts only that function. The store is also how an interrupted run
 // resumes: re-run it against the same store, and only what the store does
 // not keep lifts again — the tasks that never finished, panics,
-// quarantines and wall-clock timeouts.
+// quarantines and expired wall-clock deadlines.
 package lift
 
 import (
@@ -51,27 +52,14 @@ import (
 	"repro/internal/hoare"
 	"repro/internal/image"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/sem"
 	"repro/internal/solver"
 	"repro/internal/triple"
 )
 
-// Aliases for the result types a Run produces, so facade users need not
-// import the scheduler package.
-type (
-	// Summary aggregates a Run (deterministic in the inputs).
-	Summary = pipeline.Summary
-	// Result is the outcome of one scheduled lift.
-	Result = pipeline.Result
-	// Stats is the per-lift statistics record.
-	Stats = pipeline.Stats
-	// RetryPolicy tunes the rescheduling of faulted lifts (see Retry).
-	RetryPolicy = pipeline.RetryPolicy
-	// Store is a content-addressed cache of lifted Hoare graphs (see
-	// WithStore and OpenStore).
-	Store = hgstore.Store
-)
+// Store is a content-addressed cache of lifted Hoare graphs (see
+// WithStore and OpenStore).
+type Store = hgstore.Store
 
 // OpenStore opens the Hoare-graph store at path: an existing container is
 // loaded (corrupt or version-skewed records are dropped and counted, never
@@ -127,9 +115,15 @@ func UnitRequests(units []*corpus.Unit) []Request {
 	return reqs
 }
 
-// settings is the resolved option set of one Run.
+// settings is the resolved option set of one Run or Check.
 type settings struct {
-	popts pipeline.Options
+	jobs    int                   // Jobs
+	timeout time.Duration         // Timeout
+	cache   *solver.Cache         // Cache
+	tracer  *obs.Tracer           // Observe
+	retry   RetryPolicy           // Retry
+	store   *Store                // WithStore
+	faults  *faultinject.Injector // Faults
 	// Set on every request's configuration.
 	joinCodePointers bool // JoinCodePointers
 	facts            bool // PointerFacts
@@ -141,41 +135,42 @@ type Option func(*settings)
 // Jobs sets the worker count (≤ 0 selects all CPUs): lifts in flight for
 // Run, theorems in flight for Check.
 func Jobs(n int) Option {
-	return func(s *settings) { s.popts.Jobs = n }
+	return func(s *settings) { s.jobs = n }
 }
 
-// Timeout sets the per-lift wall-clock budget, enforced as a context
-// deadline checked at every exploration step plus a watchdog for lifts
-// that stop stepping entirely.
+// Timeout sets the per-lift wall-clock budget (0 = none), enforced as a
+// context deadline checked at every exploration step plus a watchdog that
+// abandons a lift which stops stepping entirely; either way an expired
+// budget reports core.StatusDeadline.
 func Timeout(d time.Duration) Option {
-	return func(s *settings) { s.popts.Timeout = d }
+	return func(s *settings) { s.timeout = d }
 }
 
-// Cache shares a solver memo cache across Runs (nil = fresh per Run).
+// Cache shares a solver memo cache across Runs (nil = fresh per Run),
+// e.g. across the directories of a Table 1 sweep.
 func Cache(c *solver.Cache) Option {
-	return func(s *settings) { s.popts.Cache = c }
-}
-
-// Tracer observes the run with an existing tracer (a Check emits one
-// theorem event per vertex).
-func Tracer(t *obs.Tracer) Option {
-	return func(s *settings) { s.popts.Tracer = t }
+	return func(s *settings) { s.cache = c }
 }
 
 // Observe builds a tracer over the given sinks (a JSONL writer, a ring
-// buffer, a metrics registry, …); all-nil sinks leave observation
-// disabled, so flag-gated sinks can be passed unconditionally.
+// buffer, a metrics registry, …): a Run emits per-task spans, watchdog
+// abandons, retries, store traffic and — labelled per task — every
+// exploration, solver and memory-model event; a Check emits one theorem
+// event per vertex. All-nil sinks leave observation disabled, so
+// flag-gated sinks can be passed unconditionally.
 func Observe(sinks ...obs.Sink) Option {
-	return func(s *settings) { s.popts.Tracer = obs.NewTracer(sinks...) }
+	return func(s *settings) { s.tracer = obs.NewTracer(sinks...) }
 }
 
-// Retry re-schedules lifts that end in StatusPanic or StatusTimeout —
-// the statuses infrastructure faults produce — under the given policy.
-// Every lift is context-free and starts from the same initial state, so a
-// retry can only reproduce the outcome or replace a fault with the real
-// result; lifts that exhaust the policy are quarantined on the Summary.
+// Retry re-schedules lifts that end in StatusPanic or StatusDeadline —
+// the statuses infrastructure faults produce; a spent step budget
+// (StatusTimeout) is deterministic and never retried — under the given
+// policy. Every lift is context-free and starts from the same initial
+// state, so a retry can only reproduce the outcome or replace a fault with
+// the real result; lifts that exhaust the policy are quarantined on the
+// Summary. The zero policy disables retrying.
 func Retry(p RetryPolicy) Option {
-	return func(s *settings) { s.popts.Retry = p }
+	return func(s *settings) { s.retry = p }
 }
 
 // WithStore makes the run incremental: before lifting, each task is
@@ -183,18 +178,19 @@ func Retry(p RetryPolicy) Option {
 // configuration and the lifter version; a hit decodes the cached graphs
 // (and re-validates the hash of every instruction range they depend on
 // against the task's image) instead of exploring, and a miss lifts as
-// usual and writes the result back. Summary.StoreHits / StoreMisses count
-// the split; a fully warm run performs zero lifts. Summary.StoreWriteErrors
-// counts results the store failed to write back.
+// usual and writes the result back when hgstore.Storable allows.
+// Summary.StoreHits / StoreMisses count the split; a fully warm run
+// performs zero lifts. Summary.StoreWriteErrors counts results the store
+// failed to write back.
 func WithStore(st *Store) Option {
-	return func(s *settings) { s.popts.Store = st }
+	return func(s *settings) { s.store = st }
 }
 
 // Faults installs a deterministic fault injector, consulted at the start
-// of every lift attempt (tests and the CI fault-injection smoke job;
-// production runs never set it).
+// of every lift attempt and at kill-after thresholds (tests and the CI
+// fault-injection smoke job; production runs never set it).
 func Faults(inj *faultinject.Injector) Option {
-	return func(s *settings) { s.popts.Faults = inj }
+	return func(s *settings) { s.faults = inj }
 }
 
 // JoinCodePointers joins states holding different code-pointer immediates
@@ -206,9 +202,7 @@ func JoinCodePointers() Option {
 // PointerFacts enables the pointer-analysis pre-pass on every request: a
 // per-function fact table of proven region relations and separation
 // hypotheses is computed before exploring, answering comparisons without
-// the decision procedure and without forking the memory model. Run sets
-// core.Config.PointerFacts on a copy of each request's configuration, so
-// the store keys every task on the configuration it lifts under. The
+// the decision procedure and without forking the memory model. The
 // hypotheses a lift rests on are in its graph's assumption list, which is
 // all Check needs to prove the graph.
 func PointerFacts() Option {
@@ -223,33 +217,19 @@ func resolve(opts []Option) settings {
 	return s
 }
 
-// Run lifts every request through the scheduler and aggregates the
-// outcomes. Results are in request order and every counter is summed in
-// that order, so a Summary is deterministic in the inputs regardless of
-// Jobs.
-func Run(ctx context.Context, reqs []Request, opts ...Option) *Summary {
-	s := resolve(opts)
-	tasks := make([]pipeline.Task, len(reqs))
-	for i, r := range reqs {
-		cfg := r.Config
-		if s.joinCodePointers || s.facts {
-			c := core.DefaultConfig()
-			if cfg != nil {
-				c = *cfg
-			}
-			c.JoinCodePointers = c.JoinCodePointers || s.joinCodePointers
-			c.PointerFacts = c.PointerFacts || s.facts
-			cfg = &c
-		}
-		tasks[i] = pipeline.Task{
-			Name:   r.Name,
-			Img:    r.Img,
-			Addr:   r.Addr,
-			Binary: r.IsBin,
-			Cfg:    cfg,
-		}
+// config resolves the lifter configuration a request runs under: its own
+// override or the default, with the run-wide JoinCodePointers and
+// PointerFacts bits set. It runs once per task, and both the store key and
+// the lift use its result, so a store entry is always keyed on the
+// configuration that produced it.
+func (s *settings) config(r Request) core.Config {
+	cfg := core.DefaultConfig()
+	if r.Config != nil {
+		cfg = *r.Config
 	}
-	return pipeline.RunCtx(ctx, tasks, s.popts)
+	cfg.JoinCodePointers = cfg.JoinCodePointers || s.joinCodePointers
+	cfg.PointerFacts = cfg.PointerFacts || s.facts
+	return cfg
 }
 
 // One lifts a single request and returns its result directly.
@@ -264,14 +244,14 @@ func One(ctx context.Context, req Request, opts ...Option) Result {
 // graph's assumption list holds and no others — so every command checks
 // under the same one, and a graph checks the same in the process that
 // lifted it and after a round trip through a file. Check honours Jobs and
-// Tracer/Observe and ignores the lifting options. Cancelling ctx reports
+// Observe and ignores the lifting options. Cancelling ctx reports
 // the theorems not yet checked as Skipped, so a cancelled report never
 // claims AllProven.
 func Check(ctx context.Context, img *image.Image, g *hoare.Graph, opts ...Option) *triple.Report {
 	s := resolve(opts)
-	jobs := s.popts.Jobs
+	jobs := s.jobs
 	if jobs <= 0 {
 		jobs = runtime.NumCPU()
 	}
-	return triple.Check(ctx, img, g, sem.DefaultConfig(), triple.Workers(jobs), triple.WithTracer(s.popts.Tracer))
+	return triple.Check(ctx, img, g, sem.DefaultConfig(), triple.Workers(jobs), triple.WithTracer(s.tracer))
 }

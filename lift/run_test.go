@@ -1,4 +1,4 @@
-package pipeline
+package lift
 
 import (
 	"context"
@@ -15,46 +15,32 @@ import (
 
 // smallDir builds a small deterministic corpus directory for scheduling
 // tests.
-func smallDir(t *testing.T) []Task {
+func smallDir(t *testing.T) []Request {
 	t.Helper()
-	return dirTasks(t, corpus.DirShape{
+	return dirRequests(t, corpus.DirShape{
 		Name: "pipetest", Kind: corpus.KindLibFunc, Lifted: 6,
 		MinStmts: 2, MaxStmts: 8, Helpers: 1,
 	}, 42)
 }
 
-// dirTasks generates one corpus directory and maps its units onto tasks,
-// honouring each unit's step budget.
-func dirTasks(t *testing.T, shape corpus.DirShape, seed int64) []Task {
+// dirRequests generates one corpus directory and maps its units onto
+// requests, honouring each unit's step budget.
+func dirRequests(t *testing.T, shape corpus.DirShape, seed int64) []Request {
 	t.Helper()
 	dir, err := corpus.BuildDirectory(shape, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks := make([]Task, 0, len(dir.Units))
-	for _, u := range dir.Units {
-		cfg := core.DefaultConfig()
-		if u.Budget > 0 {
-			cfg.MaxStates = u.Budget
-		}
-		tasks = append(tasks, Task{
-			Name:   u.Name,
-			Img:    u.Image,
-			Addr:   u.FuncAddr,
-			Binary: u.Kind == corpus.KindBinary,
-			Cfg:    &cfg,
-		})
-	}
-	return tasks
+	return UnitRequests(dir.Units)
 }
 
 // TestRunDeterministic lifts the same corpus at one and at eight workers
 // and requires identical statuses, counts and graph statistics — the
 // Table 1 acceptance criterion. The memo cache must see hits in both runs.
 func TestRunDeterministic(t *testing.T) {
-	tasks := smallDir(t)
-	serial := RunCtx(context.Background(), tasks, Options{Jobs: 1})
-	wide := RunCtx(context.Background(), tasks, Options{Jobs: 8})
+	reqs := smallDir(t)
+	serial := Run(context.Background(), reqs, Jobs(1))
+	wide := Run(context.Background(), reqs, Jobs(8))
 
 	if serial.Lifted != wide.Lifted || serial.Unprovable != wide.Unprovable ||
 		serial.Concurrency != wide.Concurrency || serial.Timeouts != wide.Timeouts ||
@@ -92,36 +78,37 @@ func TestRunSharedImageRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks := make([]Task, 12)
-	for i := range tasks {
-		tasks[i] = Task{Name: s.Name, Img: s.Image, Addr: s.FuncAddr}
+	reqs := make([]Request, 12)
+	for i := range reqs {
+		reqs[i] = Func(s.Name, s.Image, s.FuncAddr)
 	}
-	sum := RunCtx(context.Background(), tasks, Options{Jobs: 4})
-	if sum.Lifted != len(tasks) {
-		t.Fatalf("lifted %d of %d: %+v", sum.Lifted, len(tasks), sum)
+	sum := Run(context.Background(), reqs, Jobs(4))
+	if sum.Lifted != len(reqs) {
+		t.Fatalf("lifted %d of %d: %+v", sum.Lifted, len(reqs), sum)
 	}
 }
 
 // TestRunCooperativeTimeout gives a real lift a vanishing wall-clock
-// budget: the lifter's own per-step check must report the timeout (the
-// deterministic path — the watchdog's budget is far larger).
+// budget: the lifter's own per-step check must report the expired
+// deadline (the cooperative path — the watchdog's budget is far larger),
+// which Summary counts apart from spent step budgets.
 func TestRunCooperativeTimeout(t *testing.T) {
 	s, err := corpus.WeirdEdge()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks := []Task{{Name: s.Name, Img: s.Image, Addr: s.FuncAddr}}
-	sum := RunCtx(context.Background(), tasks, Options{Jobs: 1, Timeout: time.Nanosecond})
+	reqs := []Request{Func(s.Name, s.Image, s.FuncAddr)}
+	sum := Run(context.Background(), reqs, Jobs(1), Timeout(time.Nanosecond))
 	r := sum.Results[0]
-	if r.Status != core.StatusTimeout {
-		t.Fatalf("status = %s, want %s", r.Status, core.StatusTimeout)
+	if r.Status != core.StatusDeadline {
+		t.Fatalf("status = %s, want %s", r.Status, core.StatusDeadline)
 	}
-	if sum.Timeouts != 1 {
-		t.Fatalf("Timeouts = %d, want 1", sum.Timeouts)
+	if sum.Deadlines != 1 || sum.Timeouts != 0 {
+		t.Fatalf("Deadlines = %d, Timeouts = %d, want 1/0", sum.Deadlines, sum.Timeouts)
 	}
 	// The cooperative path still returns the function result it abandoned.
 	if r.Func == nil {
-		t.Fatalf("cooperative timeout lost the function result")
+		t.Fatalf("cooperative deadline lost the function result")
 	}
 }
 
@@ -138,11 +125,11 @@ func TestRunWatchdogTimeout(t *testing.T) {
 	testHookLiftStart.Store(&hook)
 	defer func() { testHookLiftStart.Store(nil); close(release) }()
 
-	tasks := []Task{{Name: s.Name, Img: s.Image, Addr: s.FuncAddr}}
+	reqs := []Request{Func(s.Name, s.Image, s.FuncAddr)}
 	start := time.Now()
-	sum := RunCtx(context.Background(), tasks, Options{Jobs: 1, Timeout: 10 * time.Millisecond})
-	if got := sum.Results[0].Status; got != core.StatusTimeout {
-		t.Fatalf("status = %s, want %s", got, core.StatusTimeout)
+	sum := Run(context.Background(), reqs, Jobs(1), Timeout(10*time.Millisecond))
+	if got := sum.Results[0].Status; got != core.StatusDeadline {
+		t.Fatalf("status = %s, want %s", got, core.StatusDeadline)
 	}
 	// The watchdog budget is 2*Timeout + 250ms of slack; well under the
 	// blocked lift's (infinite) runtime but comfortably above zero.
@@ -166,12 +153,12 @@ func TestRunPanicRecovery(t *testing.T) {
 	testHookLiftStart.Store(&hook)
 	defer testHookLiftStart.Store(nil)
 
-	tasks := []Task{
-		{Name: s.Name, Img: s.Image, Addr: s.FuncAddr},
-		{Name: "boom", Img: s.Image, Addr: s.FuncAddr},
-		{Name: s.Name, Img: s.Image, Addr: s.FuncAddr},
+	reqs := []Request{
+		Func(s.Name, s.Image, s.FuncAddr),
+		Func("boom", s.Image, s.FuncAddr),
+		Func(s.Name, s.Image, s.FuncAddr),
 	}
-	sum := RunCtx(context.Background(), tasks, Options{Jobs: 2})
+	sum := Run(context.Background(), reqs, Jobs(2))
 	if sum.Panics != 1 || sum.Lifted != 2 {
 		t.Fatalf("panics=%d lifted=%d, want 1 and 2", sum.Panics, sum.Lifted)
 	}
@@ -189,11 +176,11 @@ func TestRunPanicRecovery(t *testing.T) {
 // adds no entry: every query it makes is answered from geometry (a
 // constant-difference pair, which never reaches the memo) or from the memo.
 func TestRunSharedCache(t *testing.T) {
-	tasks := smallDir(t)
+	reqs := smallDir(t)
 	cache := solver.NewCache()
-	first := RunCtx(context.Background(), tasks, Options{Jobs: 2, Cache: cache})
+	first := Run(context.Background(), reqs, Jobs(2), Cache(cache))
 	before := cache.Stats()
-	second := RunCtx(context.Background(), tasks, Options{Jobs: 2, Cache: cache})
+	second := Run(context.Background(), reqs, Jobs(2), Cache(cache))
 	after := cache.Stats()
 	if second.Cache != cache || first.Cache != cache {
 		t.Fatalf("Run did not adopt the provided cache")
@@ -218,10 +205,10 @@ func TestRunSharedCache(t *testing.T) {
 	}
 }
 
-// TestRunCtxCancelBeforeStart cancels the context before RunCtx: every
+// TestRunCtxCancelBeforeStart cancels the context before Run: every
 // task must report StatusCancelled without a single lift running.
 func TestRunCtxCancelBeforeStart(t *testing.T) {
-	tasks := smallDir(t)
+	reqs := smallDir(t)
 	var started atomic.Int32
 	hook := func(string) { started.Add(1) }
 	testHookLiftStart.Store(&hook)
@@ -229,9 +216,9 @@ func TestRunCtxCancelBeforeStart(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sum := RunCtx(ctx, tasks, Options{Jobs: 2})
-	if sum.Cancelled != len(tasks) {
-		t.Fatalf("Cancelled = %d, want %d", sum.Cancelled, len(tasks))
+	sum := Run(ctx, reqs, Jobs(2))
+	if sum.Cancelled != len(reqs) {
+		t.Fatalf("Cancelled = %d, want %d", sum.Cancelled, len(reqs))
 	}
 	for i, r := range sum.Results {
 		if r.Status != core.StatusCancelled {
@@ -248,16 +235,16 @@ func TestRunCtxCancelBeforeStart(t *testing.T) {
 // abandoned by the scheduler's select) and report StatusCancelled, and no
 // later task may report success.
 func TestRunCtxCancelInFlight(t *testing.T) {
-	tasks := smallDir(t)
+	reqs := smallDir(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	hook := func(string) { cancel() }
 	testHookLiftStart.Store(&hook)
 	defer testHookLiftStart.Store(nil)
 
-	sum := RunCtx(ctx, tasks, Options{Jobs: 1})
-	if sum.Cancelled != len(tasks) {
-		t.Fatalf("Cancelled = %d of %d; statuses: %v", sum.Cancelled, len(tasks), statuses(sum))
+	sum := Run(ctx, reqs, Jobs(1))
+	if sum.Cancelled != len(reqs) {
+		t.Fatalf("Cancelled = %d of %d; statuses: %v", sum.Cancelled, len(reqs), statuses(sum))
 	}
 	if sum.Lifted != 0 {
 		t.Fatalf("%d tasks lifted after cancellation", sum.Lifted)
@@ -276,7 +263,7 @@ func statuses(sum *Summary) []core.Status {
 // graph of the corpus, linted through the run's shared solver cache, is
 // error-free.
 func TestRunLint(t *testing.T) {
-	sum := RunCtx(context.Background(), smallDir(t), Options{Jobs: 2})
+	sum := Run(context.Background(), smallDir(t), Jobs(2))
 	reports := 0
 	for _, r := range sum.Results {
 		if r.Status != core.StatusLifted || r.Func == nil {
