@@ -2,7 +2,9 @@
 // serialization formats (the interned-expression table of package expr,
 // the Hoare-graph records of package hoare, and the store and graph-file
 // containers of package hgstore): uvarint-based append helpers and a
-// first-error-sticky Decoder cursor. Formats built on it are
+// first-error-sticky Decoder cursor. Most integers a graph record holds
+// (registers, flags, sizes, small indices) are one-byte varints, which
+// Decoder.Uvarint reads on its own fast path. Formats built on it are
 // deterministic byte-for-byte — no maps are iterated, no pointers or
 // timestamps are written — which is what lets re-serialization be the
 // byte identity and lets an unchanged corpus rewrite an identical store.
@@ -98,8 +100,18 @@ func (d *Decoder) Byte(what string) byte {
 	return b
 }
 
-// Uvarint reads one unsigned varint.
-func (d *Decoder) Uvarint(what string) uint64 { return d.UvarintOf(what, "") }
+// Uvarint reads one unsigned varint. It reads a one-byte varint (a
+// register, flag or size field, a small index) itself and hands a longer
+// one, or a failed read, to UvarintOf.
+func (d *Decoder) Uvarint(what string) uint64 {
+	if d.err == nil && d.pos < len(d.data) {
+		if b := d.data[d.pos]; b < 0x80 {
+			d.pos++
+			return uint64(b)
+		}
+	}
+	return d.UvarintOf(what, "")
+}
 
 // UvarintOf reads one unsigned varint holding a part of the field what (its
 // length, an index into a table), which an error names "what part". The

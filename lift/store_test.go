@@ -8,9 +8,11 @@ package lift_test
 import (
 	"context"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/image"
 	"repro/lift"
 )
 
@@ -154,5 +156,67 @@ func TestStoreKeysPointerFacts(t *testing.T) {
 	}
 	if got, want := again.Canonical(), on.Canonical(); got != want {
 		t.Fatalf("warm facts run diverges from cold:\n--- warm ---\n%s--- cold ---\n%s", got, want)
+	}
+}
+
+// TestStoreDecodedGraphsCheckConcurrently lifts two CoreUtils binaries
+// into a store and re-runs them warm against images loaded afresh from
+// the same bytes, as a new process would. Each graph the warm run decodes
+// must prove, under lift.Check on four workers, what its lifted graph
+// proves, theorem by theorem. The workers read the decoded vertices
+// concurrently, and those share per-graph slabs of states, predicates and
+// clause lists; CI repeats this test under the race detector.
+func TestStoreDecodedGraphsCheckConcurrently(t *testing.T) {
+	units, err := corpus.CoreUtilsSuite(0.17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units = units[:2]
+	path := filepath.Join(t.TempDir(), "graphs.hgcs")
+	st, err := lift.OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := lift.Run(context.Background(), lift.UnitRequests(units), lift.Jobs(2), lift.WithStore(st))
+
+	fresh := make([]*corpus.Unit, len(units))
+	for i, u := range units {
+		img, err := image.Load(u.Image.Raw())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := *u
+		c.Image = img
+		fresh[i] = &c
+	}
+	st2, err := lift.OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := lift.Run(context.Background(), lift.UnitRequests(fresh), lift.Jobs(2), lift.WithStore(st2))
+	if warm.StoreMisses != 0 {
+		t.Fatalf("warm run lifted %d of %d units", warm.StoreMisses, len(units))
+	}
+
+	checked := 0
+	for i, r := range warm.Results {
+		lifted := cold.Results[i].Binary.Funcs
+		for j, f := range r.Binary.Funcs {
+			if f.Graph == nil {
+				continue
+			}
+			got := lift.Check(context.Background(), fresh[i].Image, f.Graph, lift.Jobs(4))
+			want := lift.Check(context.Background(), units[i].Image, lifted[j].Graph, lift.Jobs(4))
+			if !slices.Equal(got.Sorted(), want.Sorted()) {
+				t.Errorf("%s: the decoded graph checks\n%v\nthe lifted one\n%v", f.Name, got.Sorted(), want.Sorted())
+			}
+			if got.Proven == 0 {
+				t.Errorf("%s: the decoded graph proves no theorem", f.Name)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no decoded graph was checked")
 	}
 }

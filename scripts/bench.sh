@@ -61,13 +61,15 @@ go test -run '^$' -count="$count" -benchmem \
 
 # End-to-end: one serial and one parallel Table 1 directory through the full
 # pipeline (scaled-down corpus; see bench_test.go), plus the warm-store
-# re-run (every task served from a pre-populated HG store, zero lifts) —
-# cold vs warm is the incremental-lifting ratio recorded in BENCH_PR7.json —
-# one write-through Put into that store (seal, encode, append, fsync), the
-# largest Table 2 binary lifted and checked (Step 1 and Step 2), raw
-# memory-model insertion into a growing stack frame, and memory-model joins
-# off their fast path (reordered, one-sided and nested classes). Skipped by
-# -short to keep the CI smoke job fast.
+# re-run (every task served from a pre-populated HG store, zero lifts; each
+# iteration loads its images afresh from their bytes, as a new process
+# does, so its numbers do not compare with BENCH_PR7.json's, which reused
+# the cold pass's images and their decode caches), one write-through Put
+# into that store (seal, encode, append, fsync), the largest Table 2
+# binary lifted and checked (Step 1 and Step 2), raw memory-model insertion
+# into a growing stack frame, and memory-model joins off their fast path
+# (reordered, one-sided and nested classes). Skipped by -short to keep the
+# CI smoke job fast.
 if [ "$short" -eq 0 ]; then
     go test -run '^$' -count="$count" -benchmem \
         -bench '^(BenchmarkTable1_lib|BenchmarkTable1_lib_parallel|BenchmarkTable1_lib_warmstore|BenchmarkStorePut|BenchmarkTable2_tar|BenchmarkMemModelIns|BenchmarkMemModelJoin)$' \
