@@ -121,8 +121,7 @@ func BenchmarkTable1_lib_parallel(b *testing.B) { benchDir(b, "lib", runtime.Num
 // so the timed loop performs zero lifts and the ratio to
 // BenchmarkTable1_lib is the incremental-lifting payoff. Each iteration
 // loads its images afresh from their ELF bytes, as a re-run in a new
-// process does, so no instruction a hit decodes is already in an image's
-// decode cache.
+// process does.
 func BenchmarkTable1_lib_warmstore(b *testing.B) {
 	dir := table1Dirs(b)["lib"]
 	st, err := lift.OpenStore(filepath.Join(b.TempDir(), "graphs.hgcs"))

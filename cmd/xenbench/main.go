@@ -511,14 +511,14 @@ func runWeird(ctx context.Context, sinks []obs.Sink) {
 	fmt.Printf("status=%s instrs=%d states=%d resolved=%d weird-vertices=%d\n",
 		r.Status, st.Instructions, st.States, st.ResolvedInd, st.WeirdVertices)
 	for _, e := range r.Graph.SortedEdges() {
-		label := e.Inst.String()
+		inst := r.Graph.Instrs[e.Addr]
 		marker := ""
-		if e.Inst.Mn == x86.JMP && len(e.Inst.Ops) == 1 && e.Inst.Ops[0].Kind == x86.OpMem {
+		if inst.Mn == x86.JMP && len(inst.Ops) == 1 && inst.Ops[0].Kind == x86.OpMem {
 			if vs := r.Graph.Vertices[e.To]; vs != nil && vs.Addr == s.FuncAddr+1 {
 				marker = "   <-- WEIRD EDGE (hidden ret gadget)"
 			}
 		}
-		fmt.Printf("  %s -> %s : %s%s\n", e.From, e.To, label, marker)
+		fmt.Printf("  %s -> %s : %s%s\n", e.From, e.To, inst.String(), marker)
 	}
 	rep := lift.Check(ctx, s.Image, r.Graph, lift.Jobs(2), lift.Observe(sinks...))
 	fmt.Printf("Step 2: %d proven, %d assumed, %d failed\n", rep.Proven, rep.Assumed, rep.Failed)

@@ -42,7 +42,7 @@ func main() {
 		mustString(r, gadget))
 	for _, e := range r.Graph.SortedEdges() {
 		if v := r.Graph.Vertices[e.To]; v != nil && v.Addr == gadget {
-			fmt.Printf("WEIRD EDGE: %s --[%s]--> %s\n", e.From, e.Inst.String(), e.To)
+			fmt.Printf("WEIRD EDGE: %s --[%s]--> %s\n", e.From, mustString(r, e.Addr), e.To)
 		}
 	}
 

@@ -22,12 +22,7 @@
 //	pkgdoc  — flags packages with no package-level doc comment; external
 //	          test packages (_test variants) are exempt.
 //
-// A diagnostic is suppressed by a directive comment on the same line or
-// the line directly above it:
-//
-//	//reprovet:ignore ctxless          — suppress one analyzer
-//	//reprovet:ignore ctxless obsnil   — suppress several
-//	//reprovet:ignore                  — suppress all
+// No directive suppresses a diagnostic: a finding is fixed in the code.
 package analysis
 
 import (
@@ -35,7 +30,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Pass carries one typechecked package through the analyzers.
@@ -64,17 +58,13 @@ type Analyzer struct {
 // All returns every registered analyzer.
 func All() []*Analyzer { return []*Analyzer{Ctxless, Envread, Exprnew, Obsnil, Pkgdoc} }
 
-// Run applies the analyzers to the pass, drops directive-suppressed
-// findings, and returns the rest ordered by position then analyzer.
+// Run applies the analyzers to the pass and returns their findings
+// ordered by position then analyzer.
 func Run(pass *Pass, analyzers []*Analyzer) []Diagnostic {
-	sup := collectIgnores(pass)
 	var out []Diagnostic
 	for _, a := range analyzers {
 		for _, d := range a.Run(pass) {
 			d.Analyzer = a.Name
-			if sup.covers(pass.Fset.Position(d.Pos), a.Name) {
-				continue
-			}
 			out = append(out, d)
 		}
 	}
@@ -92,57 +82,4 @@ func Run(pass *Pass, analyzers []*Analyzer) []Diagnostic {
 		return out[i].Analyzer < out[j].Analyzer
 	})
 	return out
-}
-
-const ignoreDirective = "//reprovet:ignore"
-
-// ignores maps file → line → analyzer names suppressed there (nil set
-// means all analyzers).
-type ignores map[string]map[int][]string
-
-func collectIgnores(pass *Pass) ignores {
-	ig := ignores{}
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, ignoreDirective)
-				if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-					continue
-				}
-				p := pass.Fset.Position(c.Pos())
-				m := ig[p.Filename]
-				if m == nil {
-					m = map[int][]string{}
-					ig[p.Filename] = m
-				}
-				m[p.Line] = strings.Fields(rest)
-			}
-		}
-	}
-	return ig
-}
-
-// covers reports whether a directive on the diagnostic's line, or the
-// line directly above it, names the analyzer (or names nothing, which
-// suppresses everything).
-func (ig ignores) covers(p token.Position, analyzer string) bool {
-	m := ig[p.Filename]
-	if m == nil {
-		return false
-	}
-	for _, line := range []int{p.Line, p.Line - 1} {
-		names, ok := m[line]
-		if !ok {
-			continue
-		}
-		if len(names) == 0 {
-			return true
-		}
-		for _, n := range names {
-			if n == analyzer {
-				return true
-			}
-		}
-	}
-	return false
 }

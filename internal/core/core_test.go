@@ -560,13 +560,13 @@ func TestSoundnessAgainstEmulator(t *testing.T) {
 	var retSites []uint64
 	for _, e := range r.Graph.Edges {
 		if e.To == hoare.ExitID {
-			retSites = append(retSites, e.Inst.Addr)
+			retSites = append(retSites, e.Addr)
 			continue
 		}
 		if e.To == hoare.HaltID {
 			continue
 		}
-		allowed[[2]uint64{e.Inst.Addr, addrOf[e.To]}] = true
+		allowed[[2]uint64{e.Addr, addrOf[e.To]}] = true
 	}
 
 	rng := rand.New(rand.NewSource(3))

@@ -247,7 +247,7 @@ func (e *explorer) joinVars(v *hoare.Vertex) *pred.JoinVars {
 func (e *explorer) handleOutcome(v *hoare.Vertex, inst x86.Inst, o sem.Outcome) {
 	switch o.Kind {
 	case sem.KHalt:
-		e.g.AddEdge(hoare.Edge{From: v.ID, To: hoare.HaltID, Inst: inst, Kind: o.Kind})
+		e.g.AddEdge(hoare.Edge{From: v.ID, To: hoare.HaltID, Addr: inst.Addr, Kind: o.Kind})
 
 	case sem.KFall, sem.KJump:
 		tgt, ok := o.Resolved()
@@ -264,7 +264,7 @@ func (e *explorer) handleOutcome(v *hoare.Vertex, inst x86.Inst, o sem.Outcome) 
 			return
 		}
 		tid := e.l.vertexID(tgt, o.State)
-		e.g.AddEdge(hoare.Edge{From: v.ID, To: tid, Inst: inst, Kind: o.Kind})
+		e.g.AddEdge(hoare.Edge{From: v.ID, To: tid, Addr: inst.Addr, Kind: o.Kind})
 		e.bag = append(e.bag, workItem{rip: tgt, st: o.State, vid: tid})
 
 	case sem.KRet:
@@ -274,7 +274,7 @@ func (e *explorer) handleOutcome(v *hoare.Vertex, inst x86.Inst, o sem.Outcome) 
 			return
 		}
 		e.res.Returns = true
-		e.g.AddEdge(hoare.Edge{From: v.ID, To: hoare.ExitID, Inst: inst, Kind: o.Kind})
+		e.g.AddEdge(hoare.Edge{From: v.ID, To: hoare.ExitID, Addr: inst.Addr, Kind: o.Kind})
 
 	case sem.KCall:
 		e.handleCall(v, inst, o)
@@ -299,7 +299,7 @@ func (e *explorer) handleCall(v *hoare.Vertex, inst x86.Inst, o sem.Outcome) {
 		case l.isConcurrency(name):
 			e.fail(StatusConcurrency, fmt.Sprintf("@%x: call to %s", inst.Addr, name))
 		case l.isTerminating(name):
-			e.g.AddEdge(hoare.Edge{From: v.ID, To: hoare.HaltID, Inst: inst, Kind: o.Kind, Callee: name})
+			e.g.AddEdge(hoare.Edge{From: v.ID, To: hoare.HaltID, Addr: inst.Addr, Kind: o.Kind, Callee: name})
 		default:
 			obls := l.mach.CallObligations(o.State, name, inst.Addr)
 			for _, obl := range obls {
@@ -344,7 +344,7 @@ func (e *explorer) handleCall(v *hoare.Vertex, inst x86.Inst, o sem.Outcome) {
 	if !sum.Returns {
 		// The callee never returns normally; the continuation is not
 		// reachable (Section 4.2.2's reachability field).
-		e.g.AddEdge(hoare.Edge{From: v.ID, To: hoare.HaltID, Inst: inst, Kind: o.Kind, Callee: name})
+		e.g.AddEdge(hoare.Edge{From: v.ID, To: hoare.HaltID, Addr: inst.Addr, Kind: o.Kind, Callee: name})
 		return
 	}
 	e.continueAfterCall(v, inst, o, name)
@@ -356,6 +356,6 @@ func (e *explorer) continueAfterCall(v *hoare.Vertex, inst x86.Inst, o sem.Outco
 	cont := e.l.mach.CleanAfterCall(o.State, inst.Addr)
 	next := inst.Next()
 	tid := e.l.vertexID(next, cont)
-	e.g.AddEdge(hoare.Edge{From: v.ID, To: tid, Inst: inst, Kind: o.Kind, Callee: callee})
+	e.g.AddEdge(hoare.Edge{From: v.ID, To: tid, Addr: inst.Addr, Kind: o.Kind, Callee: callee})
 	e.bag = append(e.bag, workItem{rip: next, st: cont, vid: tid})
 }

@@ -50,7 +50,7 @@ func TestWeirdEdge(t *testing.T) {
 	// The weird vertex is reachable from the indirect jump.
 	foundWeirdEdge := false
 	for _, e := range r.Graph.Edges {
-		if e.Inst.Mn == x86.JMP && e.Inst.Ops[0].Kind == x86.OpMem {
+		if inst := r.Graph.Instrs[e.Addr]; inst.Mn == x86.JMP && inst.Ops[0].Kind == x86.OpMem {
 			for _, v := range weird {
 				if e.To == v.ID {
 					foundWeirdEdge = true

@@ -46,18 +46,18 @@ func buildRelation(t *testing.T, l *core.Lifter) *edgeRelation {
 		for _, e := range fr.Graph.Edges {
 			switch e.To {
 			case hoare.ExitID:
-				rel.retSites[e.Inst.Addr] = true
+				rel.retSites[e.Addr] = true
 			case hoare.HaltID:
-				rel.haltAt[e.Inst.Addr] = true
+				rel.haltAt[e.Addr] = true
 			default:
-				rel.allowed[[2]uint64{e.Inst.Addr, addrOf[e.To]}] = true
+				rel.allowed[[2]uint64{e.Addr, addrOf[e.To]}] = true
 			}
-			if e.Inst.Mn == x86.CALL {
-				if tgt, ok := e.Inst.Target(); ok {
-					m := rel.callTo[e.Inst.Addr]
+			if inst := fr.Graph.Instrs[e.Addr]; inst.Mn == x86.CALL {
+				if tgt, ok := inst.Target(); ok {
+					m := rel.callTo[e.Addr]
 					if m == nil {
 						m = map[uint64]bool{}
-						rel.callTo[e.Inst.Addr] = m
+						rel.callTo[e.Addr] = m
 					}
 					m[tgt] = true
 				}

@@ -285,7 +285,7 @@ func (e *Expr) render() string {
 // Equal reports structural equality. Interning makes this a pointer
 // compare: the constructors return the canonical node for every term, so
 // distinct pointers are distinct terms. The recursive structural walk
-// survives only as a debug-mode cross-check (EXPRDEBUG=1) that panics if
+// survives only as a debug-mode cross-check (debugEqual) that panics if
 // the intern invariant is ever violated.
 func (e *Expr) Equal(o *Expr) bool {
 	if debugEqual {

@@ -32,7 +32,6 @@ package expr
 // dump.
 
 import (
-	"os"
 	"sync"
 	"sync/atomic"
 )
@@ -115,9 +114,10 @@ func init() {
 
 // debugEqual enables the debug cross-checks of the per-node caches:
 // interning makes structural equality coincide with pointer identity, and
-// under EXPRDEBUG=1 every Equal verifies that invariant and every cached
-// ToLinear recomputes its form, each panicking on a mismatch.
-var debugEqual = os.Getenv("EXPRDEBUG") != "" //reprovet:ignore envread
+// when it is set every Equal verifies that invariant and every cached
+// ToLinear recomputes its form, each panicking on a mismatch. It is off in
+// every build; a test sets it to exercise the checks.
+var debugEqual bool
 
 // mix64 is the splitmix64 finalizer: a full-avalanche bijection on 64-bit
 // words. Raw FNV-style folding correlates structured inputs (constant
@@ -296,7 +296,7 @@ func (t *internTable) stats() InternStats {
 }
 
 // structuralEq is the pre-interning equality: a full recursive walk. It
-// survives as the debug-mode cross-check (EXPRDEBUG=1) and as the oracle
+// survives as the debug-mode cross-check (debugEqual) and as the oracle
 // of FuzzInternCanonical.
 func structuralEq(a, b *Expr) bool {
 	if a == b {

@@ -8,9 +8,6 @@ import (
 // TestToLinearCached checks that a node's linear form is built once and
 // then shared: a second ToLinear returns the same form without allocating.
 func TestToLinearCached(t *testing.T) {
-	if debugEqual {
-		t.Skip("EXPRDEBUG=1 recomputes every cached form")
-	}
 	e := Add(V("lin_x"), Mul(Word(3), V("lin_y")), Word(5))
 	l := ToLinear(e)
 	if ToLinear(e) != l {
@@ -79,7 +76,7 @@ func TestToLinearConcurrent(t *testing.T) {
 }
 
 // TestDebugCrossCheckCatchesStaleForm corrupts a cached form and checks
-// that the EXPRDEBUG cross-check panics on the next ToLinear.
+// that the debugEqual cross-check panics on the next ToLinear.
 func TestDebugCrossCheckCatchesStaleForm(t *testing.T) {
 	defer func(old bool) { debugEqual = old }(debugEqual)
 	debugEqual = true

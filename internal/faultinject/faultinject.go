@@ -1,9 +1,8 @@
 // Package faultinject is a deterministic, seeded fault injector for the
 // lifting pipeline's robustness machinery. Production-scale corpus runs
-// must survive worker panics, wedged lifts and being killed part-way; this
-// package lets tests and CI *prove* that they do, by injecting exactly
-// those faults at decision points the pipeline already owns (the start of
-// a lift attempt, the completion of a task).
+// must survive worker panics and wedged lifts; this package lets tests and
+// CI *prove* that they do, by injecting exactly those faults at the one
+// decision point the pipeline already owns, the start of a lift attempt.
 //
 // Every decision is a pure function of (seed, site, key, attempt): an FNV
 // hash mapped to [0,1) and compared against the configured rate. Nothing
@@ -22,7 +21,6 @@ package faultinject
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -49,29 +47,19 @@ type Config struct {
 	// PanicRate=1 makes every task fail exactly once and then recover —
 	// the shape the retry-accounting regression tests want.
 	MaxAttemptFaults int
-	// KillAfter, when > 0, invokes the OnKill callback (typically a
-	// context cancel) once that many tasks have completed — the
-	// "kill a run after K of N tasks" primitive of the resume tests.
-	KillAfter int
 }
 
 // Counts tallies the faults an injector actually fired.
 type Counts struct {
 	Panics, Stalls uint64
-	Killed         bool
 }
 
 // Injector makes deterministic fault decisions. The zero value (or nil)
 // injects nothing.
 type Injector struct {
-	cfg       Config
-	completed atomic.Int64
-	panics    atomic.Uint64
-	stalls    atomic.Uint64
-	killed    atomic.Bool
-
-	mu     sync.Mutex
-	onKill func()
+	cfg    Config
+	panics atomic.Uint64
+	stalls atomic.Uint64
 }
 
 // New returns an injector over the configuration.
@@ -80,16 +68,6 @@ func New(cfg Config) *Injector {
 		cfg.StallFor = 30 * time.Second
 	}
 	return &Injector{cfg: cfg}
-}
-
-// OnKill registers the callback KillAfter fires (at most once).
-func (i *Injector) OnKill(fn func()) {
-	if i == nil {
-		return
-	}
-	i.mu.Lock()
-	i.onKill = fn
-	i.mu.Unlock()
 }
 
 // decide is the deterministic coin flip: FNV-1a over the seed, site, key
@@ -152,23 +130,6 @@ func (i *Injector) LiftStall(task string, attempt int) (time.Duration, bool) {
 	return i.cfg.StallFor, true
 }
 
-// TaskCompleted records one completed task and fires the OnKill callback
-// when the KillAfter threshold is reached.
-func (i *Injector) TaskCompleted() {
-	if i == nil {
-		return
-	}
-	n := i.completed.Add(1)
-	if i.cfg.KillAfter > 0 && n == int64(i.cfg.KillAfter) && i.killed.CompareAndSwap(false, true) {
-		i.mu.Lock()
-		fn := i.onKill
-		i.mu.Unlock()
-		if fn != nil {
-			fn()
-		}
-	}
-}
-
 // Fired reports the faults the injector actually injected.
 func (i *Injector) Fired() Counts {
 	if i == nil {
@@ -177,6 +138,5 @@ func (i *Injector) Fired() Counts {
 	return Counts{
 		Panics: i.panics.Load(),
 		Stalls: i.stalls.Load(),
-		Killed: i.killed.Load(),
 	}
 }

@@ -2,7 +2,6 @@ package faultinject
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
@@ -57,7 +56,6 @@ func TestRates(t *testing.T) {
 	if _, ok := zero.LiftStall("x", 0); ok {
 		t.Fatal("nil injector stalled")
 	}
-	zero.TaskCompleted() // must not panic
 	if zero.Fired() != (Counts{}) {
 		t.Fatal("nil injector reported fired faults")
 	}
@@ -116,29 +114,6 @@ func TestMaxAttemptFaults(t *testing.T) {
 	}
 	if inj.LiftPanic("t", 1) || inj.LiftPanic("t", 2) {
 		t.Fatal("attempts past MaxAttemptFaults must not fire")
-	}
-}
-
-// TestKillAfter fires OnKill exactly once at the threshold, also under
-// concurrent completions.
-func TestKillAfter(t *testing.T) {
-	inj := New(Config{Seed: 1, KillAfter: 5})
-	var kills int32
-	var mu sync.Mutex
-	inj.OnKill(func() { mu.Lock(); kills++; mu.Unlock() })
-	var wg sync.WaitGroup
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go func() { defer wg.Done(); inj.TaskCompleted() }()
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if kills != 1 {
-		t.Fatalf("OnKill fired %d times, want 1", kills)
-	}
-	if !inj.Fired().Killed {
-		t.Fatal("Fired().Killed not set")
 	}
 }
 

@@ -112,11 +112,41 @@ func TestCorruptionsFire(t *testing.T) {
 		entry := g.Vertices[g.EntryID]
 		g.Edges = append(g.Edges, hoare.Edge{
 			From: g.EntryID, To: hoare.HaltID, Kind: sem.KCall,
-			Inst: g.Instrs[entry.Addr],
+			Addr: entry.Addr,
 		})
 		rep := Lint(g)
 		if !hasDiag(rep, "hg-call-callee", "no callee") {
 			t.Fatalf("expected hg-call-callee, got:\n%s", rep)
+		}
+	})
+
+	t.Run("edge-inst-not-disassembled", func(t *testing.T) {
+		g := liftScenario(t, "ret2win")
+		delete(g.Instrs, g.Edges[0].Addr)
+		rep := Lint(g)
+		if !hasDiag(rep, "hg-edge-inst", "not in the recovered disassembly") {
+			t.Fatalf("expected hg-edge-inst, got:\n%s", rep)
+		}
+	})
+
+	t.Run("edge-inst-off-source", func(t *testing.T) {
+		g := liftScenario(t, "ret2win")
+		// Label the entry's first out-edge with another lifted
+		// instruction: it is in Instrs, but not at the source vertex.
+		entry := g.Vertices[g.EntryID]
+		i := slices.IndexFunc(g.Edges, func(e hoare.Edge) bool { return e.From == g.EntryID })
+		if i < 0 {
+			t.Fatal("entry vertex has no out-edge")
+		}
+		for a := range g.Instrs {
+			if a != entry.Addr {
+				g.Edges[i].Addr = a
+				break
+			}
+		}
+		rep := Lint(g)
+		if !hasDiag(rep, "hg-edge-inst", "does not match its source vertex address") {
+			t.Fatalf("expected hg-edge-inst, got:\n%s", rep)
 		}
 	})
 

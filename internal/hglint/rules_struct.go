@@ -71,10 +71,10 @@ func checkDanglingEdges(ctx *Ctx) {
 	g := ctx.Graph
 	for _, e := range ctx.Edges() {
 		if _, ok := g.Vertices[e.From]; !ok {
-			ctx.Reportf(e.From, e.Inst.Addr, "edge %s -> %s leaves a vertex that does not exist", e.From, e.To)
+			ctx.Reportf(e.From, e.Addr, "edge %s -> %s leaves a vertex that does not exist", e.From, e.To)
 		}
 		if _, ok := g.Vertices[e.To]; !ok {
-			ctx.Reportf(e.To, e.Inst.Addr, "edge %s -> %s ends at a vertex that does not exist", e.From, e.To)
+			ctx.Reportf(e.To, e.Addr, "edge %s -> %s ends at a vertex that does not exist", e.From, e.To)
 		}
 	}
 }
@@ -82,7 +82,7 @@ func checkDanglingEdges(ctx *Ctx) {
 func checkTerminalOutEdges(ctx *Ctx) {
 	for _, e := range ctx.Edges() {
 		if e.From == hoare.ExitID || e.From == hoare.HaltID {
-			ctx.Reportf(e.From, e.Inst.Addr, "terminal vertex %s has an out-edge to %s", e.From, e.To)
+			ctx.Reportf(e.From, e.Addr, "terminal vertex %s has an out-edge to %s", e.From, e.To)
 		}
 	}
 }
@@ -90,7 +90,7 @@ func checkTerminalOutEdges(ctx *Ctx) {
 func checkCallCallee(ctx *Ctx) {
 	for _, e := range ctx.Edges() {
 		if e.Kind == sem.KCall && e.Callee == "" {
-			ctx.Reportf(e.From, e.Inst.Addr, "call edge %s -> %s has no callee name", e.From, e.To)
+			ctx.Reportf(e.From, e.Addr, "call edge %s -> %s has no callee name", e.From, e.To)
 		}
 	}
 }
@@ -98,12 +98,12 @@ func checkCallCallee(ctx *Ctx) {
 func checkEdgeInst(ctx *Ctx) {
 	g := ctx.Graph
 	for _, e := range ctx.Edges() {
-		if _, ok := g.Instrs[e.Inst.Addr]; !ok {
-			ctx.Reportf(e.From, e.Inst.Addr, "edge instruction @%#x is not in the recovered disassembly", e.Inst.Addr)
+		if _, ok := g.Instrs[e.Addr]; !ok {
+			ctx.Reportf(e.From, e.Addr, "edge instruction @%#x is not in the recovered disassembly", e.Addr)
 		}
-		if v, ok := g.Vertices[e.From]; ok && !isTerminal(e.From) && v.Addr != e.Inst.Addr {
-			ctx.Reportf(e.From, e.Inst.Addr,
-				"edge instruction @%#x does not match its source vertex address %#x", e.Inst.Addr, v.Addr)
+		if v, ok := g.Vertices[e.From]; ok && !isTerminal(e.From) && v.Addr != e.Addr {
+			ctx.Reportf(e.From, e.Addr,
+				"edge instruction @%#x does not match its source vertex address %#x", e.Addr, v.Addr)
 		}
 	}
 }

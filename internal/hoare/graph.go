@@ -36,10 +36,12 @@ type Vertex struct {
 }
 
 // Edge is one labelled transition. For terminal edges To is ExitID/HaltID.
+// Addr names the instruction that labels it; the decoded instruction is
+// the graph's Instrs[Addr], the only copy a graph keeps.
 type Edge struct {
 	From VertexID
 	To   VertexID
-	Inst x86.Inst
+	Addr uint64
 	Kind sem.OutKind
 	// Callee names the called function for call edges ("" otherwise).
 	Callee string
@@ -97,7 +99,9 @@ type Graph struct {
 	// Assumptions are the implicit separation assumptions (Section 5.2).
 	Assumptions []string
 
-	// Instrs is the recovered disassembly: every instruction lifted.
+	// Instrs is the recovered disassembly: every instruction lifted. It
+	// is the only decoded copy a graph keeps; an Edge names its
+	// instruction by address.
 	Instrs map[uint64]x86.Inst
 
 	// edgeSet holds the key of every edge once AddEdge has run: the
@@ -130,10 +134,10 @@ func (g *Graph) AddEdge(e Edge) {
 	if g.edgeSet == nil {
 		g.edgeSet = make(map[edgeKey]struct{}, len(g.Edges))
 		for _, old := range g.Edges {
-			g.edgeSet[edgeKey{From: old.From, To: old.To, Addr: old.Inst.Addr}] = struct{}{}
+			g.edgeSet[edgeKey{From: old.From, To: old.To, Addr: old.Addr}] = struct{}{}
 		}
 	}
-	key := edgeKey{From: e.From, To: e.To, Addr: e.Inst.Addr}
+	key := edgeKey{From: e.From, To: e.To, Addr: e.Addr}
 	if _, ok := g.edgeSet[key]; ok {
 		return
 	}
@@ -218,8 +222,8 @@ func (g *Graph) Indirections() map[uint64]bool {
 		}
 	}
 	for _, e := range g.Edges {
-		if _, ok := out[e.Inst.Addr]; ok && e.Callee != UnresolvedCallee {
-			out[e.Inst.Addr] = true
+		if _, ok := out[e.Addr]; ok && e.Callee != UnresolvedCallee {
+			out[e.Addr] = true
 		}
 	}
 	return out
@@ -319,7 +323,7 @@ func cmpEdges(a, b Edge) int {
 
 // cmpEdgeSites orders edges by instruction address, then target.
 func cmpEdgeSites(a, b Edge) int {
-	if c := cmp.Compare(a.Inst.Addr, b.Inst.Addr); c != 0 {
+	if c := cmp.Compare(a.Addr, b.Addr); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.To, b.To)

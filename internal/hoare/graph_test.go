@@ -21,8 +21,8 @@ func sampleGraph() *Graph {
 	ret := x86.Inst{Addr: 0x401005, Mn: x86.RET}
 	g.Instrs[0x401000] = mov
 	g.Instrs[0x401005] = ret
-	g.AddEdge(Edge{From: "401000", To: "401005", Inst: mov, Kind: sem.KFall})
-	g.AddEdge(Edge{From: "401005", To: ExitID, Inst: ret, Kind: sem.KRet})
+	g.AddEdge(Edge{From: "401000", To: "401005", Addr: mov.Addr, Kind: sem.KFall})
+	g.AddEdge(Edge{From: "401005", To: ExitID, Addr: ret.Addr, Kind: sem.KRet})
 	return g
 }
 
@@ -53,8 +53,8 @@ func TestStats(t *testing.T) {
 	call := x86.Inst{Addr: 0x401020, Mn: x86.CALL, Ops: []x86.Operand{x86.RegOp(x86.RAX, 8)}}
 	g.Instrs[jmp.Addr] = jmp
 	g.Instrs[call.Addr] = call
-	g.AddEdge(Edge{From: "401010", To: "401005", Inst: jmp, Kind: sem.KJump})
-	g.AddEdge(Edge{From: "401020", To: "401022", Inst: call, Kind: sem.KCall, Callee: UnresolvedCallee})
+	g.AddEdge(Edge{From: "401010", To: "401005", Addr: jmp.Addr, Kind: sem.KJump})
+	g.AddEdge(Edge{From: "401020", To: "401022", Addr: call.Addr, Kind: sem.KCall, Callee: UnresolvedCallee})
 	g.Annotate(0x401030, AnnUnresolvedJump, "b")
 	g.Annotate(0x401020, AnnUnresolvedCall, "c")
 	g.Obligations = append(g.Obligations, "ob")
@@ -91,7 +91,7 @@ func TestSortedAndQueries(t *testing.T) {
 		t.Fatalf("sort order: %+v", vs)
 	}
 	es := g.SortedEdges()
-	if es[0].Inst.Addr != 0x401000 {
+	if es[0].Addr != 0x401000 {
 		t.Fatalf("edge order: %+v", es)
 	}
 	succ := g.Successors("401000")

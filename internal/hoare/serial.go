@@ -112,7 +112,7 @@ func Marshal(g *Graph) []byte {
 		if callee == "" {
 			callee = "-"
 		}
-		fmt.Fprintf(&b, "edge %s %s %d %#x %s\n", e.From, e.To, e.Kind, e.Inst.Addr, callee)
+		fmt.Fprintf(&b, "edge %s %s %d %#x %s\n", e.From, e.To, e.Kind, e.Addr, callee)
 	}
 	for _, a := range g.Annotations {
 		fmt.Fprintf(&b, "annotation %#x %d %s\n", a.Addr, a.Kind, a.Text)

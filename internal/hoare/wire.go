@@ -224,7 +224,7 @@ func AppendWire(buf []byte, t *expr.Table, g *Graph) []byte {
 		buf = appendRef(buf, e.From)
 		buf = appendRef(buf, e.To)
 		buf = wire.AppendUvarint(buf, uint64(e.Kind))
-		buf = wire.AppendUvarint(buf, e.Inst.Addr)
+		buf = wire.AppendUvarint(buf, e.Addr)
 		buf = wire.AppendString(buf, e.Callee)
 	}
 
@@ -410,7 +410,7 @@ func DecodeWire(d *wire.Decoder, nodes []*expr.Expr, img *image.Image) (*Graph, 
 		if d.Err() != nil {
 			break
 		}
-		e := Edge{From: from, To: to, Inst: x86.Inst{Addr: addr}, Kind: sem.OutKind(kind), Callee: callee}
+		e := Edge{From: from, To: to, Addr: addr, Kind: sem.OutKind(kind), Callee: callee}
 		n := len(g.Edges)
 		if n > 0 {
 			c := cmpEdgeSites(g.Edges[n-1], e)
@@ -426,15 +426,12 @@ func DecodeWire(d *wire.Decoder, nodes []*expr.Expr, img *image.Image) (*Graph, 
 				run = n
 			}
 		}
-		if n > 0 && g.Edges[n-1].Inst.Addr == addr {
-			e.Inst = g.Edges[n-1].Inst
-		} else {
+		if n == 0 || g.Edges[n-1].Addr != addr {
 			inst, err := img.Fetch(addr)
 			if err != nil {
 				d.Failf("edge instruction: %v", err)
 				break
 			}
-			e.Inst = inst
 			g.Instrs[addr] = inst
 		}
 		g.Edges = append(g.Edges, e)
@@ -499,7 +496,7 @@ func sortEdgeRun(d *wire.Decoder, run []Edge) {
 	slices.SortFunc(run, cmpEdges)
 	for i := 1; i < len(run); i++ {
 		if e := run[i]; e.From == run[i-1].From {
-			d.Failf("edge %s -> %s at %#x named twice", e.From, e.To, e.Inst.Addr)
+			d.Failf("edge %s -> %s at %#x named twice", e.From, e.To, e.Addr)
 			return
 		}
 	}

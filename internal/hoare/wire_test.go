@@ -139,9 +139,8 @@ func TestDecodeWireRejectsUnmappedInstruction(t *testing.T) {
 	im := buildTestImage(t)
 	g := sampleGraph()
 	// Point an edge at an address outside the image's text section.
-	bogus := x86.Inst{Addr: 0xdead, Mn: x86.RET}
-	g.Instrs[0xdead] = bogus
-	g.AddEdge(Edge{From: "401005", To: HaltID, Inst: bogus, Kind: sem.KHalt})
+	g.Instrs[0xdead] = x86.Inst{Addr: 0xdead, Mn: x86.RET}
+	g.AddEdge(Edge{From: "401005", To: HaltID, Addr: 0xdead, Kind: sem.KHalt})
 	g.Vertices[HaltID] = &Vertex{ID: HaltID}
 
 	table, record := encodeGraph(g)
@@ -537,7 +536,7 @@ func TestDecodeWireSortsEdgeTies(t *testing.T) {
 	}
 	keys := func(g *Graph) (out []edgeKey) {
 		for _, e := range g.Edges {
-			out = append(out, edgeKey{From: e.From, To: e.To, Addr: e.Inst.Addr})
+			out = append(out, edgeKey{From: e.From, To: e.To, Addr: e.Addr})
 		}
 		return out
 	}
@@ -558,14 +557,14 @@ func TestSortedEdgesBreaksTiesOnSource(t *testing.T) {
 		g := NewGraph(sample.FuncAddr, sample.FuncName, sample.RetSym)
 		g.EntryID, g.Vertices, g.Instrs = sample.EntryID, sample.Vertices, sample.Instrs
 		g.Vertices["401000_v"] = &Vertex{ID: "401000_v", Addr: 0x401000, State: g.Vertices["401000"].State.Clone()}
-		a := Edge{From: "401000", To: "401005", Inst: g.Instrs[0x401000], Kind: sem.KFall}
-		b := Edge{From: "401000_v", To: "401005", Inst: g.Instrs[0x401000], Kind: sem.KFall}
+		a := Edge{From: "401000", To: "401005", Addr: 0x401000, Kind: sem.KFall}
+		b := Edge{From: "401000_v", To: "401005", Addr: 0x401000, Kind: sem.KFall}
 		if swap {
 			a, b = b, a
 		}
 		g.AddEdge(a)
 		g.AddEdge(b)
-		g.AddEdge(Edge{From: "401005", To: ExitID, Inst: g.Instrs[0x401005], Kind: sem.KRet})
+		g.AddEdge(Edge{From: "401005", To: ExitID, Addr: 0x401005, Kind: sem.KRet})
 		return g
 	}
 	g, swapped := build(false), build(true)

@@ -3,10 +3,11 @@
 // instruction, and it answers the read-only data and PLT queries the
 // lifter needs (jump-table contents, external-function names).
 //
-// An Image is safe for concurrent readers: the parsed file and PLT map are
-// immutable after construction, and the decode cache behind Fetch is
-// guarded by a lock, so the pipeline's lift workers and the Step-2 triple
-// checkers may share one image.
+// An Image is immutable once built: nothing writes to it after Load or
+// FromFile returns, so the lift workers and the Step-2 triple checkers
+// share one image without locks. Fetch keeps no cache: each call decodes
+// the bytes afresh, and the caller that wants an instruction again keeps
+// it (a Hoare graph's Instrs).
 package image
 
 import (
@@ -14,7 +15,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/elf64"
 	"repro/internal/x86"
@@ -24,19 +24,14 @@ import (
 // section; callers dispatch with errors.Is instead of string-matching.
 var ErrNotExecutable = errors.New("address not executable")
 
-// Image is a loaded binary. The file and plt fields are read-only after
-// FromFile returns; instCach is the only mutable state and is guarded by
-// cacheMu (Step 2 checks vertices of one graph in parallel against a
-// single image, and the pipeline shares images between lifts and checks).
+// Image is a loaded binary. Every field is set while the image is built
+// and read-only afterwards.
 type Image struct {
 	file   *elf64.File
 	textLo uint64
 	textHi uint64
 	plt    map[uint64]string
 	raw    []byte
-
-	cacheMu  sync.RWMutex
-	instCach map[uint64]x86.Inst
 }
 
 // Load parses raw ELF bytes. Parse failures are returned wrapped, so the
@@ -47,14 +42,16 @@ func Load(data []byte) (*Image, error) {
 	if err != nil {
 		return nil, fmt.Errorf("image: load: %w", err)
 	}
-	im := FromFile(f)
-	im.raw = data
-	return im, nil
+	return build(f, data), nil
 }
 
 // FromFile wraps an already-parsed file.
-func FromFile(f *elf64.File) *Image {
-	im := &Image{file: f, plt: map[uint64]string{}, instCach: map[uint64]x86.Inst{}}
+func FromFile(f *elf64.File) *Image { return build(f, nil) }
+
+// build wraps a parsed file and the raw bytes it was parsed from (nil
+// when unknown).
+func build(f *elf64.File, raw []byte) *Image {
+	im := &Image{file: f, plt: map[uint64]string{}, raw: raw}
 	for _, s := range f.Sections {
 		if s.Flags&elf64.SHFExecinstr != 0 && s.Flags&elf64.SHFAlloc != 0 {
 			if im.textLo == 0 || s.Addr < im.textLo {
@@ -93,28 +90,15 @@ func (im *Image) InText(addr uint64) bool {
 	return s != nil && s.Flags&elf64.SHFExecinstr != 0
 }
 
-// Fetch decodes the single instruction at addr (Definition 3.1's fetch).
-// Decoding is deterministic, so concurrent misses at the same address
-// store the same instruction; the decode itself runs outside the lock.
+// Fetch decodes the single instruction at addr (Definition 3.1's fetch):
+// a bounds check, then x86.Decode of the section's bytes from addr on. It
+// reads the image only, so any number of goroutines may fetch at once.
 func (im *Image) Fetch(addr uint64) (x86.Inst, error) {
-	im.cacheMu.RLock()
-	inst, ok := im.instCach[addr]
-	im.cacheMu.RUnlock()
-	if ok {
-		return inst, nil
-	}
 	s := im.file.SectionAt(addr)
 	if s == nil || s.Flags&elf64.SHFExecinstr == 0 || s.Data == nil {
 		return x86.Inst{}, fmt.Errorf("image: %#x: %w", addr, ErrNotExecutable)
 	}
-	inst, err := x86.Decode(s.Data[addr-s.Addr:], addr)
-	if err != nil {
-		return x86.Inst{}, err
-	}
-	im.cacheMu.Lock()
-	im.instCach[addr] = inst
-	im.cacheMu.Unlock()
-	return inst, nil
+	return x86.Decode(s.Data[addr-s.Addr:], addr)
 }
 
 // IsReadOnly reports whether [addr, addr+size) lies entirely in mapped

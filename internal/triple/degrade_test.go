@@ -1,8 +1,9 @@
 package triple
 
-// Tests for graceful degradation in Step 2: cancelled and over-budget
-// checks skip theorems explicitly instead of failing them (or aborting),
-// and a partial report never claims full verification.
+// Tests for graceful degradation in Step 2: a failed theorem does not stop
+// the check, a cancelled check skips theorems explicitly instead of
+// failing them (or aborting), and a partial report never claims full
+// verification.
 
 import (
 	"context"
@@ -34,9 +35,10 @@ func tamperDistinct(t *testing.T, g *hoare.Graph) int {
 	return n
 }
 
-// TestErrorBudgetSkips exhausts a budget of one failure: the checker must
-// record exactly one failed theorem, skip the rest, and refuse AllProven.
-func TestErrorBudgetSkips(t *testing.T) {
+// TestCheckContinuesPastFailures tampers with several invariants: the
+// checker must attempt every theorem, report each failure, skip none, and
+// refuse AllProven.
+func TestCheckContinuesPastFailures(t *testing.T) {
 	im, r := buildAndLift(t, func(a *x86.Asm) {
 		a.I(x86.MOV, x86.RegOp(x86.RAX, 8), x86.ImmOp(5, 4))
 		a.I(x86.MOV, x86.RegOp(x86.RCX, 8), x86.ImmOp(3, 4))
@@ -47,27 +49,18 @@ func TestErrorBudgetSkips(t *testing.T) {
 	}
 	tamperDistinct(t, r.Graph)
 
-	full := Check(context.Background(), im, r.Graph, sem.DefaultConfig(), Workers(1))
-	if full.Failed < 2 {
-		t.Fatalf("tampering produced only %d failures, want ≥ 2", full.Failed)
+	rep := Check(context.Background(), im, r.Graph, sem.DefaultConfig(), Workers(1))
+	if rep.Failed < 2 {
+		t.Fatalf("tampering produced only %d failures, want ≥ 2", rep.Failed)
 	}
-	if full.Skipped != 0 {
-		t.Fatalf("unbudgeted check skipped %d theorems", full.Skipped)
+	if rep.Skipped != 0 {
+		t.Fatalf("check skipped %d theorems after a failure", rep.Skipped)
 	}
-
-	budgeted := Check(context.Background(), im, r.Graph, sem.DefaultConfig(),
-		Workers(1), ErrorBudget(1))
-	if budgeted.Failed != 1 {
-		t.Fatalf("budgeted check failed %d theorems, want exactly 1", budgeted.Failed)
+	if rep.AllProven() {
+		t.Fatal("failing check claims AllProven")
 	}
-	if budgeted.Skipped == 0 {
-		t.Fatal("budgeted check skipped nothing after exhausting the budget")
-	}
-	if budgeted.AllProven() {
-		t.Fatal("partial check claims AllProven")
-	}
-	if got, want := len(budgeted.Theorems), len(full.Theorems); got != want {
-		t.Fatalf("budgeted report has %d theorems, want %d (one per vertex)", got, want)
+	if got, want := len(rep.Theorems), len(r.Graph.Vertices); got != want {
+		t.Fatalf("report has %d theorems, want %d (one per vertex)", got, want)
 	}
 }
 

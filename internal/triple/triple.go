@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/hoare"
@@ -37,10 +36,10 @@ const (
 	Proven  Verdict = iota // all outcomes entail some successor invariant
 	Assumed                // the vertex carries an annotation: nothing to prove
 	Failed
-	// Skipped marks a theorem that was never attempted: the check's
-	// context was cancelled, or the error budget was already exhausted.
-	// A skipped theorem blocks AllProven just like a failed one — the
-	// report is explicit about being partial, never silently optimistic.
+	// Skipped marks a theorem that was never attempted because the
+	// check's context was cancelled first. A skipped theorem blocks
+	// AllProven just like a failed one — the report is explicit about
+	// being partial, never silently optimistic.
 	Skipped
 )
 
@@ -77,8 +76,8 @@ type Report struct {
 }
 
 // AllProven reports whether every theorem was proven or explicitly
-// assumed. Skipped theorems (cancellation, exhausted error budget) count
-// against it: a partial check never claims full verification.
+// assumed. Skipped theorems (a cancelled check) count against it: a
+// partial check never claims full verification.
 func (r *Report) AllProven() bool { return r.Failed == 0 && r.Skipped == 0 }
 
 // CheckOption tunes a Check run. The zero configuration checks serially
@@ -88,7 +87,6 @@ type CheckOption func(*checkCfg)
 type checkCfg struct {
 	workers int
 	tracer  *obs.Tracer
-	budget  int
 }
 
 // Workers fans the per-vertex theorems across n pool workers (< 1 = 1).
@@ -101,23 +99,14 @@ func WithTracer(t *obs.Tracer) CheckOption {
 	return func(c *checkCfg) { c.tracer = t }
 }
 
-// ErrorBudget keeps checking past failing theorems until n have failed,
-// then skips the rest (≤ 0 = unlimited, the default). The theorems are
-// mutually independent, so continuing past a failure is sound: each
-// verdict stands on its own, and the report remains explicit about what
-// was skipped.
-func ErrorBudget(n int) CheckOption {
-	return func(c *checkCfg) { c.budget = n }
-}
-
 // Check re-verifies every vertex of the graph, independently and in
 // parallel across the configured number of workers (the theorems are
 // mutually independent, so the shared worker pool fans them out
-// directly). Cancelling the context stops issuing work; vertices not
-// checked in time report Skipped with a cancellation reason, so a
-// cancelled report never claims AllProven. An ErrorBudget likewise
-// degrades gracefully: once the budget is exhausted the remaining
-// theorems report Skipped instead of being attempted.
+// directly). A failed theorem does not stop the check: each verdict
+// stands on its own, and the report names every failure. Cancelling the
+// context stops issuing work; vertices not checked in time report Skipped
+// with a cancellation reason, so a cancelled report never claims
+// AllProven.
 //
 // The graph's assumption list is the only source of separation
 // hypotheses: each worker checks its theorems on one sem.NewCheckMachine
@@ -140,25 +129,17 @@ func Check(ctx context.Context, img *image.Image, g *hoare.Graph, cfg sem.Config
 	vertices := g.SortedVertices()
 	succs := successors(g)
 	rep := &Report{Func: g.FuncName, Theorems: make([]Theorem, len(vertices))}
-	var failures atomic.Int64
 	machines := make([]*sem.Machine, cc.workers)
 	pool.ForEach(cc.workers, len(vertices), func(w, i int) {
 		v := vertices[i]
-		switch {
-		case ctx.Err() != nil:
+		if err := ctx.Err(); err != nil {
 			rep.Theorems[i] = Theorem{Vertex: v.ID, Addr: v.Addr, Verdict: Skipped,
-				Reason: fmt.Sprintf("not checked: %v", ctx.Err())}
-		case cc.budget > 0 && failures.Load() >= int64(cc.budget):
-			rep.Theorems[i] = Theorem{Vertex: v.ID, Addr: v.Addr, Verdict: Skipped,
-				Reason: fmt.Sprintf("not checked: error budget (%d) exhausted", cc.budget)}
-		default:
+				Reason: fmt.Sprintf("not checked: %v", err)}
+		} else {
 			if machines[w] == nil {
 				machines[w] = sem.NewCheckMachine(img, cfg, hyps)
 			}
 			rep.Theorems[i] = checkVertex(machines[w], g, v, succs[v.ID])
-			if rep.Theorems[i].Verdict == Failed {
-				failures.Add(1)
-			}
 		}
 		th := &rep.Theorems[i]
 		cc.tracer.Theorem(g.FuncName, string(th.Vertex), th.Addr, th.Verdict.String())

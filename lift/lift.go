@@ -138,10 +138,11 @@ func Jobs(n int) Option {
 	return func(s *settings) { s.jobs = n }
 }
 
-// Timeout sets the per-lift wall-clock budget (0 = none), enforced as a
-// context deadline checked at every exploration step plus a watchdog that
-// abandons a lift which stops stepping entirely; either way an expired
-// budget reports core.StatusDeadline.
+// Timeout sets the per-lift wall-clock budget (0 = none), the same for
+// every attempt, enforced as a context deadline checked at every
+// exploration step plus a watchdog that abandons a lift which stops
+// stepping entirely; either way an expired budget reports
+// core.StatusDeadline.
 func Timeout(d time.Duration) Option {
 	return func(s *settings) { s.timeout = d }
 }
@@ -187,8 +188,8 @@ func WithStore(st *Store) Option {
 }
 
 // Faults installs a deterministic fault injector, consulted at the start
-// of every lift attempt and at kill-after thresholds (tests and the CI
-// fault-injection smoke job; production runs never set it).
+// of every lift attempt (tests and the CI fault-injection smoke job;
+// production runs never set it).
 func Faults(inj *faultinject.Injector) Option {
 	return func(s *settings) { s.faults = inj }
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,10 +33,25 @@ func resumeDir(t *testing.T) []Request {
 	}, 7)
 }
 
-// killThenResume runs the requests against a fresh store under faultCfg
-// plus a kill switch that cancels the run once half of them have completed,
-// then re-runs them against the same store, reopened from disk as a new
-// process would, under the same fault seed without the kill.
+// killAfter cancels a run once after its n-th finished task: it counts
+// the obs.KTaskFinish events Run emits for every task, cancelled ones
+// included.
+type killAfter struct {
+	n        int64
+	finished atomic.Int64
+	cancel   context.CancelFunc
+}
+
+func (k *killAfter) Emit(e obs.Event) {
+	if e.Kind == obs.KTaskFinish && k.finished.Add(1) == k.n {
+		k.cancel()
+	}
+}
+
+// killThenResume runs the requests against a fresh store under faultCfg,
+// cancelling the run once half of them have finished, then re-runs them
+// against the same store, reopened from disk as a new process would, under
+// the same fault seed without the kill.
 func killThenResume(t *testing.T, reqs []Request, faultCfg faultinject.Config, retry RetryPolicy) (killed, resumed *Summary) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.hgcs")
@@ -43,15 +59,13 @@ func killThenResume(t *testing.T, reqs []Request, faultCfg faultinject.Config, r
 	if err != nil {
 		t.Fatal(err)
 	}
-	killCfg := faultCfg
-	killCfg.KillAfter = len(reqs) / 2
-	killInj := faultinject.New(killCfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	killInj.OnKill(cancel)
-	killed = Run(ctx, reqs, Jobs(2), Retry(retry), WithStore(st), Faults(killInj))
+	kill := &killAfter{n: int64(len(reqs) / 2), cancel: cancel}
+	killed = Run(ctx, reqs, Jobs(2), Retry(retry), WithStore(st),
+		Faults(faultinject.New(faultCfg)), Observe(kill))
 	if killed.Cancelled == 0 {
-		t.Fatal("kill switch cancelled nothing — the run finished before the threshold")
+		t.Fatal("the kill cancelled nothing — the run finished before the threshold")
 	}
 	if killed.Cancelled == len(reqs) {
 		t.Fatal("every task cancelled — nothing stored before the kill")

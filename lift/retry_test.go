@@ -1,10 +1,9 @@
 package lift
 
 // Tests for the retry policy: rescheduling of panicked lifts and lifts
-// whose deadline expired, quarantine on budget exhaustion, escalating
-// per-attempt timeouts, that a spent step budget is an outcome and not a
-// fault, and — the accounting regression — that retried lifts never
-// double-count into Summary totals.
+// whose deadline expired, quarantine on budget exhaustion, that a spent
+// step budget is an outcome and not a fault, and — the accounting
+// regression — that retried lifts never double-count into Summary totals.
 
 import (
 	"context"
@@ -66,23 +65,48 @@ func TestRetryRecoversInjectedPanics(t *testing.T) {
 }
 
 // TestRetryNoDoubleCount is the accounting regression test: attempt 0
-// runs under an already-expired deadline (cooperatively reported, with a
-// nonzero partial Stats record), the escalated attempt 1 succeeds. The
-// Summary totals must be identical to an untroubled run — the abandoned
-// attempts' statistics are never counted.
+// stalls until its wall-clock budget expires, then lifts under the expired
+// context and reports a cooperative deadline with a partial Stats record
+// (the exit and halt vertices); attempt 1 lifts normally. The Summary
+// totals must be identical to an untroubled run — the abandoned attempts'
+// statistics are never counted.
 func TestRetryNoDoubleCount(t *testing.T) {
 	reqs := smallDir(t)
 	baseline := Run(context.Background(), reqs, Jobs(1))
 
+	inj := faultinject.New(faultinject.Config{
+		Seed: 1, StallRate: 1, MaxAttemptFaults: 1, StallFor: time.Minute,
+	})
+	ring := obs.NewRing(1 << 16)
+	// One worker per task, so the stalls overlap and the run waits out
+	// one budget rather than one per task.
 	sum := Run(context.Background(), reqs,
-		Jobs(1), Timeout(time.Nanosecond),
-		// Attempt 1 runs under 1ns * 3e10 = 30s — effectively unbounded.
-		Retry(RetryPolicy{MaxAttempts: 2, TimeoutScale: 3e10}))
+		Jobs(len(reqs)), Timeout(time.Second), Retry(RetryPolicy{MaxAttempts: 2}),
+		Faults(inj), Observe(ring))
+	if n := inj.Fired().Stalls; n != uint64(len(reqs)) {
+		t.Fatalf("stalls fired = %d, want %d", n, len(reqs))
+	}
+	// Every first attempt reported its own deadline: none was abandoned
+	// by the watchdog, which would leave no partial record to miscount.
+	expired := map[string]bool{}
+	for _, e := range ring.Events() {
+		switch {
+		case e.Kind == obs.KWatchdog:
+			t.Fatalf("%s: watchdog abandoned a lift", e.Func)
+		case e.Kind == obs.KLiftFinish && e.Status == core.StatusDeadline.String():
+			expired[e.Func] = true
+		}
+	}
+	for _, r := range reqs {
+		if !expired[r.Name] {
+			t.Fatalf("%s: no lift reported an expired deadline", r.Name)
+		}
+	}
 	if sum.Deadlines != 0 {
-		t.Fatalf("deadlines = %d after escalation, want 0", sum.Deadlines)
+		t.Fatalf("deadlines = %d after the retry, want 0", sum.Deadlines)
 	}
 	if sum.Retried != len(reqs) {
-		t.Fatalf("Retried = %d, want %d (every first attempt's deadline was expired)",
+		t.Fatalf("Retried = %d, want %d (every first attempt's deadline expired)",
 			sum.Retried, len(reqs))
 	}
 	if sum.Stats.Graph != baseline.Stats.Graph {

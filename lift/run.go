@@ -44,10 +44,6 @@ type RetryPolicy struct {
 	// Backoff is the delay before the second attempt; it doubles on each
 	// further retry.
 	Backoff time.Duration
-	// TimeoutScale multiplies the per-attempt wall-clock budget on each
-	// retry (values ≤ 1 keep Timeout constant), so a lift whose deadline
-	// expired under a tight budget gets an escalating one.
-	TimeoutScale float64
 }
 
 // attempts normalises MaxAttempts: the total number of attempts a task
@@ -57,18 +53,6 @@ func (p RetryPolicy) attempts() int {
 		return 1
 	}
 	return p.MaxAttempts
-}
-
-// timeout escalates the base per-lift budget for the given attempt.
-func (p RetryPolicy) timeout(base time.Duration, attempt int) time.Duration {
-	if base <= 0 || p.TimeoutScale <= 1 {
-		return base
-	}
-	d := base
-	for i := 0; i < attempt; i++ {
-		d = time.Duration(float64(d) * p.TimeoutScale)
-	}
-	return d
 }
 
 // retryable reports whether a status is worth another attempt: panics and
@@ -224,7 +208,6 @@ func Run(ctx context.Context, reqs []Request, opts ...Option) *Summary {
 	start := time.Now()
 	pool.ForEach(s.jobs, len(reqs), func(_, i int) {
 		sum.Results[i] = runOne(ctx, reqs[i], &s)
-		s.faults.TaskCompleted()
 	})
 	sum.Wall = time.Since(start)
 	for i := range sum.Results {
@@ -346,11 +329,10 @@ func runOne(ctx context.Context, r Request, s *settings) Result {
 // Cancelling ctx likewise abandons a lift that does not return promptly
 // on its own.
 func runAttempt(ctx context.Context, r Request, cfg core.Config, s *settings, tr *obs.Tracer, attempt int) Result {
-	budget := s.retry.timeout(s.timeout, attempt)
 	lctx := ctx
-	if budget > 0 {
+	if s.timeout > 0 {
 		var cancel context.CancelFunc
-		lctx, cancel = context.WithTimeout(ctx, budget)
+		lctx, cancel = context.WithTimeout(ctx, s.timeout)
 		defer cancel()
 	}
 	done := make(chan Result, 1)
@@ -380,11 +362,11 @@ func runAttempt(ctx context.Context, r Request, cfg core.Config, s *settings, tr
 		done <- liftRequest(lctx, r, cfg, s.cache, tr)
 	}()
 	var watchdog <-chan time.Time
-	if budget > 0 {
+	if s.timeout > 0 {
 		// The watchdog allows double the cooperative budget plus
 		// scheduling slack before abandoning: a lift that is merely slow
 		// still reports its own (cooperative) deadline result.
-		timer := time.NewTimer(2*budget + 250*time.Millisecond)
+		timer := time.NewTimer(2*s.timeout + 250*time.Millisecond)
 		defer timer.Stop()
 		watchdog = timer.C
 	}
@@ -392,7 +374,7 @@ func runAttempt(ctx context.Context, r Request, cfg core.Config, s *settings, tr
 	case res := <-done:
 		return res
 	case <-watchdog:
-		tr.Watchdog(r.Name, budget)
+		tr.Watchdog(r.Name, s.timeout)
 		return Result{Name: r.Name, Status: core.StatusDeadline}
 	case <-ctx.Done():
 		// The caller cancelled the whole run: abandon the lift rather

@@ -64,7 +64,8 @@ go test -run '^$' -count="$count" -benchmem \
 # re-run (every task served from a pre-populated HG store, zero lifts; each
 # iteration loads its images afresh from their bytes, as a new process
 # does, so its numbers do not compare with BENCH_PR7.json's, which reused
-# the cold pass's images and their decode caches), one write-through Put
+# the cold pass's images while an image still cached every instruction it
+# had decoded), one write-through Put
 # into that store (seal, encode, append, fsync), the largest Table 2
 # binary lifted and checked (Step 1 and Step 2), raw memory-model insertion
 # into a growing stack frame, and memory-model joins off their fast path
